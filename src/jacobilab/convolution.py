@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParameters
+from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
 from .specfun import DEFAULT_PRECISION, gamma_complex, hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction, forward_constant
@@ -126,12 +126,6 @@ def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):
     return z, wz
 
 
-def _weight_density_nd(params, t):
-    return (2.0 * np.sinh(t)) ** (2.0 * params.alpha + 1.0) * (
-        2.0 * np.cosh(t)
-    ) ** (2.0 * params.beta + 1.0)
-
-
 def _translate_block(params, g: SampledRadialFunction, xs, y_nodes):
     """tau_x g evaluated at every y in y_nodes for every x in xs.
 
@@ -148,7 +142,7 @@ def _translate_block(params, g: SampledRadialFunction, xs, y_nodes):
     wz = np.stack(wzs)
     kern = kernel_values(params, xs[:, None, None], y_nodes[None, :, None], z)
     gz = g.at(z.ravel()).reshape(z.shape)
-    dens = _weight_density_nd(params, z)
+    dens = weight_density(params, z)
     return np.sum(gz * kern * dens * wz, axis=2)
 
 

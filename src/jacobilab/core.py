@@ -8,9 +8,12 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
   e^(-2kt) plus the lambda -> -lambda term, which is sound for t bounded
   away from 0.
 
-The production entry point `jacobi_phi` dispatches between them; the
-hypergeometric route stays exposed as `jacobi_phi_hypergeometric` so tests can
-cross-check the two paths against each other.
+One route rule (`_hypergeometric_route`) picks between them for the scalar
+entry point `jacobi_phi`, the dense `phi_matrix` and `laplacian_residual`.
+Both entry points sum the 2F1 series through `specfun.hyp2f1_real_arg` and
+the Harish-Chandra series through `_harish_chandra`.  The hypergeometric route
+stays exposed as `jacobi_phi_hypergeometric` so tests can cross-check the two
+paths against each other.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .specfun import (
     bessel_script_J,
     gamma_complex,
     hyp2f1,
+    hyp2f1_real_arg,
 )
 
 __all__ = [
@@ -57,6 +61,14 @@ _T_SWITCH = 2.0
 _LAMT_SWITCH = 12.0
 _LAMBDA_FLOOR = 1e-6  # HC route regularization near the c-function pole at 0
 _GAMMA_CAP = 1e100
+_HC_MAX_TERMS = 800
+# e^(-rho t) falls below the smallest normal double (2.2e-308) beyond this.
+_RHO_T_MAX = 708.0
+
+
+def _hypergeometric_route(lam, t):
+    """True where phi_lambda(t) takes the 2F1 route; even in lambda, broadcasts."""
+    return (t <= _T_SWITCH) & (np.abs(lam) * t <= _LAMT_SWITCH)
 
 
 @dataclass(frozen=True)
@@ -123,10 +135,6 @@ class HarishChandraSeries:
     gangolli_C: float
     gangolli_d: float
 
-    def partial_sum(self, t):
-        k = np.arange(self.truncation_K + 1)
-        return complex(np.sum(np.asarray(self.coefficients) * np.exp(-2.0 * k * t)))
-
 
 def weight_density(params: JacobiParameters, t):
     """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0."""
@@ -140,7 +148,6 @@ def weight_density(params: JacobiParameters, t):
 
 
 def _phi_params(params, lam):
-    lam = complex(lam)
     a = 0.5 * (params.rho - 1j * lam)
     b = 0.5 * (params.rho + 1j * lam)
     return a, b, params.alpha + 1.0
@@ -162,43 +169,35 @@ def jacobi_phi_hypergeometric(params, lam, t, precision: PrecisionConfig = DEFAU
     return hyp2f1(a, b, c, -math.sinh(t) ** 2, precision)
 
 
-def _gamma_recurrence_weights(params):
-    """Coefficients b_m of the expansion of the drift term minus 2 rho:
-
-    (2a+1) coth t + (2b+1) tanh t = 2 rho + sum_{m>=1} b_m e^{-2mt},
-    b_m = 2[(2a+1) + (-1)^m (2b+1)].
-    """
-    def b(m):
-        return 2.0 * ((2.0 * params.alpha + 1.0) + (-1.0) ** m * (2.0 * params.beta + 1.0))
-
-    return b
-
-
 def gamma_coefficient_table(params, lam, k_max):
     """Gamma_k(lambda) for k = 0..k_max, vectorized over a lambda array.
 
     Recurrence (from substituting the Harish-Chandra ansatz into the
     eigen-equation and expanding coth/tanh in e^{-2t}):
         Gamma_k = -(1 / (4k(k - i lambda))) sum_{m=1}^{k} b_m s_{k-m} Gamma_{k-m}
-    with s_j = i lambda - rho - 2j and b_m as in _gamma_recurrence_weights.
+    with s_j = i lambda - rho - 2j and b_m the coefficients of the drift term,
+    (2a+1) coth t + (2b+1) tanh t = 2 rho + sum_{m>=1} b_m e^{-2mt},
+    b_m = 2[(2a+1) + (-1)^m (2b+1)].
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    bw = _gamma_recurrence_weights(params)
+    m = np.arange(k_max + 1)
+    bw = 2.0 * ((2.0 * params.alpha + 1.0) + (-1.0) ** m * (2.0 * params.beta + 1.0))
+    il = 1j * lam
+    # s_j Gamma_j, filled in as the recurrence proceeds
+    weighted = np.zeros((k_max + 1, lam.size), dtype=complex)
+    table = np.zeros((k_max + 1, lam.size), dtype=complex)
+    table[0] = 1.0
+    weighted[0] = il - params.rho
     for k in range(1, k_max + 1):
-        if np.any(np.abs(k - 1j * lam) < 1e-10):
+        gap = k - il
+        if np.any(np.abs(gap) < 1e-10):
             raise DomainError(
                 "lambda lies in the exceptional set of the Harish-Chandra recurrence"
             )
-    s = (1j * lam)[None, :] - params.rho - 2.0 * np.arange(k_max + 1)[:, None]
-    table = np.zeros((k_max + 1, lam.size), dtype=complex)
-    table[0] = 1.0
-    for k in range(1, k_max + 1):
-        acc = np.zeros(lam.size, dtype=complex)
-        for m in range(1, k + 1):
-            acc += bw(m) * s[k - m] * table[k - m]
-        table[k] = -acc / (4.0 * k * (k - 1j * lam))
+        table[k] = -(bw[k:0:-1] @ weighted[:k]) / (4.0 * k * gap)
         if np.any(np.abs(table[k]) > _GAMMA_CAP):
             raise OverflowLimitError("|Gamma_k| exceeded 1e100")
+        weighted[k] = (il - params.rho - 2.0 * k) * table[k]
     return table
 
 
@@ -240,103 +239,87 @@ def gangolli_fit(params, k_max, lambda_set):
     return float(np.max(env)), float(d_fit)
 
 
-def _phi_harish_chandra(params, lam, t, k_max=None):
-    """phi via the Harish-Chandra series; lam complex scalar, t > 0."""
-    lam = complex(lam)
-    if abs(lam) < _LAMBDA_FLOOR:
-        lam = complex(_LAMBDA_FLOOR, lam.imag)
+def _harish_chandra(params, t, lam, k_max=None):
+    """Harish-Chandra terms c(lambda) e^((i lambda - rho) t) sum_k Gamma_k(lambda) e^(-2kt).
+
+    t: 1-D array of positive nodes, lam: 1-D array; returns the complex
+    (t, lambda) matrix.  phi_lambda(t) is the sum of the terms at lambda and
+    -lambda, or 2 Re of the term at real lambda.  k_max defaults to the
+    truncation max(12, ceil(27 / min t)), and may not exceed 800.
+    """
+    t = np.asarray(t, dtype=float)
+    lam = np.asarray(lam, dtype=complex)
     if k_max is None:
-        k_max = max(12, int(math.ceil(27.0 / t)))
-    plus = gamma_coefficient_table(params, np.array([lam]), k_max)[:, 0]
-    minus = gamma_coefficient_table(params, np.array([-lam]), k_max)[:, 0]
-    decay = np.exp(-2.0 * np.arange(k_max + 1) * t)
-    term_p = c_function(params, lam) * np.exp((1j * lam - params.rho) * t) * np.sum(plus * decay)
-    term_m = c_function(params, -lam) * np.exp((-1j * lam - params.rho) * t) * np.sum(minus * decay)
-    return term_p + term_m
+        k_max = max(12, int(math.ceil(27.0 / float(np.min(t)))))
+    if k_max > _HC_MAX_TERMS:
+        raise DomainError(
+            f"Harish-Chandra truncation would exceed {_HC_MAX_TERMS} terms (t = {np.min(t):.3g})"
+        )
+    table = gamma_coefficient_table(params, lam, k_max)
+    with np.errstate(under="ignore"):
+        terms = np.exp(np.outer(-2.0 * t, np.arange(k_max + 1))) @ table
+        terms *= np.exp((1j * lam[None, :] - params.rho) * t[:, None])
+    terms *= c_function(params, lam)
+    return terms
 
 
 def jacobi_phi(params, lam, t, precision: PrecisionConfig = DEFAULT_PRECISION, force: Optional[str] = None):
     """The Jacobi function phi_lambda(t), dispatching between evaluation routes.
 
     force: None (automatic), "hypergeometric", or "harish-chandra"; forcing a
-    route keeps finite-difference stencils on a single branch.
+    route keeps finite-difference stencils on a single branch.  Raises
+    OverflowLimitError where rho t > 708, since phi then underflows.
     """
     if t < 0.0 or math.isnan(t):
         raise DomainError("jacobi_phi requires t >= 0")
+    if params.rho * t > _RHO_T_MAX:
+        raise OverflowLimitError(
+            f"jacobi_phi: rho t = {params.rho * t:.6g} exceeds {_RHO_T_MAX:g}; "
+            "e^(-rho t) underflows the smallest normal double (2.2e-308)"
+        )
     lam = complex(lam)
     a, b, _ = _phi_params(params, lam)
-    if abs(a) <= 1e-15 or abs(b) <= 1e-15:
-        return 1.0 + 0.0j
-    if t == 0.0:
-        return 1.0 + 0.0j
+    if t == 0.0 or abs(a) <= 1e-15 or abs(b) <= 1e-15:
+        return 1.0 + 0.0j  # phi_lambda(0) = 1; at lambda = +-i rho the series is 1
+    if force is None:
+        force = "hypergeometric" if _hypergeometric_route(lam, t) else "harish-chandra"
     if force == "hypergeometric":
         return jacobi_phi_hypergeometric(params, lam, t, precision)
     if force == "harish-chandra":
-        return _phi_harish_chandra(params, lam, t)
-    if force is not None:
-        raise ValueError(f"unknown route {force!r}")
-    if t <= _T_SWITCH and abs(lam) * t <= _LAMT_SWITCH:
-        return jacobi_phi_hypergeometric(params, lam, t, precision)
-    return _phi_harish_chandra(params, lam, t)
+        if abs(lam) < _LAMBDA_FLOOR:
+            lam = complex(_LAMBDA_FLOOR, lam.imag)
+        return complex(np.sum(_harish_chandra(params, [t], [lam, -lam])))
+    raise ValueError(f"unknown route {force!r}")
 
 
 def phi_matrix(params, t_nodes, lam_nodes, precision: PrecisionConfig = DEFAULT_PRECISION):
     """Dense matrix phi_lambda(t) over real grids (t_nodes x lam_nodes).
 
-    Harish-Chandra evaluation everywhere as one matrix product, then the
-    (t, lambda) cells where the hypergeometric series is sound are overwritten
-    row by row.  Real lambda only; returns a real-valued matrix.
+    phi is even in lambda, so every cell is evaluated at |lambda|.  Rows with
+    a cell off the hypergeometric route get 2 Re of the Harish-Chandra term as
+    one matrix product; then every cell on the hypergeometric route is
+    overwritten from one vectorized 2F1 call.  Returns a real-valued matrix.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
-    lam = np.asarray(lam_nodes, dtype=float)
+    lam = np.abs(np.asarray(lam_nodes, dtype=float))
     if np.any(t_nodes <= 0.0):
         raise DomainError("phi_matrix requires t > 0")
-    lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
+    direct = _hypergeometric_route(lam[None, :], t_nodes[:, None])
+    out = np.empty(direct.shape, dtype=float)
 
-    direct_mask = (t_nodes[:, None] <= _T_SWITCH) & (
-        lam[None, :] * t_nodes[:, None] <= _LAMT_SWITCH
-    )
-    hc_rows = ~np.all(direct_mask, axis=1)
-    out = np.empty((t_nodes.size, lam.size), dtype=float)
-
+    hc_rows = ~np.all(direct, axis=1)
     if np.any(hc_rows):
-        t_hc_min = float(np.min(t_nodes[hc_rows]))
-        k_max = max(12, int(math.ceil(27.0 / t_hc_min)))
-        if k_max > 800:
-            raise DomainError("phi_matrix: Harish-Chandra truncation would exceed 800 terms")
-        table = gamma_coefficient_table(params, lam_hc.astype(complex), k_max)
-        cvals = c_function(params, lam_hc.astype(complex))
-        with np.errstate(under="ignore"):
-            decay = np.exp(np.outer(-2.0 * t_nodes, np.arange(k_max + 1)))
-            series = decay @ table  # (t, lam)
-            osc = np.exp(
-                (1j * lam_hc[None, :] - params.rho) * t_nodes[:, None]
-            )
-        out[:] = 2.0 * np.real(cvals[None, :] * osc * series)
+        lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
+        out[hc_rows] = 2.0 * _harish_chandra(params, t_nodes[hc_rows], lam_hc).real
 
-    # Hypergeometric overwrite where it is the sound route.
-    ab_a = 0.5 * (params.rho - 1j * lam)
-    ab_b = 0.5 * (params.rho + 1j * lam)
-    c = params.alpha + 1.0
-    for i, t in enumerate(t_nodes):
-        cols = np.nonzero(direct_mask[i])[0]
-        if cols.size == 0:
-            continue
-        w = math.tanh(t) ** 2
-        a_vec = ab_a[cols]
-        term = np.ones(cols.size, dtype=complex)
-        total = term.copy()
+    rows, cols = np.nonzero(direct)
+    if rows.size:
         # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t)
-        b_vec = c - ab_b[cols]
-        for k in range(precision.max_terms):
-            term = term * (a_vec + k) * (b_vec + k) / ((c + k) * (k + 1.0)) * w
-            total += term
-            if np.max(np.abs(term)) <= precision.series_tol * max(
-                np.max(np.abs(total)), 1e-300
-            ):
-                break
-        pref = np.exp((1j * lam[cols] - params.rho) * math.log(math.cosh(t)))
-        out[i, cols] = np.real(pref * total)
+        t, lam_d = t_nodes[rows], lam[cols]
+        a, b, c = _phi_params(params, lam_d)
+        series = hyp2f1_real_arg(a, c - b, c, np.tanh(t) ** 2, precision)
+        pref = np.exp((1j * lam_d - params.rho) * np.log(np.cosh(t)))
+        out[rows, cols] = np.real(pref * series)
     return out
 
 
@@ -350,11 +333,7 @@ def laplacian_residual(params, lam, t, h=1e-4):
     if not t > 2.0 * h > 0.0:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
-    route = (
-        "hypergeometric"
-        if (t <= _T_SWITCH and abs(lam) * t <= _LAMT_SWITCH)
-        else "harish-chandra"
-    )
+    route = "hypergeometric" if _hypergeometric_route(lam, t) else "harish-chandra"
     f = lambda s: jacobi_phi(params, lam, s, force=route)
     fm, f0, fp = f(t - h), f(t), f(t + h)
     d1 = (fp - fm) / (2.0 * h)

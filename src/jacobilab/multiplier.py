@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import composite_gauss_legendre, neville_zero, smoothstep_quintic
-from .core import JacobiParameters, c_function, gamma_coefficient_table
+from .core import JacobiParameters, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
     DecayError,
@@ -394,10 +394,7 @@ def hc_global_pieces(
     target_k = const * np.exp(-params.rho * t) * (
         (mvals[None, :] * hc_sum * np.exp(1j * np.outer(t, lam))) @ wlam
     )
-    weight = (2.0 * np.sinh(t)) ** (2.0 * params.alpha + 1.0) * (
-        2.0 * np.cosh(t)
-    ) ** (2.0 * params.beta + 1.0)
-    target = one_minus_psi * target_k * weight
+    target = one_minus_psi * target_k * weight_density(params, t)
 
     scale = np.max(np.abs(target))
     rel_error = float(np.max(np.abs(recon - target)) / scale) if scale > 0 else 0.0

@@ -125,20 +125,6 @@ def gamma_complex(z):
     return out
 
 
-def _hyp2f1_series(a, b, c, z, precision):
-    """Defining power series of 2F1, valid for 0 <= z < 1 (and any |z| < 1)."""
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for k in range(precision.max_terms):
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= precision.series_tol * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {precision.max_terms} terms (z={z})"
-    )
-
-
 def hyp2f1(a, b, c, z, precision: PrecisionConfig = DEFAULT_PRECISION):
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0 or 0 <= z < 1.
 
@@ -155,16 +141,21 @@ def hyp2f1(a, b, c, z, precision: PrecisionConfig = DEFAULT_PRECISION):
     if z >= 1.0:
         raise DomainError("hyp2f1 requires z < 1")
     if 0.0 <= z < 1.0:
-        return _hyp2f1_series(a, b, c, z, precision)
+        return complex(hyp2f1_real_arg(a, b, c, z, precision))
     w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w, precision)
+    return (1.0 - z) ** (-a) * complex(hyp2f1_real_arg(a, c - b, c, w, precision))
 
 
 def hyp2f1_real_arg(a, b, c, w, precision: PrecisionConfig = DEFAULT_PRECISION):
-    """Vectorized 2F1 series over an array of arguments w in [0, 1).
+    """The defining 2F1 series, vectorized over an array of arguments w in [0, 1).
 
     Parameters a, b may be complex arrays broadcastable against w; c is scalar.
-    Used by the kernel and Jacobi-function hot paths.
+    Every element stops at its own first term with
+    |term| <= series_tol (1 - w) |total|, so its value does not depend on the
+    rest of the batch.  The factor 1 - w accounts for the geometric tail: the
+    term ratio tends to w, so the neglected remainder is about
+    |term| w / (1 - w).  Converged elements leave the live set once they make
+    up a quarter of it.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0) or np.any(w >= 1.0):
@@ -178,14 +169,48 @@ def hyp2f1_real_arg(a, b, c, w, precision: PrecisionConfig = DEFAULT_PRECISION):
     else:
         a = a.astype(complex)
         b = b.astype(complex)
-    term = np.ones(np.broadcast(a, b, w).shape, dtype=np.result_type(a, b, w))
+    shape = np.broadcast(a, b, w).shape
+    out = np.empty(shape, dtype=np.result_type(a, b, w))
+    flat = out.reshape(-1)
+    if flat.size == 0:
+        return out
+    # The live set: flat indices into out, with each array argument gathered
+    # to match; scalar a and b stay scalar.  A converged element is frozen by
+    # zeroing its term, which keeps its total exact, until compaction.
+    a, b, w = (x if x.ndim == 0 else np.broadcast_to(x, shape).ravel() for x in (a, b, w))
+    tol = precision.series_tol * (1.0 - w)
+    idx = np.arange(flat.size)
+    term = np.ones(flat.size, dtype=out.dtype)
     total = term.copy()
+    n_frozen = 0
     for k in range(precision.max_terms):
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * w
+        term *= a + k
+        term *= b + k
+        term /= (c + k) * (k + 1.0)
+        term *= w
         total += term
-        if np.max(np.abs(term)) <= precision.series_tol * max(np.max(np.abs(total)), 1e-300):
-            return total
-    raise ConvergenceError("vectorized 2F1 series did not converge")
+        bound = np.maximum(np.abs(total), 1e-300)
+        bound *= tol
+        done = np.abs(term) <= bound
+        n_done = np.count_nonzero(done)
+        if n_done == n_frozen:
+            continue
+        if n_done == done.size:
+            flat[idx] = total
+            return out
+        if 4 * n_done >= done.size:
+            flat[idx[done]] = total[done]
+            keep = ~done
+            idx, term, total = idx[keep], term[keep], total[keep]
+            a, b, w, tol = (x if x.ndim == 0 else x[keep] for x in (a, b, w, tol))
+            n_frozen = 0
+        else:
+            term[done] = 0.0
+            n_frozen = n_done
+    raise ConvergenceError(
+        f"2F1 series did not converge within {precision.max_terms} terms "
+        f"({term.size - n_frozen} of {flat.size} elements unconverged)"
+    )
 
 
 def _script_j_series(alpha, x):

@@ -58,6 +58,10 @@ class TestEval:
         out = capsys.readouterr().out.strip().split(",")
         assert float(out[4]) > 0.0
 
+    def test_phi_underflow_exit_2(self, capsys):
+        # rho t = 1000: phi underflows, which is an error, not a printed 0
+        assert run(["--preset", "generic", "eval", "phi", "--lambda", "2", "--t", "400"]) == 2
+
     def test_missing_argument_exit_2(self, capsys):
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2"]) == 2
 

@@ -102,12 +102,13 @@ class TestKernel:
 
     def test_unit_mass(self, generic_params):
         # integral K(s,t,u) dmu(u) = 1 for every fixed (s, t)
-        from jacobilab.convolution import _support_rule, _weight_density_nd
+        from jacobilab.convolution import _support_rule
+        from jacobilab.core import weight_density
 
         for s, t in [(0.7, 1.1), (1.5, 2.0), (0.4, 0.5)]:
             z, wz = _support_rule(s, np.array([t]), 20.0, n_panels=48)
             kern = kernel_values(generic_params, s, t, z[0])
-            mass = float(np.sum(kern * _weight_density_nd(generic_params, z[0]) * wz[0]))
+            mass = float(np.sum(kern * weight_density(generic_params, z[0]) * wz[0]))
             assert mass == pytest.approx(1.0, abs=1e-9), (s, t)
 
 

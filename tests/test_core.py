@@ -4,10 +4,13 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobilab import (
     DomainError,
     JacobiParameters,
+    OverflowLimitError,
     ParameterError,
     PoleError,
     bessel_local_expansion,
@@ -96,6 +99,28 @@ class TestJacobiPhi:
                 hc = jacobi_phi(generic_params, lam, t, force="harish-chandra")
                 assert abs(direct - hc) <= 1e-8 * max(abs(direct), 1e-6)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lam=st.floats(0.5, 6.0), t=st.floats(1.5, 2.5))
+    def test_two_route_agreement_property(self, data, lam, t):
+        alpha = data.draw(st.floats(0.5, 4.0, exclude_min=True), label="alpha")
+        beta = data.draw(st.floats(-0.5, alpha, exclude_min=True, exclude_max=True), label="beta")
+        params = JacobiParameters(alpha, beta)
+        direct = jacobi_phi(params, lam, t, force="hypergeometric")
+        hc = jacobi_phi(params, lam, t, force="harish-chandra")
+        assert abs(direct - hc) <= 1e-8 * math.exp(-params.rho * t)
+
+    def test_underflow_raises(self, generic_params):
+        # rho t = 1000: e^(-rho t) is below the smallest normal double
+        with pytest.raises(OverflowLimitError, match="708"):
+            jacobi_phi(generic_params, 2.0, 400.0)
+
+    def test_truncation_guard_raises(self, generic_params):
+        # t = 0.02 would need ceil(27 / t) = 1350 Harish-Chandra terms
+        with pytest.raises(DomainError, match="800"):
+            jacobi_phi(generic_params, 1000.0, 0.02)
+        with pytest.raises(DomainError, match="800"):
+            phi_matrix(generic_params, np.array([0.02]), np.array([1000.0]))
+
     def test_h3_closed_form(self, h3_params):
         # phi_lambda(t) = sin(lambda t) / (lambda sinh t)
         for lam in (0.5, 1.0, 3.7, 9.0):
@@ -121,7 +146,7 @@ class TestJacobiPhi:
 class TestPhiMatrix:
     def test_matches_scalar_entry_point(self, generic_params):
         t_nodes = np.array([0.2, 1.0, 2.5, 6.0])
-        lam_nodes = np.array([0.4, 2.0, 11.0, 30.0])
+        lam_nodes = np.array([0.4, 2.0, 11.0, 30.0, -11.0, -30.0])
         mat = phi_matrix(generic_params, t_nodes, lam_nodes)
         for i, t in enumerate(t_nodes):
             for j, lam in enumerate(lam_nodes):
@@ -166,6 +191,22 @@ class TestHarishChandra:
     def test_h3_coefficients_are_one(self, h3_params):
         series = harish_chandra_coefficients(h3_params, 2.0, 20)
         assert np.max(np.abs(np.asarray(series.coefficients) - 1.0)) < 1e-12
+
+    def test_matches_term_by_term_recurrence(self, generic_params):
+        # reference: the recurrence summed one m at a time, in plain Python
+        p = generic_params
+        lams = [0.5, 3.0 + 0.4j, 17.0]
+        k_max = 24
+        table = gamma_coefficient_table(p, np.array(lams), k_max)
+        for j, lam in enumerate(lams):
+            gam = [1.0 + 0.0j]
+            for k in range(1, k_max + 1):
+                acc = 0.0
+                for m in range(1, k + 1):
+                    b_m = 2.0 * ((2.0 * p.alpha + 1.0) + (-1.0) ** m * (2.0 * p.beta + 1.0))
+                    acc += b_m * (1j * lam - p.rho - 2.0 * (k - m)) * gam[k - m]
+                gam.append(-acc / (4.0 * k * (k - 1j * lam)))
+            assert np.allclose(table[:, j], gam, rtol=1e-13, atol=0.0), lam
 
     def test_exceptional_lambda_raises(self, generic_params):
         with pytest.raises(DomainError):

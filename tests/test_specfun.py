@@ -118,6 +118,12 @@ class TestHyp2F1:
             expected = complex(mpmath.hyp2f1(0.7, 1.3, 2.1, wi))
             assert abs(gi - expected) <= 1e-12 * max(abs(expected), 1.0)
 
+    def test_batch_independence(self):
+        # each element stops at its own convergence, whatever else is batched
+        batch = hyp2f1_real_arg([0.7, 6.0], [1.3, 6.0], 2.1, 0.9)
+        for i, (a, b) in enumerate([(0.7, 1.3), (6.0, 6.0)]):
+            assert batch[i] == hyp2f1_real_arg(a, b, 2.1, 0.9)
+
 
 class TestBesselScriptJ:
     def test_against_scipy_both_routes(self):
