@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "composite_gauss_legendre",
+    "dyadic_differences",
     "graded_breakpoints",
     "loglog_slope",
     "neville_zero",
@@ -16,27 +19,44 @@ __all__ = [
 def composite_gauss_legendre(breakpoints, nodes_per_panel=4):
     """Composite Gauss-Legendre rule on the panels defined by `breakpoints`.
 
-    Returns (nodes, weights, panel_slices) with nodes strictly inside each
-    panel, sorted increasing.
+    Returns (nodes, weights): panel k holds entries k * nodes_per_panel up to
+    (k + 1) * nodes_per_panel, the affine image of the reference rule on
+    [-1, 1], so nodes lie strictly inside their panel and sort increasing.
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
     x_ref, w_ref = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes, weights, slices = [], [], []
-    pos = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes.append(mid + half * x_ref)
-        weights.append(half * w_ref)
-        slices.append(slice(pos, pos + nodes_per_panel))
-        pos += nodes_per_panel
-    return np.concatenate(nodes), np.concatenate(weights), slices
+    half = 0.5 * (breakpoints[1:] - breakpoints[:-1])[:, None]
+    mid = 0.5 * (breakpoints[:-1] + breakpoints[1:])[:, None]
+    return (mid + half * x_ref).ravel(), (half * w_ref).ravel()
 
 
 def graded_breakpoints(upper, n_panels, exponent=2.0):
     """Panel breakpoints on [0, upper], clustered at 0 for exponent > 1."""
     i = np.arange(n_panels + 1, dtype=float) / n_panels
     return upper * i**exponent
+
+
+def dyadic_differences(g, lam_min, lam_max, points_per_octave, fd_step):
+    """Samples of g and its central differences on a dyadic grid.
+
+    The grid is every 2^(k / points_per_octave), k integer, in
+    [lam_min, lam_max]; the step at lam is fd_step * lam.  Returns
+    (lam, g, g', g'').
+    """
+    k_lo = math.floor(math.log2(lam_min) * points_per_octave) - 1
+    k_hi = math.ceil(math.log2(lam_max) * points_per_octave) + 1
+    lam = 2.0 ** (np.arange(k_lo, k_hi + 1) / points_per_octave)
+    lam = lam[(lam >= lam_min) & (lam <= lam_max)]
+    h = fd_step * lam
+    g0 = np.asarray(g(lam), dtype=complex)
+    g_plus = np.asarray(g(lam + h))
+    g_minus = np.asarray(g(lam - h))
+    return (
+        lam,
+        g0,
+        (g_plus - g_minus) / (2.0 * h),
+        (g_plus - 2.0 * g0 + g_minus) / h**2,
+    )
 
 
 def loglog_slope(x, y):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
 from .specfun import DEFAULT_PRECISION, gamma_complex, hyp2f1_real_arg
-from .transform import RadialGrid, SampledRadialFunction, forward_constant
+from .transform import RadialGrid, SampledRadialFunction
 
 __all__ = [
     "KernelEvaluation",
@@ -105,24 +106,19 @@ def convolution_grid(params, t_max=10.0, n_panels=40, nodes_per_panel=8) -> Radi
 def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):
     """Quadrature nodes/weights on (|x-y|, x+y) truncated to (0, z_max].
 
-    x is scalar, y is a vector; returns arrays of shape (len(y), n_nodes).
+    x and y broadcast against each other; returns arrays of their broadcast
+    shape plus a trailing axis of n_panels * _NODES_PER_PANEL nodes.
     """
-    x_ref, w_ref = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    raw_nodes = (mids[:, None] + halves[:, None] * x_ref[None, :]).ravel()
-    raw_weights = (halves[:, None] * w_ref[None, :]).ravel()
+    r, w = composite_gauss_legendre(np.linspace(0.0, 1.0, n_panels + 1), _NODES_PER_PANEL)
     # The kernel has algebraic endpoint singularities (1-B^2)^(alpha-1/2) at
     # both support edges; a quintic smoothstep change of variables flattens
     # them and restores high-order quadrature convergence.
-    ref_nodes = raw_nodes**3 * (10.0 - 15.0 * raw_nodes + 6.0 * raw_nodes**2)
-    ref_weights = raw_weights * 30.0 * raw_nodes**2 * (1.0 - raw_nodes) ** 2
+    ref_nodes = smoothstep_quintic(r)
+    ref_weights = w * 30.0 * r**2 * (1.0 - r) ** 2
     lo = np.abs(x - y)
-    hi = np.minimum(x + y, z_max)
-    length = np.clip(hi - lo, 0.0, None)
-    z = lo[:, None] + length[:, None] * ref_nodes[None, :]
-    wz = length[:, None] * ref_weights[None, :]
+    length = np.clip(np.minimum(x + y, z_max) - lo, 0.0, None)
+    z = lo[..., None] + length[..., None] * ref_nodes
+    wz = length[..., None] * ref_weights
     return z, wz
 
 
@@ -131,16 +127,9 @@ def _translate_block(params, g: SampledRadialFunction, xs, y_nodes):
 
     Returns an array of shape (len(xs), len(y_nodes)).
     """
-    z_max = g.grid.t_max
-    xs = np.asarray(xs, dtype=float)
-    zs, wzs = [], []
-    for x in xs:
-        z, wz = _support_rule(x, y_nodes, z_max)
-        zs.append(z)
-        wzs.append(wz)
-    z = np.stack(zs)
-    wz = np.stack(wzs)
-    kern = kernel_values(params, xs[:, None, None], y_nodes[None, :, None], z)
+    xs = np.asarray(xs, dtype=float)[:, None]
+    z, wz = _support_rule(xs, y_nodes[None, :], g.grid.t_max)
+    kern = kernel_values(params, xs[..., None], y_nodes[None, :, None], z)
     gz = g.at(z.ravel()).reshape(z.shape)
     dens = weight_density(params, z)
     return np.sum(gz * kern * dens * wz, axis=2)
@@ -156,9 +145,9 @@ def translate(params, f: SampledRadialFunction, x) -> SampledRadialFunction:
 
 
 def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
-    """Hypergroup convolution (f*g)(x) = C integral f(y) (tau_x g)(y) dmu(y).
+    """Hypergroup convolution (f*g)(x) = integral f(y) (tau_x g)(y) dmu(y).
 
-    The constant C equals the forward-transform normalization; with it the
+    With the unnormalized forward transform f_hat = integral f phi dmu, the
     transform is an algebra homomorphism, (f*g)-hat = f-hat * g-hat.
     """
     if f.grid is not g.grid:
@@ -170,7 +159,7 @@ def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> Samp
             "use convolution_grid()"
         )
     x_nodes = f.grid.nodes
-    fw = forward_constant(params) * f.values * f.grid.mu_weights
+    fw = f.values * f.grid.mu_weights
     out = np.empty(n, dtype=complex)
     for start in range(0, n, _CHUNK):
         xs = x_nodes[start : start + _CHUNK]

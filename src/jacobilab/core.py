@@ -38,7 +38,6 @@ from .specfun import (
 
 __all__ = [
     "JacobiParameters",
-    "StripPoint",
     "HarishChandraSeries",
     "weight_density",
     "jacobi_phi",
@@ -107,18 +106,6 @@ class JacobiParameters:
         if rho <= 0:
             raise ParameterError("rho = alpha + beta + 1 must be positive")
         object.__setattr__(self, "rho", rho)
-
-
-@dataclass(frozen=True)
-class StripPoint:
-    """A point of the strip Omega_1 = {|Im lambda| < rho} for given parameters."""
-
-    lam: complex
-    params: JacobiParameters
-
-    def __post_init__(self):
-        if abs(complex(self.lam).imag) >= self.params.rho:
-            raise DomainError("point lies outside the strip |Im lambda| < rho")
 
 
 @dataclass(frozen=True)
@@ -349,14 +336,28 @@ def c_function(params, lam):
 
     c(lambda) = 2^(rho - i lambda) Gamma(i lambda) Gamma(alpha + 1)
                 / [Gamma((rho + i lambda)/2) Gamma((rho + i lambda)/2 - beta)].
+
+    Raises OverflowLimitError where the numerator or the denominator leaves
+    the normal double range, so that the quotient is not finite or has lost
+    digits: for real lambda the Gammas underflow past |lambda| of about 450.
     """
     lam_arr = np.asarray(lam, dtype=complex)
     il = 1j * lam_arr
-    num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_complex(params.alpha + 1.0)
-    den = gamma_complex(0.5 * (params.rho + il)) * gamma_complex(
-        0.5 * (params.rho + il) - params.beta
-    )
-    out = num / den
+    with np.errstate(all="ignore"):
+        num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_complex(params.alpha + 1.0)
+        den = gamma_complex(0.5 * (params.rho + il)) * gamma_complex(
+            0.5 * (params.rho + il) - params.beta
+        )
+        out = num / den
+    # c has no zeros or poles off the Gamma poles, so a numerator or
+    # denominator outside the normal doubles means the quotient lost its digits
+    normal = np.finfo(float).tiny
+    bad = ~(np.isfinite(num) & np.isfinite(den) & (np.abs(num) >= normal) & (np.abs(den) >= normal))
+    if np.any(bad):
+        raise OverflowLimitError(
+            f"c_function: the Gamma quotient leaves double range at lambda = "
+            f"{complex(lam_arr[bad].flat[0]):.6g} (for real lambda, past |lambda| of about 450)"
+        )
     if lam_arr.ndim == 0:
         return complex(out)
     return out

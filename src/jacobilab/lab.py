@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import loglog_slope
+from ._util import dyadic_differences
 from .core import JacobiParameters, jacobi_phi
 from .errors import DomainError, ParameterError
 from .multiplier import (
@@ -149,13 +149,7 @@ def mihlin_proxy_norm(g, lam_max=50.0, points_per_octave=16, fd_step=1e-5):
     """
     if lam_max <= 1.0:
         raise DomainError("mihlin_proxy_norm requires lam_max > 1")
-    n_oct = int(math.ceil(math.log2(lam_max)))
-    exps = np.arange(-n_oct * points_per_octave, n_oct * points_per_octave + 1)
-    lam = 2.0 ** (exps / points_per_octave)
-    lam = lam[(lam >= 1.0 / lam_max) & (lam <= lam_max)]
-    h = fd_step * lam
-    g0 = np.asarray(g(lam), dtype=complex)
-    gp = (np.asarray(g(lam + h)) - np.asarray(g(lam - h))) / (2.0 * h)
+    lam, g0, gp, _ = dyadic_differences(g, 1.0 / lam_max, lam_max, points_per_octave, fd_step)
     return float(np.max(np.abs(g0)) + np.max(np.abs(lam * gp)))
 
 

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, neville_zero, smoothstep_quintic
+from ._util import (
+    composite_gauss_legendre,
+    dyadic_differences,
+    neville_zero,
+    smoothstep_quintic,
+)
 from .core import JacobiParameters, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
@@ -31,7 +36,6 @@ from .transform import (
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
-    forward_constant,
     inverse_transform,
     plancherel_constant,
 )
@@ -211,12 +215,7 @@ def hormander_check(g, lam_max=400.0, order=2, points_per_octave=16, fd_step=1e-
     """
     if lam_max <= 1.0:
         raise DomainError("hormander_check requires lam_max > 1")
-    n_oct = int(math.ceil(math.log2(lam_max)))
-    lam = 2.0 ** (np.arange(n_oct * points_per_octave + 1) / points_per_octave)
-    lam = lam[lam <= lam_max]
-    h = fd_step * lam
-    g0 = np.asarray(g(lam), dtype=complex)
-    gp = (np.asarray(g(lam + h)) - np.asarray(g(lam - h))) / (2.0 * h)
+    lam, g0, gp, gpp = dyadic_differences(g, 1.0, lam_max, points_per_octave, fd_step)
     report = {
         "sup_g": float(np.max(np.abs(g0))),
         "sup_lam_gp": float(np.max(np.abs(lam * gp))),
@@ -224,7 +223,6 @@ def hormander_check(g, lam_max=400.0, order=2, points_per_octave=16, fd_step=1e-
         "noise_warning": fd_step < 1e-7,
     }
     if order >= 2:
-        gpp = (np.asarray(g(lam + h)) - 2.0 * g0 + np.asarray(g(lam - h))) / h**2
         report["sup_lam2_gpp"] = float(np.max(np.abs(lam**2 * gpp)))
     return report
 
@@ -321,16 +319,7 @@ def delta_expansion(params, t, J=None):
 def _spectral_line_rule(lam_max=50.0, n_panels=400, nodes_per_panel=4):
     """Quadrature on [-lam_max, lam_max] for integrals over the full line."""
     bp = np.linspace(-lam_max, lam_max, n_panels + 1)
-    return composite_gauss_legendre(bp, nodes_per_panel)[:2]
-
-
-def line_integral_constant(params) -> float:
-    """Constant in k(t) = C integral_R M(lambda) e^((i lambda - rho)t) Phi_lambda dlambda.
-
-    Equals the inverse-transform normalization after folding the half-line
-    integral over lambda -> -lambda.
-    """
-    return forward_constant(params) * plancherel_constant(params)
+    return composite_gauss_legendre(bp, nodes_per_panel)
 
 
 def hc_global_pieces(
@@ -359,7 +348,8 @@ def hc_global_pieces(
     mvals = modified_multiplier(params, m, lam.astype(complex))
     j_max = ell_max  # b_j needed for j = ell - j' down to 0
     gamma_table = gamma_coefficient_table(params, lam.astype(complex), j_max)
-    const = line_integral_constant(params)
+    # the inverse-transform normalization, folded over lambda -> -lambda
+    const = plancherel_constant(params)
 
     # b_j^{+/-}(t): oscillatory line integrals, shape (j, t)
     phase_plus = np.exp(1j * np.outer(lam, t))  # e^{i lambda t}
@@ -451,12 +441,12 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
                     np.linspace(lam_max, r, 41)[1:],
                 ]
             )
-            xs, wx, _ = composite_gauss_legendre(bp, 4)
+            xs, wx = composite_gauss_legendre(bp, 4)
         else:
             xs, wx = _spectral_line_rule(r, 240)
         with np.errstate(under="ignore"):
             top = complex(np.sum(integrand(xs + 1j * h) * wx))
-            s_nodes, s_w, _ = composite_gauss_legendre(np.linspace(0.0, h, 33), 4)
+            s_nodes, s_w = composite_gauss_legendre(np.linspace(0.0, h, 33), 4)
             right = complex(np.sum(integrand(r + 1j * s_nodes) * s_w) * 1j)
             left = complex(np.sum(integrand(-r + 1j * s_nodes) * s_w) * 1j)
         edge_size = abs(right) + abs(left)

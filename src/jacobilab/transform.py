@@ -1,21 +1,25 @@
 """Quadrature grids, the Jacobi transform pair, and the heat semigroup.
 
-Functions cross module boundaries as samples on explicit grids, never as
-closures; the dense phi_lambda(t) matrix for a (radial, spectral) grid pair
-is built once and cached per parameter set.
+Every grid is a composite Gauss-Legendre rule given by its panel breakpoints
+and nodes_per_panel; each panel is an affine image of one reference panel,
+which carries the barycentric weights and the differentiation matrix used to
+interpolate and differentiate samples on any panel.  Functions cross module
+boundaries as samples on explicit grids, never as closures; the dense
+phi_lambda(t) matrix for a (radial, spectral) grid pair is built once per
+parameter set and cached on the radial grid, so it is freed with the grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import composite_gauss_legendre, graded_breakpoints
 from .core import JacobiParameters, phi_matrix, plancherel_density, weight_density
-from .errors import DecayError, DomainError, GridError, JacobiLabError
+from .errors import DecayError, DomainError, GridError
 
 __all__ = [
     "RadialGrid",
@@ -23,7 +27,6 @@ __all__ = [
     "SampledRadialFunction",
     "SampledSpectralFunction",
     "default_grids",
-    "forward_constant",
     "plancherel_constant",
     "jacobi_transform",
     "inverse_transform",
@@ -36,127 +39,91 @@ _TOKENS = itertools.count()
 _DECAY_FRACTION = 1e-10
 
 
-def _barycentric_weights(x):
-    n = len(x)
-    w = np.ones(n)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                w[i] /= x[i] - x[j]
-    return w
-
-
-def _differentiation_matrix(x):
-    """First-derivative collocation matrix on the nodes x (exact for degree < len(x))."""
-    w = _barycentric_weights(x)
-    n = len(x)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = (w[j] / w[i]) / (x[i] - x[j])
-        d[i, i] = -np.sum(d[i])
-    return d
-
-
 class _PanelGrid:
-    """Shared machinery for composite-GL grids: interpolation, differentiation."""
+    """A composite Gauss-Legendre grid on its breakpoints.
 
-    def __init__(self, nodes, base_weights, slices, upper, scheme):
-        self.nodes = nodes
-        self.base_weights = base_weights
-        self.panel_slices = slices
-        self.upper = float(upper)
-        self.scheme = scheme
+    Every panel is the affine image of one reference panel, the
+    nodes_per_panel-point Gauss-Legendre rule on [-1, 1].  The barycentric
+    weights of the mapped nodes differ from the reference ones by a factor
+    that cancels (Berrut & Trefethen, SIAM Rev. 46, 2004), and the reference
+    differentiation matrix needs only a rescaling by 2 / panel width, so both
+    are computed once per grid.
+    """
+
+    def __init__(self, breakpoints, nodes_per_panel):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.nodes_per_panel = int(nodes_per_panel)
+        self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
         self.token = next(_TOKENS)
-        self._panel_edges = None
-
-    def _edges(self):
-        if self._panel_edges is None:
-            # midpoints between adjacent panels' extreme nodes serve as cut points
-            edges = [0.0]
-            for sl_a, sl_b in zip(self.panel_slices[:-1], self.panel_slices[1:]):
-                edges.append(0.5 * (self.nodes[sl_a][-1] + self.nodes[sl_b][0]))
-            edges.append(self.upper)
-            self._panel_edges = np.asarray(edges)
-        return self._panel_edges
+        x, _ = composite_gauss_legendre([-1.0, 1.0], nodes_per_panel)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        self._bary = 1.0 / np.prod(diff, axis=1)
+        d = (self._bary[None, :] / self._bary[:, None]) / diff
+        np.fill_diagonal(d, 0.0)
+        np.fill_diagonal(d, -np.sum(d, axis=1))
+        self._diff_matrix = d
 
     def interpolate(self, values, z):
         """Panel-wise barycentric interpolation of sampled values at points z."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z < 0.0) or np.any(z > self.upper * (1 + 1e-12)):
+        if np.any(z < self.breakpoints[0]) or np.any(z > self.breakpoints[-1] * (1 + 1e-12)):
             raise DomainError("interpolation point outside the grid range")
-        out = np.empty(z.shape, dtype=complex)
-        idx = np.clip(np.searchsorted(self._edges(), z) - 1, 0, len(self.panel_slices) - 1)
-        for k in np.unique(idx):
-            sl = self.panel_slices[k]
-            x = self.nodes[sl]
-            v = values[sl]
-            w = _barycentric_weights(x)
-            zz = z[idx == k]
-            diff = zz[:, None] - x[None, :]
-            exact = np.isclose(diff, 0.0, atol=1e-300)
-            diff[exact] = 1.0
-            num = (w[None, :] / diff) @ v
-            den = np.sum(w[None, :] / diff, axis=1)
-            res = num / den
-            hit_rows, hit_cols = np.nonzero(exact)
-            res[hit_rows] = v[hit_cols]
-            out[idx == k] = res
+        n_panels = len(self.breakpoints) - 1
+        panel = np.clip(np.searchsorted(self.breakpoints, z, side="right") - 1, 0, n_panels - 1)
+        nodes = self.nodes.reshape(n_panels, self.nodes_per_panel)
+        values = np.asarray(values, dtype=complex).reshape(n_panels, self.nodes_per_panel)
+        num = np.zeros(z.shape, dtype=complex)
+        den = np.zeros(z.shape)
+        hits = []
+        # Barycentric sums over the reference nodes j, each pass on arrays the
+        # size of z; a point on a node takes that node's sample exactly.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j, w in enumerate(self._bary):
+                q = z - nodes[:, j][panel]
+                hit = np.flatnonzero(q == 0.0)
+                np.divide(w, q, out=q)
+                den += q
+                v = values[:, j][panel]
+                if hit.size:
+                    hits.append((hit, v[hit]))
+                v *= q
+                num += v
+            out = num / den
+        for hit, v in hits:
+            out[hit] = v
         return out
 
     def derivatives(self, values):
         """(f', f'') at every node by per-panel polynomial differentiation."""
-        d1 = np.empty_like(values, dtype=complex)
-        d2 = np.empty_like(values, dtype=complex)
-        for sl in self.panel_slices:
-            d = _differentiation_matrix(self.nodes[sl])
-            d1[sl] = d @ values[sl]
-            d2[sl] = d @ d1[sl]
-        return d1, d2
+        scale = (2.0 / np.diff(self.breakpoints))[:, None]
+        panels = np.asarray(values).reshape(len(scale), self.nodes_per_panel)
+        d1 = scale * (panels @ self._diff_matrix.T)
+        d2 = scale * (d1 @ self._diff_matrix.T)
+        return d1.ravel(), d2.ravel()
 
 
 class RadialGrid(_PanelGrid):
     """Graded composite-GL grid on (0, T_max] with dmu quadrature weights."""
 
-    def __init__(self, params: JacobiParameters, nodes, base_weights, slices, t_max, scheme):
-        super().__init__(nodes, base_weights, slices, t_max, scheme)
+    def __init__(self, params: JacobiParameters, breakpoints, nodes_per_panel):
+        super().__init__(breakpoints, nodes_per_panel)
         self.params = params
-        self.t_max = float(t_max)
-        self.mu_weights = base_weights * weight_density(params, nodes)
+        self.t_max = float(self.breakpoints[-1])
+        self.mu_weights = self.base_weights * weight_density(params, self.nodes)
+        self._phi_cache = {}
 
     @classmethod
     def graded(cls, params, t_max=20.0, n_panels=400, nodes_per_panel=8, exponent=2.0):
-        bp = graded_breakpoints(t_max, n_panels, exponent)
-        nodes, weights, slices = composite_gauss_legendre(bp, nodes_per_panel)
-        return cls(params, nodes, weights, slices, t_max, "graded-gauss")
-
-    @classmethod
-    def uniform_trapezoid(cls, params, t_max, n):
-        # open rule: nodes at (i+1/2)h so the t=0 endpoint is never touched
-        h = t_max / n
-        nodes = (np.arange(n) + 0.5) * h
-        weights = np.full(n, h)
-        slices = [slice(0, n)]
-        return cls(params, nodes, weights, slices, t_max, "uniform-trapezoid")
-
-
-def forward_constant(params) -> float:
-    """Normalization of the forward transform, f_hat = const * integral f phi dmu.
-
-    Fixed at 1: this is the unique choice for which the hypergroup
-    convolution is simultaneously an algebra homomorphism under the transform
-    and contractive in the Young inequality.  See the decisions ledger.
-    """
-    return 1.0
+        return cls(params, graded_breakpoints(t_max, n_panels, exponent), nodes_per_panel)
 
 
 def plancherel_constant(params) -> float:
     """Constant C with dnu = C |c(lambda)|^(-2) dlambda.
 
-    Chosen so that the transform pair with unit forward normalization is
-    exactly unitary L2(dmu) -> L2(dnu); the unitarity condition is
-    forward_constant^2 * C = 1/(2 pi).
+    Chosen so that the transform pair f_hat = integral f phi dmu,
+    f = integral f_hat phi dnu is exactly unitary L2(dmu) -> L2(dnu), which
+    holds for C = 1/(2 pi).
     """
     return 1.0 / (2.0 * math.pi)
 
@@ -164,21 +131,16 @@ def plancherel_constant(params) -> float:
 class SpectralGrid(_PanelGrid):
     """Composite-GL grid on (0, Lambda_max] with dnu quadrature weights."""
 
-    def __init__(self, params: JacobiParameters, nodes, base_weights, slices, lam_max):
-        super().__init__(nodes, base_weights, slices, lam_max, "gauss")
+    def __init__(self, params: JacobiParameters, breakpoints, nodes_per_panel):
+        super().__init__(breakpoints, nodes_per_panel)
         self.params = params
-        self.lam_max = float(lam_max)
-        self.density = plancherel_density(params, nodes)
-        self.nu_weights = base_weights * self.density * plancherel_constant(params)
-        # The inverse transform is the adjoint of the forward one, which
-        # carries the forward normalization on top of the dnu density.
-        self.inverse_weights = self.nu_weights * forward_constant(params)
+        self.lam_max = float(self.breakpoints[-1])
+        self.density = plancherel_density(params, self.nodes)
+        self.nu_weights = self.base_weights * self.density * plancherel_constant(params)
 
     @classmethod
     def build(cls, params, lam_max=50.0, n_panels=300, nodes_per_panel=4):
-        bp = np.linspace(0.0, lam_max, n_panels + 1)
-        nodes, weights, slices = composite_gauss_legendre(bp, nodes_per_panel)
-        return cls(params, nodes, weights, slices, lam_max)
+        return cls(params, np.linspace(0.0, lam_max, n_panels + 1), nodes_per_panel)
 
 
 @dataclass
@@ -231,14 +193,11 @@ def default_grids(params, t_max=20.0, radial_panels=400, lam_max=50.0, spectral_
     )
 
 
-_PHI_CACHE: dict = {}
-
-
 def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
-    key = (params, rgrid.token, sgrid.token)
-    if key not in _PHI_CACHE:
-        _PHI_CACHE[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
-    return _PHI_CACHE[key]
+    key = (params, sgrid.token)
+    if key not in rgrid._phi_cache:
+        rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
+    return rgrid._phi_cache[key]
 
 
 def _check_decay(values, weights_mask_size, what, fraction=_DECAY_FRACTION):
@@ -254,11 +213,11 @@ def _check_decay(values, weights_mask_size, what, fraction=_DECAY_FRACTION):
 
 
 def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, check=True, decay_fraction=_DECAY_FRACTION) -> SampledSpectralFunction:
-    """Forward transform: f_hat(lambda) = sqrt(pi)/Gamma(alpha+1) * integral f phi dmu."""
+    """Forward transform: f_hat(lambda) = integral f phi dmu."""
     if check:
         _check_decay(f.values, _tail_count(f.grid), "radial function", decay_fraction)
     phi = phi_matrix_for(params, f.grid, sgrid)
-    vals = forward_constant(params) * (phi.T @ (f.values * f.grid.mu_weights))
+    vals = phi.T @ (f.values * f.grid.mu_weights)
     return SampledSpectralFunction(sgrid, vals)
 
 
@@ -272,12 +231,12 @@ def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, che
     if check:
         _check_decay(g.values, _tail_count(g.grid), "spectral function", decay_fraction)
     phi = phi_matrix_for(params, rgrid, g.grid)
-    vals = phi @ (g.values * g.grid.inverse_weights)
+    vals = phi @ (g.values * g.grid.nu_weights)
     return SampledRadialFunction(rgrid, vals)
 
 
 def _tail_count(grid):
-    return max(len(grid.nodes[grid.panel_slices[-1]]), 4)
+    return max(grid.nodes_per_panel, 4)
 
 
 def plancherel_defect(params, f: SampledRadialFunction, sgrid: SpectralGrid) -> float:
@@ -303,10 +262,6 @@ def apply_laplacian(params, f: SampledRadialFunction) -> SampledRadialFunction:
     if len(f.grid.nodes) < 16:
         raise GridError("apply_laplacian needs at least 16 nodes")
     t = f.grid.nodes
-    if f.grid.scheme == "graded-gauss":
-        d1, d2 = f.grid.derivatives(f.values)
-    else:
-        d1 = np.gradient(f.values, t)
-        d2 = np.gradient(d1, t)
+    d1, d2 = f.grid.derivatives(f.values)
     drift = (2.0 * params.alpha + 1.0) / np.tanh(t) + (2.0 * params.beta + 1.0) * np.tanh(t)
     return SampledRadialFunction(f.grid, d2 + drift * d1)

@@ -62,6 +62,10 @@ class TestEval:
         # rho t = 1000: phi underflows, which is an error, not a printed 0
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2", "--t", "400"]) == 2
 
+    def test_c_overflow_exit_2(self, capsys):
+        # c(470) leaves double range, which is an error, not a printed -inf
+        assert run(["--preset", "generic", "eval", "c", "--lambda", "470"]) == 2
+
     def test_missing_argument_exit_2(self, capsys):
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2"]) == 2
 

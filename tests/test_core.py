@@ -26,7 +26,7 @@ from jacobilab import (
     weight_density,
 )
 from jacobilab._util import loglog_slope
-from jacobilab.core import StripPoint, gamma_coefficient_table
+from jacobilab.core import gamma_coefficient_table
 
 RNG = np.random.default_rng(7)
 
@@ -49,11 +49,6 @@ class TestJacobiParameters:
         with pytest.warns(UserWarning):
             p = JacobiParameters(0.5, -0.5, relaxed=True)
         assert p.rho == pytest.approx(1.0)
-
-    def test_strip_point(self, generic_params):
-        StripPoint(1.0 + 2.0j, generic_params)
-        with pytest.raises(DomainError):
-            StripPoint(1.0 + 2.6j, generic_params)
 
 
 class TestWeightDensity:
@@ -177,6 +172,21 @@ class TestCFunction:
     def test_pole_at_zero(self, generic_params):
         with pytest.raises(PoleError):
             plancherel_density(generic_params, 0.0)
+
+    def test_leaves_double_range(self, generic_params):
+        # Gamma(i lambda) and the denominator Gammas underflow past |lambda| ~ 450;
+        # at (15, 5) the quotient underflowed to an exact 0 instead of inf or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(c_function(generic_params, 440.0))
+            for params, lam in [
+                (generic_params, 470.0),
+                (generic_params, -480.0),
+                (generic_params, np.array([10.0, 500.0])),
+                (JacobiParameters(15.0, 5.0), 480.0),
+            ]:
+                with pytest.raises(OverflowLimitError, match="450"):
+                    c_function(params, lam)
 
     def test_asymptotics_report_converges(self, generic_params):
         lams = list(np.geomspace(2.0, 400.0, 20))

@@ -11,8 +11,8 @@ from jacobilab import (
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
+    OverflowLimitError,
     apply_laplacian,
-    forward_constant,
     heat_kernel,
     inverse_transform,
     jacobi_transform,
@@ -60,6 +60,34 @@ class TestGrids:
         with pytest.raises(DomainError):
             f.at(rgrid.t_max + 1.0)
 
+    def test_interpolation_exact_on_polynomials(self, generic_params):
+        # 8 nodes per panel interpolate every degree-7 polynomial exactly
+        rgrid = RadialGrid.graded(generic_params, 5.0, 12)
+        poly = np.polynomial.Polynomial(np.random.default_rng(3).uniform(-1.0, 1.0, 8))
+        f = SampledRadialFunction(rgrid, poly(rgrid.nodes / 5.0))
+        bp = rgrid.breakpoints
+        fractions = np.random.default_rng(4).random((len(bp) - 1, 5))
+        inside = bp[:-1, None] + np.diff(bp)[:, None] * fractions
+        probes = np.concatenate([[0.0, 5.0], bp, inside.ravel()])
+        assert np.max(np.abs(f.at(probes) - poly(probes / 5.0))) < 1e-12
+
+    def test_interpolation_at_nodes_returns_samples(self, generic_params, small_grids):
+        rgrid, _ = small_grids
+        f = gaussian_bump(rgrid)
+        assert np.array_equal(f.at(rgrid.nodes), f.values)
+
+    def test_derivatives_of_cubic(self, generic_params):
+        rgrid = RadialGrid.graded(generic_params, 5.0, 12)
+        t = rgrid.nodes
+        d1, d2 = rgrid.derivatives(t**3)
+        assert np.max(np.abs(d1 / (3.0 * t**2) - 1.0)) < 1e-10
+        assert np.max(np.abs(d2 / (6.0 * t) - 1.0)) < 1e-10
+
+    def test_spectral_grid_past_double_range(self, generic_params):
+        # c(lambda) leaves double range past |lambda| ~ 450: fail at construction
+        with pytest.raises(OverflowLimitError):
+            SpectralGrid.build(generic_params, 500.0, 100)
+
     def test_value_shape_mismatch(self, generic_params, small_grids):
         rgrid, _ = small_grids
         with pytest.raises(GridError):
@@ -101,11 +129,9 @@ class TestTransformPair:
         assert np.max(np.abs(back.values - f.values)) < 1e-9
 
     def test_constants(self, generic_params):
-        # unitarity requires forward_constant^2 * plancherel_constant = 1/(2 pi)
-        kappa = forward_constant(generic_params)
+        # with f_hat = integral f phi dmu, unitarity requires C = 1/(2 pi)
         const = plancherel_constant(generic_params)
-        assert kappa**2 * const == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
-        assert kappa == 1.0
+        assert const == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_decay_gate_forward(self, generic_params, small_grids):
         rgrid, sgrid = small_grids
@@ -170,7 +196,7 @@ class TestLaplacian:
         assert err < 1e-3
 
     def test_minimum_size_guard(self, generic_params):
-        rgrid = RadialGrid.uniform_trapezoid(generic_params, 5.0, 8)
+        rgrid = RadialGrid.graded(generic_params, 5.0, 1, 8)
         f = SampledRadialFunction(rgrid, np.ones(8))
         with pytest.raises(GridError):
             apply_laplacian(generic_params, f)
