@@ -67,21 +67,29 @@ def loglog_slope(x, y):
     return float(slope), float(intercept)
 
 
-def neville_zero(xs, ys):
-    """Neville polynomial extrapolation of samples (xs, ys) to x = 0."""
+def neville_zero(xs, rows):
+    """Neville polynomial extrapolation to x = 0, elementwise over arrays.
+
+    rows[k] holds the samples at xs[k].  The real and imaginary parts run the
+    recurrence separately in real arithmetic, which reproduces the scalar
+    complex recurrence bitwise; the result is real when every imaginary part
+    is below 1e-300.
+    """
     xs = list(map(float, xs))
-    ys = [complex(y) for y in ys]
+    rows = [np.asarray(r, dtype=complex) for r in rows]
     n = len(xs)
-    tab = list(ys)
-    for level in range(1, n):
-        for i in range(n - level):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
-                xs[i] - xs[i + level]
-            )
-    val = tab[0]
-    if abs(val.imag) < 1e-300:
-        return val.real
-    return val
+    parts = []
+    for tab in ([r.real for r in rows], [r.imag for r in rows]):
+        for level in range(1, n):
+            for i in range(n - level):
+                tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
+                    xs[i] - xs[i + level]
+                )
+        parts.append(tab[0])
+    re, im = parts
+    if np.all(np.abs(im) < 1e-300):
+        return re
+    return re + 1j * im
 
 
 def smoothstep_quintic(x):

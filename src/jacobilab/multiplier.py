@@ -188,10 +188,8 @@ def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:
         vals = np.asarray(g(nodes.astype(complex)))
         return BoundaryTrace(0.0, nodes, vals, eps)
     rows = [np.asarray(g(nodes + 1j * (height - e))) for e in eps]
-    full = np.array([neville_zero(eps, [r[i] for r in rows]) for i in range(len(nodes))])
-    tail = np.array(
-        [neville_zero(eps[1:], [r[i] for r in rows[1:]]) for i in range(len(nodes))]
-    )
+    full = neville_zero(eps, rows)
+    tail = neville_zero(eps[1:], rows[1:])
     scale = max(np.max(np.abs(full)), 1.0)
     defect = np.max(np.abs(full - tail)) / scale
     if defect > _TRACE_TOL:

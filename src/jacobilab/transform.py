@@ -7,6 +7,12 @@ interpolate and differentiate samples on any panel.  Functions cross module
 boundaries as samples on explicit grids, never as closures; the dense
 phi_lambda(t) matrix for a (radial, spectral) grid pair is built once per
 parameter set and cached on the radial grid, so it is freed with the grid.
+
+phi_lambda(t) is real for real lambda, so samples stay float64 when their
+values are real, and a transform is one real GEMV, or one real GEMM on a
+block of functions (one per column of the samples).  Complex samples go
+through the same real product as the columns [Re | Im]; phi is never copied
+to complex.
 """
 
 from __future__ import annotations
@@ -143,22 +149,41 @@ class SpectralGrid(_PanelGrid):
         return cls(params, np.linspace(0.0, lam_max, n_panels + 1), nodes_per_panel)
 
 
+def _sample_values(grid, values):
+    """Samples as float64 when every value is real, else as complex128.
+
+    values has the grid's node shape, or that shape plus a trailing axis
+    holding one function per column.  Complex input with an all-zero
+    imaginary part is stored as float64.
+    """
+    values = np.asarray(values)
+    if values.shape[:1] != grid.nodes.shape or values.ndim > 2:
+        raise GridError("value array does not match the grid")
+    if np.iscomplexobj(values):
+        values = values.astype(complex, copy=False)
+        if not np.any(values.imag):
+            values = np.ascontiguousarray(values.real)
+    else:
+        values = values.astype(float, copy=False)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("non-finite sample values")
+    return values
+
+
 @dataclass
 class SampledRadialFunction:
     grid: RadialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.nodes.shape:
-            raise GridError("value array does not match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("non-finite sample values")
+        self.values = _sample_values(self.grid, self.values)
 
     def norm(self, p):
         return _lp_norm(self.values, self.grid.mu_weights, p)
 
     def at(self, z):
+        if self.values.ndim != 1:
+            raise GridError("at() interpolates one function, not a block")
         return self.grid.interpolate(self.values, z)
 
 
@@ -168,22 +193,22 @@ class SampledSpectralFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.nodes.shape:
-            raise GridError("value array does not match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("non-finite sample values")
+        self.values = _sample_values(self.grid, self.values)
 
     def norm(self, p):
         return _lp_norm(self.values, self.grid.nu_weights, p)
 
 
 def _lp_norm(values, weights, p):
+    """L^p norm over the node axis: a float, or one norm per column."""
     if p == math.inf:
-        return float(np.max(np.abs(values)))
-    if p < 1:
+        out = np.max(np.abs(values), axis=0)
+    elif p < 1:
         raise DomainError("p must be >= 1")
-    return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
+    else:
+        weights = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
+        out = np.sum(weights * np.abs(values) ** p, axis=0) ** (1.0 / p)
+    return float(out) if out.ndim == 0 else out
 
 
 def default_grids(params, t_max=20.0, radial_panels=400, lam_max=50.0, spectral_panels=300):
@@ -200,29 +225,48 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
     return rgrid._phi_cache[key]
 
 
-def _check_decay(values, weights_mask_size, what, fraction=_DECAY_FRACTION):
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return
-    tail = float(np.max(np.abs(values[-weights_mask_size:])))
-    if tail >= fraction * peak:
+def _check_decay(values, tail_count, what, fraction=_DECAY_FRACTION):
+    """Raise DecayError naming the first column whose last tail_count samples
+    are not below fraction times its peak; a zero column passes."""
+    peak = np.atleast_1d(np.max(np.abs(values), axis=0))
+    tail = np.atleast_1d(np.max(np.abs(values[-tail_count:]), axis=0))
+    bad = np.flatnonzero((peak > 0.0) & (tail >= fraction * peak))
+    if bad.size:
+        j = bad[0]
+        where = f" (column {j})" if values.ndim > 1 else ""
         raise DecayError(
-            f"{what} has not decayed at the end of its grid "
-            f"(tail {tail:.3e} vs {peak:.3e} peak)"
+            f"{what}{where} has not decayed at the end of its grid "
+            f"(tail {tail[j]:.3e} vs {peak[j]:.3e} peak)"
         )
 
 
+def _weighted_product(phi, weights, values):
+    """phi @ (weights * values) in real arithmetic.
+
+    Complex values go through as one real GEMM on the columns [Re | Im],
+    recombined afterwards: numpy would otherwise copy the real phi to
+    complex for every product.
+    """
+    cols = values if values.ndim == 2 else values[:, None]
+    k = cols.shape[1]
+    if np.iscomplexobj(cols):
+        cols = np.concatenate([cols.real, cols.imag], axis=1)
+    out = phi @ (cols * weights[:, None])
+    if out.shape[1] > k:
+        out = out[:, :k] + 1j * out[:, k:]
+    return out.reshape(phi.shape[:1] + values.shape[1:])
+
+
 def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, check=True, decay_fraction=_DECAY_FRACTION) -> SampledSpectralFunction:
-    """Forward transform: f_hat(lambda) = integral f phi dmu."""
+    """Forward transform: f_hat(lambda) = integral f phi dmu, per column."""
     if check:
         _check_decay(f.values, _tail_count(f.grid), "radial function", decay_fraction)
     phi = phi_matrix_for(params, f.grid, sgrid)
-    vals = phi.T @ (f.values * f.grid.mu_weights)
-    return SampledSpectralFunction(sgrid, vals)
+    return SampledSpectralFunction(sgrid, _weighted_product(phi.T, f.grid.mu_weights, f.values))
 
 
 def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, check=True, decay_fraction=_DECAY_FRACTION) -> SampledRadialFunction:
-    """Inverse transform: f(t) = integral g(lambda) phi_lambda(t) dnu(lambda).
+    """Inverse transform: f(t) = integral g(lambda) phi_lambda(t) dnu(lambda), per column.
 
     check=False skips the tail gate; used internally on spectra that are
     re-computed from already-validated radial samples, whose tails sit at the
@@ -231,8 +275,7 @@ def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, che
     if check:
         _check_decay(g.values, _tail_count(g.grid), "spectral function", decay_fraction)
     phi = phi_matrix_for(params, rgrid, g.grid)
-    vals = phi @ (g.values * g.grid.nu_weights)
-    return SampledRadialFunction(rgrid, vals)
+    return SampledRadialFunction(rgrid, _weighted_product(phi, g.grid.nu_weights, g.values))
 
 
 def _tail_count(grid):
@@ -242,7 +285,7 @@ def _tail_count(grid):
 def plancherel_defect(params, f: SampledRadialFunction, sgrid: SpectralGrid) -> float:
     """| ||f||_L2(dmu) - ||f_hat||_L2(dnu) | / ||f||_L2(dmu)."""
     n_f = f.norm(2)
-    if n_f == 0.0:
+    if np.any(n_f == 0.0):
         raise DomainError("plancherel_defect of the zero function")
     n_hat = jacobi_transform(params, f, sgrid).norm(2)
     return abs(n_f - n_hat) / n_f
@@ -261,6 +304,8 @@ def apply_laplacian(params, f: SampledRadialFunction) -> SampledRadialFunction:
     """Jacobi Laplacian f'' + ((2a+1) coth t + (2b+1) tanh t) f' on the grid."""
     if len(f.grid.nodes) < 16:
         raise GridError("apply_laplacian needs at least 16 nodes")
+    if f.values.ndim != 1:
+        raise GridError("apply_laplacian takes one function, not a block")
     t = f.grid.nodes
     d1, d2 = f.grid.derivatives(f.values)
     drift = (2.0 * params.alpha + 1.0) / np.tanh(t) + (2.0 * params.beta + 1.0) * np.tanh(t)

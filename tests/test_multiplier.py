@@ -30,7 +30,7 @@ from jacobilab import (
     w_function,
     weight_density,
 )
-from jacobilab._util import loglog_slope
+from jacobilab._util import loglog_slope, neville_zero
 
 
 def gauss_multiplier(scale=0.1, label="gauss"):
@@ -124,6 +124,42 @@ class TestBoundaryTrace:
 
         with pytest.raises(ConvergenceError):
             boundary_trace(g, rho, np.array([1e-4]))
+
+
+def neville_zero_scalar(xs, ys):
+    """The scalar Neville recurrence, one node at a time (reference)."""
+    xs = list(map(float, xs))
+    tab = [complex(y) for y in ys]
+    n = len(xs)
+    for level in range(1, n):
+        for i in range(n - level):
+            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
+                xs[i] - xs[i + level]
+            )
+    val = tab[0]
+    if abs(val.imag) < 1e-300:
+        return val.real
+    return val
+
+
+class TestNevilleZero:
+    def test_matches_scalar_recurrence(self):
+        rng = np.random.default_rng(11)
+        eps = (1e-2, 1e-3, 1e-4)
+        rows = [rng.normal(size=50) + 1j * rng.normal(size=50) for _ in eps]
+        real_rows = [r.real for r in rows]
+        for xs, ys in ((eps, rows), (eps[1:], rows[1:]), (eps, real_rows)):
+            got = neville_zero(xs, ys)
+            want = np.array([neville_zero_scalar(xs, [r[i] for r in ys]) for i in range(50)])
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_real_only_when_every_imaginary_part_vanishes(self):
+        xs = (1e-2, 1e-3, 1e-4)
+        rows = [np.array([1.0 + 0j, 2.0 + 0j]) * (1 + x) for x in xs]
+        assert neville_zero(xs, rows).dtype == np.float64
+        rows[0][1] += 1e-3j
+        assert neville_zero(xs, rows).dtype == np.complex128
 
 
 class TestWFunction:

@@ -19,6 +19,7 @@ from jacobilab import (
     plancherel_constant,
     plancherel_defect,
 )
+from jacobilab.transform import phi_matrix_for
 
 
 def gaussian_bump(rgrid, center=1.0, width=0.5):
@@ -155,6 +156,101 @@ class TestTransformPair:
         zero = SampledRadialFunction(rgrid, np.zeros_like(rgrid.nodes))
         with pytest.raises(DomainError):
             plancherel_defect(generic_params, zero, sgrid)
+
+
+class TestRealArithmetic:
+    def test_dtype_rule(self, generic_params, small_grids):
+        rgrid, sgrid = small_grids
+        real = gaussian_bump(rgrid).values
+        assert SampledRadialFunction(rgrid, real).values.dtype == np.float64
+        assert SampledRadialFunction(rgrid, np.ones(rgrid.nodes.shape, dtype=int)).values.dtype == np.float64
+        # zero imaginary part, as from a multiplier evaluated on real lambda
+        spectral = np.exp(-(sgrid.nodes**2)).astype(complex)
+        g = SampledSpectralFunction(sgrid, spectral)
+        assert g.values.dtype == np.float64
+        assert np.array_equal(g.values, spectral.real)
+        block = np.stack([real, 2.0 * real], axis=1).astype(complex)
+        assert SampledRadialFunction(rgrid, block).values.dtype == np.float64
+        mixed = real + 1j * real[::-1]
+        f = SampledRadialFunction(rgrid, mixed)
+        assert f.values.dtype == np.complex128
+        assert np.array_equal(f.values, mixed)
+        # one nonzero imaginary part keeps the whole block complex
+        block[3, 1] += 1e-300j
+        assert SampledRadialFunction(rgrid, block).values.dtype == np.complex128
+
+    def test_block_shape_guard(self, generic_params, small_grids):
+        rgrid, _ = small_grids
+        with pytest.raises(GridError):
+            SampledRadialFunction(rgrid, np.ones(rgrid.nodes.shape + (2, 2)))
+        with pytest.raises(GridError):
+            SampledRadialFunction(rgrid, np.ones((2, rgrid.nodes.size)))
+        block = SampledRadialFunction(rgrid, np.ones(rgrid.nodes.shape + (2,)))
+        with pytest.raises(GridError):
+            block.at(1.0)
+        with pytest.raises(GridError):
+            apply_laplacian(generic_params, block)
+
+    def _complex_pair(self, rgrid, sgrid):
+        f = gaussian_bump(rgrid, 1.0, 0.5).values + 1j * gaussian_bump(rgrid, 2.0, 0.7).values
+        lam = sgrid.nodes
+        g = np.exp(-0.05 * lam**2) * (np.cos(lam) + 1j * np.sin(0.5 * lam))
+        return f, g
+
+    def test_complex_transform_of_parts(self, generic_params, small_grids):
+        # one [Re | Im] product equals the transforms of the parts and the
+        # complex product with phi copied to complex, in both directions
+        rgrid, sgrid = small_grids
+        P = generic_params
+        phi = phi_matrix_for(P, rgrid, sgrid)
+        f, g = self._complex_pair(rgrid, sgrid)
+        cases = [
+            (lambda v: jacobi_transform(P, SampledRadialFunction(rgrid, v), sgrid),
+             f, phi.astype(complex).T @ (f * rgrid.mu_weights)),
+            (lambda v: inverse_transform(P, SampledSpectralFunction(sgrid, v), rgrid),
+             g, phi.astype(complex) @ (g * sgrid.nu_weights)),
+        ]
+        for transform, v, reference in cases:
+            got = transform(v).values
+            assert got.dtype == np.complex128
+            parts = transform(v.real).values + 1j * transform(v.imag).values
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(got - parts)) <= 1e-14 * scale
+            assert np.max(np.abs(got - reference)) <= 1e-14 * scale
+
+    def test_block_equals_columns(self, generic_params, small_grids):
+        rgrid, sgrid = small_grids
+        P = generic_params
+        f, g = self._complex_pair(rgrid, sgrid)
+        radial = np.stack([f, f.real, gaussian_bump(rgrid, 0.3, 0.4).values], axis=1)
+        spectral = np.stack([g, g.imag, np.exp(-0.2 * sgrid.nodes**2)], axis=1)
+        cases = [
+            (lambda v: jacobi_transform(P, SampledRadialFunction(rgrid, v), sgrid), radial),
+            (lambda v: inverse_transform(P, SampledSpectralFunction(sgrid, v), rgrid), spectral),
+        ]
+        for transform, block in cases:
+            got = transform(block).values
+            assert got.shape[1] == 3
+            for j in range(3):
+                col = transform(block[:, j]).values
+                assert np.max(np.abs(got[:, j] - col)) <= 1e-14 * np.max(np.abs(col))
+
+    def test_block_norms_are_column_norms(self, generic_params, small_grids):
+        rgrid, _ = small_grids
+        cols = [gaussian_bump(rgrid, c, 0.5).values for c in (0.5, 1.0, 2.0)]
+        block = SampledRadialFunction(rgrid, np.stack(cols, axis=1))
+        for p in (1, 2, 4, math.inf):
+            want = [SampledRadialFunction(rgrid, c).norm(p) for c in cols]
+            np.testing.assert_allclose(block.norm(p), want, rtol=1e-14)
+
+    def test_decay_gate_per_column(self, generic_params, small_grids):
+        rgrid, sgrid = small_grids
+        bump = gaussian_bump(rgrid).values
+        zero = np.zeros_like(bump)
+        jacobi_transform(generic_params, SampledRadialFunction(rgrid, np.stack([bump, zero], axis=1)), sgrid)
+        undecayed = SampledRadialFunction(rgrid, np.stack([bump, zero, np.ones_like(bump)], axis=1))
+        with pytest.raises(DecayError, match="column 2"):
+            jacobi_transform(generic_params, undecayed, sgrid)
 
 
 class TestHeatKernel:
