@@ -16,7 +16,7 @@ import numpy as np
 from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
-from .specfun import DEFAULT_PRECISION, gamma_complex, hyp2f1_real_arg
+from .specfun import gamma_complex, hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction
 
 __all__ = [
@@ -55,7 +55,7 @@ def _kernel_prefactor(params):
     )
 
 
-def kernel_values(params, s, t, u, precision=DEFAULT_PRECISION):
+def kernel_values(params, s, t, u):
     """Vectorized kernel K(s,t,u); s, t, u broadcast against each other.
 
     Returns 0 outside the support |s-t| < u < s+t.
@@ -76,7 +76,7 @@ def kernel_values(params, s, t, u, precision=DEFAULT_PRECISION):
     one_minus_b2 = np.clip(1.0 - b_val**2, 0.0, None)
     w = np.clip(0.5 * (1.0 - b_val), 0.0, 0.5 - 1e-16)
     a, b, rho = params.alpha, params.beta, params.rho
-    f21 = hyp2f1_real_arg(a + b, a - b, a + 0.5, w, precision).real
+    f21 = hyp2f1_real_arg(a + b, a - b, a + 0.5, w).real
     val = (
         _kernel_prefactor(params)
         * (chs * cht * chu) ** (a - b - 1.0)

@@ -8,12 +8,11 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
   e^(-2kt) plus the lambda -> -lambda term, which is sound for t bounded
   away from 0.
 
-One route rule (`_hypergeometric_route`) picks between them for the scalar
-entry point `jacobi_phi`, the dense `phi_matrix` and `laplacian_residual`.
-Both entry points sum the 2F1 series through `specfun.hyp2f1_real_arg` and
-the Harish-Chandra series through `_harish_chandra`.  The hypergeometric route
-stays exposed as `jacobi_phi_hypergeometric` so tests can cross-check the two
-paths against each other.
+Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
+cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
+2F1 cells go through one `specfun.hyp2f1_real_arg` call and the
+Harish-Chandra rows through `_harish_chandra`.  The scalar `jacobi_phi`, the
+dense `phi_matrix`, `laplacian_residual` and the local expansion all call it.
 """
 
 from __future__ import annotations
@@ -21,33 +20,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ._util import loglog_slope
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
-from .specfun import (
-    DEFAULT_PRECISION,
-    PrecisionConfig,
-    bessel_script_J,
-    gamma_complex,
-    hyp2f1,
-    hyp2f1_real_arg,
-)
+from .specfun import bessel_script_J, gamma_complex, hyp2f1_real_arg
 
 __all__ = [
     "JacobiParameters",
-    "HarishChandraSeries",
     "weight_density",
     "jacobi_phi",
-    "jacobi_phi_hypergeometric",
     "phi_matrix",
     "laplacian_residual",
     "c_function",
     "plancherel_density",
     "c_asymptotics_report",
-    "harish_chandra_coefficients",
     "gangolli_fit",
     "bessel_local_expansion",
 ]
@@ -108,21 +96,6 @@ class JacobiParameters:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class HarishChandraSeries:
-    """Truncated coefficient sequence Gamma_0..Gamma_K at a fixed lambda.
-
-    gangolli_C and gangolli_d are the fitted envelope constants with
-    |Gamma_k| <= C (1+k)^d for every computed coefficient.
-    """
-
-    lam: complex
-    coefficients: tuple
-    truncation_K: int
-    gangolli_C: float
-    gangolli_d: float
-
-
 def weight_density(params: JacobiParameters, t):
     """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0."""
     t_arr = np.asarray(t, dtype=float)
@@ -138,22 +111,6 @@ def _phi_params(params, lam):
     a = 0.5 * (params.rho - 1j * lam)
     b = 0.5 * (params.rho + 1j * lam)
     return a, b, params.alpha + 1.0
-
-
-def jacobi_phi_hypergeometric(params, lam, t, precision: PrecisionConfig = DEFAULT_PRECISION):
-    """phi_lambda(t) via the defining 2F1 with z = -sinh^2 t (Pfaff path).
-
-    Accurate only while |lambda| t is moderate and t not too large; use
-    `jacobi_phi` for the adaptively dispatched production value.
-    """
-    if t < 0.0 or math.isnan(t):
-        raise DomainError("jacobi_phi requires t >= 0")
-    a, b, c = _phi_params(params, lam)
-    if abs(a) <= 1e-15 or abs(b) <= 1e-15:
-        return 1.0 + 0.0j  # the series terminates at its constant term
-    if t == 0.0:
-        return 1.0 + 0.0j
-    return hyp2f1(a, b, c, -math.sinh(t) ** 2, precision)
 
 
 def gamma_coefficient_table(params, lam, k_max):
@@ -186,26 +143,6 @@ def gamma_coefficient_table(params, lam, k_max):
             raise OverflowLimitError("|Gamma_k| exceeded 1e100")
         weighted[k] = (il - params.rho - 2.0 * k) * table[k]
     return table
-
-
-def harish_chandra_coefficients(params, lam, k_max) -> HarishChandraSeries:
-    """Gamma_0..Gamma_{k_max} at a single lambda, with fitted Gangolli envelope."""
-    table = gamma_coefficient_table(params, complex(lam), k_max)[:, 0]
-    mags = np.abs(table[1:])
-    k = np.arange(1, k_max + 1)
-    if np.all(mags < 1e-300):
-        d_fit = 0.0
-    else:
-        d_fit, _ = loglog_slope(1.0 + k, np.maximum(mags, 1e-300))
-        d_fit = max(d_fit, 0.0)
-    env = np.abs(table) / (1.0 + np.arange(k_max + 1)) ** d_fit
-    return HarishChandraSeries(
-        lam=complex(lam),
-        coefficients=tuple(table),
-        truncation_K=k_max,
-        gangolli_C=float(np.max(env)),
-        gangolli_d=float(d_fit),
-    )
 
 
 def gangolli_fit(params, k_max, lambda_set):
@@ -250,79 +187,96 @@ def _harish_chandra(params, t, lam, k_max=None):
     return terms
 
 
-def jacobi_phi(params, lam, t, precision: PrecisionConfig = DEFAULT_PRECISION, force: Optional[str] = None):
-    """The Jacobi function phi_lambda(t), dispatching between evaluation routes.
+def _require_finite(name, x):
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"phi requires finite {name}")
 
-    force: None (automatic), "hypergeometric", or "harish-chandra"; forcing a
-    route keeps finite-difference stencils on a single branch.  Raises
-    OverflowLimitError where rho t > 708, since phi then underflows.
+
+def _phi(params, t, lam, hypergeometric=None):
+    """phi_lambda(t) on the grid of 1-D arrays t > 0 (rows) x lambda (columns).
+
+    Each cell takes the route `_hypergeometric_route` picks, or the one that
+    hypergeometric=True/False forces, which keeps finite-difference stencils
+    on a single branch.  Real lambda (complex lambda with zero imaginary part
+    included) gives a real matrix, evaluated at |lambda| with 2 Re of the
+    Harish-Chandra term; complex lambda sums the terms at lambda and -lambda.
+    Raises OverflowLimitError where rho t > 708, since phi then underflows.
     """
-    if t < 0.0 or math.isnan(t):
-        raise DomainError("jacobi_phi requires t >= 0")
-    if params.rho * t > _RHO_T_MAX:
+    _require_finite("t", t)
+    _require_finite("lambda", lam)
+    rho_t = params.rho * np.max(t, initial=0.0)
+    if rho_t > _RHO_T_MAX:
         raise OverflowLimitError(
-            f"jacobi_phi: rho t = {params.rho * t:.6g} exceeds {_RHO_T_MAX:g}; "
+            f"phi_lambda(t): rho t = {rho_t:.6g} exceeds {_RHO_T_MAX:g}; "
             "e^(-rho t) underflows the smallest normal double (2.2e-308)"
         )
-    lam = complex(lam)
-    a, b, _ = _phi_params(params, lam)
-    if t == 0.0 or abs(a) <= 1e-15 or abs(b) <= 1e-15:
-        return 1.0 + 0.0j  # phi_lambda(0) = 1; at lambda = +-i rho the series is 1
-    if force is None:
-        force = "hypergeometric" if _hypergeometric_route(lam, t) else "harish-chandra"
-    if force == "hypergeometric":
-        return jacobi_phi_hypergeometric(params, lam, t, precision)
-    if force == "harish-chandra":
-        if abs(lam) < _LAMBDA_FLOOR:
-            lam = complex(_LAMBDA_FLOOR, lam.imag)
-        return complex(np.sum(_harish_chandra(params, [t], [lam, -lam])))
-    raise ValueError(f"unknown route {force!r}")
-
-
-def phi_matrix(params, t_nodes, lam_nodes, precision: PrecisionConfig = DEFAULT_PRECISION):
-    """Dense matrix phi_lambda(t) over real grids (t_nodes x lam_nodes).
-
-    phi is even in lambda, so every cell is evaluated at |lambda|.  Rows with
-    a cell off the hypergeometric route get 2 Re of the Harish-Chandra term as
-    one matrix product; then every cell on the hypergeometric route is
-    overwritten from one vectorized 2F1 call.  Returns a real-valued matrix.
-    """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    lam = np.abs(np.asarray(lam_nodes, dtype=float))
-    if np.any(t_nodes <= 0.0):
-        raise DomainError("phi_matrix requires t > 0")
-    direct = _hypergeometric_route(lam[None, :], t_nodes[:, None])
-    out = np.empty(direct.shape, dtype=float)
+    real = not np.any(np.imag(lam))
+    if real:
+        lam = np.abs(np.real(lam))
+    if hypergeometric is None:
+        direct = _hypergeometric_route(lam[None, :], t[:, None])
+    else:
+        direct = np.full((t.size, lam.size), hypergeometric)
+    out = np.empty(direct.shape, dtype=float if real else complex)
 
     hc_rows = ~np.all(direct, axis=1)
     if np.any(hc_rows):
-        lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
-        out[hc_rows] = 2.0 * _harish_chandra(params, t_nodes[hc_rows], lam_hc).real
+        # c(lambda) has a pole at 0, where the two terms cancel
+        if real:
+            lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
+            out[hc_rows] = 2.0 * _harish_chandra(params, t[hc_rows], lam_hc).real
+        else:
+            lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, _LAMBDA_FLOOR + 1j * lam.imag, lam)
+            terms = _harish_chandra(params, t[hc_rows], np.concatenate([lam_hc, -lam_hc]))
+            out[hc_rows] = terms[:, : lam.size] + terms[:, lam.size :]
 
     rows, cols = np.nonzero(direct)
     if rows.size:
         # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t)
-        t, lam_d = t_nodes[rows], lam[cols]
+        t_d, lam_d = t[rows], lam[cols]
         a, b, c = _phi_params(params, lam_d)
-        series = hyp2f1_real_arg(a, c - b, c, np.tanh(t) ** 2, precision)
-        pref = np.exp((1j * lam_d - params.rho) * np.log(np.cosh(t)))
-        out[rows, cols] = np.real(pref * series)
+        series = hyp2f1_real_arg(a, c - b, c, np.tanh(t_d) ** 2)
+        pref = np.exp((1j * lam_d - params.rho) * np.log(np.cosh(t_d)))
+        out[rows, cols] = np.real(pref * series) if real else pref * series
     return out
+
+
+def jacobi_phi(params, lam, t):
+    """The Jacobi function phi_lambda(t) at one complex lambda and t >= 0.
+
+    Raises OverflowLimitError where rho t > 708, since phi then underflows.
+    """
+    lam = complex(lam)
+    _require_finite("lambda", lam)
+    _require_finite("t", t)
+    if t < 0.0:
+        raise DomainError("jacobi_phi requires t >= 0")
+    a, b, _ = _phi_params(params, lam)
+    if t == 0.0 or abs(a) <= 1e-15 or abs(b) <= 1e-15:
+        return 1.0 + 0.0j  # phi_lambda(0) = 1; at lambda = +-i rho the series is 1
+    return complex(_phi(params, np.array([float(t)]), np.array([lam]))[0, 0])
+
+
+def phi_matrix(params, t_nodes, lam_nodes):
+    """Dense real matrix phi_lambda(t) over real grids (t_nodes x lam_nodes)."""
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    if np.any(t_nodes <= 0.0):
+        raise DomainError("phi_matrix requires t > 0")
+    return _phi(params, t_nodes, np.asarray(lam_nodes, dtype=float))
 
 
 def laplacian_residual(params, lam, t, h=1e-4):
     """Residual of the eigen-equation at (lambda, t) by central differences.
 
     |phi'' + ((2a+1) coth t + (2b+1) tanh t) phi' + (lambda^2 + rho^2) phi|,
-    with both derivatives taken on a single evaluation route so branch
-    switching cannot pollute the stencil.
+    with the stencil t - h, t, t + h evaluated on the route of its centre, so
+    branch switching cannot pollute it.
     """
     if not t > 2.0 * h > 0.0:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
-    route = "hypergeometric" if _hypergeometric_route(lam, t) else "harish-chandra"
-    f = lambda s: jacobi_phi(params, lam, s, force=route)
-    fm, f0, fp = f(t - h), f(t), f(t + h)
+    route = bool(_hypergeometric_route(lam, t))
+    fm, f0, fp = _phi(params, np.array([t - h, t, t + h]), np.array([lam]), route)[:, 0]
     d1 = (fp - fm) / (2.0 * h)
     d2 = (fp - 2.0 * f0 + fm) / (h * h)
     drift = (2.0 * params.alpha + 1.0) / math.tanh(t) + (
@@ -410,7 +364,7 @@ def _local_expansion_prefactor(params):
     )
 
 
-def _match_a1(params, precision=DEFAULT_PRECISION):
+def _match_a1(params):
     """First correction coefficient a_1 by two-sided Taylor matching at t -> 0.
 
     Richardson-extrapolated ratio of the leading defect of the one-term
@@ -418,15 +372,16 @@ def _match_a1(params, precision=DEFAULT_PRECISION):
     """
     lam = 1.0
     c_a = _local_expansion_prefactor(params)
+    ts = (0.08, 0.04, 0.02)
+    phis = _phi(params, np.array(ts), np.array([lam]), hypergeometric=True)[:, 0]
 
-    def ratio(t):
-        phi = jacobi_phi_hypergeometric(params, lam, t, precision).real
+    def ratio(t, phi):
         base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
-        lead = base * bessel_script_J(params.alpha, lam * t, precision)
-        corr = base * t * t * bessel_script_J(params.alpha + 1.0, lam * t, precision)
+        lead = base * bessel_script_J(params.alpha, lam * t)
+        corr = base * t * t * bessel_script_J(params.alpha + 1.0, lam * t)
         return (phi - lead) / corr
 
-    r1, r2, r3 = ratio(0.08), ratio(0.04), ratio(0.02)
+    r1, r2, r3 = (ratio(t, phi) for t, phi in zip(ts, phis))
     # two Richardson levels in t^2
     s1 = (4.0 * r2 - r1) / 3.0
     s2 = (4.0 * r3 - r2) / 3.0
@@ -443,7 +398,7 @@ def local_expansion_a1(params):
     return _A1_CACHE[key]
 
 
-def bessel_local_expansion(params, lam, t, M, r0=1.1, precision=DEFAULT_PRECISION):
+def bessel_local_expansion(params, lam, t, M, r0=1.1):
     """M-term Bessel-series truncation of phi_lambda near t = 0, with residual.
 
     M counts the kept terms (1 or 2); the residual for M = 2 is the analogue
@@ -457,14 +412,14 @@ def bessel_local_expansion(params, lam, t, M, r0=1.1, precision=DEFAULT_PRECISIO
     lam = float(lam)
     c_a = _local_expansion_prefactor(params)
     base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
-    value = base * bessel_script_J(params.alpha, abs(lam) * t, precision)
+    value = base * bessel_script_J(params.alpha, abs(lam) * t)
     if M == 2:
         value += (
             base
             * local_expansion_a1(params)
             * t
             * t
-            * bessel_script_J(params.alpha + 1.0, abs(lam) * t, precision)
+            * bessel_script_J(params.alpha + 1.0, abs(lam) * t)
         )
-    phi = jacobi_phi(params, lam, t, precision).real
+    phi = jacobi_phi(params, lam, t).real
     return value, phi - value

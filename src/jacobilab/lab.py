@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import dyadic_differences
-from .core import JacobiParameters, jacobi_phi, phi_matrix
-from .errors import DomainError, ParameterError
+from .core import JacobiParameters, phi_matrix
+from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import (
     MultiplierSpec,
     boundary_trace,
@@ -249,7 +249,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
         if not flags:
             try:
                 trace = boundary_trace(weighted_m, params.rho, trace_nodes)
-            except Exception:
+            except JacobiLabError:
                 flags.append("no-boundary-trace")
 
         if flags:

@@ -3,51 +3,32 @@
 Everything here is pure and stateless; functions accept numpy arrays where
 noted and plain scalars otherwise.  The Gamma function uses a 15-term Lanczos
 approximation (g = 607/128) with reflection for Re z < 1/2, which is uniformly
-accurate on the strips the rest of the library actually visits.
+accurate on the strips the rest of the library actually visits.  Every 2F1
+value, scalar or batched, is summed by the one series `hyp2f1_real_arg`.
+The series budgets are module constants (`_SERIES_TOL`, `_MAX_TERMS`,
+`_BESSEL_CROSSOVER`), not options.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 
 __all__ = [
-    "PrecisionConfig",
-    "DEFAULT_PRECISION",
     "gamma_complex",
     "hyp2f1",
     "bessel_script_J",
 ]
 
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Tolerances and budgets for series evaluation.
-
-    series_tol: relative stopping tolerance for power series.
-    max_terms: hard cap on the number of series terms.
-    asymptotic_crossover: |x| beyond which Bessel evaluation switches from the
-        ascending series to the Hankel asymptotic expansion.
-    """
-
-    series_tol: float = 1e-14
-    max_terms: int = 100_000
-    asymptotic_crossover: float = 18.0
-
-    def __post_init__(self):
-        if not 0.0 < self.series_tol < 1e-6:
-            raise ParameterError("series_tol must lie in (0, 1e-6)")
-        if self.max_terms < 64:
-            raise ParameterError("max_terms must be at least 64")
-        if self.asymptotic_crossover <= 0:
-            raise ParameterError("asymptotic_crossover must be positive")
-
-
-DEFAULT_PRECISION = PrecisionConfig()
+# Series budgets: the relative stopping tolerance of the 2F1 series, its hard
+# cap on terms, and the |x| beyond which the Bessel kernel switches from the
+# ascending series to the Hankel asymptotic expansion.
+_SERIES_TOL = 1e-14
+_MAX_TERMS = 100_000
+_BESSEL_CROSSOVER = 18.0
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's table).
 _LANCZOS_G = 607.0 / 128.0
@@ -125,7 +106,7 @@ def gamma_complex(z):
     return out
 
 
-def hyp2f1(a, b, c, z, precision: PrecisionConfig = DEFAULT_PRECISION):
+def hyp2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0 or 0 <= z < 1.
 
     For z in [0, 1) the defining series is summed directly; for z < 0 the
@@ -141,17 +122,17 @@ def hyp2f1(a, b, c, z, precision: PrecisionConfig = DEFAULT_PRECISION):
     if z >= 1.0:
         raise DomainError("hyp2f1 requires z < 1")
     if 0.0 <= z < 1.0:
-        return complex(hyp2f1_real_arg(a, b, c, z, precision))
+        return complex(hyp2f1_real_arg(a, b, c, z))
     w = z / (z - 1.0)
-    return (1.0 - z) ** (-a) * complex(hyp2f1_real_arg(a, c - b, c, w, precision))
+    return (1.0 - z) ** (-a) * complex(hyp2f1_real_arg(a, c - b, c, w))
 
 
-def hyp2f1_real_arg(a, b, c, w, precision: PrecisionConfig = DEFAULT_PRECISION):
+def hyp2f1_real_arg(a, b, c, w):
     """The defining 2F1 series, vectorized over an array of arguments w in [0, 1).
 
     Parameters a, b may be complex arrays broadcastable against w; c is scalar.
     Every element stops at its own first term with
-    |term| <= series_tol (1 - w) |total|, so its value does not depend on the
+    |term| <= _SERIES_TOL (1 - w) |total|, so its value does not depend on the
     rest of the batch.  The factor 1 - w accounts for the geometric tail: the
     term ratio tends to w, so the neglected remainder is about
     |term| w / (1 - w).  Converged elements leave the live set once they make
@@ -178,14 +159,20 @@ def hyp2f1_real_arg(a, b, c, w, precision: PrecisionConfig = DEFAULT_PRECISION):
     # to match; scalar a and b stay scalar.  A converged element is frozen by
     # zeroing its term, which keeps its total exact, until compaction.
     a, b, w = (x if x.ndim == 0 else np.broadcast_to(x, shape).ravel() for x in (a, b, w))
-    tol = precision.series_tol * (1.0 - w)
+    tol = _SERIES_TOL * (1.0 - w)
     idx = np.arange(flat.size)
     term = np.ones(flat.size, dtype=out.dtype)
     total = term.copy()
     n_frozen = 0
-    for k in range(precision.max_terms):
-        term *= a + k
-        term *= b + k
+    for k in range(_MAX_TERMS):
+        if term.size == 1:
+            # numpy rounds an in-place complex product of one element
+            # differently from its batched loop; out of place they agree, so
+            # a value does not depend on how many elements are still live
+            term = term * (a + k) * (b + k)
+        else:
+            term *= a + k
+            term *= b + k
         term /= (c + k) * (k + 1.0)
         term *= w
         total += term
@@ -208,7 +195,7 @@ def hyp2f1_real_arg(a, b, c, w, precision: PrecisionConfig = DEFAULT_PRECISION):
             term[done] = 0.0
             n_frozen = n_done
     raise ConvergenceError(
-        f"2F1 series did not converge within {precision.max_terms} terms "
+        f"2F1 series did not converge within {_MAX_TERMS} terms "
         f"({term.size - n_frozen} of {flat.size} elements unconverged)"
     )
 
@@ -257,7 +244,7 @@ def _script_j_asymptotic(alpha, x):
     return x ** (-alpha) * j
 
 
-def bessel_script_J(alpha, x, precision: PrecisionConfig = DEFAULT_PRECISION):
+def bessel_script_J(alpha, x):
     """Modified Bessel kernel x^(-alpha) J_alpha(x), finite at x = 0.
 
     Ascending series below the crossover, Hankel asymptotics beyond.
@@ -268,6 +255,6 @@ def bessel_script_J(alpha, x, precision: PrecisionConfig = DEFAULT_PRECISION):
         raise DomainError("bessel_script_J requires alpha >= -1/2")
     if x < 0.0:
         raise DomainError("bessel_script_J requires x >= 0")
-    if x <= precision.asymptotic_crossover:
+    if x <= _BESSEL_CROSSOVER:
         return _script_j_series(alpha, x)
     return _script_j_asymptotic(alpha, x)

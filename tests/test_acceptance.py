@@ -22,10 +22,10 @@ from jacobilab import (
     hyp2f1,
     inverse_transform,
     jacobi_phi,
-    jacobi_phi_hypergeometric,
     jacobi_transform,
     kernel_values,
     laplacian_residual,
+    phi_matrix,
     plancherel_defect,
     plancherel_density,
     standard_multiplier_family,
@@ -166,25 +166,22 @@ def test_criterion_4_transform_pair(generic_params, grids):
 def test_criterion_5_convolution(generic_params):
     grid = convolution_grid(generic_params)
     sgrid = SpectralGrid.build(generic_params, 30.0, 150)
-    # product formula residual < 1e-5 on the 9-point (x,y) x 3-lambda battery
+    # product formula residual < 1e-5 on the 9-point (x,y) x 3-lambda battery;
+    # phi at x, y and every support node comes from one phi_matrix call
     xy = [0.5, 1.0, 1.8]
-    for lam in (1.0, 3.0, 7.0):
-        phis = {v: jacobi_phi(generic_params, lam, v).real for v in xy}
-        for x in xy:
-            for y in xy:
-                z, wz = _support_rule(x, np.array([y]), grid.t_max)
-                kern = kernel_values(generic_params, x, y, z[0])
-                integral = float(
-                    np.sum(
-                        kern
-                        * np.array(
-                            [jacobi_phi(generic_params, lam, u).real for u in z[0]]
-                        )
-                        * weight_density(generic_params, z[0])
-                        * wz[0]
-                    )
-                )
-                assert abs(integral - phis[x] * phis[y]) < 1e-5, (x, y, lam)
+    lams = np.array([1.0, 3.0, 7.0])
+    pairs = [(x, y) for x in xy for y in xy]
+    rules = [_support_rule(x, np.array([y]), grid.t_max) for x, y in pairs]
+    supports = [z[0] for z, _ in rules]
+    phi = phi_matrix(generic_params, np.concatenate([xy, *supports]), lams)
+    phis = dict(zip(xy, phi[: len(xy)]))
+    blocks = np.split(phi[len(xy) :], np.cumsum([u.size for u in supports])[:-1])
+    for (x, y), (z, wz), phi_u in zip(pairs, rules, blocks):
+        kern = kernel_values(generic_params, x, y, z[0])
+        measure = kern * weight_density(generic_params, z[0]) * wz[0]
+        integrals = np.sum(measure[:, None] * phi_u, axis=0)
+        for lam, integral, expected in zip(lams, integrals, phis[x] * phis[y]):
+            assert abs(integral - expected) < 1e-5, (x, y, lam)
     # kernel mass = 1 within 1e-5
     for s, t in [(0.6, 1.0), (1.4, 2.1), (0.5, 0.6)]:
         z, wz = _support_rule(s, np.array([t]), 20.0, n_panels=48)
@@ -216,13 +213,14 @@ def test_criterion_6_harish_chandra(generic_params):
     # two-path agreement < 1e-7 for t >= 2, lambda in [1, 10], k_max = 40;
     # the 2F1 series route stops converging beyond t ~ 3.5, which bounds the
     # overlap window from above
-    from jacobilab.core import _harish_chandra
+    from jacobilab.core import _harish_chandra, _phi
 
-    for lam in np.linspace(1.0, 10.0, 5):
-        for t in (2.0, 2.5, 3.0):
+    t_nodes, lam_nodes = np.array([2.0, 2.5, 3.0]), np.linspace(1.0, 10.0, 5)
+    direct = _phi(generic_params, t_nodes, lam_nodes, hypergeometric=True)
+    for j, lam in enumerate(lam_nodes):
+        for i, t in enumerate(t_nodes):
             hc = np.sum(_harish_chandra(generic_params, [t], [lam, -lam], k_max=40))
-            direct = jacobi_phi_hypergeometric(generic_params, lam, t)
-            assert abs(hc - direct) < 1e-7, (lam, t)
+            assert abs(hc - direct[i, j]) < 1e-7, (lam, t)
     # Gangolli envelope holds on all computed coefficients; fit is stable
     lams = np.linspace(0.5, 20.0, 12).astype(complex)
     c32, d32 = gangolli_fit(generic_params, 32, lams)

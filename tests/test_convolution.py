@@ -13,10 +13,10 @@ from jacobilab import (
     SpectralGrid,
     convolution_grid,
     convolve,
-    jacobi_phi,
     jacobi_transform,
     kernel_K,
     kernel_values,
+    phi_matrix,
     translate,
     weight_density,
     young_check,
@@ -116,13 +116,12 @@ class TestTranslate:
     def test_translation_of_phi_is_multiplicative(self, generic_params, conv_grid):
         # tau_x phi_lambda = phi_lambda(x) phi_lambda
         lam = 2.0
-        phi_vals = np.array(
-            [jacobi_phi(generic_params, lam, t).real for t in conv_grid.nodes]
-        )
-        f = SampledRadialFunction(conv_grid, phi_vals)
         x = 1.3
+        phi = phi_matrix(generic_params, np.append(conv_grid.nodes, x), [lam])[:, 0]
+        phi_vals = phi[:-1]
+        f = SampledRadialFunction(conv_grid, phi_vals)
         tau = translate(generic_params, f, x)
-        expected = jacobi_phi(generic_params, lam, x).real * phi_vals
+        expected = phi[-1] * phi_vals
         # compare away from the truncation boundary of the finite grid
         mask = conv_grid.nodes < conv_grid.t_max - x - 0.5
         err = np.max(np.abs(tau.values[mask] - expected[mask]))

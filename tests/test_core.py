@@ -17,16 +17,14 @@ from jacobilab import (
     c_asymptotics_report,
     c_function,
     gangolli_fit,
-    harish_chandra_coefficients,
     jacobi_phi,
-    jacobi_phi_hypergeometric,
     laplacian_residual,
     phi_matrix,
     plancherel_density,
     weight_density,
 )
 from jacobilab._util import loglog_slope
-from jacobilab.core import gamma_coefficient_table
+from jacobilab.core import _hypergeometric_route, _phi, gamma_coefficient_table
 
 RNG = np.random.default_rng(7)
 
@@ -88,11 +86,10 @@ class TestJacobiPhi:
 
     def test_two_route_agreement(self, generic_params):
         # both evaluation routes are sound on this overlap region
-        for lam in (1.0, 4.0):
-            for t in (1.2, 1.8):
-                direct = jacobi_phi_hypergeometric(generic_params, lam, t)
-                hc = jacobi_phi(generic_params, lam, t, force="harish-chandra")
-                assert abs(direct - hc) <= 1e-8 * max(abs(direct), 1e-6)
+        t, lam = np.array([1.2, 1.8]), np.array([1.0, 4.0])
+        direct = _phi(generic_params, t, lam, hypergeometric=True)
+        hc = _phi(generic_params, t, lam, hypergeometric=False)
+        assert np.all(np.abs(direct - hc) <= 1e-8 * np.maximum(np.abs(direct), 1e-6))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), lam=st.floats(0.5, 6.0), t=st.floats(1.5, 2.5))
@@ -100,9 +97,9 @@ class TestJacobiPhi:
         alpha = data.draw(st.floats(0.5, 4.0, exclude_min=True), label="alpha")
         beta = data.draw(st.floats(-0.5, alpha, exclude_min=True, exclude_max=True), label="beta")
         params = JacobiParameters(alpha, beta)
-        direct = jacobi_phi(params, lam, t, force="hypergeometric")
-        hc = jacobi_phi(params, lam, t, force="harish-chandra")
-        assert abs(direct - hc) <= 1e-8 * math.exp(-params.rho * t)
+        direct = _phi(params, np.array([t]), np.array([lam]), hypergeometric=True)
+        hc = _phi(params, np.array([t]), np.array([lam]), hypergeometric=False)
+        assert abs(direct[0, 0] - hc[0, 0]) <= 1e-8 * math.exp(-params.rho * t)
 
     def test_underflow_raises(self, generic_params):
         # rho t = 1000: e^(-rho t) is below the smallest normal double
@@ -133,20 +130,59 @@ class TestJacobiPhi:
         with pytest.raises(DomainError):
             jacobi_phi(generic_params, 1.0, -0.1)
 
-    def test_unknown_route_raises(self, generic_params):
-        with pytest.raises(ValueError):
-            jacobi_phi(generic_params, 1.0, 1.0, force="nonsense")
+    def test_complex_lambda_against_mpmath(self, generic_params):
+        # phi_lambda(t) = 2F1((rho + i lambda)/2, (rho - i lambda)/2; alpha + 1; -sinh^2 t)
+        p = generic_params
+        lams = np.array([2 + 0.5j, 0.7 - 1.1j, 9 + 0.3j, 1.5j])
+        ts = np.array([0.3, 1.2, 1.9, 3.0, 6.0])
+        route = _hypergeometric_route(lams[None, :], ts[:, None])
+        assert np.any(route) and not np.all(route)
+        mat = _phi(p, ts, lams)
+        with mpmath.workdps(30):
+            for i, t in enumerate(ts):
+                for j, lam in enumerate(lams):
+                    a = (p.rho + 1j * lam) / 2
+                    b = (p.rho - 1j * lam) / 2
+                    ref = complex(mpmath.hyp2f1(a, b, p.alpha + 1.0, -mpmath.sinh(t) ** 2))
+                    bound = 1e-10 * max(abs(ref), math.exp(-p.rho * t))
+                    assert abs(jacobi_phi(p, lam, t) - ref) <= bound, (lam, t)
+                    assert abs(mat[i, j] - ref) <= bound, (lam, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda p, x: jacobi_phi(p, x, 1.0), "lambda"),
+            (lambda p, x: jacobi_phi(p, 2.0, x), "t"),
+            (lambda p, x: phi_matrix(p, [1.0, 3.0], [x, 2.0]), "lambda"),
+            (lambda p, x: phi_matrix(p, [x, 3.0], [2.0]), "t"),
+        ],
+    )
+    def test_non_finite_argument_raises(self, generic_params, call, name, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"\b{name}\b"):
+                call(generic_params, bad)
 
 
 class TestPhiMatrix:
     def test_matches_scalar_entry_point(self, generic_params):
+        # jacobi_phi is one cell of the same evaluator, and a 2F1 cell does
+        # not depend on the rest of its batch.  A Harish-Chandra row block
+        # truncates at ceil(27 / its smallest t), so there a cell of a larger
+        # matrix agrees with the scalar entry point to rounding only.
         t_nodes = np.array([0.2, 1.0, 2.5, 6.0])
         lam_nodes = np.array([0.4, 2.0, 11.0, 30.0, -11.0, -30.0])
         mat = phi_matrix(generic_params, t_nodes, lam_nodes)
+        route = _hypergeometric_route(lam_nodes[None, :], t_nodes[:, None])
         for i, t in enumerate(t_nodes):
             for j, lam in enumerate(lam_nodes):
                 ref = jacobi_phi(generic_params, lam, t).real
-                assert abs(mat[i, j] - ref) <= 1e-9 * max(abs(ref), 1e-8), (t, lam)
+                assert phi_matrix(generic_params, [t], [lam])[0, 0] == ref, (t, lam)
+                if route[i, j]:
+                    assert mat[i, j] == ref, (t, lam)
+                else:
+                    assert abs(mat[i, j] - ref) <= 1e-9 * max(abs(ref), 1e-8), (t, lam)
 
     def test_requires_positive_nodes(self, generic_params):
         with pytest.raises(DomainError):
@@ -199,8 +235,8 @@ class TestCFunction:
 
 class TestHarishChandra:
     def test_h3_coefficients_are_one(self, h3_params):
-        series = harish_chandra_coefficients(h3_params, 2.0, 20)
-        assert np.max(np.abs(np.asarray(series.coefficients) - 1.0)) < 1e-12
+        table = gamma_coefficient_table(h3_params, [2.0], 20)
+        assert np.max(np.abs(table - 1.0)) < 1e-12
 
     def test_matches_term_by_term_recurrence(self, generic_params):
         # reference: the recurrence summed one m at a time, in plain Python
