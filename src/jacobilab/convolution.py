@@ -1,9 +1,11 @@
 """Generalized translation kernel K(s,t,u), translation, and convolution.
 
+The transform turns convolution into a product, so `convolve` is the inverse
+transform of f-hat * g-hat, gated for decay on both inputs and the product.
 The kernel is evaluated through its hypergeometric closed form; translation
-and convolution are iterated quadratures over the kernel's compact support
-interval (|x-y|, x+y).  Convolution is O(N^2) in the grid size by design and
-guarded by a node budget.
+is a quadrature over its compact support interval (|x-y|, x+y), and
+`convolve_direct`, the O(N^2) reference, integrates f against the translates
+under a node budget.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
 from .specfun import gamma_complex, hyp2f1_real_arg
-from .transform import RadialGrid, SampledRadialFunction
+from .transform import RadialGrid, SampledRadialFunction, SampledSpectralFunction, SpectralGrid
+from .transform import inverse_transform, jacobi_transform
 
 __all__ = [
     "KernelEvaluation",
@@ -25,6 +28,7 @@ __all__ = [
     "kernel_values",
     "translate",
     "convolve",
+    "convolve_direct",
     "young_check",
     "convolution_grid",
 ]
@@ -32,7 +36,6 @@ __all__ = [
 _NODE_BUDGET = 400
 _SUPPORT_PANELS = 32
 _NODES_PER_PANEL = 4
-_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,8 @@ class KernelEvaluation:
 
 
 def _kernel_prefactor(params):
-    # Constant fixed so that the kernel has unit mass against dmu, which the
-    # product formula forces; see the decisions ledger for its calibration.
+    # This constant gives the kernel unit mass against dmu only at rho = 5/2;
+    # elsewhere the mass is 2^(5 - 2 rho), so the product formula fails there.
     a, rho = params.alpha, params.rho
     return (
         2.0 ** (5.0 - 4.0 * rho)
@@ -99,7 +102,7 @@ def kernel_K(params, s, t, u) -> KernelEvaluation:
 
 
 def convolution_grid(params, t_max=10.0, n_panels=40, nodes_per_panel=8) -> RadialGrid:
-    """Dedicated smaller radial grid sized for the O(N^2) convolution budget."""
+    """Radial grid of 320 nodes on (0, 10], within the node budget of `convolve_direct`."""
     return RadialGrid.graded(params, t_max, n_panels, nodes_per_panel)
 
 
@@ -122,33 +125,38 @@ def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):
     return z, wz
 
 
-def _translate_block(params, g: SampledRadialFunction, xs, y_nodes):
-    """tau_x g evaluated at every y in y_nodes for every x in xs.
-
-    Returns an array of shape (len(xs), len(y_nodes)).
-    """
-    xs = np.asarray(xs, dtype=float)[:, None]
-    z, wz = _support_rule(xs, y_nodes[None, :], g.grid.t_max)
-    kern = kernel_values(params, xs[..., None], y_nodes[None, :, None], z)
-    gz = g.at(z.ravel()).reshape(z.shape)
-    dens = weight_density(params, z)
-    return np.sum(gz * kern * dens * wz, axis=2)
-
-
 def translate(params, f: SampledRadialFunction, x) -> SampledRadialFunction:
     """Generalized translation (tau_x f)(y) = integral f(z) K(x,y,z) dmu(z)."""
     x = float(x)
     if x <= 0.0:
         raise DomainError("translate requires x > 0")
-    vals = _translate_block(params, f, [x], f.grid.nodes)[0]
-    return SampledRadialFunction(f.grid, vals)
+    y = f.grid.nodes
+    z, wz = _support_rule(x, y, f.grid.t_max)
+    kern = kernel_values(params, x, y[:, None], z)
+    fz = f.at(z.ravel()).reshape(z.shape)
+    dens = weight_density(params, z)
+    return SampledRadialFunction(f.grid, np.sum(fz * kern * dens * wz, axis=1))
 
 
 def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
-    """Hypergroup convolution (f*g)(x) = integral f(y) (tau_x g)(y) dmu(y).
+    """Hypergroup convolution f*g as the inverse transform of f-hat * g-hat.
 
-    With the unnormalized forward transform f_hat = integral f phi dmu, the
-    transform is an algebra homomorphism, (f*g)-hat = f-hat * g-hat.
+    f-hat = integral f phi dmu is taken on `SpectralGrid.build(params)`.  A
+    radial input that has not decayed by the end of its grid, or a product
+    f-hat * g-hat that has not decayed by lambda_max, raises DecayError.
+    """
+    if f.grid is not g.grid:
+        raise GridError("convolve requires f and g on the same grid")
+    sgrid = SpectralGrid.build(params)
+    product = jacobi_transform(params, f, sgrid).values * jacobi_transform(params, g, sgrid).values
+    return inverse_transform(params, SampledSpectralFunction(sgrid, product), f.grid)
+
+
+def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
+    """Reference convolution (f*g)(x) = integral f(y) (tau_x g)(y) dmu(y).
+
+    One translate per node, so O(N^2) kernel quadratures of the support rule;
+    the node budget refuses grids much larger than `convolution_grid`.
     """
     if f.grid is not g.grid:
         raise GridError("convolve requires f and g on the same grid")
@@ -158,14 +166,8 @@ def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> Samp
             f"convolution budget is {_NODE_BUDGET} nodes, grid has {n}; "
             "use convolution_grid()"
         )
-    x_nodes = f.grid.nodes
-    fw = f.values * f.grid.mu_weights
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, _CHUNK):
-        xs = x_nodes[start : start + _CHUNK]
-        tau = _translate_block(params, g, xs, x_nodes)
-        out[start : start + len(xs)] = tau @ fw
-    return SampledRadialFunction(f.grid, out)
+    tau = np.stack([translate(params, g, x).values for x in f.grid.nodes])
+    return SampledRadialFunction(f.grid, tau @ (f.values * f.grid.mu_weights))
 
 
 def young_check(params, f, g, p, q):

@@ -339,22 +339,22 @@ def c_asymptotics_report(params, lambda_list):
     lams = np.asarray(lambda_list, dtype=float)
     if np.any(np.diff(lams) <= 0) or lams[0] < 1.0:
         raise DomainError("lambda_list must be increasing with min >= 1")
-    rows = []
     expo = 2.0 * params.alpha + 1.0
-    for lam in lams:
-        h = 1e-5 * lam
-        d0 = plancherel_density(params, lam)
-        dp = (plancherel_density(params, lam + h) - plancherel_density(params, lam - h)) / (2 * h)
-        cp = (c_function(params, lam + h) - c_function(params, lam - h)) / (2 * h)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "d_ratio": float(d0 / lam**expo),
-                "d_prime_scaled": float(dp / (1.0 + lam) ** (2.0 * params.alpha)),
-                "logderiv_scaled": float(abs(cp / c_function(params, lam)) * lam),
-            }
-        )
-    return rows
+    h = 1e-5 * lams
+    stack = np.stack([lams, lams + h, lams - h])
+    d0, d_plus, d_minus = plancherel_density(params, stack)
+    c0, c_plus, c_minus = c_function(params, stack)
+    dp = (d_plus - d_minus) / (2 * h)
+    cp = (c_plus - c_minus) / (2 * h)
+    return [
+        {
+            "lambda": float(lam),
+            "d_ratio": float(d0[i] / lam**expo),
+            "d_prime_scaled": float(dp[i] / (1.0 + lam) ** (2.0 * params.alpha)),
+            "logderiv_scaled": float(abs(cp[i] / c0[i]) * lam),
+        }
+        for i, lam in enumerate(lams)
+    ]
 
 
 def _local_expansion_prefactor(params):

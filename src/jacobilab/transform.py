@@ -6,7 +6,8 @@ which carries the barycentric weights and the differentiation matrix used to
 interpolate and differentiate samples on any panel.  Functions cross module
 boundaries as samples on explicit grids, never as closures; the dense
 phi_lambda(t) matrix for a (radial, spectral) grid pair is built once per
-parameter set and cached on the radial grid, so it is freed with the grid.
+parameter set and cached on the radial grid, so it is freed with the grid;
+the key is the spectral grid's content, so equal spectral grids share it.
 
 phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
@@ -17,7 +18,6 @@ to complex.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +41,6 @@ __all__ = [
     "apply_laplacian",
 ]
 
-_TOKENS = itertools.count()
 _DECAY_FRACTION = 1e-10
 
 
@@ -60,7 +59,6 @@ class _PanelGrid:
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.nodes_per_panel = int(nodes_per_panel)
         self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
-        self.token = next(_TOKENS)
         x, _ = composite_gauss_legendre([-1.0, 1.0], nodes_per_panel)
         diff = x[:, None] - x[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -219,7 +217,7 @@ def default_grids(params, t_max=20.0, radial_panels=400, lam_max=50.0, spectral_
 
 
 def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
-    key = (params, sgrid.token)
+    key = (params, sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
     if key not in rgrid._phi_cache:
         rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
     return rgrid._phi_cache[key]

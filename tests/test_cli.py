@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+from jacobilab import JacobiParameters, SpectralGrid, convolution_grid, heat_kernel
 from jacobilab.cli import main
 
 FAST = [
@@ -154,6 +156,36 @@ class TestHeatAndConvolve:
         assert code == 0
         xs, vals = read_csv(tmp_path / "c.csv")
         assert np.all(np.isfinite(vals))
+
+    def test_convolve_heat_semigroup(self, tmp_path, capsys):
+        # h_s * h_r = h_(s+r) at rho = 3, to the bound of the convolution benchmark
+        params = JacobiParameters(1.5, 0.5)
+        grid = convolution_grid(params)
+        sgrid = SpectralGrid.build(params)
+        for name, s in (("f.csv", 0.1), ("g.csv", 0.2)):
+            write_radial_csv(tmp_path / name, grid.nodes, heat_kernel(params, s, grid, sgrid).values)
+        base = ["--preset", "damek-ricci-like", "--output-dir", str(tmp_path)]
+        code = run(
+            base
+            + ["convolve", "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "g.csv",
+               "--output", "c.csv"]
+        )
+        assert code == 0
+        xs, vals = read_csv(tmp_path / "c.csv")
+        assert np.max(np.abs(xs - grid.nodes)) < 1e-13
+        want = heat_kernel(params, 0.3, grid, sgrid).values
+        err = np.sum(grid.mu_weights * np.abs(vals - want) ** 2)
+        assert math.sqrt(err / np.sum(grid.mu_weights * want**2)) < 1e-8
+
+    def test_convolve_undecayed_spectrum_exit_3(self, tmp_path, capsys):
+        # a width-0.05 bump at t = 1 has not decayed spectrally by lambda = 50
+        t = convolution_grid(JacobiParameters(1.2, 0.3)).nodes
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-((t - 1.0) ** 2) / 0.05**2))
+        code = run(
+            ["--preset", "generic", "--output-dir", str(tmp_path), "convolve",
+             "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "f.csv", "--output", "c.csv"]
+        )
+        assert code == 3
 
 
 class TestReports:

@@ -6,13 +6,17 @@ import pytest
 
 from jacobilab import (
     CostBudgetError,
+    DecayError,
     DomainError,
     GridError,
+    JacobiParameters,
     RadialGrid,
     SampledRadialFunction,
     SpectralGrid,
     convolution_grid,
     convolve,
+    convolve_direct,
+    heat_kernel,
     jacobi_transform,
     kernel_K,
     kernel_values,
@@ -134,10 +138,16 @@ class TestTranslate:
 
 
 class TestConvolve:
-    def test_transform_multiplicativity(self, generic_params, conv_grid, conv_sgrid):
+    # multiplicativity, commutativity and the node budget are properties of
+    # the quadrature reference; the spectral convolve has them by construction
+    @pytest.fixture(scope="class")
+    def direct_fg(self, generic_params, conv_grid):
         f = bump(conv_grid, 0.8, 0.5)
         g = bump(conv_grid, 1.1, 0.6)
-        conv = convolve(generic_params, f, g)
+        return f, g, convolve_direct(generic_params, f, g)
+
+    def test_transform_multiplicativity(self, generic_params, conv_sgrid, direct_fg):
+        f, g, conv = direct_fg
         fhat = jacobi_transform(generic_params, f, conv_sgrid)
         ghat = jacobi_transform(generic_params, g, conv_sgrid)
         chat = jacobi_transform(generic_params, conv, conv_sgrid, check=False)
@@ -148,8 +158,8 @@ class TestConvolve:
     def test_commutativity(self, generic_params, conv_grid):
         f = bump(conv_grid, 0.8, 0.5)
         g = bump(conv_grid, 1.4, 0.7)
-        fg = convolve(generic_params, f, g)
-        gf = convolve(generic_params, g, f)
+        fg = convolve_direct(generic_params, f, g)
+        gf = convolve_direct(generic_params, g, f)
         scale = np.max(np.abs(fg.values))
         assert np.max(np.abs(fg.values - gf.values)) < 1e-6 * scale
 
@@ -176,4 +186,35 @@ class TestConvolve:
         big = RadialGrid.graded(generic_params, 10.0, 100, 8)
         f = bump(big, 0.8, 0.5)
         with pytest.raises(CostBudgetError):
-            convolve(generic_params, f, f)
+            convolve_direct(generic_params, f, f)
+
+    @pytest.mark.parametrize(
+        "ab, nodes",
+        [((1.2, 0.3), 320), ((1.5, 0.5), 320), ((0.75, 0.0), 320), ((4.0, 2.0), 320),
+         ((1.2, 0.3), 800)],
+        ids=["generic", "rho-3", "rho-1.75", "rho-7", "generic-800-nodes"],
+    )
+    def test_heat_semigroup(self, ab, nodes):
+        # h_0.1 * h_0.2 = h_0.3, at rho != 5/2 too, and past the node budget
+        # of the quadrature reference
+        params = JacobiParameters(*ab)
+        grid = RadialGrid.graded(params, 10.0, nodes // 8, 8)
+        sgrid = SpectralGrid.build(params)
+        h1, h2, h3 = (heat_kernel(params, s, grid, sgrid) for s in (0.1, 0.2, 0.3))
+        conv = convolve(params, h1, h2)
+        diff = SampledRadialFunction(grid, conv.values - h3.values)
+        assert diff.norm(2) < 1e-12 * h3.norm(2)
+
+    def test_decay_gate_on_product(self, generic_params, conv_grid):
+        # a width-0.05 bump has not decayed spectrally by lambda = 50
+        narrow = bump(conv_grid, 1.0, 0.05)
+        with pytest.raises(DecayError):
+            convolve(generic_params, narrow, narrow)
+        wide = bump(conv_grid, 1.0, 0.1)
+        assert np.all(np.isfinite(convolve(generic_params, wide, wide).values))
+
+    def test_matches_direct(self, generic_params, direct_fg):
+        f, g, direct = direct_fg
+        spectral = convolve(generic_params, f, g)
+        scale = np.max(np.abs(direct.values))
+        assert np.max(np.abs(spectral.values - direct.values)) < 1e-6 * scale

@@ -84,6 +84,14 @@ class TestGrids:
         assert np.max(np.abs(d1 / (3.0 * t**2) - 1.0)) < 1e-10
         assert np.max(np.abs(d2 / (6.0 * t) - 1.0)) < 1e-10
 
+    def test_phi_cache_keyed_by_grid_content(self, generic_params):
+        rgrid = RadialGrid.graded(generic_params, 5.0, 10)
+        first = phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 20.0, 20))
+        again = phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 20.0, 20))
+        assert again is first and len(rgrid._phi_cache) == 1
+        phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 25.0, 20))
+        assert len(rgrid._phi_cache) == 2
+
     def test_spectral_grid_past_double_range(self, generic_params):
         # c(lambda) leaves double range past |lambda| ~ 450: fail at construction
         with pytest.raises(OverflowLimitError):
