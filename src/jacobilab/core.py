@@ -10,9 +10,13 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
 cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
-2F1 cells go through one `specfun.hyp2f1_real_arg` call and the
-Harish-Chandra rows through `_harish_chandra`.  The scalar `jacobi_phi`, the
-dense `phi_matrix`, `laplacian_residual` and the local expansion all call it.
+2F1 cells go through one `specfun.hyp2f1_real_arg` call, which sums them in
+cache-sized slices.  At real lambda the Harish-Chandra rows are evaluated in
+real arithmetic by `_harish_chandra_real`: each row keeps its own number of
+series terms, max(12, ceil(27 / t)), and rows that share it share one real
+matrix product per block of at most `specfun._BLOCK_SIZE` cells.  Complex
+lambda takes `_harish_chandra`.  The scalar `jacobi_phi`, the dense
+`phi_matrix`, `laplacian_residual` and the local expansion all call `_phi`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from ._util import loglog_slope
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
-from .specfun import bessel_script_J, gamma_complex, hyp2f1_real_arg
+from .specfun import _BLOCK_SIZE, bessel_script_J, gamma_complex, hyp2f1_real_arg
 
 __all__ = [
     "JacobiParameters",
@@ -46,7 +50,7 @@ __all__ = [
 # to oscillatory cancellation or plain convergence failure.
 _T_SWITCH = 2.0
 _LAMT_SWITCH = 12.0
-_LAMBDA_FLOOR = 1e-6  # HC route regularization near the c-function pole at 0
+_LAMBDA_FLOOR = 1e-12  # HC route regularization near the c-function pole at 0
 _GAMMA_CAP = 1e100
 _HC_MAX_TERMS = 800
 # e^(-rho t) falls below the smallest normal double (2.2e-308) beyond this.
@@ -163,28 +167,64 @@ def gangolli_fit(params, k_max, lambda_set):
     return float(np.max(env)), float(d_fit)
 
 
+def _hc_terms(t):
+    """Harish-Chandra truncation per node, max(12, ceil(27 / t)), at most 800."""
+    k = np.maximum(12, np.ceil(27.0 / t)).astype(int)
+    if k.max() > _HC_MAX_TERMS:
+        raise DomainError(
+            f"Harish-Chandra truncation would exceed {_HC_MAX_TERMS} terms (t = {np.min(t):.3g})"
+        )
+    return k
+
+
 def _harish_chandra(params, t, lam, k_max=None):
     """Harish-Chandra terms c(lambda) e^((i lambda - rho) t) sum_k Gamma_k(lambda) e^(-2kt).
 
     t: 1-D array of positive nodes, lam: 1-D array; returns the complex
     (t, lambda) matrix.  phi_lambda(t) is the sum of the terms at lambda and
     -lambda, or 2 Re of the term at real lambda.  k_max defaults to the
-    truncation max(12, ceil(27 / min t)), and may not exceed 800.
+    truncation max(12, ceil(27 / min t)), which may not exceed 800.
     """
     t = np.asarray(t, dtype=float)
     lam = np.asarray(lam, dtype=complex)
     if k_max is None:
-        k_max = max(12, int(math.ceil(27.0 / float(np.min(t)))))
-    if k_max > _HC_MAX_TERMS:
-        raise DomainError(
-            f"Harish-Chandra truncation would exceed {_HC_MAX_TERMS} terms (t = {np.min(t):.3g})"
-        )
+        k_max = int(_hc_terms(t).max())
     table = gamma_coefficient_table(params, lam, k_max)
     with np.errstate(under="ignore"):
         terms = np.exp(np.outer(-2.0 * t, np.arange(k_max + 1))) @ table
         terms *= np.exp((1j * lam[None, :] - params.rho) * t[:, None])
     terms *= c_function(params, lam)
     return terms
+
+
+def _harish_chandra_real(params, t, lam, out, rows):
+    """Write phi = 2 Re of the Harish-Chandra term at real lam > 0 into out[rows].
+
+    Row i keeps its own truncation K = max(12, ceil(27 / t_i)).  The table
+    c(lambda) Gamma_k(lambda) is built once, at the largest K, and held as
+    real columns [Re | Im]; the rows that share a K take S = E [Re | Im] as one
+    real product per block of at most _BLOCK_SIZE cells, E[i, k] = e^(-2k t_i),
+    and phi = 2 e^(-rho t) (cos(lambda t) Re S - sin(lambda t) Im S).
+    """
+    k_row = _hc_terms(t)
+    table = gamma_coefficient_table(params, lam, int(k_row.max())) * c_function(params, lam)
+    table = np.concatenate([table.real, table.imag], axis=1)
+    n = lam.size
+    block_rows = max(1, _BLOCK_SIZE // n)
+    with np.errstate(under="ignore"):
+        for k in np.unique(k_row):
+            same_k = np.flatnonzero(k_row == k)
+            for lo in range(0, same_k.size, block_rows):
+                block = same_k[lo : lo + block_rows]
+                tb = t[block]
+                s = np.exp(np.outer(-2.0 * tb, np.arange(k + 1))) @ table[: k + 1]
+                re, im = s[:, :n], s[:, n:]
+                phase = np.outer(tb, lam)
+                re *= np.cos(phase)
+                im *= np.sin(phase, out=phase)
+                re -= im
+                re *= 2.0 * np.exp(-params.rho * tb)[:, None]
+                out[rows[block]] = re
 
 
 def _require_finite(name, x):
@@ -219,12 +259,12 @@ def _phi(params, t, lam, hypergeometric=None):
         direct = np.full((t.size, lam.size), hypergeometric)
     out = np.empty(direct.shape, dtype=float if real else complex)
 
-    hc_rows = ~np.all(direct, axis=1)
-    if np.any(hc_rows):
+    hc_rows = np.flatnonzero(~np.all(direct, axis=1))
+    if hc_rows.size:
         # c(lambda) has a pole at 0, where the two terms cancel
         if real:
             lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
-            out[hc_rows] = 2.0 * _harish_chandra(params, t[hc_rows], lam_hc).real
+            _harish_chandra_real(params, t[hc_rows], lam_hc, out, hc_rows)
         else:
             lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, _LAMBDA_FLOOR + 1j * lam.imag, lam)
             terms = _harish_chandra(params, t[hc_rows], np.concatenate([lam_hc, -lam_hc]))

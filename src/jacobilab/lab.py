@@ -86,6 +86,7 @@ def _trial_functions(params, m, sgrid, trials, seed):
         peak = float(lam[np.argmax(np.abs(m(lam)))])
     spectra = np.empty((len(lam), trials))
     descs = []
+    heat = []  # (column, x0) of the translated heat kernels
     for i in range(trials):
         kind = i % 4
         if kind == 0:
@@ -109,8 +110,10 @@ def _trial_functions(params, m, sgrid, trials, seed):
             s = float(rng.uniform(0.005, 0.1))
             x0 = float(rng.uniform(0.1, 2.0))
             with np.errstate(under="ignore"):
-                # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula
-                prof = np.exp(-s * (lam**2 + params.rho**2)) * _phi_row(params, lam, x0)
+                # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula;
+                # the phi_lambda(x) factors are applied after the loop
+                prof = np.exp(-s * (lam**2 + params.rho**2))
+            heat.append((i, x0))
             desc = f"heat kernel s={s:.3g} translated to x={x0:.2f}"
         else:
             c = float(rng.uniform(0.2, 0.55) * sgrid.lam_max)
@@ -121,11 +124,11 @@ def _trial_functions(params, m, sgrid, trials, seed):
             desc = f"modulated bump at {c:.1f}"
         spectra[:, i] = prof
         descs.append(desc)
+    if heat:
+        cols, x0s = zip(*heat)
+        with np.errstate(under="ignore"):
+            spectra[:, list(cols)] *= phi_matrix(params, np.array(x0s), lam).T
     return spectra, descs
-
-
-def _phi_row(params, lam, x0):
-    return phi_matrix(params, np.array([x0]), np.asarray(lam))[0]
 
 
 def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grids=None) -> OperatorNormEstimate:

@@ -4,9 +4,10 @@ Everything here is pure and stateless; functions accept numpy arrays where
 noted and plain scalars otherwise.  The Gamma function uses a 15-term Lanczos
 approximation (g = 607/128) with reflection for Re z < 1/2, which is uniformly
 accurate on the strips the rest of the library actually visits.  Every 2F1
-value, scalar or batched, is summed by the one series `hyp2f1_real_arg`.
-The series budgets are module constants (`_SERIES_TOL`, `_MAX_TERMS`,
-`_BESSEL_CROSSOVER`), not options.
+value, scalar or batched, is summed by the one series `hyp2f1_real_arg`,
+over slices of at most `_BLOCK_SIZE` elements so that its working arrays stay
+in cache.  The series budgets are module constants (`_SERIES_TOL`,
+`_MAX_TERMS`, `_BESSEL_CROSSOVER`), not options.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = [
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 100_000
 _BESSEL_CROSSOVER = 18.0
+# Elements of one slice of a batched series, and cells of one block of a phi
+# matrix: about 16k, so that a slice's complex working arrays stay in cache.
+_BLOCK_SIZE = 16384
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's table).
 _LANCZOS_G = 607.0 / 128.0
@@ -135,8 +139,9 @@ def hyp2f1_real_arg(a, b, c, w):
     |term| <= _SERIES_TOL (1 - w) |total|, so its value does not depend on the
     rest of the batch.  The factor 1 - w accounts for the geometric tail: the
     term ratio tends to w, so the neglected remainder is about
-    |term| w / (1 - w).  Converged elements leave the live set once they make
-    up a quarter of it.
+    |term| w / (1 - w).  The batch is summed in slices of at most _BLOCK_SIZE
+    elements; within a slice, converged elements leave the live set once they
+    make up a quarter of it.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0) or np.any(w >= 1.0):
@@ -153,15 +158,25 @@ def hyp2f1_real_arg(a, b, c, w):
     shape = np.broadcast(a, b, w).shape
     out = np.empty(shape, dtype=np.result_type(a, b, w))
     flat = out.reshape(-1)
-    if flat.size == 0:
-        return out
-    # The live set: flat indices into out, with each array argument gathered
-    # to match; scalar a and b stay scalar.  A converged element is frozen by
-    # zeroing its term, which keeps its total exact, until compaction.
+    # scalar a and b stay scalar; array arguments are flattened to match out
     a, b, w = (x if x.ndim == 0 else np.broadcast_to(x, shape).ravel() for x in (a, b, w))
+    for lo in range(0, flat.size, _BLOCK_SIZE):
+        part = slice(lo, lo + _BLOCK_SIZE)
+        a_part, b_part, w_part = (x if x.ndim == 0 else x[part] for x in (a, b, w))
+        _sum_series(a_part, b_part, c, w_part, flat[part])
+    return out
+
+
+def _sum_series(a, b, c, w, dst):
+    """Sum the 2F1 series of one slice into dst, element by element.
+
+    The live set holds flat indices into dst, with each array argument
+    gathered to match.  A converged element is frozen by zeroing its term,
+    which keeps its total exact, until compaction.
+    """
     tol = _SERIES_TOL * (1.0 - w)
-    idx = np.arange(flat.size)
-    term = np.ones(flat.size, dtype=out.dtype)
+    idx = np.arange(dst.size)
+    term = np.ones(dst.size, dtype=dst.dtype)
     total = term.copy()
     n_frozen = 0
     for k in range(_MAX_TERMS):
@@ -183,10 +198,10 @@ def hyp2f1_real_arg(a, b, c, w):
         if n_done == n_frozen:
             continue
         if n_done == done.size:
-            flat[idx] = total
-            return out
+            dst[idx] = total
+            return
         if 4 * n_done >= done.size:
-            flat[idx[done]] = total[done]
+            dst[idx[done]] = total[done]
             keep = ~done
             idx, term, total = idx[keep], term[keep], total[keep]
             a, b, w, tol = (x if x.ndim == 0 else x[keep] for x in (a, b, w, tol))
@@ -196,7 +211,7 @@ def hyp2f1_real_arg(a, b, c, w):
             n_frozen = n_done
     raise ConvergenceError(
         f"2F1 series did not converge within {_MAX_TERMS} terms "
-        f"({term.size - n_frozen} of {flat.size} elements unconverged)"
+        f"({term.size - n_frozen} of {dst.size} elements of a slice unconverged)"
     )
 
 

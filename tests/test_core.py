@@ -16,6 +16,7 @@ from jacobilab import (
     bessel_local_expansion,
     c_asymptotics_report,
     c_function,
+    default_grids,
     gangolli_fit,
     jacobi_phi,
     laplacian_residual,
@@ -168,9 +169,10 @@ class TestJacobiPhi:
 class TestPhiMatrix:
     def test_matches_scalar_entry_point(self, generic_params):
         # jacobi_phi is one cell of the same evaluator, and a 2F1 cell does
-        # not depend on the rest of its batch.  A Harish-Chandra row block
-        # truncates at ceil(27 / its smallest t), so there a cell of a larger
-        # matrix agrees with the scalar entry point to rounding only.
+        # not depend on the rest of its batch.  A Harish-Chandra row keeps its
+        # own truncation, but the rows of a block share one matrix product,
+        # whose rounding depends on the block; there a cell of a larger matrix
+        # agrees with the scalar entry point to rounding only.
         t_nodes = np.array([0.2, 1.0, 2.5, 6.0])
         lam_nodes = np.array([0.4, 2.0, 11.0, 30.0, -11.0, -30.0])
         mat = phi_matrix(generic_params, t_nodes, lam_nodes)
@@ -184,9 +186,53 @@ class TestPhiMatrix:
                 else:
                     assert abs(mat[i, j] - ref) <= 1e-9 * max(abs(ref), 1e-8), (t, lam)
 
+    def test_row_matches_row_alone(self, generic_params):
+        # bitwise on 2F1 cells; on Harish-Chandra cells the truncation is the
+        # row's own, and only the rounding of the shared product may differ
+        p = generic_params
+        rgrid, sgrid = default_grids(p, 20.0, 200, 50.0, 150)
+        t, lam = rgrid.nodes, sgrid.nodes
+        mat = phi_matrix(p, t, lam)
+        route = _hypergeometric_route(lam[None, :], t[:, None])
+        for i in [*range(0, t.size, 53), t.size - 1]:
+            row = phi_matrix(p, t[i : i + 1], lam)[0]
+            assert np.array_equal(row[route[i]], mat[i, route[i]]), t[i]
+            hc = ~route[i]
+            assert np.all(np.abs(row[hc] - mat[i, hc]) <= 1e-14 * math.exp(-p.rho * t[i])), t[i]
+
     def test_requires_positive_nodes(self, generic_params):
         with pytest.raises(DomainError):
             phi_matrix(generic_params, np.array([0.0, 1.0]), np.array([1.0]))
+
+
+def _mpmath_phi(params, lam, t):
+    # phi_lambda(t) = 2F1((rho + i lambda)/2, (rho - i lambda)/2; alpha + 1; -sinh^2 t)
+    with mpmath.workdps(40):
+        rho, lam = mpmath.mpf(params.rho), mpmath.mpf(lam)
+        z = -mpmath.sinh(mpmath.mpf(t)) ** 2
+        return float(mpmath.re(mpmath.hyp2f1((rho + 1j * lam) / 2, (rho - 1j * lam) / 2, params.alpha + 1.0, z)))
+
+
+class TestPhiNearLambdaZero:
+    # c(lambda) has a pole at 0, where the two Harish-Chandra terms cancel
+    T_NODES = np.array([0.3, 1.0, 2.5, 6.0, 12.0])
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_phi_0_against_mpmath(self, request, preset):
+        p = request.getfixturevalue(preset)
+        got = phi_matrix(p, self.T_NODES, [0.0])[:, 0]
+        for t, value in zip(self.T_NODES, got):
+            assert abs(value - _mpmath_phi(p, 0.0, t)) <= 1.5e-12 * math.exp(-p.rho * t), t
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_harish_chandra_route_against_mpmath(self, request, preset):
+        p = request.getfixturevalue(preset)
+        lams = np.array([0.0, 1e-13, 1e-9, 1e-6])
+        got = _phi(p, self.T_NODES, lams, hypergeometric=False)
+        for i, t in enumerate(self.T_NODES):
+            for j, lam in enumerate(lams):
+                ref = _mpmath_phi(p, lam, t)
+                assert abs(got[i, j] - ref) <= 1.5e-12 * math.exp(-p.rho * t), (t, lam)
 
 
 class TestCFunction:

@@ -124,6 +124,22 @@ class TestHyp2F1:
         for i, (a, b) in enumerate([(0.7, 1.3), (6.0, 6.0)]):
             assert batch[i] == hyp2f1_real_arg(a, b, 2.1, 0.9)
 
+    def test_slices_match_single_elements(self, monkeypatch):
+        # a batch of 3 slices + 5 elements: every value is bitwise the one an
+        # unsliced batch gives, and the one of a call on that element alone
+        n = 3 * specfun._BLOCK_SIZE + 5
+        rng = np.random.default_rng(9)
+        a = rng.uniform(0.5, 3.0, n) + 1j * rng.uniform(-25.0, 25.0, n)
+        w = rng.uniform(0.0, 0.8, n)
+        batch = hyp2f1_real_arg(a, np.conj(a), 2.2, w)
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_BLOCK_SIZE", n)
+            assert np.array_equal(batch, hyp2f1_real_arg(a, np.conj(a), 2.2, w))
+        edges = [k * specfun._BLOCK_SIZE + d for k in (1, 2, 3) for d in (-1, 0)]
+        picks = [0, *edges, *range(n - 5, n), *rng.integers(0, n, 40)]
+        for i in picks:
+            assert batch[i] == hyp2f1_real_arg(a[i], np.conj(a[i]), 2.2, w[i]), i
+
 
 class TestBesselScriptJ:
     def test_against_scipy_both_routes(self):
