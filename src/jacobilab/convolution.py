@@ -18,7 +18,7 @@ import numpy as np
 from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
-from .specfun import gamma_complex, hyp2f1_real_arg
+from .specfun import hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction, SampledSpectralFunction, SpectralGrid
 from .transform import inverse_transform, jacobi_transform
 
@@ -53,8 +53,8 @@ def _kernel_prefactor(params):
     a, rho = params.alpha, params.rho
     return (
         2.0 ** (5.0 - 4.0 * rho)
-        * float(gamma_complex(a + 1.0).real)
-        / (math.sqrt(math.pi) * float(gamma_complex(a + 0.5).real))
+        * math.gamma(a + 1.0)
+        / (math.sqrt(math.pi) * math.gamma(a + 0.5))
     )
 
 
@@ -130,12 +130,16 @@ def translate(params, f: SampledRadialFunction, x) -> SampledRadialFunction:
     x = float(x)
     if x <= 0.0:
         raise DomainError("translate requires x > 0")
-    y = f.grid.nodes
+    return SampledRadialFunction(f.grid, _translate(params, f, x, f.grid.nodes))
+
+
+def _translate(params, f, x, y):
+    """(tau_x f)(y) at the points y, by the support rule; complex values."""
     z, wz = _support_rule(x, y, f.grid.t_max)
     kern = kernel_values(params, x, y[:, None], z)
     fz = f.at(z.ravel()).reshape(z.shape)
     dens = weight_density(params, z)
-    return SampledRadialFunction(f.grid, np.sum(fz * kern * dens * wz, axis=1))
+    return np.sum(fz * kern * dens * wz, axis=1)
 
 
 def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
@@ -155,8 +159,9 @@ def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> Samp
 def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
     """Reference convolution (f*g)(x) = integral f(y) (tau_x g)(y) dmu(y).
 
-    One translate per node, so O(N^2) kernel quadratures of the support rule;
-    the node budget refuses grids much larger than `convolution_grid`.
+    One translate per node, so O(N^2) kernel quadratures of the support rule,
+    of which the half with y >= x are computed; the node budget refuses grids
+    much larger than `convolution_grid`.
     """
     if f.grid is not g.grid:
         raise GridError("convolve requires f and g on the same grid")
@@ -166,7 +171,14 @@ def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) 
             f"convolution budget is {_NODE_BUDGET} nodes, grid has {n}; "
             "use convolution_grid()"
         )
-    tau = np.stack([translate(params, g, x).values for x in f.grid.nodes])
+    # K and the support rule are symmetric in (x, y), so tau_x g(y) = tau_y g(x)
+    # bit for bit: row i is computed from the diagonal on and mirrored below it
+    nodes = f.grid.nodes
+    tau = np.empty((n, n), dtype=complex)
+    for i, x in enumerate(nodes):
+        tau[i, i:] = _translate(params, g, x, nodes[i:])
+        tau[i + 1 :, i] = tau[i, i + 1 :]
+    tau = SampledRadialFunction(g.grid, tau).values
     return SampledRadialFunction(f.grid, tau @ (f.values * f.grid.mu_weights))
 
 

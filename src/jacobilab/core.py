@@ -10,8 +10,10 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
 cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
-2F1 cells go through one `specfun.hyp2f1_real_arg` call, which sums them in
-cache-sized slices.  At real lambda the Harish-Chandra rows are evaluated in
+rows that hold 2F1 cells go through one `specfun.hyp2f1_real_arg` call with
+a and c - b per lambda column and w = tanh^2 t per cell (0 off the route), so
+the series forms one term ratio per column and tests for convergence on every
+8th term.  At real lambda the Harish-Chandra rows are evaluated in
 real arithmetic by `_harish_chandra_real`: each row keeps its own number of
 series terms, max(12, ceil(27 / t)), and rows that share it share one real
 matrix product per block of at most `specfun._BLOCK_SIZE` cells.  Complex
@@ -270,14 +272,18 @@ def _phi(params, t, lam, hypergeometric=None):
             terms = _harish_chandra(params, t[hc_rows], np.concatenate([lam_hc, -lam_hc]))
             out[hc_rows] = terms[:, : lam.size] + terms[:, lam.size :]
 
-    rows, cols = np.nonzero(direct)
+    rows = np.flatnonzero(np.any(direct, axis=1))
     if rows.size:
-        # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t)
-        t_d, lam_d = t[rows], lam[cols]
-        a, b, c = _phi_params(params, lam_d)
-        series = hyp2f1_real_arg(a, c - b, c, np.tanh(t_d) ** 2)
-        pref = np.exp((1j * lam_d - params.rho) * np.log(np.cosh(t_d)))
-        out[rows, cols] = np.real(pref * series) if real else pref * series
+        # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t), with
+        # a and c-b per column; cells off the route get w = 0, which sums no term
+        on = direct[rows]
+        a, b, c = _phi_params(params, lam)
+        series = hyp2f1_real_arg(a, c - b, c, np.where(on, np.tanh(t[rows, None]) ** 2, 0.0))[on]
+        exponent = np.multiply.outer(np.log(np.cosh(t[rows])), 1j * lam - params.rho)
+        series = series * np.exp(exponent[on])  # out of place, as in specfun._sum_series
+        block = out[rows]
+        block[on] = series.real if real else series
+        out[rows] = block
     return out
 
 
@@ -305,20 +311,23 @@ def phi_matrix(params, t_nodes, lam_nodes):
     return _phi(params, t_nodes, np.asarray(lam_nodes, dtype=float))
 
 
-def laplacian_residual(params, lam, t, h=1e-4):
+def laplacian_residual(params, lam, t, h=1e-3):
     """Residual of the eigen-equation at (lambda, t) by central differences.
 
     |phi'' + ((2a+1) coth t + (2b+1) tanh t) phi' + (lambda^2 + rho^2) phi|,
-    with the stencil t - h, t, t + h evaluated on the route of its centre, so
-    branch switching cannot pollute it.
+    with the fourth-order five-point stencil t - 2h, ..., t + 2h evaluated on
+    the route of its centre, so branch switching cannot pollute it.  Its
+    truncation error is O(h^4), so at h = 1e-3 the residual sits near the
+    rounding floor of phi'' (about 1e-16 / h^2) rather than above it.
     """
     if not t > 2.0 * h > 0.0:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
     route = bool(_hypergeometric_route(lam, t))
-    fm, f0, fp = _phi(params, np.array([t - h, t, t + h]), np.array([lam]), route)[:, 0]
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    nodes = t + h * np.arange(-2.0, 3.0)
+    fm2, fm1, f0, fp1, fp2 = _phi(params, nodes, np.array([lam]), route)[:, 0]
+    d1 = (fm2 - fp2 + 8.0 * (fp1 - fm1)) / (12.0 * h)
+    d2 = (16.0 * (fp1 + fm1) - (fp2 + fm2) - 30.0 * f0) / (12.0 * h * h)
     drift = (2.0 * params.alpha + 1.0) / math.tanh(t) + (
         2.0 * params.beta + 1.0
     ) * math.tanh(t)
@@ -337,8 +346,12 @@ def c_function(params, lam):
     """
     lam_arr = np.asarray(lam, dtype=complex)
     il = 1j * lam_arr
+    try:
+        gamma_a1 = math.gamma(params.alpha + 1.0)
+    except OverflowError:
+        gamma_a1 = math.inf  # the numerator leaves double range, caught below
     with np.errstate(all="ignore"):
-        num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_complex(params.alpha + 1.0)
+        num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_a1
         den = gamma_complex(0.5 * (params.rho + il)) * gamma_complex(
             0.5 * (params.rho + il) - params.beta
         )
@@ -399,9 +412,7 @@ def c_asymptotics_report(params, lambda_list):
 
 def _local_expansion_prefactor(params):
     # Normalization fixing truncation -> 1 as t -> 0 at lambda = 0.
-    return 2.0 ** (params.rho + params.alpha) * float(
-        gamma_complex(params.alpha + 1.0).real
-    )
+    return 2.0 ** (params.rho + params.alpha) * math.gamma(params.alpha + 1.0)
 
 
 def _match_a1(params):

@@ -145,7 +145,7 @@ def c_inverse_reflected(params, lam):
         out = (
             gamma_complex(0.5 * (rho - il))
             * gamma_complex(0.5 * (rho - il) - params.beta)
-            / (2.0 ** (rho + il) * np.asarray(gamma_complex(z_safe)) * gamma_complex(a + 1.0))
+            / (2.0 ** (rho + il) * np.asarray(gamma_complex(z_safe)) * math.gamma(a + 1.0))
         )
     out = np.where(near_pole, 0.0, out)
     if out.ndim == 0:

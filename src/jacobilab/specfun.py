@@ -3,11 +3,15 @@
 Everything here is pure and stateless; functions accept numpy arrays where
 noted and plain scalars otherwise.  The Gamma function uses a 15-term Lanczos
 approximation (g = 607/128) with reflection for Re z < 1/2, which is uniformly
-accurate on the strips the rest of the library actually visits.  Every 2F1
+accurate on the strips the rest of the library actually visits; real
+arguments such as Gamma(alpha + 1) are taken from `math.gamma`.  Every 2F1
 value, scalar or batched, is summed by the one series `hyp2f1_real_arg`,
 over slices of at most `_BLOCK_SIZE` elements so that its working arrays stay
-in cache.  The series budgets are module constants (`_SERIES_TOL`,
-`_MAX_TERMS`, `_BESSEL_CROSSOVER`), not options.
+in cache.  Its term ratio is formed once per distinct parameter pair (one per
+lambda column of a phi grid) and gathered to the elements, and its stopping
+test runs on every `_CHECK_EVERY`-th term.  The series budgets are module
+constants (`_SERIES_TOL`, `_MAX_TERMS`, `_CHECK_EVERY`, `_BESSEL_CROSSOVER`),
+not options.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
 # ascending series to the Hankel asymptotic expansion.
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 100_000
+_CHECK_EVERY = 8  # terms between two stopping tests of the 2F1 series
 _BESSEL_CROSSOVER = 18.0
 # Elements of one slice of a batched series, and cells of one block of a phi
 # matrix: about 16k, so that a slice's complex working arrays stay in cache.
@@ -135,13 +140,17 @@ def hyp2f1_real_arg(a, b, c, w):
     """The defining 2F1 series, vectorized over an array of arguments w in [0, 1).
 
     Parameters a, b may be complex arrays broadcastable against w; c is scalar.
-    Every element stops at its own first term with
+    Each element of the broadcast of a and b is one parameter pair, and the
+    term ratio (a+k)(b+k) / ((c+k)(k+1)) is formed once per pair and term and
+    gathered to the elements that use it: for a (t x lambda) grid with a, b
+    per column, one ratio per column.  The stopping test runs after every
+    _CHECK_EVERY-th term, and each element stops at the first such term with
     |term| <= _SERIES_TOL (1 - w) |total|, so its value does not depend on the
     rest of the batch.  The factor 1 - w accounts for the geometric tail: the
     term ratio tends to w, so the neglected remainder is about
-    |term| w / (1 - w).  The batch is summed in slices of at most _BLOCK_SIZE
-    elements; within a slice, converged elements leave the live set once they
-    make up a quarter of it.
+    |term| w / (1 - w).  An element with w = 0 is 1 and sums no term.  The
+    batch is summed in slices of at most _BLOCK_SIZE elements; within a slice,
+    converged elements leave the live set once they make up a quarter of it.
     """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0) or np.any(w >= 1.0):
@@ -155,63 +164,79 @@ def hyp2f1_real_arg(a, b, c, w):
     else:
         a = a.astype(complex)
         b = b.astype(complex)
-    shape = np.broadcast(a, b, w).shape
+    pairs = np.broadcast_shapes(a.shape, b.shape)
+    shape = np.broadcast_shapes(pairs, w.shape)
     out = np.empty(shape, dtype=np.result_type(a, b, w))
     flat = out.reshape(-1)
-    # scalar a and b stay scalar; array arguments are flattened to match out
-    a, b, w = (x if x.ndim == 0 else np.broadcast_to(x, shape).ravel() for x in (a, b, w))
-    for lo in range(0, flat.size, _BLOCK_SIZE):
+    a, b = (np.broadcast_to(x, pairs).ravel() for x in (a, b))
+    w = np.broadcast_to(w, shape).ravel()
+    flat[w == 0.0] = 1.0
+    live = np.flatnonzero(w)
+    # pair[i]: the index into a and b of live element i
+    pair = np.broadcast_to(np.arange(a.size).reshape(pairs), shape).ravel()[live]
+    for lo in range(0, live.size, _BLOCK_SIZE):
         part = slice(lo, lo + _BLOCK_SIZE)
-        a_part, b_part, w_part = (x if x.ndim == 0 else x[part] for x in (a, b, w))
-        _sum_series(a_part, b_part, c, w_part, flat[part])
+        flat[live[part]] = _sum_series(a, b, c, pair[part], w[live[part]], flat.dtype)
     return out
 
 
-def _sum_series(a, b, c, w, dst):
-    """Sum the 2F1 series of one slice into dst, element by element.
+def _sum_series(a, b, c, pair, w, dtype):
+    """The 2F1 series of one slice: element i has parameters a[pair[i]], b[pair[i]].
 
-    The live set holds flat indices into dst, with each array argument
-    gathered to match.  A converged element is frozen by zeroing its term,
-    which keeps its total exact, until compaction.
+    The ratios of the next _CHECK_EVERY terms are formed at once, for the
+    range of pairs the slice spans, and gathered to the live elements.  A
+    converged element is frozen by zeroing its term, which keeps its total
+    exact, until it leaves the live set.
     """
+    out = np.empty(w.size, dtype=dtype)
+    idx = np.arange(w.size)
     tol = _SERIES_TOL * (1.0 - w)
-    idx = np.arange(dst.size)
-    term = np.ones(dst.size, dtype=dst.dtype)
+    w = w.astype(dtype)  # a complex product is faster than one that casts w
+    term = np.ones(w.size, dtype=dtype)
     total = term.copy()
+    step = np.empty_like(term)
+    first = pair.min()
+    rel = pair - first  # live element i has pair first + rel[i]
+    span = slice(first, first + rel.max() + 1)
     n_frozen = 0
-    for k in range(_MAX_TERMS):
-        if term.size == 1:
-            # numpy rounds an in-place complex product of one element
-            # differently from its batched loop; out of place they agree, so
-            # a value does not depend on how many elements are still live
-            term = term * (a + k) * (b + k)
-        else:
-            term *= a + k
-            term *= b + k
-        term /= (c + k) * (k + 1.0)
-        term *= w
-        total += term
-        bound = np.maximum(np.abs(total), 1e-300)
+    for k0 in range(0, _MAX_TERMS, _CHECK_EVERY):
+        k = np.arange(k0, k0 + _CHECK_EVERY)[:, None]
+        ratio = (a[span] + k) * (b[span] + k) / ((c + k) * (k + 1.0))
+        for r in ratio:
+            if r.size > 1:
+                r = r.take(rel, out=step, mode="wrap")  # rel is in range; wrap skips the check
+            if term.size == 1:
+                # numpy rounds an in-place complex product of one element
+                # differently from its batched loop; out of place they agree, so
+                # a value does not depend on how many elements are still live
+                term = term * r
+            else:
+                term *= r
+            term *= w
+            total += term
+        bound = np.abs(total)
+        np.maximum(bound, 1e-300, out=bound)
         bound *= tol
         done = np.abs(term) <= bound
         n_done = np.count_nonzero(done)
         if n_done == n_frozen:
             continue
         if n_done == done.size:
-            dst[idx] = total
-            return
+            out[idx] = total
+            return out
         if 4 * n_done >= done.size:
-            dst[idx[done]] = total[done]
+            out[idx[done]] = total[done]
             keep = ~done
-            idx, term, total = idx[keep], term[keep], total[keep]
-            a, b, w, tol = (x if x.ndim == 0 else x[keep] for x in (a, b, w, tol))
+            idx, term, total, step, rel, w, tol = (
+                x[keep] for x in (idx, term, total, step, rel, w, tol)
+            )
             n_frozen = 0
         else:
             term[done] = 0.0
             n_frozen = n_done
     raise ConvergenceError(
         f"2F1 series did not converge within {_MAX_TERMS} terms "
-        f"({term.size - n_frozen} of {dst.size} elements of a slice unconverged)"
+        f"({term.size - n_frozen} of {out.size} elements of a slice unconverged)"
     )
 
 
@@ -224,9 +249,7 @@ def _script_j_series(alpha, x):
     x = np.longdouble(x)
     q = -(x * x) / 4.0
     # leading term 1 / (2^alpha Gamma(alpha+1))
-    term = np.longdouble(1.0) / np.longdouble(
-        2.0**alpha * float(gamma_complex(alpha + 1.0).real)
-    )
+    term = np.longdouble(1.0) / np.longdouble(2.0**alpha * math.gamma(alpha + 1.0))
     total = term
     for m in range(1, 2000):
         term = term * q / (np.longdouble(m) * np.longdouble(m + alpha))

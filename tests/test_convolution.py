@@ -155,6 +155,18 @@ class TestConvolve:
         scale = np.max(np.abs(prod))
         assert np.max(np.abs(chat.values - prod)) < 1e-4 * scale
 
+    @pytest.mark.parametrize("ab", [(1.2, 0.3), (4.0, 2.0)], ids=["generic", "rho-7"])
+    def test_direct_mirrors_translates(self, ab):
+        # convolve_direct computes tau_x g(y) for y >= x only; by the symmetry
+        # of K and of the support rule the result is bitwise the full one
+        params = JacobiParameters(*ab)
+        grid = RadialGrid.graded(params, 6.0, 12, 8)
+        f, g = bump(grid, 0.8, 0.5), bump(grid, 1.1, 0.6)
+        tau = np.stack([translate(params, g, x).values for x in grid.nodes])
+        assert np.array_equal(tau, tau.T)
+        expected = tau @ (f.values * grid.mu_weights)
+        assert np.array_equal(convolve_direct(params, f, g).values, expected)
+
     def test_commutativity(self, generic_params, conv_grid):
         f = bump(conv_grid, 0.8, 0.5)
         g = bump(conv_grid, 1.4, 0.7)

@@ -127,6 +127,12 @@ class TestJacobiPhi:
             for t in (0.5, 1.5, 4.0):
                 assert laplacian_residual(generic_params, lam, t) < 1e-5
 
+    def test_residual_on_criterion_2_lattice(self, generic_params):
+        # the five-point stencil's O(h^4) truncation sits below its rounding
+        for lam in (0.5, 1.5, 3.0, 6.0):
+            for t in (0.4, 0.9, 1.6, 2.8, 4.5):
+                assert laplacian_residual(generic_params, lam, t) < 1e-8, (lam, t)
+
     def test_negative_t_raises(self, generic_params):
         with pytest.raises(DomainError):
             jacobi_phi(generic_params, 1.0, -0.1)
@@ -199,6 +205,21 @@ class TestPhiMatrix:
             assert np.array_equal(row[route[i]], mat[i, route[i]]), t[i]
             hc = ~route[i]
             assert np.all(np.abs(row[hc] - mat[i, hc]) <= 1e-14 * math.exp(-p.rho * t[i])), t[i]
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_longest_series_against_mpmath(self, request, preset):
+        # the 2F1 cells with the most terms, t in (1.5, 2] up to lambda t = 12,
+        # and the cells on either side of each zero of phi_lambda(t) in lambda
+        p = request.getfixturevalue(preset)
+        for t in (1.55, 1.7, 1.85, 1.95, 2.0):
+            lams = np.linspace(0.0, 12.0 / t, 400)
+            assert np.all(_hypergeometric_route(lams, t))
+            row = phi_matrix(p, [t], lams)[0]
+            zeros = np.flatnonzero(np.sign(row[:-1]) != np.sign(row[1:]))
+            assert zeros.size
+            for j in {0, 57, 133, 211, 299, 399, *zeros, *(zeros + 1)}:
+                ref = _mpmath_phi(p, lams[j], t)
+                assert abs(row[j] - ref) <= 1.5e-12 * math.exp(-p.rho * t), (t, lams[j])
 
     def test_requires_positive_nodes(self, generic_params):
         with pytest.raises(DomainError):

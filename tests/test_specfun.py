@@ -8,11 +8,13 @@ import scipy.special
 from jacobilab import (
     ConvergenceError,
     DomainError,
+    JacobiParameters,
     ParameterError,
     PoleError,
     bessel_script_J,
     gamma_complex,
     hyp2f1,
+    phi_matrix,
 )
 from jacobilab import specfun
 from jacobilab.specfun import hyp2f1_real_arg
@@ -111,6 +113,20 @@ class TestHyp2F1:
         with pytest.raises(ConvergenceError):
             hyp2f1(1.0, 1.0, 2.0, 0.999)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # a and b per column of a (w x pair) grid
+            lambda: hyp2f1_real_arg(np.array([1.0, 2.0 + 1j]), 1.5, 2.0, np.array([[0.3], [0.999]])),
+            lambda: phi_matrix(JacobiParameters(1.2, 0.3), [0.5, 1.99], [0.0, 3.0]),
+        ],
+        ids=["shared-pairs", "phi-matrix"],
+    )
+    def test_max_terms_budget_shared_pairs(self, monkeypatch, call):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
+        with pytest.raises(ConvergenceError):
+            call()
+
     def test_vectorized_real_argument(self):
         w = np.linspace(0.0, 0.7, 9)
         got = hyp2f1_real_arg(0.7, 1.3, 2.1, w)
@@ -139,6 +155,30 @@ class TestHyp2F1:
         picks = [0, *edges, *range(n - 5, n), *rng.integers(0, n, 40)]
         for i in picks:
             assert batch[i] == hyp2f1_real_arg(a[i], np.conj(a[i]), 2.2, w[i]), i
+
+    def test_shared_pairs_match_single_elements(self, monkeypatch):
+        # a and b per column of a (w x pair) grid: one ratio per column and
+        # term.  Every value is bitwise the one of a call on that element
+        # alone, whatever the element order, the slice boundaries, the other
+        # pairs of the batch or the elements with w = 0 (which are exactly 1)
+        monkeypatch.setattr(specfun, "_BLOCK_SIZE", 64)
+        rng = np.random.default_rng(10)
+        a = rng.uniform(0.5, 3.0, 7) + 1j * rng.uniform(-25.0, 25.0, 7)
+        w = rng.uniform(0.0, 0.9, (40, 7))
+        w[rng.uniform(size=w.shape) < 0.3] = 0.0
+        grid = hyp2f1_real_arg(a, np.conj(a), 2.2, w)
+        assert np.all(grid[w == 0.0] == 1.0)
+        transposed = hyp2f1_real_arg(a[:, None], np.conj(a)[:, None], 2.2, w.T)
+        assert np.array_equal(transposed, grid.T)
+        perm = rng.permutation(w.size)
+        cols = np.indices(w.shape)[1].ravel()[perm]
+        flat = hyp2f1_real_arg(a[cols], np.conj(a[cols]), 2.2, w.ravel()[perm])
+        assert np.array_equal(flat, grid.ravel()[perm])
+        shared = hyp2f1_real_arg(a[2:5], np.conj(a[2:5]), 2.2, w[::-1, 2:5])
+        assert np.array_equal(shared, grid[::-1, 2:5])
+        for i, j in [(0, 0), (39, 6), *zip(rng.integers(0, 40, 30), rng.integers(0, 7, 30))]:
+            single = hyp2f1_real_arg(a[j], np.conj(a[j]), 2.2, w[i, j])
+            assert grid[i, j] == single, (i, j)
 
 
 class TestBesselScriptJ:
