@@ -67,8 +67,8 @@ def kernel_values(params, s, t, u):
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
     s, t, u = np.broadcast_arrays(s, t, u)
-    if np.any(s < 0.0) or np.any(t < 0.0) or np.any(u < 0.0):
-        raise DomainError("kernel arguments must be positive")
+    if not np.all((s >= 0.0) & (t >= 0.0) & (u >= 0.0)):
+        raise DomainError("kernel arguments must be non-negative numbers, not NaN")
     out = np.zeros(s.shape)
     mask = (u > np.abs(s - t)) & (u < s + t) & (s > 0.0) & (t > 0.0) & (u > 0.0)
     if not np.any(mask):

@@ -130,24 +130,28 @@ def gamma_coefficient_table(params, lam, k_max):
     b_m = 2[(2a+1) + (-1)^m (2b+1)].
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    m = np.arange(k_max + 1)
-    bw = 2.0 * ((2.0 * params.alpha + 1.0) + (-1.0) ** m * (2.0 * params.beta + 1.0))
     il = 1j * lam
-    # s_j Gamma_j, filled in as the recurrence proceeds
-    weighted = np.zeros((k_max + 1, lam.size), dtype=complex)
-    table = np.zeros((k_max + 1, lam.size), dtype=complex)
+    gaps = np.arange(1, k_max + 1)[:, None] - il
+    if np.any(np.abs(gaps) < 1e-10):
+        raise DomainError(
+            "lambda lies in the exceptional set of the Harish-Chandra recurrence"
+        )
+    # b_m alternates between two values, so sum_{m=1}^{k} b_m w_{k-m} is
+    # 2(2a+1) P_k + 2(2b+1) Q_k with P_k = sum_{j<k} w_j, Q_k = sum_{j<k} (-1)^(k-j) w_j
+    ca = 2.0 * (2.0 * params.alpha + 1.0)
+    cb = 2.0 * (2.0 * params.beta + 1.0)
+    table = np.empty((k_max + 1, lam.size), dtype=complex)
     table[0] = 1.0
-    weighted[0] = il - params.rho
-    for k in range(1, k_max + 1):
-        gap = k - il
-        if np.any(np.abs(gap) < 1e-10):
-            raise DomainError(
-                "lambda lies in the exceptional set of the Harish-Chandra recurrence"
-            )
-        table[k] = -(bw[k:0:-1] @ weighted[:k]) / (4.0 * k * gap)
-        if np.any(np.abs(table[k]) > _GAMMA_CAP):
-            raise OverflowLimitError("|Gamma_k| exceeded 1e100")
-        weighted[k] = (il - params.rho - 2.0 * k) * table[k]
+    weighted = il - params.rho  # w_k = s_k Gamma_k
+    p_sum = q_sum = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            p_sum = p_sum + weighted
+            q_sum = -q_sum - weighted
+            table[k] = -(ca * p_sum + cb * q_sum) / (4.0 * k * gaps[k - 1])
+            weighted = (il - params.rho - 2.0 * k) * table[k]
+    if not np.all(np.abs(table) <= _GAMMA_CAP):
+        raise OverflowLimitError("|Gamma_k| exceeded 1e100")
     return table
 
 
@@ -342,14 +346,18 @@ def c_function(params, lam):
 
     Raises OverflowLimitError where the numerator or the denominator leaves
     the normal double range, so that the quotient is not finite or has lost
-    digits: for real lambda the Gammas underflow past |lambda| of about 450.
+    digits: at every lambda once Gamma(alpha + 1) 2^rho overflows (alpha past
+    about 150), and for real lambda where the Gammas underflow, past |lambda|
+    of about 450.
     """
     lam_arr = np.asarray(lam, dtype=complex)
     il = 1j * lam_arr
-    try:
-        gamma_a1 = math.gamma(params.alpha + 1.0)
-    except OverflowError:
-        gamma_a1 = math.inf  # the numerator leaves double range, caught below
+    # the lambda-free factor 2^rho Gamma(alpha + 1) of the numerator
+    if math.lgamma(params.alpha + 1.0) + params.rho * math.log(2.0) >= math.log(np.finfo(float).max):
+        raise OverflowLimitError(
+            f"c_function: Gamma(alpha + 1) 2^rho leaves double range at alpha = {params.alpha:g}"
+        )
+    gamma_a1 = math.gamma(params.alpha + 1.0)
     with np.errstate(all="ignore"):
         num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_a1
         den = gamma_complex(0.5 * (params.rho + il)) * gamma_complex(

@@ -2,11 +2,12 @@
 heat-regularization ladders, and the theorem ratio experiment.
 
 Operator norms are estimated from below by maximizing ||T_m f||_p / ||f||_p
-over a deterministic, seeded family of trial functions, which run through
-the transforms together as one block of columns.  The Euclidean
-multiplier norm of a boundary trace is replaced by the Mihlin proxy
-sup|g| + sup|lambda g'|, an upper-bound surrogate labeled as such in every
-output.
+over a deterministic, seeded family of trial functions.  The trials are
+spectra S and (T_m f)^ = m f^, so f and T_m f of every trial come from one
+inverse transform of the block [S | m S], with no forward transform.  The
+Euclidean multiplier norm of a boundary trace is replaced by the Mihlin
+proxy sup|g| + sup|lambda g'|, an upper-bound surrogate labeled as such in
+every output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import dyadic_differences
-from .core import JacobiParameters, phi_matrix
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import (
     MultiplierSpec,
@@ -26,14 +26,15 @@ from .multiplier import (
     omega,
 )
 from .transform import (
-    RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
     default_grids,
     inverse_transform,
     jacobi_transform,
+    phi_matrix_for,
 )
+from .transform import _check_decay, _lp_norm, _tail_count
 
 __all__ = [
     "OperatorNormEstimate",
@@ -75,18 +76,18 @@ def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunctio
     return tf, tf.norm(p) / denom
 
 
-def _trial_functions(params, m, sgrid, trials, seed):
+def _trial_functions(params, m, rgrid, sgrid, trials, seed):
     """Deterministic trial family as spectra, one column per trial, with a
-    description of each: a bump targeted at the peak of |m|, spectral bump
-    superpositions, translated heat-kernel profiles, and high-frequency
-    modulated radial bumps."""
+    description of each, all spectral profiles: a bump targeted at the peak
+    of |m|, bump superpositions, heat kernels translated to a radial node,
+    and bumps modulated by cos(0.1 lambda + theta)."""
     rng = np.random.default_rng(seed)
     lam = sgrid.nodes
     with np.errstate(under="ignore"):
         peak = float(lam[np.argmax(np.abs(m(lam)))])
+    phi = phi_matrix_for(params, rgrid, sgrid)
     spectra = np.empty((len(lam), trials))
     descs = []
-    heat = []  # (column, x0) of the translated heat kernels
     for i in range(trials):
         kind = i % 4
         if kind == 0:
@@ -108,13 +109,12 @@ def _trial_functions(params, m, sgrid, trials, seed):
             desc = f"spectral bumps at {centers}"
         elif kind == 2:
             s = float(rng.uniform(0.005, 0.1))
-            x0 = float(rng.uniform(0.1, 2.0))
+            node = int(np.argmin(np.abs(rgrid.nodes - float(rng.uniform(0.1, 2.0)))))
             with np.errstate(under="ignore"):
-                # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula;
-                # the phi_lambda(x) factors are applied after the loop
-                prof = np.exp(-s * (lam**2 + params.rho**2))
-            heat.append((i, x0))
-            desc = f"heat kernel s={s:.3g} translated to x={x0:.2f}"
+                # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula,
+                # with phi_lambda(x) a row of the cached phi matrix
+                prof = np.exp(-s * (lam**2 + params.rho**2)) * phi[node]
+            desc = f"heat kernel s={s:.3g} translated to x={rgrid.nodes[node]:.6g}"
         else:
             c = float(rng.uniform(0.2, 0.55) * sgrid.lam_max)
             w = float(rng.uniform(1.0, 3.5))
@@ -124,31 +124,30 @@ def _trial_functions(params, m, sgrid, trials, seed):
             desc = f"modulated bump at {c:.1f}"
         spectra[:, i] = prof
         descs.append(desc)
-    if heat:
-        cols, x0s = zip(*heat)
-        with np.errstate(under="ignore"):
-            spectra[:, list(cols)] *= phi_matrix(params, np.array(x0s), lam).T
     return spectra, descs
 
 
 def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grids=None) -> OperatorNormEstimate:
     """Lower bound on ||T_m||_{L^p -> L^p} over the seeded trial family.
 
-    Trials whose radial L^2 norm is zero or not finite are dropped; the rest
-    go through apply_multiplier_operator as one block, and the witness is
-    the first trial, in trial order, with the largest ratio.
+    Each trial is a spectrum S; f and T_m f are the inverse transforms of S
+    and m S, from one real block [S | Re mS | Im mS].  Trials whose radial
+    L^2 norm is zero or not finite are dropped, the rest are gated for decay,
+    and the witness is the first trial, in trial order, with the largest ratio.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     rgrid, sgrid = default_grids(params) if grids is None else grids
-    spectra, descs = _trial_functions(params, m, sgrid, trials, seed)
-    # the profiles are exact by construction; skip the measured-decay gate
-    f = inverse_transform(params, SampledSpectralFunction(sgrid, spectra), rgrid, check=False)
-    norms = f.norm(2)
+    spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
+    mhat = m(sgrid.nodes)[:, None] * spectra
+    block = [spectra, mhat.real] + ([mhat.imag] if np.any(np.imag(mhat)) else [])
+    # the spectra are exact by construction; only the radial trials are gated
+    out = inverse_transform(params, SampledSpectralFunction(sgrid, np.hstack(block)), rgrid, check=False).values
+    norms = _lp_norm(out[:, :trials], rgrid.mu_weights, 2)
     kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
-    _, ratios = apply_multiplier_operator(
-        params, m, SampledRadialFunction(rgrid, f.values[:, kept]), p, sgrid
-    )
+    _check_decay(out[:, kept], _tail_count(rgrid), "radial function")
+    tf = out[:, trials + kept] + (1j * out[:, 2 * trials + kept] if len(block) == 3 else 0.0)
+    ratios = _lp_norm(tf, rgrid.mu_weights, p) / _lp_norm(out[:, kept], rgrid.mu_weights, p)
     best = 0.0
     witness = "none"
     for j, ratio in zip(kept, ratios):

@@ -128,8 +128,8 @@ def hyp2f1(a, b, c, z):
     if abs(c - round(c.real)) <= _POLE_TOL and round(c.real) <= 0 and abs(c.imag) <= _POLE_TOL:
         raise ParameterError("2F1 parameter c is a nonpositive integer")
     z = float(z)
-    if z >= 1.0:
-        raise DomainError("hyp2f1 requires z < 1")
+    if not -math.inf < z < 1.0:
+        raise DomainError(f"hyp2f1 requires a finite z < 1, got z = {z}")
     if 0.0 <= z < 1.0:
         return complex(hyp2f1_real_arg(a, b, c, z))
     w = z / (z - 1.0)
@@ -153,8 +153,8 @@ def hyp2f1_real_arg(a, b, c, w):
     converged elements leave the live set once they make up a quarter of it.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0) or np.any(w >= 1.0):
-        raise DomainError("hyp2f1_real_arg requires 0 <= w < 1")
+    if not np.all((w >= 0.0) & (w < 1.0)):
+        raise DomainError("hyp2f1_real_arg requires finite w with 0 <= w < 1")
     a = np.asarray(a)
     b = np.asarray(b)
     if np.isrealobj(a) and np.isrealobj(b) and (np.isrealobj(c) or abs(complex(c).imag) == 0.0):

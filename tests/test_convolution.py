@@ -104,6 +104,11 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel_values(generic_params, -1.0, 1.0, 1.0)
 
+    def test_nan_argument_raises(self, generic_params):
+        # NaN fails the support test, so it read as a kernel value of 0
+        with pytest.raises(DomainError):
+            kernel_values(generic_params, 1.0, math.nan, 1.0)
+
     def test_unit_mass(self, generic_params):
         # integral K(s,t,u) dmu(u) = 1 for every fixed (s, t)
         from jacobilab.convolution import _support_rule

@@ -291,6 +291,11 @@ class TestCFunction:
                 with pytest.raises(OverflowLimitError, match="450"):
                     c_function(params, lam)
 
+    def test_large_alpha_blames_gamma_alpha(self):
+        # Gamma(alpha + 1) overflows at every lambda, not only past |lambda| ~ 450
+        with pytest.raises(OverflowLimitError, match=r"Gamma\(alpha \+ 1\).*alpha = 200"):
+            c_function(JacobiParameters(200.0, 1.0), 2.0)
+
     def test_asymptotics_report_converges(self, generic_params):
         lams = list(np.geomspace(2.0, 400.0, 20))
         rows = c_asymptotics_report(generic_params, lams)

@@ -20,7 +20,9 @@ from jacobilab import (
     inverse_transform,
     theorem_ratio_experiment,
 )
+from jacobilab import lab, transform
 from jacobilab.lab import _trial_functions
+from jacobilab.transform import phi_matrix_for
 
 
 def constant_multiplier(value=1.0):
@@ -40,10 +42,15 @@ def heat_multiplier(params, s=0.05):
     return MultiplierSpec(evaluate, True, "rapidly-decreasing", f"heat-{s:g}")
 
 
-def per_trial_estimate(params, m, p, trials, seed, grids):
-    """The probe one trial at a time: (lower bound, witness, kept trials)."""
+def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
+    """The probe one trial at a time: (lower bound, witness, kept trials).
+
+    f_j and T_m f_j are the inverse transforms of the trial spectrum S_j and
+    of m S_j; with round_trip, T_m f_j is apply_multiplier_operator of f_j
+    (forward transform, m, inverse transform) instead.
+    """
     rgrid, sgrid = grids
-    spectra, descs = _trial_functions(params, m, sgrid, trials, seed)
+    spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
     best, witness, count = 0.0, "none", 0
     for j in range(trials):
         g = SampledSpectralFunction(sgrid, spectra[:, j])
@@ -52,7 +59,11 @@ def per_trial_estimate(params, m, p, trials, seed, grids):
         if norm == 0.0 or not np.isfinite(norm):
             continue
         count += 1
-        _, ratio = apply_multiplier_operator(params, m, f, p, sgrid)
+        if round_trip:
+            _, ratio = apply_multiplier_operator(params, m, f, p, sgrid)
+        else:
+            mg = SampledSpectralFunction(sgrid, m(sgrid.nodes) * spectra[:, j])
+            ratio = inverse_transform(params, mg, rgrid, check=False).norm(p) / f.norm(p)
         if ratio > best:
             best, witness = ratio, descs[j]
     return best, witness, count
@@ -117,9 +128,63 @@ class TestEstimateOperatorNorm:
                 assert est.witness == witness
                 assert est.trials == count
 
+    @pytest.mark.parametrize("preset", ["generic", "dr", "h3"])
+    def test_exact_spectra_match_round_trip(self, preset, generic_params, dr_params, h3_params, grids):
+        # T_m f from m S against the forward/inverse round trip of f, on the
+        # default grids; at p = 2 the round trip's quadrature error shows
+        params = {"generic": generic_params, "dr": dr_params, "h3": h3_params}[preset]
+        if preset != "generic":
+            grids = (RadialGrid.graded(params, 20.0, 400), SpectralGrid.build(params, 50.0, 300))
+        for m in standard_multiplier_family(params):
+            for p, rel in ((2, 1e-6), (3, 1e-12), (4, 1e-12)):
+                est = estimate_operator_norm(params, m, p, trials=8, seed=5, grids=grids)
+                best, _, count = per_trial_estimate(params, m, p, 8, 5, grids, round_trip=True)
+                assert est.lower_bound == pytest.approx(best, rel=rel), (m.label, p)
+                assert est.trials == count
+
+    def test_heat_trials_sit_on_radial_nodes(self, generic_params, grids):
+        rgrid, sgrid = grids
+        m = heat_multiplier(generic_params)
+        spectra, descs = _trial_functions(generic_params, m, rgrid, sgrid, 12, 7)
+        phi = phi_matrix_for(generic_params, rgrid, sgrid)
+        heat = [(j, d) for j, d in enumerate(descs) if d.startswith("heat kernel")]
+        assert len(heat) == 3
+        for j, desc in heat:
+            x = float(desc.rsplit("x=", 1)[1])
+            node = int(np.argmin(np.abs(rgrid.nodes - x)))
+            assert abs(rgrid.nodes[node] - x) <= 5e-6 * x, desc
+            # the spectrum is h_s-hat times that node's phi row
+            ratio = spectra[:, j] / phi[node]
+            s = -np.log(ratio[0]) / (sgrid.nodes[0] ** 2 + generic_params.rho**2)
+            assert spectra[:, j] == pytest.approx(
+                np.exp(-s * (sgrid.nodes**2 + generic_params.rho**2)) * phi[node], rel=1e-9
+            )
+
+    def test_warm_experiment_builds_no_phi_and_no_forward_transform(self, generic_params, grids, monkeypatch):
+        family = standard_multiplier_family(generic_params)
+        theorem_ratio_experiment(generic_params, family, 2, seed=1, grids=grids, trials=8)
+        calls = {"phi_matrix": 0, "jacobi_transform": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # the bindings through which lab reaches either function
+        counted(transform, "phi_matrix")
+        counted(lab, "jacobi_transform")
+        assert not hasattr(lab, "phi_matrix")
+        res = theorem_ratio_experiment(generic_params, family, 2, seed=1, grids=grids, trials=8)
+        assert np.isfinite(res["verdict_max_ratio"])
+        assert calls == {"phi_matrix": 0, "jacobi_transform": 0}
+
     def test_decay_gate_in_batched_loop(self, generic_params):
         # trial spectra reach lam = 30 on a radial grid cut at t = 2: the
-        # radial trials have not decayed, so the forward transform refuses them
+        # radial trials have not decayed, so the probe's radial gate refuses them
         m = standard_multiplier_family(generic_params)[0]
         grids = (RadialGrid.graded(generic_params, 2.0, 40), SpectralGrid.build(generic_params, 30.0, 60))
         with pytest.raises(DecayError):

@@ -108,6 +108,15 @@ class TestHyp2F1:
         with pytest.raises(DomainError):
             hyp2f1(1.0, 1.0, 2.0, 1.0)
 
+    def test_infinite_z_is_named(self):
+        # z = -inf maps to w = nan, which summed to the term budget
+        with pytest.raises(DomainError, match="z = -inf"):
+            hyp2f1(1.0, 1.0, 2.0, -math.inf)
+
+    def test_nan_w_raises(self):
+        with pytest.raises(DomainError):
+            hyp2f1_real_arg(1.0, 1.0, 2.0, np.array([0.5, math.nan]))
+
     def test_max_terms_budget(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
         with pytest.raises(ConvergenceError):
