@@ -35,10 +35,9 @@ from .errors import DecayError, JacobiLabError
 from .lab import standard_multiplier_family, theorem_ratio_experiment
 from .multiplier import MultiplierSpec, omega, w_function
 from .transform import (
-    RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
-    SpectralGrid,
+    default_grids,
     heat_kernel,
     inverse_transform,
     jacobi_transform,
@@ -207,9 +206,7 @@ def _resample(xs, vals, nodes):
 
 
 def _grids(args, params):
-    rgrid = RadialGrid.graded(params, args.t_max, args.radial_panels)
-    sgrid = SpectralGrid.build(params, args.lam_max, args.spectral_panels)
-    return rgrid, sgrid
+    return default_grids(params, args.t_max, args.radial_panels, args.lam_max, args.spectral_panels)
 
 
 def _write_function_csv(args, params, path, key, nodes, values, manifest_extra):
@@ -391,13 +388,9 @@ def _cmd_probe(args, params):
     else:
         family = standard_multiplier_family(params)
 
-    coarse = (
-        RadialGrid.graded(params, args.t_max, args.radial_panels),
-        SpectralGrid.build(params, args.lam_max, args.spectral_panels),
-    )
-    fine = (
-        RadialGrid.graded(params, args.t_max, int(args.radial_panels * 1.25)),
-        SpectralGrid.build(params, args.lam_max, int(args.spectral_panels * 1.5)),
+    coarse = _grids(args, params)
+    fine = default_grids(
+        params, args.t_max, int(args.radial_panels * 1.25), args.lam_max, int(args.spectral_panels * 1.5)
     )
     res = theorem_ratio_experiment(
         params, family, args.p, seed=args.seed, grids=coarse, trials=args.trials

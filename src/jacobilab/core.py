@@ -13,12 +13,13 @@ cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
 rows that hold 2F1 cells go through one `specfun.hyp2f1_real_arg` call with
 a and c - b per lambda column and w = tanh^2 t per cell (0 off the route), so
 the series forms one term ratio per column and tests for convergence on every
-8th term.  At real lambda the Harish-Chandra rows are evaluated in
-real arithmetic by `_harish_chandra_real`: each row keeps its own number of
-series terms, max(12, ceil(27 / t)), and rows that share it share one real
-matrix product per block of at most `specfun._BLOCK_SIZE` cells.  Complex
-lambda takes `_harish_chandra`.  The scalar `jacobi_phi`, the dense
-`phi_matrix`, `laplacian_residual` and the local expansion all call `_phi`.
+8th term.  One Harish-Chandra evaluator, `_harish_chandra`, serves real and
+complex lambda: each row keeps its own number of series terms,
+max(12, ceil(27 / t)), and rows that share it share one real matrix product
+per block of at most `specfun._BLOCK_SIZE` cells.  Real lambda takes 2 Re of
+the term at lambda; complex lambda sums the terms at lambda and -lambda.  The
+scalar `jacobi_phi`, the dense `phi_matrix`, `laplacian_residual` and the
+local expansion all call `_phi`.
 """
 
 from __future__ import annotations
@@ -183,39 +184,22 @@ def _hc_terms(t):
     return k
 
 
-def _harish_chandra(params, t, lam, k_max=None):
-    """Harish-Chandra terms c(lambda) e^((i lambda - rho) t) sum_k Gamma_k(lambda) e^(-2kt).
-
-    t: 1-D array of positive nodes, lam: 1-D array; returns the complex
-    (t, lambda) matrix.  phi_lambda(t) is the sum of the terms at lambda and
-    -lambda, or 2 Re of the term at real lambda.  k_max defaults to the
-    truncation max(12, ceil(27 / min t)), which may not exceed 800.
-    """
-    t = np.asarray(t, dtype=float)
-    lam = np.asarray(lam, dtype=complex)
-    if k_max is None:
-        k_max = int(_hc_terms(t).max())
-    table = gamma_coefficient_table(params, lam, k_max)
-    with np.errstate(under="ignore"):
-        terms = np.exp(np.outer(-2.0 * t, np.arange(k_max + 1))) @ table
-        terms *= np.exp((1j * lam[None, :] - params.rho) * t[:, None])
-    terms *= c_function(params, lam)
-    return terms
-
-
-def _harish_chandra_real(params, t, lam, out, rows):
-    """Write phi = 2 Re of the Harish-Chandra term at real lam > 0 into out[rows].
+def _harish_chandra(params, t, lam, out, rows):
+    """Write the Harish-Chandra sum for phi_lambda(t) into out[rows].
 
     Row i keeps its own truncation K = max(12, ceil(27 / t_i)).  The table
     c(lambda) Gamma_k(lambda) is built once, at the largest K, and held as
     real columns [Re | Im]; the rows that share a K take S = E [Re | Im] as one
-    real product per block of at most _BLOCK_SIZE cells, E[i, k] = e^(-2k t_i),
-    and phi = 2 e^(-rho t) (cos(lambda t) Re S - sin(lambda t) Im S).
+    real product per block of at most _BLOCK_SIZE cells, E[i, k] = e^(-2k t_i).
+    Real lam > 0 gives phi = 2 e^(-rho t) (cos(lambda t) Re S - sin(lambda t) Im S);
+    complex lam takes the table at [lam, -lam] and sums e^((+-i lambda - rho) t) S.
     """
+    real = not np.iscomplexobj(lam)
+    lam_pm = lam if real else np.concatenate([lam, -lam])
     k_row = _hc_terms(t)
-    table = gamma_coefficient_table(params, lam, int(k_row.max())) * c_function(params, lam)
+    table = gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)
     table = np.concatenate([table.real, table.imag], axis=1)
-    n = lam.size
+    n = lam_pm.size
     block_rows = max(1, _BLOCK_SIZE // n)
     with np.errstate(under="ignore"):
         for k in np.unique(k_row):
@@ -225,12 +209,16 @@ def _harish_chandra_real(params, t, lam, out, rows):
                 tb = t[block]
                 s = np.exp(np.outer(-2.0 * tb, np.arange(k + 1))) @ table[: k + 1]
                 re, im = s[:, :n], s[:, n:]
-                phase = np.outer(tb, lam)
-                re *= np.cos(phase)
-                im *= np.sin(phase, out=phase)
-                re -= im
-                re *= 2.0 * np.exp(-params.rho * tb)[:, None]
-                out[rows[block]] = re
+                if real:
+                    phase = np.outer(tb, lam)
+                    re *= np.cos(phase)
+                    im *= np.sin(phase, out=phase)
+                    re -= im
+                    re *= 2.0 * np.exp(-params.rho * tb)[:, None]
+                    out[rows[block]] = re
+                else:
+                    terms = (re + 1j * im) * np.exp((1j * lam_pm - params.rho) * tb[:, None])
+                    out[rows[block]] = terms[:, : lam.size] + terms[:, lam.size :]
 
 
 def _require_finite(name, x):
@@ -267,14 +255,10 @@ def _phi(params, t, lam, hypergeometric=None):
 
     hc_rows = np.flatnonzero(~np.all(direct, axis=1))
     if hc_rows.size:
-        # c(lambda) has a pole at 0, where the two terms cancel
-        if real:
-            lam_hc = np.maximum(lam, _LAMBDA_FLOOR)
-            _harish_chandra_real(params, t[hc_rows], lam_hc, out, hc_rows)
-        else:
-            lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, _LAMBDA_FLOOR + 1j * lam.imag, lam)
-            terms = _harish_chandra(params, t[hc_rows], np.concatenate([lam_hc, -lam_hc]))
-            out[hc_rows] = terms[:, : lam.size] + terms[:, lam.size :]
+        # c(lambda) has a pole at 0, where the two terms cancel: below the
+        # floor, Re lambda moves to the floor and Im lambda stays
+        lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
+        _harish_chandra(params, t[hc_rows], lam_hc, out, hc_rows)
 
     rows = np.flatnonzero(np.any(direct, axis=1))
     if rows.size:

@@ -72,7 +72,7 @@ def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunctio
     fhat = jacobi_transform(params, f, sgrid)
     # transposes broadcast m(lambda) along the node axis of one column or a block
     mhat = SampledSpectralFunction(sgrid, (fhat.values.T * m(sgrid.nodes)).T)
-    tf = inverse_transform(params, mhat, f.grid, check=False)
+    tf = inverse_transform(params, mhat, f.grid, decay_fraction=None)
     return tf, tf.norm(p) / denom
 
 
@@ -142,7 +142,7 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grid
     mhat = m(sgrid.nodes)[:, None] * spectra
     block = [spectra, mhat.real] + ([mhat.imag] if np.any(np.imag(mhat)) else [])
     # the spectra are exact by construction; only the radial trials are gated
-    out = inverse_transform(params, SampledSpectralFunction(sgrid, np.hstack(block)), rgrid, check=False).values
+    out = inverse_transform(params, SampledSpectralFunction(sgrid, np.hstack(block)), rgrid, decay_fraction=None).values
     norms = _lp_norm(out[:, :trials], rgrid.mu_weights, 2)
     kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
     _check_decay(out[:, kept], _tail_count(rgrid), "radial function")

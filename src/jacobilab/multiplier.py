@@ -30,7 +30,6 @@ from .errors import (
     GridError,
     ParameterError,
 )
-from .specfun import gamma_complex
 from .transform import (
     RadialGrid,
     SampledRadialFunction,
@@ -133,32 +132,25 @@ def omega(params, lam):
 
 
 def c_inverse_reflected(params, lam):
-    """c(-lambda)^(-1), vectorized; zero at the Gamma poles (notably lambda=0)."""
+    """c(-lambda)^(-1) = 1 / c_function(params, -lambda), vectorized.
+
+    Exactly zero at the poles of Gamma(-i lambda), where -i lambda is a
+    nonpositive integer (notably lambda = 0).  Raises OverflowLimitError where
+    c_function does, past |lambda| of about 450 on the real line.
+    """
     lam = np.asarray(lam, dtype=complex)
-    il = 1j * lam
-    a, rho = params.alpha, params.rho
-    # reciprocal of c(-lambda): poles of Gamma(-i lambda) become zeros here
-    z = -il
-    near_pole = (np.abs(z - np.round(z.real)) <= 1e-13) & (np.round(z.real) <= 0)
-    z_safe = np.where(near_pole, 1.0, z)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        out = (
-            gamma_complex(0.5 * (rho - il))
-            * gamma_complex(0.5 * (rho - il) - params.beta)
-            / (2.0 ** (rho + il) * np.asarray(gamma_complex(z_safe)) * math.gamma(a + 1.0))
-        )
-    out = np.where(near_pole, 0.0, out)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    z = -1j * lam
+    pole = (np.abs(z - np.round(z.real)) <= 1e-13) & (np.round(z.real) <= 0)
+    out = np.where(pole, 0.0, 1.0 / c_function(params, np.where(pole, 1.0, -lam)))
+    return complex(out) if out.ndim == 0 else out
 
 
 def modified_multiplier(params, m: MultiplierSpec, lam):
     """M(lambda) = m(lambda) c(-lambda)^(-1).
 
     Points where m has already underflowed to zero are never pushed through
-    the Gamma quotients, which would otherwise produce inf * 0 artifacts far
-    out on shifted contours.
+    c(-lambda)^(-1), so far out on shifted contours they stay 0.  Where m is
+    nonzero past |lambda| of about 450, c_function raises OverflowLimitError.
     """
     lam_arr = np.asarray(lam, dtype=complex)
     scalar = lam_arr.ndim == 0

@@ -255,22 +255,27 @@ def _weighted_product(phi, weights, values):
     return out.reshape(phi.shape[:1] + values.shape[1:])
 
 
-def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, check=True, decay_fraction=_DECAY_FRACTION) -> SampledSpectralFunction:
-    """Forward transform: f_hat(lambda) = integral f phi dmu, per column."""
-    if check:
+def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, decay_fraction=_DECAY_FRACTION) -> SampledSpectralFunction:
+    """Forward transform: f_hat(lambda) = integral f phi dmu, per column.
+
+    The tail gate requires the last samples below decay_fraction times the
+    peak; decay_fraction=None skips it.
+    """
+    if decay_fraction is not None:
         _check_decay(f.values, _tail_count(f.grid), "radial function", decay_fraction)
     phi = phi_matrix_for(params, f.grid, sgrid)
     return SampledSpectralFunction(sgrid, _weighted_product(phi.T, f.grid.mu_weights, f.values))
 
 
-def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, check=True, decay_fraction=_DECAY_FRACTION) -> SampledRadialFunction:
+def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, decay_fraction=_DECAY_FRACTION) -> SampledRadialFunction:
     """Inverse transform: f(t) = integral g(lambda) phi_lambda(t) dnu(lambda), per column.
 
-    check=False skips the tail gate; used internally on spectra that are
-    re-computed from already-validated radial samples, whose tails sit at the
-    quadrature noise floor rather than at true spectral content.
+    The tail gate is as in jacobi_transform.  decay_fraction=None skips it; used
+    internally on spectra that are re-computed from already-validated radial
+    samples, whose tails sit at the quadrature noise floor rather than at true
+    spectral content.
     """
-    if check:
+    if decay_fraction is not None:
         _check_decay(g.values, _tail_count(g.grid), "spectral function", decay_fraction)
     phi = phi_matrix_for(params, rgrid, g.grid)
     return SampledRadialFunction(rgrid, _weighted_product(phi, g.grid.nu_weights, g.values))

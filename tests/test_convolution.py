@@ -155,7 +155,7 @@ class TestConvolve:
         f, g, conv = direct_fg
         fhat = jacobi_transform(generic_params, f, conv_sgrid)
         ghat = jacobi_transform(generic_params, g, conv_sgrid)
-        chat = jacobi_transform(generic_params, conv, conv_sgrid, check=False)
+        chat = jacobi_transform(generic_params, conv, conv_sgrid, decay_fraction=None)
         prod = fhat.values * ghat.values
         scale = np.max(np.abs(prod))
         assert np.max(np.abs(chat.values - prod)) < 1e-4 * scale

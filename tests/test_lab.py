@@ -54,7 +54,7 @@ def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
     best, witness, count = 0.0, "none", 0
     for j in range(trials):
         g = SampledSpectralFunction(sgrid, spectra[:, j])
-        f = inverse_transform(params, g, rgrid, check=False)
+        f = inverse_transform(params, g, rgrid, decay_fraction=None)
         norm = f.norm(2)
         if norm == 0.0 or not np.isfinite(norm):
             continue
@@ -63,7 +63,7 @@ def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
             _, ratio = apply_multiplier_operator(params, m, f, p, sgrid)
         else:
             mg = SampledSpectralFunction(sgrid, m(sgrid.nodes) * spectra[:, j])
-            ratio = inverse_transform(params, mg, rgrid, check=False).norm(p) / f.norm(p)
+            ratio = inverse_transform(params, mg, rgrid, decay_fraction=None).norm(p) / f.norm(p)
         if ratio > best:
             best, witness = ratio, descs[j]
     return best, witness, count

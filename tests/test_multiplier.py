@@ -10,6 +10,7 @@ from jacobilab import (
     DomainError,
     GridError,
     MultiplierSpec,
+    OverflowLimitError,
     ParameterError,
     RadialGrid,
     SpectralGrid,
@@ -80,6 +81,9 @@ class TestModifiedMultiplier:
         lam = np.array([0.7 + 0.2j, 3.0 - 1.0j])
         prod = c_inverse_reflected(generic_params, lam) * c_function(generic_params, -lam)
         assert np.max(np.abs(prod - 1.0)) < 1e-12
+        # Gamma(-i lambda) has poles where -i lambda is a nonpositive integer
+        assert np.all(c_inverse_reflected(generic_params, np.array([0.0, -1j, -2j])) == 0.0)
+        assert c_inverse_reflected(generic_params, 0.0) == 0.0
 
     def test_zero_multiplier_stays_zero(self, generic_params):
         def dead(lam):
@@ -88,6 +92,14 @@ class TestModifiedMultiplier:
         m = MultiplierSpec(dead, True, "rapidly-decreasing", "dead")
         out = modified_multiplier(generic_params, m, np.array([1000.0 + 0j]))
         assert np.all(out == 0.0)
+
+    def test_past_gamma_range_raises(self, generic_params):
+        # c(-lambda) leaves double range near |lambda| = 450: a typed error, not NaN
+        one = MultiplierSpec(lambda lam: np.ones(np.shape(lam), dtype=complex), True, "bounded", "one")
+        with pytest.raises(OverflowLimitError):
+            modified_multiplier(generic_params, one, np.array([480.0 + 0j]))
+        with pytest.raises(OverflowLimitError):
+            c_inverse_reflected(generic_params, 480.0)
 
 
 class TestBoundaryTrace:

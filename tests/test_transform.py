@@ -134,7 +134,7 @@ class TestTransformPair:
         rgrid, sgrid = grids
         f = gaussian_bump(rgrid)
         fhat = jacobi_transform(generic_params, f, sgrid)
-        back = inverse_transform(generic_params, fhat, rgrid, check=False)
+        back = inverse_transform(generic_params, fhat, rgrid, decay_fraction=None)
         assert np.max(np.abs(back.values - f.values)) < 1e-9
 
     def test_constants(self, generic_params):
@@ -157,7 +157,7 @@ class TestTransformPair:
     def test_decay_gate_escape_hatch(self, generic_params, small_grids):
         rgrid, sgrid = small_grids
         undecayed = SampledSpectralFunction(sgrid, np.ones_like(sgrid.nodes))
-        inverse_transform(generic_params, undecayed, rgrid, check=False)
+        inverse_transform(generic_params, undecayed, rgrid, decay_fraction=None)
 
     def test_zero_function_defect_guard(self, generic_params, small_grids):
         rgrid, sgrid = small_grids
@@ -267,7 +267,7 @@ class TestHeatKernel:
         rgrid, sgrid = grids
         s = 0.1
         h = heat_kernel(generic_params, s, rgrid, sgrid)
-        hhat = jacobi_transform(generic_params, h, sgrid, check=False)
+        hhat = jacobi_transform(generic_params, h, sgrid, decay_fraction=None)
         lam = sgrid.nodes[sgrid.nodes < 20.0]
         expected = np.exp(-s * (lam**2 + generic_params.rho**2))
         got = hhat.values.real[sgrid.nodes < 20.0]
