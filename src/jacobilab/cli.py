@@ -68,7 +68,6 @@ def build_parser():
     parser.add_argument("--radial-panels", type=int, default=400)
     parser.add_argument("--lam-max", type=float, default=50.0)
     parser.add_argument("--spectral-panels", type=int, default=300)
-    parser.add_argument("--r0", type=float, default=1.1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output-dir")
 
@@ -131,7 +130,6 @@ def _config_hash(args, params):
         "radial_panels": args.radial_panels,
         "lam_max": args.lam_max,
         "spectral_panels": args.spectral_panels,
-        "r0": args.r0,
         "seed": args.seed,
         "version": __version__,
     }

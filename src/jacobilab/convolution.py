@@ -18,7 +18,7 @@ import numpy as np
 from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
-from .specfun import hyp2f1_real_arg
+from .specfun import _gamma_alpha_plus_one, hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction, SampledSpectralFunction, SpectralGrid
 from .transform import inverse_transform, jacobi_transform
 
@@ -50,12 +50,8 @@ class KernelEvaluation:
 def _kernel_prefactor(params):
     # This constant gives the kernel unit mass against dmu only at rho = 5/2;
     # elsewhere the mass is 2^(5 - 2 rho), so the product formula fails there.
-    a, rho = params.alpha, params.rho
-    return (
-        2.0 ** (5.0 - 4.0 * rho)
-        * math.gamma(a + 1.0)
-        / (math.sqrt(math.pi) * math.gamma(a + 0.5))
-    )
+    a = params.alpha
+    return 2.0 ** (5.0 - 4.0 * params.rho) * _gamma_alpha_plus_one(a) / (math.sqrt(math.pi) * math.gamma(a + 0.5))
 
 
 def kernel_values(params, s, t, u):

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._util import loglog_slope
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
-from .specfun import _BLOCK_SIZE, bessel_script_J, gamma_complex, hyp2f1_real_arg
+from .specfun import _BLOCK_SIZE, _gamma_alpha_plus_one, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
 __all__ = [
     "JacobiParameters",
@@ -97,10 +97,7 @@ class JacobiParameters:
         beta_ok = a > b >= -0.5 if self.relaxed else a > b > -0.5
         if not beta_ok:
             raise ParameterError("parameters must satisfy alpha > beta > -1/2")
-        rho = a + b + 1.0
-        if rho <= 0:
-            raise ParameterError("rho = alpha + beta + 1 must be positive")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", a + b + 1.0)
 
 
 def weight_density(params: JacobiParameters, t):
@@ -223,7 +220,7 @@ def _harish_chandra(params, t, lam, out, rows):
 
 def _require_finite(name, x):
     if not np.all(np.isfinite(x)):
-        raise DomainError(f"phi requires finite {name}")
+        raise DomainError(f"{name} must be finite")
 
 
 def _phi(params, t, lam, hypergeometric=None):
@@ -328,38 +325,30 @@ def c_function(params, lam):
     c(lambda) = 2^(rho - i lambda) Gamma(i lambda) Gamma(alpha + 1)
                 / [Gamma((rho + i lambda)/2) Gamma((rho + i lambda)/2 - beta)].
 
-    Raises OverflowLimitError where the numerator or the denominator leaves
-    the normal double range, so that the quotient is not finite or has lost
-    digits: at every lambda once Gamma(alpha + 1) 2^rho overflows (alpha past
-    about 150), and for real lambda where the Gammas underflow, past |lambda|
-    of about 450.
+    By the duplication formula for Gamma(i lambda) (DLMF 5.5.5), with
+    z = i lambda / 2 this is 2^(rho - 1) pi^(-1/2) Gamma(alpha + 1) times the
+    ratios Gamma(z)/Gamma(z + rho/2) and Gamma(z + 1/2)/Gamma(z + (alpha - beta + 1)/2),
+    each taken from `specfun.gamma_ratio` as e^L F, so the Gammas never leave
+    log space.  c is exactly 0 at the poles of its denominator.  Raises
+    OverflowLimitError where a nonzero c leaves the normal doubles (alpha past
+    about 500, or |lambda| past about 1e150).
     """
     lam_arr = np.asarray(lam, dtype=complex)
-    il = 1j * lam_arr
-    # the lambda-free factor 2^rho Gamma(alpha + 1) of the numerator
-    if math.lgamma(params.alpha + 1.0) + params.rho * math.log(2.0) >= math.log(np.finfo(float).max):
-        raise OverflowLimitError(
-            f"c_function: Gamma(alpha + 1) 2^rho leaves double range at alpha = {params.alpha:g}"
-        )
-    gamma_a1 = math.gamma(params.alpha + 1.0)
+    _require_finite("lambda", lam_arr)
+    z = 0.5j * lam_arr.reshape(-1)
+    l1, f1 = gamma_ratio(z, 0.0, 0.5 * params.rho)
+    l2, f2 = gamma_ratio(z, 0.5, 0.5 * (params.alpha - params.beta + 1.0))
+    log_const = math.lgamma(params.alpha + 1.0) + (params.rho - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
+    zero = (f1 == 0.0) | (f2 == 0.0)
     with np.errstate(all="ignore"):
-        num = 2.0 ** (params.rho - il) * gamma_complex(il) * gamma_a1
-        den = gamma_complex(0.5 * (params.rho + il)) * gamma_complex(
-            0.5 * (params.rho + il) - params.beta
-        )
-        out = num / den
-    # c has no zeros or poles off the Gamma poles, so a numerator or
-    # denominator outside the normal doubles means the quotient lost its digits
-    normal = np.finfo(float).tiny
-    bad = ~(np.isfinite(num) & np.isfinite(den) & (np.abs(num) >= normal) & (np.abs(den) >= normal))
+        out = np.where(zero, 0.0, np.exp(log_const + l1 + l2) * f1 * f2)
+    bad = ~zero & ~(np.isfinite(out) & (np.abs(out) >= np.finfo(float).tiny))
     if np.any(bad):
         raise OverflowLimitError(
-            f"c_function: the Gamma quotient leaves double range at lambda = "
-            f"{complex(lam_arr[bad].flat[0]):.6g} (for real lambda, past |lambda| of about 450)"
+            f"c_function: c(lambda) leaves the normal doubles at lambda = "
+            f"{complex(lam_arr.reshape(-1)[bad][0]):.6g}, alpha = {params.alpha:g}"
         )
-    if lam_arr.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 
 def plancherel_density(params, lam):
@@ -367,11 +356,8 @@ def plancherel_density(params, lam):
     lam_arr = np.asarray(lam, dtype=float)
     if np.any(lam_arr == 0.0):
         raise PoleError("plancherel density undefined at lambda = 0")
-    c = c_function(params, lam_arr.astype(complex))
-    out = 1.0 / np.abs(c) ** 2
-    if lam_arr.ndim == 0:
-        return float(out)
-    return out
+    out = 1.0 / np.abs(c_function(params, lam_arr.astype(complex))) ** 2
+    return float(out) if lam_arr.ndim == 0 else out
 
 
 def c_asymptotics_report(params, lambda_list):
@@ -386,17 +372,16 @@ def c_asymptotics_report(params, lambda_list):
         raise DomainError("lambda_list must be increasing with min >= 1")
     expo = 2.0 * params.alpha + 1.0
     h = 1e-5 * lams
-    stack = np.stack([lams, lams + h, lams - h])
-    d0, d_plus, d_minus = plancherel_density(params, stack)
-    c0, c_plus, c_minus = c_function(params, stack)
-    dp = (d_plus - d_minus) / (2 * h)
-    cp = (c_plus - c_minus) / (2 * h)
+    c = c_function(params, np.stack([lams, lams + h, lams - h]))
+    d = 1.0 / np.abs(c) ** 2
+    dp = (d[1] - d[2]) / (2 * h)
+    cp = (c[1] - c[2]) / (2 * h)
     return [
         {
             "lambda": float(lam),
-            "d_ratio": float(d0[i] / lam**expo),
+            "d_ratio": float(d[0, i] / lam**expo),
             "d_prime_scaled": float(dp[i] / (1.0 + lam) ** (2.0 * params.alpha)),
-            "logderiv_scaled": float(abs(cp[i] / c0[i]) * lam),
+            "logderiv_scaled": float(abs(cp[i] / c[0, i]) * lam),
         }
         for i, lam in enumerate(lams)
     ]
@@ -404,7 +389,7 @@ def c_asymptotics_report(params, lambda_list):
 
 def _local_expansion_prefactor(params):
     # Normalization fixing truncation -> 1 as t -> 0 at lambda = 0.
-    return 2.0 ** (params.rho + params.alpha) * math.gamma(params.alpha + 1.0)
+    return 2.0 ** (params.rho + params.alpha) * _gamma_alpha_plus_one(params.alpha)
 
 
 def _match_a1(params):

@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     GridError,
     ParameterError,
+    PoleError,
 )
 from .transform import (
     RadialGrid,
@@ -135,13 +136,17 @@ def c_inverse_reflected(params, lam):
     """c(-lambda)^(-1) = 1 / c_function(params, -lambda), vectorized.
 
     Exactly zero at the poles of Gamma(-i lambda), where -i lambda is a
-    nonpositive integer (notably lambda = 0).  Raises OverflowLimitError where
-    c_function does, past |lambda| of about 450 on the real line.
+    nonpositive integer (notably lambda = 0).  Raises PoleError where c(-lambda)
+    vanishes, at lambda = -i(alpha - beta + 1 + 2n) and -i(rho + 2n), and
+    OverflowLimitError where c_function does.
     """
     lam = np.asarray(lam, dtype=complex)
     z = -1j * lam
     pole = (np.abs(z - np.round(z.real)) <= 1e-13) & (np.round(z.real) <= 0)
-    out = np.where(pole, 0.0, 1.0 / c_function(params, np.where(pole, 1.0, -lam)))
+    c = c_function(params, np.where(pole, 1.0, -lam))
+    if np.any(c == 0.0):
+        raise PoleError(f"c(-lambda)^(-1) has a pole at lambda = {complex(lam[c == 0.0].flat[0]):.6g}")
+    out = np.where(pole, 0.0, 1.0 / c)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -150,7 +155,7 @@ def modified_multiplier(params, m: MultiplierSpec, lam):
 
     Points where m has already underflowed to zero are never pushed through
     c(-lambda)^(-1), so far out on shifted contours they stay 0.  Where m is
-    nonzero past |lambda| of about 450, c_function raises OverflowLimitError.
+    nonzero, c_inverse_reflected's PoleError and OverflowLimitError apply.
     """
     lam_arr = np.asarray(lam, dtype=complex)
     scalar = lam_arr.ndim == 0
@@ -160,9 +165,7 @@ def modified_multiplier(params, m: MultiplierSpec, lam):
     live = mvals != 0.0
     if np.any(live):
         out[live] = mvals[live] * c_inverse_reflected(params, lam_arr[live])
-    if scalar:
-        return complex(out[0])
-    return out
+    return complex(out[0]) if scalar else out
 
 
 def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:

@@ -1,10 +1,10 @@
 """Complex special functions: Gamma, Gauss hypergeometric 2F1, Bessel kernels.
 
 Everything here is pure and stateless; functions accept numpy arrays where
-noted and plain scalars otherwise.  The Gamma function uses a 15-term Lanczos
-approximation (g = 607/128) with reflection for Re z < 1/2, which is uniformly
-accurate on the strips the rest of the library actually visits; real
-arguments such as Gamma(alpha + 1) are taken from `math.gamma`.  Every 2F1
+noted and plain scalars otherwise.  Gamma takes one path, a 15-term Lanczos
+form (g = 607/128) at the least shift z + n with Re(z + n) >= 1/2, divided
+by z (z+1) ... (z+n-1); `gamma_ratio` keeps a quotient of two Gammas in log
+space.  Real arguments such as Gamma(alpha + 1) come from `math.gamma`.  Every 2F1
 value, scalar or batched, is summed by the one series `hyp2f1_real_arg`,
 over slices of at most `_BLOCK_SIZE` elements so that its working arrays stay
 in cache.  Its term ratio is formed once per distinct parameter pair (one per
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParameterError, PoleError
+from .errors import ConvergenceError, DomainError, OverflowLimitError, ParameterError, PoleError
 
 __all__ = [
     "gamma_complex",
@@ -64,55 +64,65 @@ _LANCZOS_C = np.array(
 _POLE_TOL = 1e-14
 
 
-def _lanczos_gamma(z):
-    """Lanczos sum for Re z >= 1/2.  Vectorized over numpy arrays."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * np.exp(-t) * acc
+def _at_pole(z):
+    """True where z sits within _POLE_TOL of a nonpositive integer."""
+    near = np.round(z.real)
+    return (np.abs(z - near) <= _POLE_TOL) & (near <= 0)
+
+
+def _rising(z, n):
+    """z (z+1) ... (z+n-1) per element."""
+    acc = np.ones(z.shape, dtype=complex)
+    for j in range(int(n.max(initial=0))):
+        acc = acc * np.where(j < n, z + j, 1.0)
+    return acc
+
+
+def _lanczos_sum(x):
+    """A(x) of the Lanczos form Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^(-t) A(x), t = x + g - 1/2."""
+    return _LANCZOS_C[0] + (_LANCZOS_C[1:] / (x[:, None] + np.arange(len(_LANCZOS_C) - 1.0))).sum(axis=1)
 
 
 def gamma_complex(z):
-    """Gamma(z) for complex z, vectorized.
+    """Gamma(z) for complex z, vectorized: the Lanczos form at z + n over z (z+1) ... (z+n-1).
 
-    Raises PoleError if any entry sits within 1e-14 of a nonpositive integer.
+    Raises DomainError for a non-finite entry, PoleError for one within 1e-14 of a nonpositive integer.
     """
     z = np.asarray(z, dtype=complex)
-    if np.any(np.isnan(z)):
-        raise DomainError("NaN argument to gamma_complex")
-    near_int = np.abs(z - np.round(z.real)) <= _POLE_TOL
-    if np.any(near_int & (np.round(z.real) <= 0)):
+    if not np.all(np.isfinite(z)):
+        raise DomainError("non-finite argument to gamma_complex")
+    if np.any(_at_pole(z)):
         raise PoleError("gamma_complex evaluated at a nonpositive integer")
+    flat = z.reshape(-1)  # a scalar takes the vector path, so it gets the same bits
+    n = np.maximum(np.ceil(0.5 - flat.real), 0.0)
+    x = flat + n
+    t = x + _LANCZOS_G - 0.5
+    out = math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * np.exp(-t) * _lanczos_sum(x) / _rising(flat, n)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
-    out = np.empty(z.shape, dtype=complex)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _lanczos_gamma(z[right])
-    tall = ~right & (np.abs(z.imag) > 8.0)
-    if np.any(tall):
-        # Reflection would overflow in sin(pi z); shift into Re z >= 1/2 via
-        # Gamma(z) = Gamma(z + n) / (z (z+1) ... (z+n-1)).
-        zt = z[tall]
-        n = np.maximum(np.ceil(0.5 - zt.real).astype(int), 0)
-        acc = np.ones(zt.shape, dtype=complex)
-        shift = zt.copy()
-        remaining = n.copy()
-        while np.any(remaining > 0):
-            live = remaining > 0
-            acc[live] *= shift[live]
-            shift[live] += 1.0
-            remaining[live] -= 1
-        out[tall] = _lanczos_gamma(shift) / acc
-    left = ~right & ~tall
-    if np.any(left):
-        zl = z[left]
-        # Reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
-        out[left] = math.pi / (np.sin(math.pi * zl) * _lanczos_gamma(1.0 - zl))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+
+def gamma_ratio(z, a, b):
+    """(L, F) with Gamma(z + a) / Gamma(z + b) = e^L F, for finite complex z and real a, b.
+
+    Both Gammas take the same shift n >= 0, the least with
+    Re(z + min(a, b) + n) >= 1/2, so with x_a = z + a + n, x_b = z + b + n and
+    t_b = x_b + g - 1/2 the large terms of their Lanczos forms cancel in
+        L = (x_a - 1/2) log1p((a - b)/t_b) + (a - b)(log t_b - 1) + log(A(x_a)/A(x_b)).
+    The shift factor F = prod_{j<n} (z + b + j)/(z + a + j) stays linear, so
+    the phase of a 1/z pole does not round through exp.  F is exactly 0 where
+    Gamma(z + b) has a pole; PoleError where Gamma(z + a) has one.
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if np.any(_at_pole(z + a)):
+        raise PoleError(f"gamma_ratio: Gamma(z + {a:g}) evaluated at a nonpositive integer")
+    n = np.maximum(np.ceil(0.5 - z.real - min(a, b)), 0.0)
+    x_a, t_b = z + a + n, z + b + n + _LANCZOS_G - 0.5
+    w = (a - b) / t_b  # log1p(w) in parts, since numpy's complex log1p loses small |w|
+    log1p = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
+    lanczos = np.log(_lanczos_sum(x_a) / _lanczos_sum(z + b + n))
+    log_ratio = (x_a - 0.5) * log1p + (a - b) * (np.log(t_b) - 1.0) + lanczos
+    shift = np.where(_at_pole(z + b), 0.0, _rising(z + b, n) / _rising(z + a, n))
+    return log_ratio, shift
 
 
 def hyp2f1(a, b, c, z):
@@ -240,6 +250,14 @@ def _sum_series(a, b, c, pair, w, dtype):
     )
 
 
+def _gamma_alpha_plus_one(alpha):
+    """math.gamma(alpha + 1); OverflowLimitError where it leaves the doubles."""
+    try:
+        return math.gamma(alpha + 1.0)
+    except OverflowError:
+        raise OverflowLimitError(f"Gamma(alpha + 1) overflows a double at alpha = {alpha:g}") from None
+
+
 def _script_j_series(alpha, x):
     """Ascending series of x^(-alpha) J_alpha(x) in extended precision.
 
@@ -249,7 +267,7 @@ def _script_j_series(alpha, x):
     x = np.longdouble(x)
     q = -(x * x) / 4.0
     # leading term 1 / (2^alpha Gamma(alpha+1))
-    term = np.longdouble(1.0) / np.longdouble(2.0**alpha * math.gamma(alpha + 1.0))
+    term = np.longdouble(1.0) / np.longdouble(2.0**alpha * _gamma_alpha_plus_one(alpha))
     total = term
     for m in range(1, 2000):
         term = term * q / (np.longdouble(m) * np.longdouble(m + alpha))

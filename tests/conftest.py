@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import pytest
 
 from jacobilab import JacobiParameters, RadialGrid, SpectralGrid
@@ -38,3 +39,18 @@ def small_grids(generic_params):
         RadialGrid.graded(generic_params, 12.0, 120),
         SpectralGrid.build(generic_params, 30.0, 120),
     )
+
+
+def _mpmath_c(params, lam):
+    """c(lambda) at 40 digits, straight from the three-Gamma quotient."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        rho, il = a + b + 1, 1j * mpmath.mpmathify(complex(lam))
+        num = mpmath.power(2, rho - il) * mpmath.gamma(il) * mpmath.gamma(a + 1)
+        return complex(num / (mpmath.gamma((rho + il) / 2) * mpmath.gamma((rho + il) / 2 - b)))
+
+
+@pytest.fixture(scope="session")
+def mpmath_c():
+    """The mpmath oracle for the c-function, c(params, lam) -> complex."""
+    return _mpmath_c

@@ -64,9 +64,15 @@ class TestEval:
         # rho t = 1000: phi underflows, which is an error, not a printed 0
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2", "--t", "400"]) == 2
 
-    def test_c_overflow_exit_2(self, capsys):
-        # c(470) leaves double range, which is an error, not a printed -inf
-        assert run(["--preset", "generic", "eval", "c", "--lambda", "470"]) == 2
+    def test_c_overflow_exit_2(self, capsys, mpmath_c):
+        # c(470) is finite and printed; past alpha of about 500 c leaves the
+        # doubles, which is an error, not a printed inf
+        assert run(["--preset", "generic", "eval", "c", "--lambda", "470"]) == 0
+        _, _, re, im = capsys.readouterr().out.strip().split(",")
+        expected = mpmath_c(JacobiParameters(1.2, 0.3), 470.0)
+        assert abs(complex(float(re), float(im)) - expected) <= 1e-12 * abs(expected)
+        assert run(["--alpha", "600", "--beta", "1", "eval", "c", "--lambda", "2"]) == 2
+        assert "alpha = 600" in capsys.readouterr().err
 
     def test_missing_argument_exit_2(self, capsys):
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2"]) == 2

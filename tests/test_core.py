@@ -14,11 +14,13 @@ from jacobilab import (
     ParameterError,
     PoleError,
     bessel_local_expansion,
+    bessel_script_J,
     c_asymptotics_report,
     c_function,
     default_grids,
     gangolli_fit,
     jacobi_phi,
+    kernel_values,
     laplacian_residual,
     phi_matrix,
     plancherel_density,
@@ -275,26 +277,69 @@ class TestCFunction:
     def test_pole_at_zero(self, generic_params):
         with pytest.raises(PoleError):
             plancherel_density(generic_params, 0.0)
+        with pytest.raises(PoleError):
+            c_function(generic_params, 0.0)
 
-    def test_leaves_double_range(self, generic_params):
-        # Gamma(i lambda) and the denominator Gammas underflow past |lambda| ~ 450;
-        # at (15, 5) the quotient underflowed to an exact 0 instead of inf or nan
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+    def test_non_finite_lambda_raises(self, generic_params, bad):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            c_function(generic_params, bad)
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params"])
+    def test_against_mpmath(self, request, preset, mpmath_c):
+        p = request.getfixturevalue(preset)
+        lams = np.linspace(50.0 / 70, 50.0, 70)
+        got = c_function(p, lams)
+        errs = [abs(g - mpmath_c(p, lam)) / abs(mpmath_c(p, lam)) for g, lam in zip(got, lams)]
+        assert max(errs) <= 1e-14
+        for lam in (470.0, 1000.0, 1e4):
+            assert abs(c_function(p, lam) - mpmath_c(p, lam)) <= 1e-12 * abs(mpmath_c(p, lam)), lam
+
+    def test_leaves_double_range(self, generic_params, mpmath_c):
+        # the inputs where three Gammas in linear space used to under- or
+        # overflow are finite and accurate; c itself leaves the doubles only
+        # once alpha is past about 500
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(c_function(generic_params, 440.0))
             for params, lam in [
+                (generic_params, 440.0),
                 (generic_params, 470.0),
                 (generic_params, -480.0),
                 (generic_params, np.array([10.0, 500.0])),
                 (JacobiParameters(15.0, 5.0), 480.0),
             ]:
-                with pytest.raises(OverflowLimitError, match="450"):
-                    c_function(params, lam)
+                got = np.atleast_1d(c_function(params, lam))
+                for g, x in zip(got, np.atleast_1d(lam)):
+                    assert abs(g - mpmath_c(params, x)) <= 1e-12 * abs(mpmath_c(params, x)), x
+            with pytest.raises(OverflowLimitError, match="alpha = 600"):
+                c_function(JacobiParameters(600.0, 1.0), np.array([10.0, 500.0]))
 
-    def test_large_alpha_blames_gamma_alpha(self):
-        # Gamma(alpha + 1) overflows at every lambda, not only past |lambda| ~ 450
-        with pytest.raises(OverflowLimitError, match=r"Gamma\(alpha \+ 1\).*alpha = 200"):
-            c_function(JacobiParameters(200.0, 1.0), 2.0)
+    def test_large_alpha_blames_gamma_alpha(self, mpmath_c):
+        # Gamma(alpha + 1) overflows at alpha = 200, c does not; past alpha of
+        # about 500 c itself does, and the error names lambda and alpha
+        p = JacobiParameters(200.0, 1.0)
+        assert abs(c_function(p, 2.0) - mpmath_c(p, 2.0)) <= 1e-12 * abs(mpmath_c(p, 2.0))
+        with pytest.raises(OverflowLimitError, match=r"lambda = 2\+0j, alpha = 600"):
+            c_function(JacobiParameters(600.0, 1.0), 2.0)
+
+    def test_zero_at_denominator_poles(self, generic_params):
+        # Gamma((rho + i lambda)/2 - beta) has poles at lambda = i(alpha - beta + 1 + 2n),
+        # Gamma((rho + i lambda)/2) at lambda = i(rho + 2n)
+        assert np.all(c_function(generic_params, np.array([1.9j, 3.9j, 2.5j, 4.5j])) == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.55, 30.0),
+        beta_frac=st.floats(0.0, 0.95),
+        re=st.floats(0.05, 200.0) | st.floats(-200.0, -0.05),
+        im=st.floats(-3.0, 3.0),
+    )
+    def test_reflection_symmetry(self, alpha, beta_frac, re, im):
+        # c(-conj lambda) = conj c(lambda)
+        p = JacobiParameters(alpha, -0.45 + beta_frac * (alpha + 0.45))
+        lam = complex(re, im)
+        c = c_function(p, lam)
+        assert abs(c_function(p, -lam.conjugate()) - c.conjugate()) <= 1e-13 * abs(c)
 
     def test_asymptotics_report_converges(self, generic_params):
         lams = list(np.geomspace(2.0, 400.0, 20))
@@ -303,6 +348,21 @@ class TestCFunction:
         # ratio column settles: last two entries agree to 2%
         assert abs(ratios[-1] - ratios[-2]) <= 0.02 * abs(ratios[-1])
         assert all(np.isfinite(r["logderiv_scaled"]) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: kernel_values(p, 1.0, 1.2, 1.5),
+        lambda p: bessel_script_J(p.alpha, 3.0),
+        lambda p: bessel_local_expansion(p, 2.0, 0.5, 1),
+    ],
+    ids=["kernel_values", "bessel_script_J", "bessel_local_expansion"],
+)
+def test_gamma_alpha_overflow_is_typed(call):
+    # Gamma(201) overflows a double: a typed error naming it, not a bare OverflowError
+    with pytest.raises(OverflowLimitError, match=r"Gamma\(alpha \+ 1\).*alpha = 200"):
+        call(JacobiParameters(200.0, 1.0))
 
 
 class TestHarishChandra:

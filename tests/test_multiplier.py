@@ -10,8 +10,10 @@ from jacobilab import (
     DomainError,
     GridError,
     MultiplierSpec,
+    JacobiParameters,
     OverflowLimitError,
     ParameterError,
+    PoleError,
     RadialGrid,
     SpectralGrid,
     boundary_trace,
@@ -93,13 +95,25 @@ class TestModifiedMultiplier:
         out = modified_multiplier(generic_params, m, np.array([1000.0 + 0j]))
         assert np.all(out == 0.0)
 
-    def test_past_gamma_range_raises(self, generic_params):
-        # c(-lambda) leaves double range near |lambda| = 450: a typed error, not NaN
+    def test_past_gamma_range_raises(self, generic_params, mpmath_c):
+        # c(-lambda) at |lambda| = 480 is finite; past alpha of about 500 it
+        # leaves the doubles, which is a typed error, not NaN
         one = MultiplierSpec(lambda lam: np.ones(np.shape(lam), dtype=complex), True, "bounded", "one")
+        expected = 1.0 / mpmath_c(generic_params, -480.0)
+        got = modified_multiplier(generic_params, one, np.array([480.0 + 0j]))[0]
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+        assert abs(c_inverse_reflected(generic_params, 480.0) - expected) <= 1e-12 * abs(expected)
+        big = JacobiParameters(600.0, 1.0)
         with pytest.raises(OverflowLimitError):
-            modified_multiplier(generic_params, one, np.array([480.0 + 0j]))
+            modified_multiplier(big, one, np.array([2.0 + 0j]))
         with pytest.raises(OverflowLimitError):
-            c_inverse_reflected(generic_params, 480.0)
+            c_inverse_reflected(big, 2.0)
+
+    def test_zeros_of_c_reflected_are_poles(self, generic_params):
+        # c(-lambda) vanishes at lambda = -i(alpha - beta + 1 + 2n) and -i(rho + 2n)
+        for lam in (-1.9j, -3.9j, -2.5j):
+            with pytest.raises(PoleError, match=r"c\(-lambda\)\^\(-1\) has a pole at lambda"):
+                c_inverse_reflected(generic_params, lam)
 
 
 class TestBoundaryTrace:

@@ -7,6 +7,7 @@ from jacobilab import (
     DecayError,
     DomainError,
     GridError,
+    JacobiParameters,
     RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
@@ -92,10 +93,15 @@ class TestGrids:
         phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 25.0, 20))
         assert len(rgrid._phi_cache) == 2
 
-    def test_spectral_grid_past_double_range(self, generic_params):
-        # c(lambda) leaves double range past |lambda| ~ 450: fail at construction
+    def test_spectral_grid_past_double_range(self, generic_params, mpmath_c):
+        # a grid out to |lambda| = 500 builds with the mpmath density; past
+        # alpha of about 500 c leaves the doubles: fail at construction
+        sgrid = SpectralGrid.build(generic_params, 500.0, 100)
+        for i in (0, 200, -1):
+            expected = 1.0 / abs(mpmath_c(generic_params, sgrid.nodes[i])) ** 2
+            assert abs(sgrid.density[i] - expected) <= 1e-12 * expected
         with pytest.raises(OverflowLimitError):
-            SpectralGrid.build(generic_params, 500.0, 100)
+            SpectralGrid.build(JacobiParameters(600.0, 1.0), 50.0, 100)
 
     def test_value_shape_mismatch(self, generic_params, small_grids):
         rgrid, _ = small_grids
