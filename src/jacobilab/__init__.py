@@ -1,158 +1,21 @@
 """jacobilab: Jacobi analysis — special functions, the Jacobi transform,
-hypergroup convolution, and a multiplier laboratory."""
+hypergroup convolution, and a multiplier laboratory.
 
-from .core import (
-    JacobiParameters,
-    bessel_local_expansion,
-    c_asymptotics_report,
-    c_function,
-    gangolli_fit,
-    jacobi_phi,
-    laplacian_residual,
-    phi_matrix,
-    plancherel_density,
-    weight_density,
-)
-from .convolution import (
-    KernelEvaluation,
-    convolution_grid,
-    convolve,
-    convolve_direct,
-    kernel_K,
-    kernel_values,
-    translate,
-    young_check,
-)
-from .errors import (
-    ConvergenceError,
-    CostBudgetError,
-    DecayError,
-    DomainError,
-    GridError,
-    JacobiLabError,
-    OverflowLimitError,
-    ParameterError,
-    PoleError,
-)
-from .lab import (
-    OperatorNormEstimate,
-    apply_multiplier_operator,
-    estimate_operator_norm,
-    heat_ladder,
-    mihlin_proxy_norm,
-    standard_multiplier_family,
-    theorem_ratio_experiment,
-)
-from .multiplier import (
-    BoundaryTrace,
-    CutoffPair,
-    MultiplierSpec,
-    boundary_trace,
-    c_inverse_reflected,
-    contour_shift_check,
-    delta_expansion,
-    hc_global_pieces,
-    heat_regularize,
-    hormander_check,
-    kernel_from_multiplier,
-    modified_multiplier,
-    omega,
-    p_s_function,
-    split_kernel,
-    w_function,
-)
-from .specfun import (
-    bessel_script_J,
-    gamma_complex,
-    hyp2f1,
-)
-from .transform import (
-    RadialGrid,
-    SampledRadialFunction,
-    SampledSpectralFunction,
-    SpectralGrid,
-    apply_laplacian,
-    default_grids,
-    heat_kernel,
-    inverse_transform,
-    jacobi_transform,
-    plancherel_constant,
-    plancherel_defect,
-)
+The package exports exactly what its submodules list in their __all__."""
+
+from . import convolution, core, errors, lab, multiplier, specfun, transform
+from .convolution import *
+from .core import *
+from .errors import *
+from .lab import *
+from .multiplier import *
+from .specfun import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "JacobiLabError",
-    "DomainError",
-    "PoleError",
-    "ParameterError",
-    "ConvergenceError",
-    "DecayError",
-    "GridError",
-    "CostBudgetError",
-    "OverflowLimitError",
-    # specfun
-    "gamma_complex",
-    "hyp2f1",
-    "bessel_script_J",
-    # core
-    "JacobiParameters",
-    "weight_density",
-    "jacobi_phi",
-    "phi_matrix",
-    "laplacian_residual",
-    "c_function",
-    "plancherel_density",
-    "c_asymptotics_report",
-    "gangolli_fit",
-    "bessel_local_expansion",
-    # transform
-    "RadialGrid",
-    "SpectralGrid",
-    "SampledRadialFunction",
-    "SampledSpectralFunction",
-    "default_grids",
-    "plancherel_constant",
-    "jacobi_transform",
-    "inverse_transform",
-    "plancherel_defect",
-    "heat_kernel",
-    "apply_laplacian",
-    # convolution
-    "KernelEvaluation",
-    "kernel_K",
-    "kernel_values",
-    "convolution_grid",
-    "translate",
-    "convolve",
-    "convolve_direct",
-    "young_check",
-    # multiplier
-    "MultiplierSpec",
-    "BoundaryTrace",
-    "CutoffPair",
-    "omega",
-    "modified_multiplier",
-    "c_inverse_reflected",
-    "boundary_trace",
-    "w_function",
-    "hormander_check",
-    "p_s_function",
-    "kernel_from_multiplier",
-    "heat_regularize",
-    "split_kernel",
-    "delta_expansion",
-    "hc_global_pieces",
-    "contour_shift_check",
-    # lab
-    "OperatorNormEstimate",
-    "apply_multiplier_operator",
-    "estimate_operator_norm",
-    "mihlin_proxy_norm",
-    "heat_ladder",
-    "standard_multiplier_family",
-    "theorem_ratio_experiment",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, specfun, core, transform, convolution, multiplier, lab)
+    for name in module.__all__
 ]

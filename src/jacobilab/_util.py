@@ -30,24 +30,23 @@ def composite_gauss_legendre(breakpoints, nodes_per_panel=4):
     return (mid + half * x_ref).ravel(), (half * w_ref).ravel()
 
 
-def graded_breakpoints(upper, n_panels, exponent=2.0):
-    """Panel breakpoints on [0, upper], clustered at 0 for exponent > 1."""
+def graded_breakpoints(upper, n_panels):
+    """Panel breakpoints upper (i / n_panels)^2 on [0, upper], clustered at 0."""
     i = np.arange(n_panels + 1, dtype=float) / n_panels
-    return upper * i**exponent
+    return upper * i**2.0
 
 
-def dyadic_differences(g, lam_min, lam_max, points_per_octave, fd_step):
+def dyadic_differences(g, lam_min, lam_max):
     """Samples of g and its central differences on a dyadic grid.
 
-    The grid is every 2^(k / points_per_octave), k integer, in
-    [lam_min, lam_max]; the step at lam is fd_step * lam.  Returns
-    (lam, g, g', g'').
+    The grid is every 2^(k / 16), k integer, in [lam_min, lam_max]; the step
+    at lam is 1e-5 lam.  Returns (lam, g, g', g'').
     """
-    k_lo = math.floor(math.log2(lam_min) * points_per_octave) - 1
-    k_hi = math.ceil(math.log2(lam_max) * points_per_octave) + 1
-    lam = 2.0 ** (np.arange(k_lo, k_hi + 1) / points_per_octave)
+    k_lo = math.floor(math.log2(lam_min) * 16) - 1
+    k_hi = math.ceil(math.log2(lam_max) * 16) + 1
+    lam = 2.0 ** (np.arange(k_lo, k_hi + 1) / 16)
     lam = lam[(lam >= lam_min) & (lam <= lam_max)]
-    h = fd_step * lam
+    h = 1e-5 * lam
     g0 = np.asarray(g(lam), dtype=complex)
     g_plus = np.asarray(g(lam + h))
     g_minus = np.asarray(g(lam - h))

@@ -32,7 +32,7 @@ from .core import (
     jacobi_phi,
 )
 from .errors import DecayError, JacobiLabError
-from .lab import standard_multiplier_family, theorem_ratio_experiment
+from .lab import _proxy_ratio, estimate_operator_norm, standard_multiplier_family, theorem_ratio_experiment
 from .multiplier import MultiplierSpec, omega, w_function
 from .transform import (
     SampledRadialFunction,
@@ -393,20 +393,26 @@ def _cmd_probe(args, params):
     res = theorem_ratio_experiment(
         params, family, args.p, seed=args.seed, grids=coarse, trials=args.trials
     )
-    res_fine = theorem_ratio_experiment(
-        params, family, args.p, seed=args.seed, grids=fine, trials=args.trials
-    )
+
+    def leg(p, grids):
+        # per member, the ratio at p on grids against its row's proxy; None if flagged
+        return [
+            None if row["flags"] else _proxy_ratio(
+                estimate_operator_norm(params, m, p, trials=args.trials, seed=args.seed, grids=grids).lower_bound,
+                row["proxy_norm"],
+            )
+            for m, row in zip(family, res["rows"])
+        ]
 
     conf = _config_hash(args, params)
     rows = []
     stable = True
-    for row, row_fine in zip(res["rows"], res_fine["rows"]):
+    for row, ratio_fine in zip(res["rows"], leg(args.p, fine)):
         if row["flags"]:
             rows.append(("probe", row["member"], row["p"], "", "", "", row["flags"]))
             continue
-        drift = abs(row["ratio"] - row_fine["ratio"]) / max(abs(row["ratio"]), 1e-300)
-        finite = np.isfinite(row["ratio"]) and np.isfinite(row_fine["ratio"])
-        if not finite or drift > 0.10:
+        drift = abs(row["ratio"] - ratio_fine) / max(abs(row["ratio"]), 1e-300)
+        if not (np.isfinite(row["ratio"]) and np.isfinite(ratio_fine)) or drift > 0.10:
             stable = False
         rows.append(
             (
@@ -433,13 +439,10 @@ def _cmd_probe(args, params):
     if abs(args.p - 2.0) > 1e-12:
         # duality spot check against the conjugate exponent; reported only
         p_dual = args.p / (args.p - 1.0)
-        res_dual = theorem_ratio_experiment(
-            params, family, p_dual, seed=args.seed, grids=coarse, trials=args.trials
-        )
-        for row, row_d in zip(res["rows"], res_dual["rows"]):
-            if row["flags"] or row_d["flags"]:
+        for row, ratio_dual in zip(res["rows"], leg(p_dual, coarse)):
+            if row["flags"]:
                 continue
-            quot = row["ratio"] / row_d["ratio"] if row_d["ratio"] else math.inf
+            quot = row["ratio"] / ratio_dual if ratio_dual else math.inf
             within = 0.5 <= quot <= 2.0
             print(
                 f"duality: {row['member']} ratio(p={args.p:g})/ratio(p'={p_dual:g}) "

@@ -20,7 +20,7 @@ from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError
 from .specfun import _gamma_alpha_plus_one, hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction, SampledSpectralFunction, SpectralGrid
-from .transform import inverse_transform, jacobi_transform
+from .transform import _check_params, inverse_transform, jacobi_transform
 
 __all__ = [
     "KernelEvaluation",
@@ -97,9 +97,9 @@ def kernel_K(params, s, t, u) -> KernelEvaluation:
     return KernelEvaluation(s, t, u, value, in_support)
 
 
-def convolution_grid(params, t_max=10.0, n_panels=40, nodes_per_panel=8) -> RadialGrid:
+def convolution_grid(params) -> RadialGrid:
     """Radial grid of 320 nodes on (0, 10], within the node budget of `convolve_direct`."""
-    return RadialGrid.graded(params, t_max, n_panels, nodes_per_panel)
+    return RadialGrid.graded(params, 10.0, 40, 8)
 
 
 def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):
@@ -131,6 +131,7 @@ def translate(params, f: SampledRadialFunction, x) -> SampledRadialFunction:
 
 def _translate(params, f, x, y):
     """(tau_x f)(y) at the points y, by the support rule; complex values."""
+    _check_params(params, f.grid)
     z, wz = _support_rule(x, y, f.grid.t_max)
     kern = kernel_values(params, x, y[:, None], z)
     fz = f.at(z.ravel()).reshape(z.shape)

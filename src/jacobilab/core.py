@@ -392,49 +392,15 @@ def _local_expansion_prefactor(params):
     return 2.0 ** (params.rho + params.alpha) * _gamma_alpha_plus_one(params.alpha)
 
 
-def _match_a1(params):
-    """First correction coefficient a_1 by two-sided Taylor matching at t -> 0.
-
-    Richardson-extrapolated ratio of the leading defect of the one-term
-    truncation against its t^2 Bessel correction, at a fixed probe lambda.
-    """
-    lam = 1.0
-    c_a = _local_expansion_prefactor(params)
-    ts = (0.08, 0.04, 0.02)
-    phis = _phi(params, np.array(ts), np.array([lam]), hypergeometric=True)[:, 0]
-
-    def ratio(t, phi):
-        base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
-        lead = base * bessel_script_J(params.alpha, lam * t)
-        corr = base * t * t * bessel_script_J(params.alpha + 1.0, lam * t)
-        return (phi - lead) / corr
-
-    r1, r2, r3 = (ratio(t, phi) for t, phi in zip(ts, phis))
-    # two Richardson levels in t^2
-    s1 = (4.0 * r2 - r1) / 3.0
-    s2 = (4.0 * r3 - r2) / 3.0
-    return (16.0 * s2 - s1) / 15.0
-
-
-_A1_CACHE: dict = {}
-
-
-def local_expansion_a1(params):
-    key = (params.alpha, params.beta)
-    if key not in _A1_CACHE:
-        _A1_CACHE[key] = _match_a1(params)
-    return _A1_CACHE[key]
-
-
-def bessel_local_expansion(params, lam, t, M, r0=1.1):
+def bessel_local_expansion(params, lam, t, M):
     """M-term Bessel-series truncation of phi_lambda near t = 0, with residual.
 
     M counts the kept terms (1 or 2); the residual for M = 2 is the analogue
     of the quartic-order error term of the two-term expansion.  Returns
     (truncation value, residual phi - truncation).
     """
-    if not 0.0 < t <= r0:
-        raise DomainError(f"bessel_local_expansion requires 0 < t <= R0 = {r0}")
+    if not 0.0 < t <= 1.1:
+        raise DomainError("bessel_local_expansion requires 0 < t <= R0 = 1.1")
     if M not in (1, 2):
         raise ParameterError("M must be 1 or 2")
     lam = float(lam)
@@ -442,12 +408,12 @@ def bessel_local_expansion(params, lam, t, M, r0=1.1):
     base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
     value = base * bessel_script_J(params.alpha, abs(lam) * t)
     if M == 2:
-        value += (
-            base
-            * local_expansion_a1(params)
-            * t
-            * t
-            * bessel_script_J(params.alpha + 1.0, abs(lam) * t)
-        )
+        # a_1 in closed form: u = sqrt(Delta) phi solves
+        # u'' + (lambda^2 - (alpha^2 - 1/4)/sinh^2 t + (beta^2 - 1/4)/cosh^2 t) u = 0,
+        # and e_l = t^(alpha + 1/2 + 2l) bessel_script_J(alpha + l, lambda t)
+        # solves e_l'' + (lambda^2 - (alpha^2 - 1/4)/t^2) e_l = 2l e_(l-1), so
+        # matching e_0 against the rest of the potential at t = 0 gives a_1
+        a1 = -(params.alpha**2 - 0.25) / 6.0 - (params.beta**2 - 0.25) / 2.0
+        value += base * a1 * t * t * bessel_script_J(params.alpha + 1.0, abs(lam) * t)
     phi = jacobi_phi(params, lam, t).real
     return value, phi - value

@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all jacobilab modules."""
 
+__all__ = [
+    "JacobiLabError",
+    "DomainError",
+    "PoleError",
+    "ParameterError",
+    "ConvergenceError",
+    "DecayError",
+    "GridError",
+    "CostBudgetError",
+    "OverflowLimitError",
+]
+
 
 class JacobiLabError(Exception):
     """Base class for all errors raised by jacobilab."""

@@ -157,14 +157,14 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grid
     return OperatorNormEstimate(float(p), float(best), len(kept), int(seed), witness)
 
 
-def mihlin_proxy_norm(g, lam_max=50.0, points_per_octave=16, fd_step=1e-5):
+def mihlin_proxy_norm(g, lam_max=50.0):
     """Mihlin proxy sup|g| + sup|lambda g'| on a dyadic grid of [1/lam_max, lam_max].
 
     This is a surrogate for the (uncomputable) Euclidean multiplier norm.
     """
     if lam_max <= 1.0:
         raise DomainError("mihlin_proxy_norm requires lam_max > 1")
-    lam, g0, gp, _ = dyadic_differences(g, 1.0 / lam_max, lam_max, points_per_octave, fd_step)
+    lam, g0, gp, _ = dyadic_differences(g, 1.0 / lam_max, lam_max)
     return float(np.max(np.abs(g0)) + np.max(np.abs(lam * gp)))
 
 
@@ -223,67 +223,55 @@ def standard_multiplier_family(params) -> list:
     ]
 
 
+def _proxy_ratio(lower_bound, proxy):
+    """A member's ratio: its operator-norm lower bound over its Mihlin proxy."""
+    return lower_bound / proxy if proxy > 0 else math.inf
+
+
 def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, trials=9):
     """Per member: ||T_m|| lower bound, Mihlin proxy of the boundary trace of
-    omega*m, and their ratio.  Members failing the hypotheses are flagged and
-    excluded from the verdict."""
+    omega*m, and their ratio.
+
+    A member that is not even, is unbounded on the strip, or has no boundary
+    trace on the proxy's nodes (a JacobiLabError from the trace) is flagged,
+    gets NaN numbers and stays out of the verdict.  The flags and the proxy
+    depend on neither the grids nor p, so callers that probe a member again
+    on other grids or at another p divide by its row's proxy_norm.
+    """
+    lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
-    trace_nodes = np.linspace(0.05, 40.0, 120)
     for member in multiplier_family:
-        flags = []
-        if member.evenness_defect() > 1e-12:
-            flags.append("not-even")
 
         def weighted_m(lam, member=member):
             lam = np.asarray(lam, dtype=complex)
             with np.errstate(under="ignore"):
                 return omega(params, lam) * member(lam)
 
-        strip_x = np.linspace(-30.0, 30.0, 61)
-        strip_y = np.linspace(0.0, 0.95 * params.rho, 7)
-        lattice = strip_x[:, None] + 1j * strip_y[None, :]
+        flags = ["not-even"] if member.evenness_defect() > 1e-12 else []
         with np.errstate(under="ignore"):
             strip_sup = float(np.max(np.abs(weighted_m(lattice))))
         if not np.isfinite(strip_sup):
             flags.append("unbounded-on-strip")
-
-        trace = None
+        lower_bound = proxy = ratio = math.nan
         if not flags:
             try:
-                trace = boundary_trace(weighted_m, params.rho, trace_nodes)
+                proxy = mihlin_proxy_norm(
+                    lambda lam: boundary_trace(weighted_m, params.rho, lam).samples, lam_max=40.0
+                )
             except JacobiLabError:
                 flags.append("no-boundary-trace")
-
-        if flags:
-            rows.append(
-                {
-                    "member": member.label,
-                    "p": p,
-                    "lower_bound": math.nan,
-                    "proxy_norm": math.nan,
-                    "ratio": math.nan,
-                    "strip_sup": strip_sup,
-                    "flags": ",".join(flags),
-                }
-            )
-            continue
-
-        est = estimate_operator_norm(params, member, p, trials=trials, seed=seed, grids=grids)
-
-        def trace_fn(lam):
-            lam = np.asarray(lam, dtype=float)
-            return boundary_trace(weighted_m, params.rho, lam).samples
-
-        proxy = mihlin_proxy_norm(trace_fn, lam_max=40.0)
+        if not flags:
+            lower_bound = estimate_operator_norm(params, member, p, trials=trials, seed=seed, grids=grids).lower_bound
+            ratio = _proxy_ratio(lower_bound, proxy)
         rows.append(
             {
                 "member": member.label,
                 "p": p,
-                "lower_bound": est.lower_bound,
+                "lower_bound": lower_bound,
                 "proxy_norm": proxy,
-                "ratio": est.lower_bound / proxy if proxy > 0 else math.inf,
+                "ratio": ratio,
                 "strip_sup": strip_sup,
-                "flags": "",
+                "flags": ",".join(flags),
             }
         )
     valid = [r["ratio"] for r in rows if r["flags"] == "" and np.isfinite(r["ratio"])]

@@ -61,6 +61,7 @@ __all__ = [
 
 _EPS_LADDER = (1e-2, 1e-3, 1e-4)
 _TRACE_TOL = 1e-4
+_LINE_LAM_MAX = 50.0  # |lambda| cut of the real-line integrals
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class MultiplierSpec:
     def __call__(self, lam):
         return np.asarray(self.evaluate(np.asarray(lam)))
 
-    def evenness_defect(self, grid=None) -> float:
-        lam = np.linspace(0.25, 40.0, 160) if grid is None else np.asarray(grid)
+    def evenness_defect(self) -> float:
+        lam = np.linspace(0.25, 40.0, 160)
         return float(np.max(np.abs(self(lam) - self(-lam))))
 
 
@@ -200,28 +201,26 @@ def w_function(params, lam):
     return 1.0 / (omega(params, lam) * c_function(params, lam))
 
 
-def hormander_check(g, lam_max=400.0, order=2, points_per_octave=16, fd_step=1e-5):
+def hormander_check(g, lam_max=400.0):
     """Finite-difference Mihlin/Hormander diagnostics of g on [1, lam_max].
 
-    Returns sup|g|, sup|lambda g'|, and (order 2) sup|lambda^2 g''| over a
-    dyadic grid.  fd_step is relative; values below 1e-7 trigger a noise flag.
+    Returns sup|g|, sup|lambda g'| and sup|lambda^2 g''| over a dyadic grid.
     """
     if lam_max <= 1.0:
         raise DomainError("hormander_check requires lam_max > 1")
-    lam, g0, gp, gpp = dyadic_differences(g, 1.0, lam_max, points_per_octave, fd_step)
-    report = {
+    lam, g0, gp, gpp = dyadic_differences(g, 1.0, lam_max)
+    return {
         "sup_g": float(np.max(np.abs(g0))),
         "sup_lam_gp": float(np.max(np.abs(lam * gp))),
+        "sup_lam2_gpp": float(np.max(np.abs(lam**2 * gpp))),
         "lam_max": float(lam_max),
-        "noise_warning": fd_step < 1e-7,
     }
-    if order >= 2:
-        report["sup_lam2_gpp"] = float(np.max(np.abs(lam**2 * gpp)))
-    return report
 
 
-def p_s_function(params, s, lam, cutoffs: CutoffPair = CutoffPair()):
-    """P_s(lambda) = (1 - phi(lambda)) |lambda|^(-s) c(lambda)^(-1) for real lambda."""
+def p_s_function(params, s, lam):
+    """P_s(lambda) = (1 - phi(lambda)) |lambda|^(-s) c(lambda)^(-1) for real lambda,
+    with phi the spectral cutoff of CutoffPair()."""
+    cutoffs = CutoffPair()
     lam = np.asarray(lam, dtype=float)
     out = np.zeros(lam.shape, dtype=complex)
     live = (1.0 - cutoffs.phi(lam)) > 0.0
@@ -266,8 +265,10 @@ def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
     )
 
 
-def split_kernel(params, k: SampledRadialFunction, cutoffs: CutoffPair = CutoffPair()):
-    """(psi*k, (1-psi)*k): local part supported in [0,R0], global off [0,sqrt(R0)]."""
+def split_kernel(k: SampledRadialFunction):
+    """(psi*k, (1-psi)*k): local part supported in [0,R0], global off [0,sqrt(R0)],
+    with psi the radial cutoff of CutoffPair()."""
+    cutoffs = CutoffPair()
     if k.grid.t_max <= cutoffs.R0 + 0.5:
         raise GridError("kernel grid must extend past R0 with margin")
     psi = cutoffs.psi(k.grid.nodes)
@@ -283,7 +284,7 @@ def _bracket_parts(x):
     return n, v - n
 
 
-def delta_expansion(params, t, J=None):
+def delta_expansion(params, t):
     """Expansion Delta(t) = e^(2 rho t) sum_j c_j delta(t) e^(-2jt).
 
     The c_j are the coefficients of (1-X)^[[alpha]] (1+X)^[[beta]] with
@@ -293,8 +294,6 @@ def delta_expansion(params, t, J=None):
     """
     na, fa = _bracket_parts(params.alpha)
     nb, fb = _bracket_parts(params.beta)
-    if J is not None and J != na + nb:
-        raise ParameterError(f"J must equal {na + nb} for these parameters")
     poly_a = np.poly1d([1.0])
     for _ in range(na):
         poly_a = poly_a * np.poly1d([-1.0, 1.0])
@@ -309,40 +308,35 @@ def delta_expansion(params, t, J=None):
     return coeffs, delta, recon
 
 
-def _spectral_line_rule(lam_max=50.0, n_panels=400, nodes_per_panel=4):
-    """Quadrature on [-lam_max, lam_max] for integrals over the full line."""
-    bp = np.linspace(-lam_max, lam_max, n_panels + 1)
-    return composite_gauss_legendre(bp, nodes_per_panel)
+def _spectral_line_rule(lam_max=_LINE_LAM_MAX, n_panels=400):
+    """Four-point composite Gauss-Legendre rule on [-lam_max, lam_max], for
+    integrals over the full line."""
+    return composite_gauss_legendre(np.linspace(-lam_max, lam_max, n_panels + 1), 4)
 
 
-def hc_global_pieces(
-    params,
-    m: MultiplierSpec,
-    ell_max,
-    t_nodes,
-    cutoffs: CutoffPair = CutoffPair(),
-    lam_max=50.0,
-    tolerance=1e-4,
-):
-    """The a_l^+/-, b_j^+/-, K_{l,j} decomposition of K = (1-psi) k Delta.
+def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4):
+    """The a_l^+/-, b_j^+/-, K_{l,j} decomposition of K = (1-psi) k Delta, with
+    psi the radial cutoff of CutoffPair() and the lambda integrals truncated to
+    |lambda| <= 50.
 
     t_nodes must sit in [sqrt(R0), infinity); for such t only the a^+ branch
     contributes.  Returns a dict with all pieces, the reconstruction
     sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target (1-psi) k Delta, and
     the maximum relative error.
     """
+    cutoffs = CutoffPair()
     t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     if np.any(t < math.sqrt(cutoffs.R0)):
         raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
     if m.decay_class != "rapidly-decreasing":
         raise DecayError("hc_global_pieces requires a rapidly decreasing multiplier")
 
-    lam, wlam = _spectral_line_rule(lam_max)
+    lam, wlam = _spectral_line_rule()
     mvals = modified_multiplier(params, m, lam.astype(complex))
     j_max = ell_max  # b_j needed for j = ell - j' down to 0
     gamma_table = gamma_coefficient_table(params, lam.astype(complex), j_max)
     # the inverse-transform normalization, folded over lambda -> -lambda
-    const = plancherel_constant(params)
+    const = plancherel_constant()
 
     # b_j^{+/-}(t): oscillatory line integrals, shape (j, t)
     phase_plus = np.exp(1j * np.outer(lam, t))  # e^{i lambda t}
@@ -396,10 +390,10 @@ def hc_global_pieces(
     }
 
 
-def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 1000.0), lam_max=50.0):
+def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 1000.0)):
     """Cauchy-theorem verification of the b^+ integral under the contour shift.
 
-    direct  = integral over the real line of M(lambda) Gamma_k e^((i lambda + rho)t)
+    direct  = integral over |lambda| <= 50 of M(lambda) Gamma_k e^((i lambda + rho)t)
     shifted = same integrand over the rectangle top Im lambda = rho(1 - 1/R)
               plus the two vertical edges, for the largest R.
     Returns a dict with both values, the defect, and the edge magnitudes.
@@ -418,20 +412,20 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
             * np.exp((1j * lam_c + params.rho) * t)
         )
 
-    lam, wlam = _spectral_line_rule(lam_max)
+    lam, wlam = _spectral_line_rule()
     direct = complex(np.sum(integrand(lam) * wlam))
 
     edges = []
     shifted_values = []
     for r in r_values:
         h = params.rho * (1.0 - 1.0 / r)
-        if r > lam_max:
+        if r > _LINE_LAM_MAX:
             # dense panels where the integrand lives, sparse on the dead tails
             bp = np.concatenate(
                 [
-                    np.linspace(-r, -lam_max, 41),
-                    np.linspace(-lam_max, lam_max, 401)[1:],
-                    np.linspace(lam_max, r, 41)[1:],
+                    np.linspace(-r, -_LINE_LAM_MAX, 41),
+                    np.linspace(-_LINE_LAM_MAX, _LINE_LAM_MAX, 401)[1:],
+                    np.linspace(_LINE_LAM_MAX, r, 41)[1:],
                 ]
             )
             xs, wx = composite_gauss_legendre(bp, 4)

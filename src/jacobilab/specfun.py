@@ -10,8 +10,8 @@ over slices of at most `_BLOCK_SIZE` elements so that its working arrays stay
 in cache.  Its term ratio is formed once per distinct parameter pair (one per
 lambda column of a phi grid) and gathered to the elements, and its stopping
 test runs on every `_CHECK_EVERY`-th term.  The series budgets are module
-constants (`_SERIES_TOL`, `_MAX_TERMS`, `_CHECK_EVERY`, `_BESSEL_CROSSOVER`),
-not options.
+constants (`_SERIES_TOL`, `_MAX_TERMS`, `_CHECK_EVERY`, `_BESSEL_CROSSOVER`,
+`_BESSEL_TOL`), not options.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ __all__ = [
 ]
 
 # Series budgets: the relative stopping tolerance of the 2F1 series, its hard
-# cap on terms, and the |x| beyond which the Bessel kernel switches from the
-# ascending series to the Hankel asymptotic expansion.
+# cap on terms, and the |x| beyond which the Bessel kernel tries the Hankel
+# asymptotic expansion before the ascending series.
 _SERIES_TOL = 1e-14
 _MAX_TERMS = 100_000
 _CHECK_EVERY = 8  # terms between two stopping tests of the 2F1 series
 _BESSEL_CROSSOVER = 18.0
+_BESSEL_TOL = 1e-10  # error of the Bessel kernel, relative to its amplitude
 # Elements of one slice of a batched series, and cells of one block of a phi
 # matrix: about 16k, so that a slice's complex working arrays stay in cache.
 _BLOCK_SIZE = 16384
@@ -261,35 +262,49 @@ def _gamma_alpha_plus_one(alpha):
 def _script_j_series(alpha, x):
     """Ascending series of x^(-alpha) J_alpha(x) in extended precision.
 
-    The series suffers cancellation for large x; long double accumulation keeps
-    the result accurate through the default crossover at x = 18.
+    Returns the sum (long double) and the sum of |terms|.  The terms cancel
+    for large x; long double accumulation keeps the result accurate through
+    x = 18 at any alpha.
     """
     x = np.longdouble(x)
     q = -(x * x) / 4.0
-    # leading term 1 / (2^alpha Gamma(alpha+1))
-    term = np.longdouble(1.0) / np.longdouble(2.0**alpha * _gamma_alpha_plus_one(alpha))
-    total = term
+    # leading term 1 / (2^alpha Gamma(alpha+1)); past alpha of about 150 the
+    # product leaves the doubles, and there it is formed in long double
+    scale = 2.0**alpha * _gamma_alpha_plus_one(alpha)
+    if scale == math.inf:
+        scale = np.longdouble(2.0) ** alpha * np.longdouble(_gamma_alpha_plus_one(alpha))
+    term = np.longdouble(1.0) / np.longdouble(scale)
+    total = size = term
     for m in range(1, 2000):
         term = term * q / (np.longdouble(m) * np.longdouble(m + alpha))
         total += term
+        size += abs(term)
         if abs(term) <= np.longdouble(1e-25) * max(abs(total), np.longdouble(1e-300)):
             break
-    return float(total)
+    return total, size
 
 
 def _script_j_asymptotic(alpha, x):
-    """Hankel asymptotic expansion of x^(-alpha) J_alpha(x), x large."""
+    """Hankel asymptotic expansion of x^(-alpha) J_alpha(x), x large.
+
+    The terms may grow while (2k - 1)^2 < 4 alpha^2; past that the sum stops
+    at its smallest term, where the divergent tail begins.  Returns the value
+    and its error relative to the amplitude x^(-alpha) sqrt(2 / (pi x)): the
+    last kept term plus the rounding of the largest one.
+    """
     mu = 4.0 * alpha * alpha
     # P ~ sum of even terms, Q ~ sum of odd terms of the Hankel series.
     p_sum = 1.0
     q_sum = 0.0
     term = 1.0
     prev = math.inf
+    peak = 1.0
     for k in range(1, 60):
         term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
+        if abs(term) >= prev and (2 * k - 1) ** 2 > mu:
             break  # divergent tail reached; stop at the smallest term
         prev = abs(term)
+        peak = max(peak, prev)
         sign = (-1.0) ** (k // 2)
         if k % 2 == 0:
             p_sum += sign * term
@@ -297,13 +312,18 @@ def _script_j_asymptotic(alpha, x):
             q_sum += sign * term
     chi = x - (0.5 * alpha + 0.25) * math.pi
     j = math.sqrt(2.0 / (math.pi * x)) * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
-    return x ** (-alpha) * j
+    return x ** (-alpha) * j, prev + peak * np.finfo(float).eps
 
 
 def bessel_script_J(alpha, x):
     """Modified Bessel kernel x^(-alpha) J_alpha(x), finite at x = 0.
 
-    Ascending series below the crossover, Hankel asymptotics beyond.
+    The ascending series up to x = 18.  Beyond, the Hankel expansion where
+    its error is below _BESSEL_TOL of the amplitude x^(-alpha) sqrt(2 / (pi x)),
+    else the series where its rounding error, a double epsilon of the sum of
+    |terms| (each factor m + alpha is rounded to double), is below that;
+    ConvergenceError naming alpha and x where neither is.  OverflowLimitError
+    naming alpha where the value leaves the normal doubles.
     """
     if math.isnan(x) or math.isnan(alpha):
         raise DomainError("NaN argument to bessel_script_J")
@@ -312,5 +332,17 @@ def bessel_script_J(alpha, x):
     if x < 0.0:
         raise DomainError("bessel_script_J requires x >= 0")
     if x <= _BESSEL_CROSSOVER:
-        return _script_j_series(alpha, x)
-    return _script_j_asymptotic(alpha, x)
+        value, _ = _script_j_series(alpha, x)
+    else:
+        value, err = _script_j_asymptotic(alpha, x)
+        if err > _BESSEL_TOL:
+            value, size = _script_j_series(alpha, x)
+            amplitude = np.longdouble(x) ** -alpha * math.sqrt(2.0 / (math.pi * x))
+            if not size * np.finfo(float).eps <= _BESSEL_TOL * amplitude:
+                raise ConvergenceError(
+                    "bessel_script_J: neither the ascending series nor the Hankel "
+                    f"expansion is accurate at alpha = {alpha:g}, x = {x:g}"
+                )
+    if not abs(value) >= np.finfo(float).tiny:
+        raise OverflowLimitError(f"bessel_script_J leaves the normal doubles at alpha = {alpha:g} (x = {x:g})")
+    return float(value)

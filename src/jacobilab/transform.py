@@ -4,10 +4,12 @@ Every grid is a composite Gauss-Legendre rule given by its panel breakpoints
 and nodes_per_panel; each panel is an affine image of one reference panel,
 which carries the barycentric weights and the differentiation matrix used to
 interpolate and differentiate samples on any panel.  Functions cross module
-boundaries as samples on explicit grids, never as closures; the dense
-phi_lambda(t) matrix for a (radial, spectral) grid pair is built once per
-parameter set and cached on the radial grid, so it is freed with the grid;
-the key is the spectral grid's content, so equal spectral grids share it.
+boundaries as samples on explicit grids, never as closures.  A grid carries
+the parameters it was built for, and every transform raises GridError when
+they differ from the ones it is given.  The dense phi_lambda(t) matrix for a
+(radial, spectral) grid pair is built once and cached on the radial grid, so
+it is freed with the grid; the key is the spectral grid's content, so equal
+spectral grids share it.
 
 phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
@@ -118,11 +120,11 @@ class RadialGrid(_PanelGrid):
         self._phi_cache = {}
 
     @classmethod
-    def graded(cls, params, t_max=20.0, n_panels=400, nodes_per_panel=8, exponent=2.0):
-        return cls(params, graded_breakpoints(t_max, n_panels, exponent), nodes_per_panel)
+    def graded(cls, params, t_max=20.0, n_panels=400, nodes_per_panel=8):
+        return cls(params, graded_breakpoints(t_max, n_panels), nodes_per_panel)
 
 
-def plancherel_constant(params) -> float:
+def plancherel_constant() -> float:
     """Constant C with dnu = C |c(lambda)|^(-2) dlambda.
 
     Chosen so that the transform pair f_hat = integral f phi dmu,
@@ -140,7 +142,7 @@ class SpectralGrid(_PanelGrid):
         self.params = params
         self.lam_max = float(self.breakpoints[-1])
         self.density = plancherel_density(params, self.nodes)
-        self.nu_weights = self.base_weights * self.density * plancherel_constant(params)
+        self.nu_weights = self.base_weights * self.density * plancherel_constant()
 
     @classmethod
     def build(cls, params, lam_max=50.0, n_panels=300, nodes_per_panel=4):
@@ -216,8 +218,16 @@ def default_grids(params, t_max=20.0, radial_panels=400, lam_max=50.0, spectral_
     )
 
 
+def _check_params(params, *grids):
+    """GridError unless every grid was built for params."""
+    for grid in grids:
+        if grid.params != params:
+            raise GridError(f"grid built for {grid.params} used with {params}")
+
+
 def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
-    key = (params, sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
+    _check_params(params, rgrid, sgrid)
+    key = (sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
     if key not in rgrid._phi_cache:
         rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
     return rgrid._phi_cache[key]
@@ -309,6 +319,7 @@ def apply_laplacian(params, f: SampledRadialFunction) -> SampledRadialFunction:
         raise GridError("apply_laplacian needs at least 16 nodes")
     if f.values.ndim != 1:
         raise GridError("apply_laplacian takes one function, not a block")
+    _check_params(params, f.grid)
     t = f.grid.nodes
     d1, d2 = f.grid.derivatives(f.values)
     drift = (2.0 * params.alpha + 1.0) / np.tanh(t) + (2.0 * params.beta + 1.0) * np.tanh(t)

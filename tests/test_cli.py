@@ -6,8 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from jacobilab import JacobiParameters, SpectralGrid, convolution_grid, heat_kernel
-from jacobilab.cli import main
+from jacobilab import (
+    JacobiParameters,
+    SpectralGrid,
+    convolution_grid,
+    default_grids,
+    heat_kernel,
+    theorem_ratio_experiment,
+)
+from jacobilab.cli import _member_from_manifest, main
 
 FAST = [
     "--t-max", "12", "--radial-panels", "80",
@@ -258,3 +265,61 @@ class TestProbeTheorem:
         assert run(
             ["--preset", "generic", "probe-theorem", "--family", tmp_path / "m.json"]
         ) == 2
+
+    def test_odd_member_flagged_and_duality_legs(self, tmp_path, capsys):
+        # the odd member is flagged out; the other's ratio and duality quotient
+        # are those of the experiment run at p and at p' on the coarse grids
+        members = [
+            {"label": "odd", "expression": "exp(-0.1*lam**2)*(1 + 0.1*lam)",
+             "decay_class": "rapidly-decreasing"},
+            {"label": "gauss", "expression": "exp(-0.1*lam**2)", "decay_class": "rapidly-decreasing"},
+        ]
+        (tmp_path / "family.json").write_text(json.dumps({"members": members}))
+        code = run(
+            ["--preset", "generic", *FAST, "--output-dir", tmp_path, "probe-theorem",
+             "--family", tmp_path / "family.json", "--p", "1.5", "--trials", "2",
+             "--output", "probe.csv"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        with open(tmp_path / "probe.csv") as fh:
+            rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))[1:]
+        assert rows[0] == ["probe", "odd", "1.5", "", "", "", "not-even"]
+        assert rows[1][1] == "gauss" and rows[1][6].startswith("drift=")
+        assert "duality: odd" not in out
+
+        params = JacobiParameters(1.2, 0.3)
+        family = [_member_from_manifest(e, params) for e in members]
+        coarse = default_grids(params, 12.0, 80, 25.0, 80)
+        at_p = theorem_ratio_experiment(params, family, 1.5, grids=coarse, trials=2)
+        at_dual = theorem_ratio_experiment(params, family, 3.0, grids=coarse, trials=2)
+        ratio, ratio_dual = at_p["rows"][1]["ratio"], at_dual["rows"][1]["ratio"]
+        assert float(rows[1][5]) == float(f"{ratio:.15g}")
+        assert math.isnan(at_p["rows"][0]["ratio"])
+        assert f"verdict: max ratio {ratio:.6g} (stable)" in out
+        assert f"ratio(p=1.5)/ratio(p'=3) = {ratio / ratio_dual:.4g}" in out
+
+    def test_coarse_radial_grid_unstable_exit_4(self, capsys):
+        code = run(
+            ["--preset", "generic", "--t-max", "12", "--radial-panels", "30", "--lam-max", "25",
+             "--spectral-panels", "12", "probe-theorem", "--p", "2", "--trials", "2"]
+        )
+        assert code == 4
+        assert "(UNSTABLE)" in capsys.readouterr().out
+
+    def test_member_without_trace_is_flagged(self, tmp_path, capsys):
+        # omega m = 1/(lam^2 + rho^2) has poles on the edge of the strip, at +-i rho
+        members = [
+            {"label": "pole", "expression": "1/(lam**2 + rho**2)", "decay_class": "bounded"},
+            {"label": "gauss", "expression": "exp(-0.1*lam**2)", "decay_class": "rapidly-decreasing"},
+        ]
+        (tmp_path / "family.json").write_text(json.dumps({"members": members}))
+        code = run(
+            ["--preset", "generic", *FAST, "probe-theorem", "--family", tmp_path / "family.json",
+             "--p", "2", "--trials", "2"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "probe,pole,2,,,,no-boundary-trace" in lines
+        gauss = next(ln for ln in lines if ln.startswith("probe,gauss,"))
+        assert float(gauss.split(",")[5]) > 0.0

@@ -423,6 +423,39 @@ class TestBesselLocalExpansion:
         slope, _ = loglog_slope(ts, resid)
         assert 3.5 < slope < 4.5
 
+    @pytest.mark.parametrize("ab", [(1.2, 0.3), (1.5, 0.5), (3.0, 1.0)])
+    def test_a1_is_the_small_t_limit(self, ab):
+        # a_1 = lim_{t -> 0} (phi - lead) / corr at lambda = 1, with phi, lead
+        # and corr from mpmath; the library's a_1 is the difference of its two
+        # truncations over corr
+        params = JacobiParameters(*ab)
+        t = 0.3
+        two_minus_one = bessel_local_expansion(params, 1.0, t, M=2)[0] - bessel_local_expansion(params, 1.0, t, M=1)[0]
+        with mpmath.workdps(50):
+            # rho in full precision: a rounded alpha + beta + 1 moves the limit
+            alpha, beta = (mpmath.mpf(v) for v in ab)
+            rho = alpha + beta + 1
+
+            def ratio_and_corr(t):
+                phi = mpmath.hyp2f1(rho / 2 + 0.5j, rho / 2 - 0.5j, alpha + 1, -mpmath.sinh(t) ** 2).real
+                delta = (2 * mpmath.sinh(t)) ** (2 * alpha + 1) * (2 * mpmath.cosh(t)) ** (2 * beta + 1)
+                base = 2 ** (rho + alpha) * mpmath.gamma(alpha + 1) * t ** (alpha + 0.5) / mpmath.sqrt(delta)
+                lead = base * mpmath.besselj(alpha, t) / t**alpha
+                corr = base * t**2 * mpmath.besselj(alpha + 1, t) / t ** (alpha + 1)
+                return (phi - lead) / corr, corr
+
+            r1, r2 = (ratio_and_corr(mpmath.mpf(s))[0] for s in ("1e-3", "5e-4"))
+            expected = float((4 * r2 - r1) / 3)  # Richardson in t^2
+            got = two_minus_one / float(ratio_and_corr(mpmath.mpf(t))[1])
+        assert abs(got - expected) <= 1e-9 * abs(expected)
+
+    def test_one_term_expansion_exact_at_h3(self, h3_params):
+        for t in (0.05, 0.3, 1.0):
+            one, _ = bessel_local_expansion(h3_params, 2.0, t, M=1)
+            two, _ = bessel_local_expansion(h3_params, 2.0, t, M=2)
+            assert two == one
+            assert abs(one - math.sin(2.0 * t) / (2.0 * math.sinh(t))) <= 1e-14
+
     def test_domain_guard(self, generic_params):
         with pytest.raises(DomainError):
             bessel_local_expansion(generic_params, 1.0, 1.5, M=2)

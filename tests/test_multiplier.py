@@ -261,7 +261,7 @@ class TestKernelFromMultiplier:
     def test_split_partition(self, generic_params, small_grids):
         rgrid, sgrid = small_grids
         k = heat_kernel(generic_params, 0.1, rgrid, sgrid)
-        local, tail = split_kernel(generic_params, k)
+        local, tail = split_kernel(k)
         assert np.max(np.abs(local.values + tail.values - k.values)) < 1e-14
         nodes = rgrid.nodes
         assert np.all(np.abs(local.values[nodes > 1.1]) == 0.0)
@@ -272,7 +272,7 @@ class TestKernelFromMultiplier:
         sgrid = SpectralGrid.build(generic_params, 20.0, 40)
         k = heat_kernel(generic_params, 0.2, rgrid, sgrid)
         with pytest.raises(GridError):
-            split_kernel(generic_params, k)
+            split_kernel(k)
 
 
 class TestDeltaExpansion:
@@ -281,10 +281,6 @@ class TestDeltaExpansion:
         _, _, recon = delta_expansion(generic_params, t)
         target = weight_density(generic_params, t)
         assert np.max(np.abs(recon - target) / target) < 1e-12
-
-    def test_wrong_J_raises(self, generic_params):
-        with pytest.raises(ParameterError):
-            delta_expansion(generic_params, np.array([1.0]), J=99)
 
 
 class TestPsFunction:

@@ -11,6 +11,7 @@ from jacobilab import (
     ConvergenceError,
     DomainError,
     JacobiParameters,
+    OverflowLimitError,
     ParameterError,
     PoleError,
     bessel_script_J,
@@ -220,6 +221,25 @@ class TestBesselScriptJ:
         alpha = 1.2
         expected = 1.0 / (2.0**alpha * scipy.special.gamma(alpha + 1.0))
         assert bessel_script_J(alpha, 0.0) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [0.5, 5.0, 17.9, 18.1, 25.0, 40.0])
+    @pytest.mark.parametrize("alpha", [1.2, 3.0, 6.0, 10.0, 15.0, 30.0, 165.0])
+    def test_against_mpmath_or_typed_error(self, alpha, x):
+        # within 1e-9 of the amplitude x^(-alpha) sqrt(2/(pi x)), or a typed error
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            expected = mpmath.besselj(alpha, xm) * xm ** (-alpha)
+            amplitude = xm ** (-alpha) * mpmath.sqrt(2 / (mpmath.pi * xm))
+            try:
+                got = bessel_script_J(alpha, x)
+            except (ConvergenceError, OverflowLimitError):
+                return
+            assert abs(got - expected) <= 1e-9 * amplitude
+
+    def test_below_double_range_raises(self):
+        # x^(-165) J_165(3) is about 1e-346: an error naming alpha, not a 0.0
+        with pytest.raises(OverflowLimitError, match="alpha = 165"):
+            bessel_script_J(165.0, 3.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -8,12 +8,16 @@ from jacobilab import (
     DomainError,
     GridError,
     JacobiParameters,
+    MultiplierSpec,
     RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
     OverflowLimitError,
     apply_laplacian,
+    convolve,
+    convolve_direct,
+    estimate_operator_norm,
     heat_kernel,
     inverse_transform,
     jacobi_transform,
@@ -145,7 +149,7 @@ class TestTransformPair:
 
     def test_constants(self, generic_params):
         # with f_hat = integral f phi dmu, unitarity requires C = 1/(2 pi)
-        const = plancherel_constant(generic_params)
+        const = plancherel_constant()
         assert const == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
 
     def test_decay_gate_forward(self, generic_params, small_grids):
@@ -310,3 +314,33 @@ class TestLaplacian:
         f = SampledRadialFunction(rgrid, np.ones(8))
         with pytest.raises(GridError):
             apply_laplacian(generic_params, f)
+
+
+class TestParameterMismatch:
+    """A grid built for one parameter set refuses another (GridError naming both)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, f, s: jacobi_transform(p, f, s),
+            lambda p, f, s: inverse_transform(p, SampledSpectralFunction(s, np.exp(-(s.nodes**2))), f.grid),
+            lambda p, f, s: heat_kernel(p, 0.1, f.grid, s),
+            lambda p, f, s: convolve(p, f, f),
+            lambda p, f, s: convolve_direct(p, f, f),
+            lambda p, f, s: estimate_operator_norm(
+                p, MultiplierSpec(lambda lam: np.exp(-np.asarray(lam) ** 2), True, "rapidly-decreasing", "g"),
+                2.0, trials=1, grids=(f.grid, s),
+            ),
+            lambda p, f, s: apply_laplacian(p, f),
+        ],
+        ids=[
+            "jacobi_transform", "inverse_transform", "heat_kernel", "convolve",
+            "convolve_direct", "estimate_operator_norm", "apply_laplacian",
+        ],
+    )
+    def test_raises_naming_both(self, generic_params, call):
+        rgrid = RadialGrid.graded(generic_params, 5.0, 12)
+        sgrid = SpectralGrid.build(generic_params, 20.0, 20)
+        f = gaussian_bump(rgrid)
+        with pytest.raises(GridError, match=r"alpha=1\.2.*alpha=3\.0|alpha=3\.0.*alpha=1\.2"):
+            call(JacobiParameters(3.0, 1.0), f, sgrid)
