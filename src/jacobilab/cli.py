@@ -121,17 +121,26 @@ def _make_params(args):
     return JacobiParameters(args.alpha, args.beta, relaxed=args.relaxed)
 
 
+# The flags besides the parameters that each file-writing command reads.  A
+# config hash covers these and no other, so a flag a command ignores (the grid
+# flags of convolve, which runs on convolution_grid) cannot change its header.
+_GRID_FLAGS = ("t_max", "radial_panels", "lam_max", "spectral_panels")
+_READS = {
+    "transform": _GRID_FLAGS,
+    "inverse": _GRID_FLAGS,
+    "heat": _GRID_FLAGS,
+    "probe-theorem": _GRID_FLAGS + ("seed",),
+    "report": ("lmax", "kmax"),
+}
+
+
 def _config_hash(args, params):
     payload = {
         "alpha": params.alpha,
         "beta": params.beta,
         "relaxed": params.relaxed,
-        "t_max": args.t_max,
-        "radial_panels": args.radial_panels,
-        "lam_max": args.lam_max,
-        "spectral_panels": args.spectral_panels,
-        "seed": args.seed,
         "version": __version__,
+        **{name: getattr(args, name) for name in _READS.get(args.command, ())},
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]

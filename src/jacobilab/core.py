@@ -13,13 +13,23 @@ cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
 rows that hold 2F1 cells go through one `specfun.hyp2f1_real_arg` call with
 a and c - b per lambda column and w = tanh^2 t per cell (0 off the route), so
 the series forms one term ratio per column and tests for convergence on every
-8th term.  One Harish-Chandra evaluator, `_harish_chandra`, serves real and
-complex lambda: each row keeps its own number of series terms,
-max(12, ceil(27 / t)), and rows that share it share one real matrix product
-per block of at most `specfun._BLOCK_SIZE` cells.  Real lambda takes 2 Re of
-the term at lambda; complex lambda sums the terms at lambda and -lambda.  The
-scalar `jacobi_phi`, the dense `phi_matrix`, `laplacian_residual` and the
-local expansion all call `_phi`.
+8th term; its prefactor (cosh t)^(i lambda - rho) is formed per block of at
+most `specfun._BLOCK_SIZE` cells.  One Harish-Chandra evaluator,
+`_harish_chandra`, serves real and complex lambda: each row keeps its own
+number of series terms, max(12, ceil(27 / t)), and rows that share it share
+one real matrix product per block of at most `specfun._BLOCK_SIZE` cells,
+taken only over the columns that some row of the block routes to it.  Real
+lambda takes 2 Re of the term at lambda; complex lambda sums the terms at
+lambda and -lambda.  The scalar `jacobi_phi`, the dense `phi_matrix`,
+`laplacian_residual` and the local expansion all call `_phi`.
+
+For real lambda both routes need e^(i lambda theta), at theta = t and at
+theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
+panel-group start plus a shared offset, so `_PhaseTable` takes these phases
+from per-row tables of the starts and the offsets, carrying the rounding
+residual to first order, and a row costs 2 (starts + offsets) sines and
+cosines instead of 2 per cell.  A lambda array without such a pattern (a
+scalar, a short, unsorted or irregular array) takes the direct cos and sin.
 """
 
 from __future__ import annotations
@@ -101,13 +111,23 @@ class JacobiParameters:
 
 
 def weight_density(params: JacobiParameters, t):
-    """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0."""
+    """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0.
+
+    Raises OverflowLimitError naming alpha, beta and the least t given where
+    Delta(t) exceeds the largest double (about 2 rho t > 709).
+    """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0) or np.any(np.isnan(t_arr)):
         raise DomainError("weight_density requires t > 0")
-    out = (2.0 * np.sinh(t_arr)) ** (2.0 * params.alpha + 1.0) * (
-        2.0 * np.cosh(t_arr)
-    ) ** (2.0 * params.beta + 1.0)
+    with np.errstate(over="ignore"):
+        out = (2.0 * np.sinh(t_arr)) ** (2.0 * params.alpha + 1.0) * (
+            2.0 * np.cosh(t_arr)
+        ) ** (2.0 * params.beta + 1.0)
+    if not np.all(np.isfinite(out)):
+        raise OverflowLimitError(
+            f"weight_density: Delta(t) overflows a double at t = {np.min(t_arr[~np.isfinite(out)]):.6g} "
+            f"(alpha = {params.alpha:g}, beta = {params.beta:g})"
+        )
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -181,41 +201,106 @@ def _hc_terms(t):
     return k
 
 
-def _harish_chandra(params, t, lam, out, rows):
-    """Write the Harish-Chandra sum for phi_lambda(t) into out[rows].
+class _PhaseTable:
+    """e^(i lambda_j theta_i) over rows theta and columns lambda.
+
+    A lambda array that repeats one gap pattern is the sum of Q offsets and
+    S = size / Q starts, lambda[p Q + q] = sigma_p + xi_q + r_pq with
+    xi_q = lambda[q], sigma_p = lambda[p Q] - lambda[0] and a residual r_pq of
+    rounding size.  Of the divisors Q of the size, the one with the fewest
+    table entries S + Q (then the fewest starts) whose residual keeps
+    |r| theta_max <= 2^-26 is taken, and only where S + Q is at most a quarter
+    of the size.  A row then takes 2 (S + Q) sines and cosines, and each cell
+    one product e^(i sigma_p theta) e^(i xi_q theta) and the residual to first
+    order, e^(i r theta) = 1 + i r theta: the dropped term is below 2^-53.
+    Any other lambda array (unsorted, irregular, or short) takes the direct
+    cos and sin of the (rows x columns) phase.
+    """
+
+    def __init__(self, lam, theta_max):
+        self.lam = lam
+        self.q = None
+        n = lam.size
+        for q in sorted((q for q in range(1, n + 1) if n % q == 0), key=lambda q: (n // q + q, n // q)):
+            if 4 * (n // q + q) > n:
+                break
+            grid = lam.reshape(-1, q)
+            start = grid[:, 0] - lam[0]
+            resid = grid - start[:, None] - lam[:q]
+            if np.max(np.abs(resid)) * theta_max <= 2.0**-26:
+                self.q, self.start, self.resid = q, start, resid.ravel()
+                break
+
+    def __call__(self, theta, cols=slice(None)):
+        """Complex (theta x lambda[cols]) array e^(i lambda theta); cols is a slice."""
+        theta = theta[:, None]
+        if self.q is None:
+            return _cis(theta * self.lam[cols])
+        q = self.q
+        lo, hi, _ = cols.indices(self.lam.size)
+        first = lo // q
+        starts = _cis(theta * self.start[first : -(-hi // q)])
+        offsets = _cis(theta * self.lam[:q])
+        out = (starts[:, :, None] * offsets[:, None, :]).reshape(theta.size, -1)
+        out = out[:, lo - first * q : hi - first * q]
+        first_order = np.empty(out.shape, dtype=complex)  # e^(i r theta) to first order
+        first_order.real = 1.0
+        np.multiply(theta, self.resid[cols], out=first_order.imag)
+        # out of place, as in specfun._sum_series: a value does not depend on
+        # how many cells the call holds
+        return out * first_order
+
+
+def _cis(phase):
+    """cos(phase) + i sin(phase)."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _column_span(mask):
+    """The slice from the first to past the last column that holds a True."""
+    used = mask.any(axis=0)
+    return slice(int(used.argmax()), used.size - int(used[::-1].argmax()))
+
+
+def _harish_chandra(params, t, lam, out, rows, hc):
+    """Write the Harish-Chandra sum for phi_lambda(t) into out[rows], where hc.
 
     Row i keeps its own truncation K = max(12, ceil(27 / t_i)).  The table
     c(lambda) Gamma_k(lambda) is built once, at the largest K, and held as
-    real columns [Re | Im]; the rows that share a K take S = E [Re | Im] as one
-    real product per block of at most _BLOCK_SIZE cells, E[i, k] = e^(-2k t_i).
-    Real lam > 0 gives phi = 2 e^(-rho t) (cos(lambda t) Re S - sin(lambda t) Im S);
-    complex lam takes the table at [lam, -lam] and sums e^((+-i lambda - rho) t) S.
+    real columns, Re and Im of each lambda side by side (complex lambda takes
+    lambda and -lambda, side by side).  The rows that share a K take
+    S = E table, E[i, k] = e^(-2k t_i), as one real product per block of at
+    most _BLOCK_SIZE cells, over the span of the columns that some row of the
+    block routes here (hc), and read S as complex.  Real lambda gives
+    phi = 2 e^(-rho t) Re(e^(i lambda t) S) with the phases from a
+    `_PhaseTable`; complex lambda sums e^((+-i lambda - rho) t) S.
     """
     real = not np.iscomplexobj(lam)
-    lam_pm = lam if real else np.concatenate([lam, -lam])
+    lam_pm = lam if real else np.stack([lam, -lam], axis=-1).ravel()
     k_row = _hc_terms(t)
     table = gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)
-    table = np.concatenate([table.real, table.imag], axis=1)
-    n = lam_pm.size
-    block_rows = max(1, _BLOCK_SIZE // n)
+    table = table.view(float)
+    width = table.shape[1] // lam.size  # real columns per lambda
+    phase = _PhaseTable(lam, t.max()) if real else None
+    block_rows = max(1, _BLOCK_SIZE // lam_pm.size)
     with np.errstate(under="ignore"):
         for k in np.unique(k_row):
             same_k = np.flatnonzero(k_row == k)
             for lo in range(0, same_k.size, block_rows):
                 block = same_k[lo : lo + block_rows]
                 tb = t[block]
-                s = np.exp(np.outer(-2.0 * tb, np.arange(k + 1))) @ table[: k + 1]
-                re, im = s[:, :n], s[:, n:]
+                cols = _column_span(hc[block])
+                e = np.exp(np.outer(-2.0 * tb, np.arange(k + 1)))
+                s = (e @ table[: k + 1, width * cols.start : width * cols.stop]).view(complex)
                 if real:
-                    phase = np.outer(tb, lam)
-                    re *= np.cos(phase)
-                    im *= np.sin(phase, out=phase)
-                    re -= im
-                    re *= 2.0 * np.exp(-params.rho * tb)[:, None]
-                    out[rows[block]] = re
+                    s *= phase(tb, cols)
+                    out[rows[block], cols] = 2.0 * np.exp(-params.rho * tb)[:, None] * s.real
                 else:
-                    terms = (re + 1j * im) * np.exp((1j * lam_pm - params.rho) * tb[:, None])
-                    out[rows[block]] = terms[:, : lam.size] + terms[:, lam.size :]
+                    s *= np.exp((1j * lam_pm[2 * cols.start : 2 * cols.stop] - params.rho) * tb[:, None])
+                    out[rows[block], cols] = s[:, 0::2] + s[:, 1::2]
 
 
 def _require_finite(name, x):
@@ -255,20 +340,32 @@ def _phi(params, t, lam, hypergeometric=None):
         # c(lambda) has a pole at 0, where the two terms cancel: below the
         # floor, Re lambda moves to the floor and Im lambda stays
         lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
-        _harish_chandra(params, t[hc_rows], lam_hc, out, hc_rows)
+        _harish_chandra(params, t[hc_rows], lam_hc, out, hc_rows, ~direct[hc_rows])
 
     rows = np.flatnonzero(np.any(direct, axis=1))
     if rows.size:
         # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t), with
-        # a and c-b per column; cells off the route get w = 0, which sums no term
+        # a and c-b per column; cells off the route get w = 0, which sums no
+        # term.  The prefactor is formed per block of at most _BLOCK_SIZE
+        # cells, over the span of the block's columns on the route.
         on = direct[rows]
         a, b, c = _phi_params(params, lam)
-        series = hyp2f1_real_arg(a, c - b, c, np.where(on, np.tanh(t[rows, None]) ** 2, 0.0))[on]
-        exponent = np.multiply.outer(np.log(np.cosh(t[rows])), 1j * lam - params.rho)
-        series = series * np.exp(exponent[on])  # out of place, as in specfun._sum_series
-        block = out[rows]
-        block[on] = series.real if real else series
-        out[rows] = block
+        series = hyp2f1_real_arg(a, c - b, c, np.where(on, np.tanh(t[rows, None]) ** 2, 0.0))
+        theta = np.log(np.cosh(t[rows]))
+        phase = _PhaseTable(lam, theta.max()) if real else None
+        block_rows = max(1, _BLOCK_SIZE // lam.size)
+        for lo in range(0, rows.size, block_rows):
+            block = slice(lo, lo + block_rows)
+            cols = _column_span(on[block])
+            tb = theta[block]
+            if real:
+                value = (series[block, cols] * phase(tb, cols)).real
+                value *= np.exp(-params.rho * tb)[:, None]
+            else:
+                value = series[block, cols] * np.exp(np.multiply.outer(tb, 1j * lam[cols] - params.rho))
+            part = out[rows[block], cols]
+            np.copyto(part, value, where=on[block, cols])
+            out[rows[block], cols] = part
     return out
 
 

@@ -263,8 +263,8 @@ def _script_j_series(alpha, x):
     """Ascending series of x^(-alpha) J_alpha(x) in extended precision.
 
     Returns the sum (long double) and the sum of |terms|.  The terms cancel
-    for large x; long double accumulation keeps the result accurate through
-    x = 18 at any alpha.
+    for large x; long double accumulation, with every factor m + alpha formed
+    in long double, keeps the result accurate through x = 18 at any alpha.
     """
     x = np.longdouble(x)
     q = -(x * x) / 4.0
@@ -275,8 +275,10 @@ def _script_j_series(alpha, x):
         scale = np.longdouble(2.0) ** alpha * np.longdouble(_gamma_alpha_plus_one(alpha))
     term = np.longdouble(1.0) / np.longdouble(scale)
     total = size = term
+    a = np.longdouble(alpha)
     for m in range(1, 2000):
-        term = term * q / (np.longdouble(m) * np.longdouble(m + alpha))
+        k = np.longdouble(m)
+        term = term * q / (k * (k + a))
         total += term
         size += abs(term)
         if abs(term) <= np.longdouble(1e-25) * max(abs(total), np.longdouble(1e-300)):
@@ -320,8 +322,8 @@ def bessel_script_J(alpha, x):
 
     The ascending series up to x = 18.  Beyond, the Hankel expansion where
     its error is below _BESSEL_TOL of the amplitude x^(-alpha) sqrt(2 / (pi x)),
-    else the series where its rounding error, a double epsilon of the sum of
-    |terms| (each factor m + alpha is rounded to double), is below that;
+    else the series where a double epsilon of the sum of its |terms|, a
+    generous bound on its long double rounding, is below that;
     ConvergenceError naming alpha and x where neither is.  OverflowLimitError
     naming alpha where the value leaves the normal doubles.
     """

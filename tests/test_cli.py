@@ -170,6 +170,19 @@ class TestHeatAndConvolve:
         xs, vals = read_csv(tmp_path / "c.csv")
         assert np.all(np.isfinite(vals))
 
+    def test_convolve_ignores_grid_flags(self, tmp_path, capsys):
+        # convolve runs on convolution_grid whatever the grid flags say, so
+        # they neither move its rows nor enter its config hash
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        for name, t_max in (("a.csv", "5"), ("b.csv", "20")):
+            code = run(
+                ["--preset", "generic", "--output-dir", tmp_path, "--t-max", t_max, "convolve",
+                 "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "f.csv", "--output", name]
+            )
+            assert code == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_convolve_heat_semigroup(self, tmp_path, capsys):
         # h_s * h_r = h_(s+r) at rho = 3, to the bound of the convolution benchmark
         params = JacobiParameters(1.5, 0.5)

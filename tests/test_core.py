@@ -27,7 +27,7 @@ from jacobilab import (
     weight_density,
 )
 from jacobilab._util import loglog_slope
-from jacobilab.core import _hypergeometric_route, _phi, gamma_coefficient_table
+from jacobilab.core import _hypergeometric_route, _phi, _PhaseTable, gamma_coefficient_table
 
 RNG = np.random.default_rng(7)
 
@@ -61,6 +61,16 @@ class TestWeightDensity:
     def test_requires_positive_t(self, generic_params):
         with pytest.raises(DomainError):
             weight_density(generic_params, 0.0)
+
+    def test_overflow_raises_at_grid_build(self):
+        # 2 rho t passes 709 at t = 16.9 for (15, 5): a typed error naming the
+        # parameters and that t, not inf mu-weights
+        params = JacobiParameters(15.0, 5.0)
+        with pytest.raises(OverflowLimitError, match=r"t = 16\.9.*alpha = 15, beta = 5"):
+            default_grids(params)
+        with pytest.raises(OverflowLimitError, match="alpha = 15"):
+            weight_density(params, np.array([1.0, 20.0, 18.0]))
+        assert np.isfinite(weight_density(params, 16.8))
 
 
 class TestJacobiPhi:
@@ -222,6 +232,69 @@ class TestPhiMatrix:
             for j in {0, 57, 133, 211, 299, 399, *zeros, *(zeros + 1)}:
                 ref = _mpmath_phi(p, lams[j], t)
                 assert abs(row[j] - ref) <= 1.5e-12 * math.exp(-p.rho * t), (t, lams[j])
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_default_grids_against_mpmath(self, request, preset):
+        # the spectral nodes repeat one gap pattern, so the phases come from
+        # per-row tables; cells with lambda t up to 1000 keep the mpmath gate
+        p = request.getfixturevalue(preset)
+        rgrid, sgrid = default_grids(p)
+        t, lam = rgrid.nodes, sgrid.nodes
+        assert _PhaseTable(lam, t[-1]).q is not None
+        rng = np.random.default_rng(15)
+        rows = np.unique(np.concatenate([rng.integers(0, t.size, 24), [t.size - 1]]))
+        mat = phi_matrix(p, t[rows], lam)
+        cells = [(i, j) for i in range(rows.size) for j in rng.integers(0, lam.size, 3)]
+        cells += [(rows.size - 1, lam.size - 1), (rows.size - 1, lam.size // 2)]
+        assert max(t[rows[i]] * lam[j] for i, j in cells) > 990.0
+        for i, j in cells:
+            ti = t[rows[i]]
+            ref = _mpmath_phi(p, lam[j], ti)
+            assert abs(mat[i, j] - ref) <= 1.5e-12 * math.exp(-p.rho * ti), (ti, lam[j])
+
+    def test_unpatterned_lambda_matches_grid(self, generic_params):
+        # a permuted grid and one missing its last node have no gap pattern and
+        # take the direct cos and sin; column for column they match the grid to
+        # 1e-14 e^(-rho t), the rounding of the shared product as in
+        # test_row_matches_row_alone, plus a few ulps of lambda t times the
+        # Harish-Chandra amplitude 2 |c(lambda)| e^(-rho t): either path rounds
+        # the phase lambda t, and neither more than the other
+        p = generic_params
+        rgrid, sgrid = default_grids(p, 20.0, 200, 50.0, 150)
+        t, lam = rgrid.nodes, sgrid.nodes
+        grid = phi_matrix(p, t, lam)
+        phase_ulps = 4.0 * np.finfo(float).eps * np.outer(t, lam)
+        bound = np.exp(-p.rho * t)[:, None] * (1e-14 + phase_ulps * 2.0 * np.abs(c_function(p, lam)))
+        perm = np.random.default_rng(16).permutation(lam.size)
+        for cols in (perm, np.arange(lam.size - 1)):
+            assert _PhaseTable(lam[cols], t[-1]).q is None
+            got = phi_matrix(p, t, lam[cols])
+            assert np.all(np.abs(got - grid[:, cols]) <= bound[:, cols])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), t=st.floats(0.05, 8.0), re=st.floats(0.25, 30.0), im=st.floats(-0.95, 0.95))
+    def test_even_in_lambda_property(self, data, t, re, im):
+        # phi_(-lambda) = phi_lambda for real lambda and for |Im lambda| < rho,
+        # to 1e-12 of |phi_lambda| or of its bound e^((|Im lambda| - rho) t)
+        alpha = data.draw(st.floats(0.5, 4.0, exclude_min=True), label="alpha")
+        beta = data.draw(st.floats(-0.5, alpha, exclude_min=True, exclude_max=True), label="beta")
+        params = JacobiParameters(alpha, beta)
+        for lam in (re, complex(re, im * params.rho)):
+            value = jacobi_phi(params, lam, t)
+            scale = max(abs(value), math.exp((abs(lam.imag) - params.rho) * t))
+            assert abs(jacobi_phi(params, -lam, t) - value) <= 1e-12 * scale, lam
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lam=st.floats(0.0, 40.0))
+    def test_value_at_zero_property(self, data, lam):
+        # phi_lambda(0) = 1, and near 0 phi = 1 - (lambda^2 + rho^2) t^2 / (4 (alpha + 1)) + O(t^4)
+        alpha = data.draw(st.floats(0.5, 4.0, exclude_min=True), label="alpha")
+        beta = data.draw(st.floats(-0.5, alpha, exclude_min=True, exclude_max=True), label="beta")
+        params = JacobiParameters(alpha, beta)
+        assert jacobi_phi(params, lam, 0.0) == 1.0
+        t = 1e-6
+        value = phi_matrix(params, [t], [lam])[0, 0]
+        assert abs(value - 1.0 + (lam**2 + params.rho**2) * t**2 / (4.0 * (alpha + 1.0))) <= 1e-14
 
     def test_requires_positive_nodes(self, generic_params):
         with pytest.raises(DomainError):

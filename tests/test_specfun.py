@@ -236,6 +236,18 @@ class TestBesselScriptJ:
                 return
             assert abs(got - expected) <= 1e-9 * amplitude
 
+    @pytest.mark.parametrize("x", [14.0, 17.9])
+    @pytest.mark.parametrize("alpha", [1.2, 2.7])
+    def test_series_at_non_integer_alpha(self, alpha, x):
+        # the ascending series near the crossover, where its terms cancel most:
+        # within 1e-12 of the amplitude, since every factor m + alpha is a
+        # long double (rounded to double it cost 1.06e-10 at alpha 1.2, x 17.9)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            expected = mpmath.besselj(alpha, xm) * xm ** (-alpha)
+            amplitude = xm ** (-alpha) * mpmath.sqrt(2 / (mpmath.pi * xm))
+            assert abs(bessel_script_J(alpha, x) - expected) <= 1e-12 * amplitude
+
     def test_below_double_range_raises(self):
         # x^(-165) J_165(3) is about 1e-346: an error naming alpha, not a 0.0
         with pytest.raises(OverflowLimitError, match="alpha = 165"):
