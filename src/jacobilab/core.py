@@ -9,19 +9,18 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
   away from 0.
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
-cells.  One route rule (`_hypergeometric_route`) picks each cell's route; the
-rows that hold 2F1 cells go through one `specfun.hyp2f1_real_arg` call with
-a and c - b per lambda column and w = tanh^2 t per cell (0 off the route), so
-the series forms one term ratio per column and tests for convergence on every
-8th term; its prefactor (cosh t)^(i lambda - rho) is formed per block of at
-most `specfun._BLOCK_SIZE` cells.  One Harish-Chandra evaluator,
-`_harish_chandra`, serves real and complex lambda: each row keeps its own
-number of series terms, max(12, ceil(27 / t)), and rows that share it share
-one real matrix product per block of at most `specfun._BLOCK_SIZE` cells,
-taken only over the columns that some row of the block routes to it.  Real
-lambda takes 2 Re of the term at lambda; complex lambda sums the terms at
-lambda and -lambda.  The scalar `jacobi_phi`, the dense `phi_matrix`,
-`laplacian_residual` and the local expansion all call `_phi`.
+cells, each on the route that one rule (`_hypergeometric_route`) picks.  On
+either route a cell is a power series in one row variable times a table over
+lambda: x = e^(-2t) with c(lambda) Gamma_k(lambda), or w = tanh^2 t with the
+2F1 coefficients C_k(lambda) of the Pfaff form.  One helper, `_power_sums`,
+sums both: each row keeps its own number of terms (max(12, ceil(27 / t)) for
+Harish-Chandra, the envelope rule `specfun._series_terms` for 2F1), and rows
+that share it share one real matrix product per block of at most
+`_BLOCK_SIZE` cells, over the columns that some row of the block routes
+there.  Real lambda takes 2 Re of the Harish-Chandra term at lambda; complex
+lambda sums the terms at lambda and -lambda.  The scalar `jacobi_phi`, the
+dense `phi_matrix`, `laplacian_residual` and the local expansion all call
+`_phi`.
 
 For real lambda both routes need e^(i lambda theta), at theta = t and at
 theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
@@ -42,7 +41,7 @@ import numpy as np
 
 from ._util import loglog_slope
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
-from .specfun import _BLOCK_SIZE, _gamma_alpha_plus_one, bessel_script_J, gamma_ratio, hyp2f1_real_arg
+from .specfun import _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
 __all__ = [
     "JacobiParameters",
@@ -66,6 +65,7 @@ _LAMT_SWITCH = 12.0
 _LAMBDA_FLOOR = 1e-12  # HC route regularization near the c-function pole at 0
 _GAMMA_CAP = 1e100
 _HC_MAX_TERMS = 800
+_BLOCK_SIZE = 16384  # cells of one block of a phi matrix, so that its working arrays stay in cache
 # e^(-rho t) falls below the smallest normal double (2.2e-308) beyond this.
 _RHO_T_MAX = 708.0
 
@@ -246,8 +246,7 @@ class _PhaseTable:
         first_order = np.empty(out.shape, dtype=complex)  # e^(i r theta) to first order
         first_order.real = 1.0
         np.multiply(theta, self.resid[cols], out=first_order.imag)
-        # out of place, as in specfun._sum_series: a value does not depend on
-        # how many cells the call holds
+        # out of place: a value does not depend on how many cells the call holds
         return out * first_order
 
 
@@ -265,42 +264,115 @@ def _column_span(mask):
     return slice(int(used.argmax()), used.size - int(used[::-1].argmax()))
 
 
+def _power_sums(powers, k_row, table, route):
+    """Yield (block, cols, S) with S[i, j] = sum_(k <= K_i) table[k, j] x_i^k, read as complex.
+
+    k_row is K per row (-1 leaves a row out), powers(block, k) the basis
+    [x_i^0 ... x_i^k] of a block's rows, and table real, with a fixed number
+    of real columns per column of the (rows x columns) mask route.  Rows that
+    share a K take S as one real product per block of at most _BLOCK_SIZE
+    cells, over the span of the columns some row of the block routes here.
+    """
+    for k in np.unique(k_row[k_row >= 0]):
+        width = table.shape[1] // route.shape[1]  # real columns per column
+        block_rows = max(1, _BLOCK_SIZE // (table.shape[1] // 2))
+        same_k = np.flatnonzero(k_row == k)
+        for lo in range(0, same_k.size, block_rows):
+            block = same_k[lo : lo + block_rows]
+            cols = _column_span(route[block])
+            yield block, cols, (powers(block, k) @ table[: k + 1, width * cols.start : width * cols.stop]).view(complex)
+
+
 def _harish_chandra(params, t, lam, out, rows, hc):
     """Write the Harish-Chandra sum for phi_lambda(t) into out[rows], where hc.
 
     Row i keeps its own truncation K = max(12, ceil(27 / t_i)).  The table
     c(lambda) Gamma_k(lambda) is built once, at the largest K, and held as
     real columns, Re and Im of each lambda side by side (complex lambda takes
-    lambda and -lambda, side by side).  The rows that share a K take
-    S = E table, E[i, k] = e^(-2k t_i), as one real product per block of at
-    most _BLOCK_SIZE cells, over the span of the columns that some row of the
-    block routes here (hc), and read S as complex.  Real lambda gives
-    phi = 2 e^(-rho t) Re(e^(i lambda t) S) with the phases from a
-    `_PhaseTable`; complex lambda sums e^((+-i lambda - rho) t) S.
+    lambda and -lambda, side by side), and summed in x = e^(-2t) by
+    `_power_sums`.  Real lambda gives phi = 2 e^(-rho t) Re(e^(i lambda t) S)
+    with the phases from a `_PhaseTable`; complex lambda sums
+    e^((+-i lambda - rho) t) S.
     """
     real = not np.iscomplexobj(lam)
     lam_pm = lam if real else np.stack([lam, -lam], axis=-1).ravel()
     k_row = _hc_terms(t)
     table = gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)
-    table = table.view(float)
-    width = table.shape[1] // lam.size  # real columns per lambda
     phase = _PhaseTable(lam, t.max()) if real else None
-    block_rows = max(1, _BLOCK_SIZE // lam_pm.size)
+
+    def powers(block, k):
+        return np.exp(np.outer(-2.0 * t[block], np.arange(k + 1)))
+
     with np.errstate(under="ignore"):
-        for k in np.unique(k_row):
-            same_k = np.flatnonzero(k_row == k)
-            for lo in range(0, same_k.size, block_rows):
-                block = same_k[lo : lo + block_rows]
-                tb = t[block]
-                cols = _column_span(hc[block])
-                e = np.exp(np.outer(-2.0 * tb, np.arange(k + 1)))
-                s = (e @ table[: k + 1, width * cols.start : width * cols.stop]).view(complex)
-                if real:
-                    s *= phase(tb, cols)
-                    out[rows[block], cols] = 2.0 * np.exp(-params.rho * tb)[:, None] * s.real
-                else:
-                    s *= np.exp((1j * lam_pm[2 * cols.start : 2 * cols.stop] - params.rho) * tb[:, None])
-                    out[rows[block], cols] = s[:, 0::2] + s[:, 1::2]
+        for block, cols, s in _power_sums(powers, k_row, table.view(float), hc):
+            tb = t[block]
+            if real:
+                s *= phase(tb, cols)
+                out[rows[block], cols] = 2.0 * np.exp(-params.rho * tb)[:, None] * s.real
+            else:
+                s *= np.exp((1j * lam_pm[2 * cols.start : 2 * cols.stop] - params.rho) * tb[:, None])
+                out[rows[block], cols] = s[:, 0::2] + s[:, 1::2]
+
+
+def _hypergeometric(params, t, lam, out, rows, on):
+    """Write (cosh t)^(i lambda - rho) 2F1(a, c - b; c; tanh^2 t) into out[rows], where on.
+
+    Row i takes K_i terms by `specfun._series_terms` on its routed column of
+    largest |lambda|, where |C_k(lambda)| is largest on the real line.  Each
+    column's C_k(lambda) = prod_(j<k) r_j(lambda) is formed only up to the
+    largest K of its rows, in a short table over all columns and a tall one
+    over the deeper columns (the split of least size), and summed in w by
+    `_power_sums`.  A column whose C_k still leave the doubles (|lambda| past
+    about 1e6, at t below about 1e-5) takes `specfun.hyp2f1_real_arg`.
+    """
+    a, b, c = _phi_params(params, lam)
+    w = np.tanh(t) ** 2
+    by_lam = np.argsort(-np.abs(lam), kind="stable")
+    top = by_lam[on[:, by_lam].argmax(axis=1)]
+    k_row = _series_terms(a[top], (c - b)[top], c, 2.0 * np.log(np.tanh(t)))
+    row_order = np.argsort(-k_row, kind="stable")  # a column's K is that of its first routed row here
+    k_col = np.where(on.any(axis=0), k_row[row_order[on[row_order].argmax(axis=0)]], 0)
+    splits = [(k_col.max(), slice(0, 0))] + [(d, _column_span(k_col[None, :] > d)) for d in np.unique(k_col)[:-1]]
+    depth, deep = min(splits, key=lambda s: (s[0] + 1) * lam.size + (k_col.max() + 1) * (s[1].stop - s[1].start))
+    theta = np.log(np.cosh(t))
+    phase = _PhaseTable(lam, theta.max()) if np.isrealobj(lam) else None
+
+    def powers(block, k):
+        # w^k to an ulp; e^(k log w) would round k log w, an error that the
+        # cancelling terms at large lambda t amplify
+        return w[block, None] ** np.arange(k + 1)
+
+    def write(block, cols, s, where):
+        tb = theta[block]
+        if phase is not None:
+            value = (s * phase(tb, cols)).real
+            value *= np.exp(-params.rho * tb)[:, None]
+        else:
+            value = s * np.exp(np.multiply.outer(tb, 1j * lam[cols] - params.rho))
+        out[rows[block], cols] = np.where(where, value, out[rows[block], cols])
+
+    fallback = np.zeros(lam.size, dtype=bool)
+    for cols, k_tab, k_sum in [  # the rows that sum a table keep their K, the others take -1
+        (slice(0, lam.size), np.minimum(k_col, depth), np.where(k_row > depth, -1, k_row)),
+        (deep, k_col[deep], np.where(k_row > depth, k_row, -1)),
+    ]:
+        table = np.zeros((k_tab.max(initial=0) + 1, k_tab.size), dtype=complex)
+        table[0] = 1.0
+        col_order = np.argsort(-k_tab, kind="stable")  # rows lo + 1 ... hi for the columns with K >= hi
+        edges = np.unique(k_tab)
+        for lo, hi in zip(np.r_[0, edges[:-1]], edges):
+            need = col_order[: np.count_nonzero(k_tab >= hi)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = _term_ratio(a[cols][need], (c - b)[cols][need], c, np.arange(lo, hi)[:, None])
+                table[lo + 1 : hi + 1, need] = np.cumprod(ratio, axis=0) * table[lo, need]
+        finite = np.isfinite(table).all(axis=0)
+        table[:, ~finite] = 0.0
+        fallback[cols] |= ~finite
+        for block, span, s in _power_sums(powers, k_sum, table.view(float), on[:, cols]):
+            write(block, slice(cols.start + span.start, cols.start + span.stop), s, on[block, cols][:, span] & finite[span])
+    for col in np.flatnonzero(fallback):
+        cells = np.flatnonzero(on[:, col])
+        write(cells, slice(col, col + 1), hyp2f1_real_arg(a[col], (c - b)[col], c, w[cells])[:, None], True)
 
 
 def _require_finite(name, x):
@@ -344,28 +416,7 @@ def _phi(params, t, lam, hypergeometric=None):
 
     rows = np.flatnonzero(np.any(direct, axis=1))
     if rows.size:
-        # Pfaff form: (cosh t)^(i lam - rho) * 2F1(a, c-b; c; tanh^2 t), with
-        # a and c-b per column; cells off the route get w = 0, which sums no
-        # term.  The prefactor is formed per block of at most _BLOCK_SIZE
-        # cells, over the span of the block's columns on the route.
-        on = direct[rows]
-        a, b, c = _phi_params(params, lam)
-        series = hyp2f1_real_arg(a, c - b, c, np.where(on, np.tanh(t[rows, None]) ** 2, 0.0))
-        theta = np.log(np.cosh(t[rows]))
-        phase = _PhaseTable(lam, theta.max()) if real else None
-        block_rows = max(1, _BLOCK_SIZE // lam.size)
-        for lo in range(0, rows.size, block_rows):
-            block = slice(lo, lo + block_rows)
-            cols = _column_span(on[block])
-            tb = theta[block]
-            if real:
-                value = (series[block, cols] * phase(tb, cols)).real
-                value *= np.exp(-params.rho * tb)[:, None]
-            else:
-                value = series[block, cols] * np.exp(np.multiply.outer(tb, 1j * lam[cols] - params.rho))
-            part = out[rows[block], cols]
-            np.copyto(part, value, where=on[block, cols])
-            out[rows[block], cols] = part
+        _hypergeometric(params, t[rows], lam, out, rows, direct[rows])
     return out
 
 

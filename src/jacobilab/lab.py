@@ -1,5 +1,5 @@
 """Empirical multiplier laboratory: operator-norm probes, the Mihlin proxy,
-heat-regularization ladders, and the theorem ratio experiment.
+and the theorem ratio experiment.
 
 Operator norms are estimated from below by maximizing ||T_m f||_p / ||f||_p
 over a deterministic, seeded family of trial functions.  The trials are
@@ -19,12 +19,7 @@ import numpy as np
 
 from ._util import dyadic_differences
 from .errors import DomainError, JacobiLabError, ParameterError
-from .multiplier import (
-    MultiplierSpec,
-    boundary_trace,
-    heat_regularize,
-    omega,
-)
+from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
     SampledRadialFunction,
     SampledSpectralFunction,
@@ -41,7 +36,6 @@ __all__ = [
     "apply_multiplier_operator",
     "estimate_operator_norm",
     "mihlin_proxy_norm",
-    "heat_ladder",
     "theorem_ratio_experiment",
     "standard_multiplier_family",
 ]
@@ -166,28 +160,6 @@ def mihlin_proxy_norm(g, lam_max=50.0):
         raise DomainError("mihlin_proxy_norm requires lam_max > 1")
     lam, g0, gp, _ = dyadic_differences(g, 1.0 / lam_max, lam_max)
     return float(np.max(np.abs(g0)) + np.max(np.abs(lam * gp)))
-
-
-def heat_ladder(params, m: MultiplierSpec, p, s_values=(0.1, 0.05, 0.025), trials=9, seed=0, grids=None):
-    """Operator-norm estimates of the heat-regularized m_s down the s-ladder.
-
-    Returns the per-s estimates plus a log-linear extrapolation to s = 0.
-    """
-    if any(b >= a for a, b in zip(s_values, s_values[1:])):
-        raise ParameterError("s ladder must be strictly decreasing")
-    estimates = []
-    for s in s_values:
-        ms = heat_regularize(m, s, params)
-        est = estimate_operator_norm(params, ms, p, trials=trials, seed=seed, grids=grids)
-        estimates.append(est.lower_bound)
-    xs = np.asarray(s_values, dtype=float)
-    ys = np.log(np.maximum(np.asarray(estimates), 1e-300))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return {
-        "s_values": tuple(s_values),
-        "estimates": tuple(estimates),
-        "extrapolated": float(math.exp(intercept)),
-    }
 
 
 def standard_multiplier_family(params) -> list:

@@ -12,7 +12,7 @@ kernel_from_multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,8 @@ class MultiplierSpec:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    height: float
     nodes: np.ndarray
     samples: np.ndarray
-    approach_parameters: tuple
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,7 @@ def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ParameterError("eps ladder must be strictly decreasing, length >= 3")
     if height == 0.0:
-        vals = np.asarray(g(nodes.astype(complex)))
-        return BoundaryTrace(0.0, nodes, vals, eps)
+        return BoundaryTrace(nodes, np.asarray(g(nodes.astype(complex))))
     rows = [np.asarray(g(nodes + 1j * (height - e))) for e in eps]
     full = neville_zero(eps, rows)
     tail = neville_zero(eps[1:], rows[1:])
@@ -192,7 +189,7 @@ def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:
         raise ConvergenceError(
             f"boundary trace did not converge (ladder defect {defect:.3e})"
         )
-    return BoundaryTrace(float(height), nodes, full, eps)
+    return BoundaryTrace(nodes, full)
 
 
 def w_function(params, lam):

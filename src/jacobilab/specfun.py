@@ -4,14 +4,12 @@ Everything here is pure and stateless; functions accept numpy arrays where
 noted and plain scalars otherwise.  Gamma takes one path, a 15-term Lanczos
 form (g = 607/128) at the least shift z + n with Re(z + n) >= 1/2, divided
 by z (z+1) ... (z+n-1); `gamma_ratio` keeps a quotient of two Gammas in log
-space.  Real arguments such as Gamma(alpha + 1) come from `math.gamma`.  Every 2F1
-value, scalar or batched, is summed by the one series `hyp2f1_real_arg`,
-over slices of at most `_BLOCK_SIZE` elements so that its working arrays stay
-in cache.  Its term ratio is formed once per distinct parameter pair (one per
-lambda column of a phi grid) and gathered to the elements, and its stopping
-test runs on every `_CHECK_EVERY`-th term.  The series budgets are module
-constants (`_SERIES_TOL`, `_MAX_TERMS`, `_CHECK_EVERY`, `_BESSEL_CROSSOVER`,
-`_BESSEL_TOL`), not options.
+space.  Real arguments such as Gamma(alpha + 1) come from `math.gamma`.  The
+2F1 series has one term ratio (`_term_ratio`) and one truncation rule
+(`_series_terms`, from the log envelope of its terms), which the phi grids of
+`core` share; `hyp2f1_real_arg` sums it for one parameter pair over an array
+of arguments.  The series budgets are module constants (`_MAX_TERMS`,
+`_BESSEL_CROSSOVER`, `_BESSEL_TOL`), not options.
 """
 
 from __future__ import annotations
@@ -28,17 +26,12 @@ __all__ = [
     "bessel_script_J",
 ]
 
-# Series budgets: the relative stopping tolerance of the 2F1 series, its hard
-# cap on terms, and the |x| beyond which the Bessel kernel tries the Hankel
-# asymptotic expansion before the ascending series.
-_SERIES_TOL = 1e-14
+# Series budgets: the hard cap on terms of the 2F1 series, and the |x|
+# beyond which the Bessel kernel tries the Hankel asymptotic expansion before
+# the ascending series.
 _MAX_TERMS = 100_000
-_CHECK_EVERY = 8  # terms between two stopping tests of the 2F1 series
 _BESSEL_CROSSOVER = 18.0
 _BESSEL_TOL = 1e-10  # error of the Bessel kernel, relative to its amplitude
-# Elements of one slice of a batched series, and cells of one block of a phi
-# matrix: about 16k, so that a slice's complex working arrays stay in cache.
-_BLOCK_SIZE = 16384
 
 # Lanczos coefficients for g = 607/128, n = 15 (Godfrey's table).
 _LANCZOS_G = 607.0 / 128.0
@@ -148,107 +141,93 @@ def hyp2f1(a, b, c, z):
 
 
 def hyp2f1_real_arg(a, b, c, w):
-    """The defining 2F1 series, vectorized over an array of arguments w in [0, 1).
+    """The defining 2F1 series of one parameter pair (scalars a, b, c), vectorized over w in [0, 1).
 
-    Parameters a, b may be complex arrays broadcastable against w; c is scalar.
-    Each element of the broadcast of a and b is one parameter pair, and the
-    term ratio (a+k)(b+k) / ((c+k)(k+1)) is formed once per pair and term and
-    gathered to the elements that use it: for a (t x lambda) grid with a, b
-    per column, one ratio per column.  The stopping test runs after every
-    _CHECK_EVERY-th term, and each element stops at the first such term with
-    |term| <= _SERIES_TOL (1 - w) |total|, so its value does not depend on the
-    rest of the batch.  The factor 1 - w accounts for the geometric tail: the
-    term ratio tends to w, so the neglected remainder is about
-    |term| w / (1 - w).  An element with w = 0 is 1 and sums no term.  The
-    batch is summed in slices of at most _BLOCK_SIZE elements; within a slice,
-    converged elements leave the live set once they make up a quarter of it.
+    Each element sums its own K terms, K from `_series_terms`, in nested form
+    1 + r_0 w (1 + r_1 w (1 + ...)) with r_j the term ratio, so no
+    coefficient C_k is formed and none can overflow, and a value does not
+    depend on the rest of the batch.  An element with w = 0 is 1.
     """
     w = np.asarray(w, dtype=float)
     if not np.all((w >= 0.0) & (w < 1.0)):
         raise DomainError("hyp2f1_real_arg requires finite w with 0 <= w < 1")
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if np.isrealobj(a) and np.isrealobj(b) and (np.isrealobj(c) or abs(complex(c).imag) == 0.0):
-        a = a.astype(float)
-        b = b.astype(float)
-        c = float(np.real(c))
-    else:
-        a = a.astype(complex)
-        b = b.astype(complex)
-    pairs = np.broadcast_shapes(a.shape, b.shape)
-    shape = np.broadcast_shapes(pairs, w.shape)
-    out = np.empty(shape, dtype=np.result_type(a, b, w))
-    flat = out.reshape(-1)
-    a, b = (np.broadcast_to(x, pairs).ravel() for x in (a, b))
-    w = np.broadcast_to(w, shape).ravel()
-    flat[w == 0.0] = 1.0
-    live = np.flatnonzero(w)
-    # pair[i]: the index into a and b of live element i
-    pair = np.broadcast_to(np.arange(a.size).reshape(pairs), shape).ravel()[live]
-    for lo in range(0, live.size, _BLOCK_SIZE):
-        part = slice(lo, lo + _BLOCK_SIZE)
-        flat[live[part]] = _sum_series(a, b, c, pair[part], w[live[part]], flat.dtype)
-    return out
+    a, b, c = complex(a), complex(b), complex(c)
+    if a.imag == b.imag == c.imag == 0.0:
+        a, b, c = a.real, b.real, c.real
+    flat = w.ravel()
+    k = np.zeros(flat.size, dtype=int)
+    live = np.flatnonzero(flat > 0.0)
+    if live.size:
+        # K rises with w for one pair: an element between two of up to 256 evenly spaced
+        # probes of one K takes it (j is its probe interval, to within one interval)
+        w_live = flat[live]
+        lo, hi, last = w_live.min(), w_live.max(), min(live.size, 256) - 1
+        k_probe = _series_terms(a, b, c, np.log(np.linspace(lo, hi, last + 1)))
+        j = ((w_live - lo) * (last / (hi - lo) if hi > lo else 0.0)).astype(int)
+        interval = np.arange(last + 2)  # j = last + 1 where w = hi rounds up
+        straddles = k_probe[np.maximum(interval - 1, 0)] != k_probe[np.minimum(interval + 2, last)]
+        k[live] = k_probe[np.minimum(interval, last)][j]
+        mixed = live[straddles[j]]
+        if mixed.size:
+            k[mixed] = _series_terms(a, b, c, np.log(flat[mixed]))
+    # elements in decreasing K (K / 8 as int16, which numpy sorts by radix):
+    # those still summing at the terms [8m - 8, 8m), with K >= 8m, are a
+    # prefix of length n_at[m]
+    level = k // 8
+    order = np.argsort(-level.astype(np.int16), kind="stable")
+    n_at = np.cumsum(np.bincount(level)[::-1])[::-1]
+    step = _term_ratio(a, b, c, np.arange(k.max(initial=0)))[:, None] * flat[order]
+    total = np.ones(flat.size, dtype=step.dtype)
+    prod = np.empty_like(total)  # apart from total: numpy rounds a one-element in-place product differently
+    for m in range(n_at.size - 1, 0, -1):
+        summing, scratch = total[: n_at[m]], prod[: n_at[m]]
+        for row in step[8 * m - 8 : 8 * m, : n_at[m]][::-1]:
+            np.multiply(row, summing, out=scratch)
+            np.add(scratch, 1.0, out=summing)
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape(w.shape)
 
 
-def _sum_series(a, b, c, pair, w, dtype):
-    """The 2F1 series of one slice: element i has parameters a[pair[i]], b[pair[i]].
+def _term_ratio(a, b, c, j):
+    """C_(j+1) / C_j = (a + j)(b + j) / ((c + j)(j + 1)) of the 2F1 coefficients C_k."""
+    return (a + j) * (b + j) / ((c + j) * (j + 1.0))
 
-    The ratios of the next _CHECK_EVERY terms are formed at once, for the
-    range of pairs the slice spans, and gathered to the live elements.  A
-    converged element is frozen by zeroing its term, which keeps its total
-    exact, until it leaves the live set.
+
+def _series_terms(a, b, c, log_w):
+    """Terms K of the 2F1 series per element of a 1-D array log_w = log w < 0.
+
+    a and b are scalars, or arrays of one pair per element.  The envelope
+    |C_k| w^k is taken in log space, from a cumulative sum of log |r_j|, so
+    it cannot overflow.  K is the first multiple of 8 at or past its peak
+    where it has fallen below 2^-53 (1 - w) of the peak; 1 - w accounts for
+    the geometric tail, since r_j tends to 1.  The search runs to 64 terms,
+    then to 8 times as many for the elements still open, so an element's K
+    does not depend on the batch.  ConvergenceError past _MAX_TERMS.
     """
-    out = np.empty(w.size, dtype=dtype)
-    idx = np.arange(w.size)
-    tol = _SERIES_TOL * (1.0 - w)
-    w = w.astype(dtype)  # a complex product is faster than one that casts w
-    term = np.ones(w.size, dtype=dtype)
-    total = term.copy()
-    step = np.empty_like(term)
-    first = pair.min()
-    rel = pair - first  # live element i has pair first + rel[i]
-    span = slice(first, first + rel.max() + 1)
-    n_frozen = 0
-    for k0 in range(0, _MAX_TERMS, _CHECK_EVERY):
-        k = np.arange(k0, k0 + _CHECK_EVERY)[:, None]
-        ratio = (a[span] + k) * (b[span] + k) / ((c + k) * (k + 1.0))
-        for r in ratio:
-            if r.size > 1:
-                r = r.take(rel, out=step, mode="wrap")  # rel is in range; wrap skips the check
-            if term.size == 1:
-                # numpy rounds an in-place complex product of one element
-                # differently from its batched loop; out of place they agree, so
-                # a value does not depend on how many elements are still live
-                term = term * r
-            else:
-                term *= r
-            term *= w
-            total += term
-        bound = np.abs(total)
-        np.maximum(bound, 1e-300, out=bound)
-        bound *= tol
-        done = np.abs(term) <= bound
-        n_done = np.count_nonzero(done)
-        if n_done == n_frozen:
-            continue
-        if n_done == done.size:
-            out[idx] = total
-            return out
-        if 4 * n_done >= done.size:
-            out[idx[done]] = total[done]
-            keep = ~done
-            idx, term, total, step, rel, w, tol = (
-                x[keep] for x in (idx, term, total, step, rel, w, tol)
-            )
-            n_frozen = 0
-        else:
-            term[done] = 0.0
-            n_frozen = n_done
-    raise ConvergenceError(
-        f"2F1 series did not converge within {_MAX_TERMS} terms "
-        f"({term.size - n_frozen} of {out.size} elements of a slice unconverged)"
-    )
+    k = np.full(log_w.size, -1)
+    n = 64
+    while True:
+        n = min(n, _MAX_TERMS)
+        open_ = np.flatnonzero(k < 0)
+        lw = log_w[open_]
+        ratio = _term_ratio(*(x if np.ndim(x) == 0 else x[open_] for x in (a, b)), c, np.arange(n)[:, None])
+        log_c = np.zeros((n + 1, ratio.shape[1]))  # log |C_k| down, elements (or the one pair) across
+        with np.errstate(divide="ignore"):  # a terminating series has a zero ratio
+            np.cumsum(np.log(np.abs(ratio)), axis=0, out=log_c[1:])
+        env = log_c + np.arange(n + 1)[:, None] * lw
+        peak = env.argmax(axis=0)
+        top = env[peak, np.arange(lw.size)]
+        checks = np.arange(0, n + 1, 8)[:, None]
+        below = (env[checks[:, 0]] < top + np.log(2.0**-53 * -np.expm1(lw))) & (checks >= peak)
+        first = np.where(below, checks, n + 8).min(axis=0)
+        k[open_] = np.where(first <= n, first, -1)
+        if np.all(k >= 0):
+            return k
+        if n >= _MAX_TERMS:
+            unconverged = f"{np.count_nonzero(k < 0)} of {k.size} elements unconverged"
+            raise ConvergenceError(f"2F1 series did not converge within {_MAX_TERMS} terms ({unconverged})")
+        n *= 8
 
 
 def _gamma_alpha_plus_one(alpha):

@@ -24,6 +24,11 @@ def dr_params():
 
 
 @pytest.fixture(scope="session")
+def a3b1_params():
+    return JacobiParameters(3.0, 1.0)
+
+
+@pytest.fixture(scope="session")
 def grids(generic_params):
     """Full-size grid pair for the generic preset, built once per session."""
     return (

@@ -14,7 +14,6 @@ from jacobilab import (
     SpectralGrid,
     apply_multiplier_operator,
     estimate_operator_norm,
-    heat_ladder,
     mihlin_proxy_norm,
     standard_multiplier_family,
     inverse_transform,
@@ -213,22 +212,6 @@ class TestMihlinProxy:
     def test_guard(self):
         with pytest.raises(DomainError):
             mihlin_proxy_norm(lambda lam: lam, lam_max=0.5)
-
-
-class TestHeatLadder:
-    def test_extrapolates_to_direct_estimate(self, generic_params, grids):
-        m = constant_multiplier(1.0)
-        ladder = heat_ladder(
-            generic_params, m, 2, s_values=(0.1, 0.05, 0.025), trials=4, grids=grids
-        )
-        direct = estimate_operator_norm(generic_params, m, 2, trials=4, grids=grids)
-        assert ladder["extrapolated"] == pytest.approx(direct.lower_bound, rel=0.01)
-        # regularized estimates increase as s decreases
-        assert all(b > a for a, b in zip(ladder["estimates"], ladder["estimates"][1:]))
-
-    def test_ladder_must_decrease(self, generic_params, grids):
-        with pytest.raises(ParameterError):
-            heat_ladder(generic_params, constant_multiplier(), 2, s_values=(0.1, 0.2))
 
 
 class TestTheoremExperiment:
