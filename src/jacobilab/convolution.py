@@ -71,9 +71,14 @@ def kernel_values(params, s, t, u):
         return out
     sm, tm, um = s[mask], t[mask], u[mask]
     chs, cht, chu = np.cosh(sm), np.cosh(tm), np.cosh(um)
-    b_val = (chs**2 + cht**2 + chu**2 - 1.0) / (2.0 * chs * cht * chu)
-    one_minus_b2 = np.clip(1.0 - b_val**2, 0.0, None)
-    w = np.clip(0.5 * (1.0 - b_val), 0.0, 0.5 - 1e-16)
+    # B = (ch^2 s + ch^2 t + ch^2 u - 1) / (2 ch s ch t ch u), and 1 - B in
+    # its factored form, which does not cancel near 0 or at the support edges;
+    # the s and t factors pair first, so K(s, t, u) = K(t, s, u) bit for bit
+    half = 0.5 * (sm + tm + um)
+    one_minus_b = 2.0 * np.sinh(half) * np.sinh(half - um) * (np.sinh(half - sm) * np.sinh(half - tm))
+    one_minus_b = np.clip(one_minus_b / (chs * cht * chu), 0.0, None)
+    one_minus_b2 = one_minus_b * (2.0 - one_minus_b)
+    w = np.minimum(0.5 * one_minus_b, 0.5 - 1e-16)
     a, b, rho = params.alpha, params.beta, params.rho
     f21 = hyp2f1_real_arg(a + b, a - b, a + 0.5, w).real
     val = (

@@ -50,8 +50,12 @@ class OperatorNormEstimate:
     witness: str
 
     def __post_init__(self):
-        if not 1.0 < self.p:
-            raise ParameterError("p must lie in (1, inf)")
+        _check_exponent(self.p)
+
+
+def _check_exponent(p):
+    if not 1.0 < p < math.inf:
+        raise ParameterError(f"p must lie in (1, inf), not {p}")
 
 
 def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunction, p, sgrid: SpectralGrid):
@@ -129,6 +133,7 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grid
     L^2 norm is zero or not finite are dropped, the rest are gated for decay,
     and the witness is the first trial, in trial order, with the largest ratio.
     """
+    _check_exponent(p)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     rgrid, sgrid = default_grids(params) if grids is None else grids
@@ -210,6 +215,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
     depend on neither the grids nor p, so callers that probe a member again
     on other grids or at another p divide by its row's proxy_norm.
     """
+    _check_exponent(p)
     lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
     for member in multiplier_family:

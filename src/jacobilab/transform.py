@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _DECAY_FRACTION = 1e-10
+_SMALLEST_NORMAL = np.finfo(float).tiny  # 2^-1022
 
 
 class _PanelGrid:
@@ -60,6 +61,12 @@ class _PanelGrid:
     def __init__(self, breakpoints, nodes_per_panel):
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.nodes_per_panel = int(nodes_per_panel)
+        bp = self.breakpoints
+        increasing = bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0)
+        if not (increasing and np.all(np.isfinite(bp)) and bp[0] >= 0.0):
+            raise GridError("breakpoints must be finite, start at 0 or above and strictly increase")
+        if self.nodes_per_panel < 1:
+            raise GridError(f"nodes_per_panel must be at least 1, not {nodes_per_panel}")
         self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
         x, _ = composite_gauss_legendre([-1.0, 1.0], nodes_per_panel)
         diff = x[:, None] - x[None, :]
@@ -109,6 +116,14 @@ class _PanelGrid:
         return d1.ravel(), d2.ravel()
 
 
+def _check_extent(kind, upper_name, upper, n_panels):
+    """GridError naming a builder argument that admits no grid."""
+    if not (math.isfinite(upper) and upper > 0.0):
+        raise GridError(f"{kind} grid: {upper_name} must be finite and positive, not {upper}")
+    if n_panels < 1:
+        raise GridError(f"{kind} grid: n_panels must be at least 1, not {n_panels}")
+
+
 class RadialGrid(_PanelGrid):
     """Graded composite-GL grid on (0, T_max] with dmu quadrature weights."""
 
@@ -121,6 +136,7 @@ class RadialGrid(_PanelGrid):
 
     @classmethod
     def graded(cls, params, t_max=20.0, n_panels=400, nodes_per_panel=8):
+        _check_extent("radial", "t_max", t_max, n_panels)
         return cls(params, graded_breakpoints(t_max, n_panels), nodes_per_panel)
 
 
@@ -146,6 +162,7 @@ class SpectralGrid(_PanelGrid):
 
     @classmethod
     def build(cls, params, lam_max=50.0, n_panels=300, nodes_per_panel=4):
+        _check_extent("spectral", "lam_max", lam_max, n_panels)
         return cls(params, np.linspace(0.0, lam_max, n_panels + 1), nodes_per_panel)
 
 
@@ -235,10 +252,12 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
 
 def _check_decay(values, tail_count, what, fraction=_DECAY_FRACTION):
     """Raise DecayError naming the first column whose last tail_count samples
-    are not below fraction times its peak; a zero column passes."""
+    are not below fraction times its peak; a zero column passes.  The test is
+    on tail / peak, which does not underflow for a subnormal peak."""
     peak = np.atleast_1d(np.max(np.abs(values), axis=0))
     tail = np.atleast_1d(np.max(np.abs(values[-tail_count:]), axis=0))
-    bad = np.flatnonzero((peak > 0.0) & (tail >= fraction * peak))
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero((peak > 0.0) & (tail / peak >= fraction))
     if bad.size:
         j = bad[0]
         where = f" (column {j})" if values.ndim > 1 else ""
@@ -253,13 +272,21 @@ def _weighted_product(phi, weights, values):
 
     Complex values go through as one real GEMM on the columns [Re | Im],
     recombined afterwards: numpy would otherwise copy the real phi to
-    complex for every product.
+    complex for every product.  Each weighted column is scaled by the power
+    of two that puts its largest magnitude in [0.5, 1), its entries still
+    below the smallest normal double are set to zero, and the scale is undone
+    on the output: subnormal operands take the CPU's slow path, and a column
+    that lies wholly in the subnormal range keeps its digits.
     """
     cols = values if values.ndim == 2 else values[:, None]
     k = cols.shape[1]
     if np.iscomplexobj(cols):
         cols = np.concatenate([cols.real, cols.imag], axis=1)
-    out = phi @ (cols * weights[:, None])
+    cols = cols * weights[:, None]
+    _, scale = np.frexp(np.max(np.abs(cols), axis=0))
+    cols = np.ldexp(cols, -scale)
+    cols[np.abs(cols) < _SMALLEST_NORMAL] = 0.0
+    out = np.ldexp(phi @ cols, scale)
     if out.shape[1] > k:
         out = out[:, :k] + 1j * out[:, k:]
     return out.reshape(phi.shape[:1] + values.shape[1:])

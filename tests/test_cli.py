@@ -320,6 +320,14 @@ class TestProbeTheorem:
         assert code == 4
         assert "(UNSTABLE)" in capsys.readouterr().out
 
+    def test_p_infinity_exit_2_without_output(self, tmp_path, capsys):
+        code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "probe-theorem", "--p", "inf",
+                    "--trials", "2", "--output", "probe.csv"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "p must lie in (1, inf)" in captured.err and "verdict" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_member_without_trace_is_flagged(self, tmp_path, capsys):
         # omega m = 1/(lam^2 + rho^2) has poles on the edge of the strip, at +-i rho
         members = [
@@ -336,3 +344,20 @@ class TestProbeTheorem:
         assert "probe,pole,2,,,,no-boundary-trace" in lines
         gauss = next(ln for ln in lines if ln.startswith("probe,gauss,"))
         assert float(gauss.split(",")[5]) > 0.0
+
+
+class TestGridFlags:
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--radial-panels", "0", "n_panels"), ("--spectral-panels", "0", "n_panels"),
+         ("--radial-panels", "-3", "n_panels"), ("--lam-max", "0", "lam_max"),
+         ("--lam-max", "-5", "lam_max"), ("--t-max", "inf", "t_max")],
+    )
+    @pytest.mark.parametrize("command", [["probe-theorem", "--trials", "2"], ["heat", "--s", "0.1"]])
+    def test_bad_grid_shape_exit_2_without_output(self, tmp_path, capsys, flag, value, name, command):
+        grid = dict(zip(FAST[::2], FAST[1::2]), **{flag: value})
+        grid_flags = [x for pair in grid.items() for x in pair]
+        code = run(["--preset", "generic", *grid_flags, "--output-dir", tmp_path, *command, "--output", "out.csv"])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

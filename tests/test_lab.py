@@ -199,6 +199,20 @@ class TestEstimateOperatorNorm:
                 generic_params, constant_multiplier(), 1.0, trials=1, grids=grids
             )
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+    def test_p_outside_open_interval_refused_before_any_transform(self, generic_params, small_grids, monkeypatch, p):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a trial was built or transformed")
+
+        monkeypatch.setattr(lab, "_trial_functions", no_work)
+        monkeypatch.setattr(lab, "inverse_transform", no_work)
+        with pytest.raises(ParameterError, match=r"\(1, inf\)"):
+            estimate_operator_norm(generic_params, constant_multiplier(), p, trials=1, grids=small_grids)
+        with pytest.raises(ParameterError, match=r"\(1, inf\)"):
+            theorem_ratio_experiment(generic_params, standard_multiplier_family(generic_params), p, grids=small_grids)
+        with pytest.raises(ParameterError):
+            lab.OperatorNormEstimate(p, 1.0, 1, 0, "none")
+
 
 class TestMihlinProxy:
     def test_constant(self):

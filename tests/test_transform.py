@@ -24,7 +24,11 @@ from jacobilab import (
     plancherel_constant,
     plancherel_defect,
 )
+from jacobilab import standard_multiplier_family, transform
+from jacobilab.lab import _trial_functions
 from jacobilab.transform import phi_matrix_for
+
+TINY = np.finfo(float).tiny  # the smallest normal double, 2^-1022
 
 
 def gaussian_bump(rgrid, center=1.0, width=0.5):
@@ -111,6 +115,33 @@ class TestGrids:
         rgrid, _ = small_grids
         with pytest.raises(GridError):
             SampledRadialFunction(rgrid, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda p: RadialGrid.graded(p, 20.0, 0), "n_panels"),
+            (lambda p: RadialGrid.graded(p, 20.0, -3), "n_panels"),
+            (lambda p: RadialGrid.graded(p, 0.0, 40), "t_max"),
+            (lambda p: RadialGrid.graded(p, math.inf, 40), "t_max"),
+            (lambda p: RadialGrid.graded(p, math.nan, 40), "t_max"),
+            (lambda p: RadialGrid.graded(p, 5.0, 10, 0), "nodes_per_panel"),
+            (lambda p: SpectralGrid.build(p, 50.0, 0), "n_panels"),
+            (lambda p: SpectralGrid.build(p, 0.0, 40), "lam_max"),
+            (lambda p: SpectralGrid.build(p, -5.0, 40), "lam_max"),
+            (lambda p: SpectralGrid(p, [0.0, 1.0, 1.0, 2.0], 4), "breakpoints"),
+            (lambda p: SpectralGrid(p, [0.0], 4), "breakpoints"),
+            (lambda p: RadialGrid(p, [-1.0, 1.0], 4), "breakpoints"),
+            (lambda p: RadialGrid(p, [0.0, math.inf], 4), "breakpoints"),
+        ],
+        ids=[
+            "radial-0-panels", "radial-negative-panels", "t_max-0", "t_max-inf", "t_max-nan",
+            "0-nodes", "spectral-0-panels", "lam_max-0", "lam_max-negative", "repeated-breakpoint",
+            "no-panel", "negative-start", "infinite-breakpoint",
+        ],
+    )
+    def test_grid_shape_errors_name_the_argument(self, generic_params, build, name):
+        with pytest.raises(GridError, match=rf"\b{name}\b"):
+            build(generic_params)
 
     def test_non_finite_samples_rejected(self, generic_params, small_grids):
         rgrid, _ = small_grids
@@ -269,6 +300,88 @@ class TestRealArithmetic:
         undecayed = SampledRadialFunction(rgrid, np.stack([bump, zero, np.ones_like(bump)], axis=1))
         with pytest.raises(DecayError, match="column 2"):
             jacobi_transform(generic_params, undecayed, sgrid)
+
+
+class _RecordingMatrix:
+    """Stands in for phi and keeps the right operand of every product."""
+
+    def __init__(self, matrix, operands):
+        self.matrix, self.shape, self.operands = matrix, matrix.shape, operands
+
+    @property
+    def T(self):
+        return _RecordingMatrix(self.matrix.T, self.operands)
+
+    def __matmul__(self, other):
+        self.operands.append(other)
+        return self.matrix @ other
+
+
+def _subnormal(x):
+    return (x != 0.0) & (np.abs(x) < TINY)
+
+
+class TestSubnormalOperands:
+    """Each weighted column is scaled by a power of two and the entries still
+    below 2^-1022 are set to zero before the product."""
+
+    def test_products_are_exact_and_operands_normal(self, generic_params, grids, monkeypatch):
+        rgrid, sgrid = grids
+        P = generic_params
+        phi = phi_matrix_for(P, rgrid, sgrid)
+        m = standard_multiplier_family(P)[1]
+        spectra, _ = _trial_functions(P, m, rgrid, sgrid, 8, 0)
+        mhat = m(sgrid.nodes)[:, None] * spectra
+        trials = np.hstack([spectra, mhat.real])
+        assert np.any(_subnormal(trials * sgrid.nu_weights[:, None]))
+        radial = inverse_transform(P, SampledSpectralFunction(sgrid, trials), rgrid, decay_fraction=None).values
+        # narrow bumps whose flanks meet the small mu-weights near t = 0
+        bumps = np.stack([gaussian_bump(rgrid, c, w).values for c, w in ((2.0, 0.1), (1.0, 0.05))], axis=1)
+        radial = np.hstack([radial, bumps])
+        assert np.any(_subnormal(radial * rgrid.mu_weights[:, None]))
+
+        operands = []
+        monkeypatch.setattr(transform, "phi_matrix_for", lambda *args: _RecordingMatrix(phi, operands))
+        directions = [
+            (lambda v: inverse_transform(P, SampledSpectralFunction(sgrid, v), rgrid, decay_fraction=None),
+             phi, sgrid.nu_weights, trials),
+            (lambda v: jacobi_transform(P, SampledRadialFunction(rgrid, v), sgrid, decay_fraction=None),
+             phi.T, rgrid.mu_weights, radial),
+        ]
+        for apply, matrix, w, real in directions:
+            half = real.shape[1] // 2
+            complex_block = real[:, :half] + 1j * real[:, half : 2 * half]
+            parts = np.hstack([complex_block.real, complex_block.imag])
+            product = matrix @ (w[:, None] * parts)
+            cases = [
+                (real, matrix @ (w[:, None] * real)),
+                (complex_block, product[:, :half] + 1j * product[:, half:]),
+                (real[:, 1], matrix @ (w * real[:, 1])),
+            ]
+            for values, reference in cases:
+                operands.clear()
+                got = apply(values).values
+                assert np.array_equal(got, reference)
+                assert len(operands) == 1 and not np.any(_subnormal(operands[0]))
+
+    def test_subnormal_range_column_keeps_its_digits(self, generic_params, small_grids):
+        # a column wholly below 2^-1022 passes the decay gate and transforms
+        # to the scaled transform of the unscaled column, in both directions
+        rgrid, sgrid = small_grids
+        P = generic_params
+        f = gaussian_bump(rgrid).values
+        g = np.exp(-((sgrid.nodes - 5.0) ** 2))
+        cases = [
+            (lambda v: jacobi_transform(P, SampledRadialFunction(rgrid, v), sgrid), f),
+            (lambda v: inverse_transform(P, SampledSpectralFunction(sgrid, v), rgrid), g),
+        ]
+        for apply, values in cases:
+            tiny = np.ldexp(values, -1060)
+            assert np.max(np.abs(tiny)) < TINY
+            got = apply(tiny).values
+            want = np.ldexp(apply(values).values, -1060)
+            assert np.max(np.abs(got)) > 0.0
+            assert np.max(np.abs(got - want)) <= 1e-3 * np.max(np.abs(want))
 
 
 class TestHeatKernel:
