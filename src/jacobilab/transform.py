@@ -15,7 +15,13 @@ phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
 block of functions (one per column of the samples).  Complex samples go
 through the same real product as the columns [Re | Im]; phi is never copied
-to complex.
+to complex.  Before the product each weighted column is scaled by the power
+of two that puts its largest magnitude in [0.5, 1), and its entries still
+below 2^-1022 are set to zero, so no subnormal operand reaches BLAS.  As
+|phi| <= 1 on real grids, an output then differs from the unflushed product
+by at most N 2^-1021 times its column's largest weighted entry (in practice
+not at all), and a column that lies wholly in the subnormal range keeps its
+digits instead of underflowing.
 """
 
 from __future__ import annotations
@@ -272,11 +278,10 @@ def _weighted_product(phi, weights, values):
 
     Complex values go through as one real GEMM on the columns [Re | Im],
     recombined afterwards: numpy would otherwise copy the real phi to
-    complex for every product.  Each weighted column is scaled by the power
-    of two that puts its largest magnitude in [0.5, 1), its entries still
-    below the smallest normal double are set to zero, and the scale is undone
-    on the output: subnormal operands take the CPU's slow path, and a column
-    that lies wholly in the subnormal range keeps its digits.
+    complex for every product.  Subnormal operands take the CPU's slow path,
+    so each weighted column is scaled by an exact power of two, its entries
+    still below 2^-1022 are set to zero, and the scale is undone on the
+    output (see the module docstring for the bound).
     """
     cols = values if values.ndim == 2 else values[:, None]
     k = cols.shape[1]
