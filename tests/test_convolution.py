@@ -1,6 +1,5 @@
-import math
-
 import itertools
+import math
 
 import mpmath
 import numpy as np
