@@ -10,14 +10,17 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
 cells, each on the route that one rule (`_hypergeometric_route`) picks.  On
-either route a cell is a power series in one row variable times a table over
+rows in ascending t and columns in ascending |lambda| (input in another order
+is permuted, and the permutation undone), the 2F1 cells of a row are the
+columns left of one split column, which does not grow with t.  On either
+route a cell is a power series in one row variable times a table over
 lambda: x = e^(-2t) with c(lambda) Gamma_k(lambda), or w = tanh^2 t with the
-2F1 coefficients C_k(lambda) of the Pfaff form.  One helper, `_power_sums`,
-sums both: each row keeps its own number of terms (max(12, ceil(27 / t)) for
-Harish-Chandra, the envelope rule `specfun._series_terms` for 2F1), and rows
-that share it share one real matrix product per block of at most
-`_BLOCK_SIZE` cells, over the columns that some row of the block routes
-there.  Real lambda takes 2 Re of the Harish-Chandra term at lambda; complex
+2F1 coefficients C_k(lambda) of the Pfaff form.  Each row keeps its own
+number of terms, a multiple of 8 (max(12, ceil(27 / t)) rounded up for
+Harish-Chandra, the envelope rule `specfun._series_terms` for 2F1), so the
+rows that share it are a few runs, and a block of at most `_BLOCK_SIZE` cells
+of a run is one real matrix product written to a contiguous slice of the
+output.  Real lambda takes 2 Re of the Harish-Chandra term at lambda; complex
 lambda sums the terms at lambda and -lambda.  The scalar `jacobi_phi`, the
 dense `phi_matrix`, `laplacian_residual` and the local expansion all call
 `_phi`.
@@ -28,7 +31,7 @@ panel-group start plus a shared offset, so `_PhaseTable` takes these phases
 from per-row tables of the starts and the offsets, carrying the rounding
 residual to first order, and a row costs 2 (starts + offsets) sines and
 cosines instead of 2 per cell.  A lambda array without such a pattern (a
-scalar, a short, unsorted or irregular array) takes the direct cos and sin.
+scalar, a short or an irregular array) takes the direct cos and sin.
 """
 
 from __future__ import annotations
@@ -160,14 +163,15 @@ def gamma_coefficient_table(params, lam, k_max):
     cb = 2.0 * (2.0 * params.beta + 1.0)
     table = np.empty((k_max + 1, lam.size), dtype=complex)
     table[0] = 1.0
-    weighted = il - params.rho  # w_k = s_k Gamma_k
+    gaps *= -4.0 * np.arange(1, k_max + 1)[:, None]  # now the denominators -4k(k - i lambda)
+    slope = il - params.rho  # s_0; w_k = s_k Gamma_k
     p_sum = q_sum = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, k_max + 1):
+            weighted = (slope - 2.0 * (k - 1)) * table[k - 1]
             p_sum = p_sum + weighted
             q_sum = -q_sum - weighted
-            table[k] = -(ca * p_sum + cb * q_sum) / (4.0 * k * gaps[k - 1])
-            weighted = (il - params.rho - 2.0 * k) * table[k]
+            table[k] = (ca * p_sum + cb * q_sum) / gaps[k - 1]
     if not np.all(np.abs(table) <= _GAMMA_CAP):
         raise OverflowLimitError("|Gamma_k| exceeded 1e100")
     return table
@@ -192,13 +196,13 @@ def gangolli_fit(params, k_max, lambda_set):
 
 
 def _hc_terms(t):
-    """Harish-Chandra truncation per node, max(12, ceil(27 / t)), at most 800."""
+    """Harish-Chandra truncation per node, max(12, ceil(27 / t)) up to a multiple of 8, at most 800."""
     k = np.maximum(12, np.ceil(27.0 / t)).astype(int)
     if k.max() > _HC_MAX_TERMS:
         raise DomainError(
             f"Harish-Chandra truncation would exceed {_HC_MAX_TERMS} terms (t = {np.min(t):.3g})"
         )
-    return k
+    return -(-k // 8) * 8
 
 
 class _PhaseTable:
@@ -211,10 +215,10 @@ class _PhaseTable:
     table entries S + Q (then the fewest starts) whose residual keeps
     |r| theta_max <= 2^-26 is taken, and only where S + Q is at most a quarter
     of the size.  A row then takes 2 (S + Q) sines and cosines, and each cell
-    one product e^(i sigma_p theta) e^(i xi_q theta) and the residual to first
-    order, e^(i r theta) = 1 + i r theta: the dropped term is below 2^-53.
-    Any other lambda array (unsorted, irregular, or short) takes the direct
-    cos and sin of the (rows x columns) phase.
+    two products, by e^(i xi_q theta) and by e^(i sigma_p theta), and the
+    residual to first order, e^(i r theta) = 1 + i r theta: the dropped term
+    is below 2^-53.  Any other lambda array (irregular or short) takes the
+    direct cos and sin of the (rows x columns) phase.
     """
 
     def __init__(self, lam, theta_max):
@@ -231,23 +235,24 @@ class _PhaseTable:
                 self.q, self.start, self.resid = q, start, resid.ravel()
                 break
 
-    def __call__(self, theta, cols=slice(None)):
-        """Complex (theta x lambda[cols]) array e^(i lambda theta); cols is a slice."""
+    def real_part(self, s, theta, c0):
+        """Re(s e^(i lambda theta)) over the columns c0, c0 + 1, ... of s, overwriting s.
+
+        s is complex (theta x columns); with a pattern, c0 and the number of
+        columns are multiples of Q.
+        """
         theta = theta[:, None]
+        cols = slice(c0, c0 + s.shape[1])
         if self.q is None:
-            return _cis(theta * self.lam[cols])
+            s *= _cis(theta * self.lam[cols])
+            return s.real
         q = self.q
-        lo, hi, _ = cols.indices(self.lam.size)
-        first = lo // q
-        starts = _cis(theta * self.start[first : -(-hi // q)])
-        offsets = _cis(theta * self.lam[:q])
-        out = (starts[:, :, None] * offsets[:, None, :]).reshape(theta.size, -1)
-        out = out[:, lo - first * q : hi - first * q]
-        first_order = np.empty(out.shape, dtype=complex)  # e^(i r theta) to first order
-        first_order.real = 1.0
-        np.multiply(theta, self.resid[cols], out=first_order.imag)
-        # out of place: a value does not depend on how many cells the call holds
-        return out * first_order
+        by_start = s.reshape(s.shape[0], -1, q)
+        by_start *= _cis(theta * self.lam[:q])[:, None, :]
+        by_start *= _cis(theta * self.start[c0 // q : cols.stop // q])[:, :, None]
+        value = theta * self.resid[cols]
+        value *= s.imag
+        return np.subtract(s.real, value, out=value)
 
 
 def _cis(phase):
@@ -258,126 +263,136 @@ def _cis(phase):
     return out
 
 
-def _column_span(mask):
-    """The slice from the first to past the last column that holds a True."""
-    used = mask.any(axis=0)
-    return slice(int(used.argmax()), used.size - int(used[::-1].argmax()))
+def _row_blocks(k_row, width):
+    """Blocks [r0, r1) of consecutive rows that share a K, of at most _BLOCK_SIZE cells.
 
-
-def _power_sums(powers, k_row, table, route):
-    """Yield (block, cols, S) with S[i, j] = sum_(k <= K_i) table[k, j] x_i^k, read as complex.
-
-    k_row is K per row (-1 leaves a row out), powers(block, k) the basis
-    [x_i^0 ... x_i^k] of a block's rows, and table real, with a fixed number
-    of real columns per column of the (rows x columns) mask route.  Rows that
-    share a K take S as one real product per block of at most _BLOCK_SIZE
-    cells, over the span of the columns some row of the block routes here.
+    Row i spans width[i] columns, monotone in i, so a run of rows is as wide
+    as its first or its last row.
     """
-    for k in np.unique(k_row[k_row >= 0]):
-        width = table.shape[1] // route.shape[1]  # real columns per column
-        block_rows = max(1, _BLOCK_SIZE // (table.shape[1] // 2))
-        same_k = np.flatnonzero(k_row == k)
-        for lo in range(0, same_k.size, block_rows):
-            block = same_k[lo : lo + block_rows]
-            cols = _column_span(route[block])
-            yield block, cols, (powers(block, k) @ table[: k + 1, width * cols.start : width * cols.stop]).view(complex)
+    edges = [0, *(np.flatnonzero(np.diff(k_row)) + 1).tolist(), k_row.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        step = max(1, _BLOCK_SIZE // int(max(width[lo], width[hi - 1])))
+        for r0 in range(lo, hi, step):
+            yield r0, min(r0 + step, hi)
 
 
-def _harish_chandra(params, t, lam, out, rows, hc):
-    """Write the Harish-Chandra sum for phi_lambda(t) into out[rows], where hc.
+def _harish_chandra(params, t, lam, split, out):
+    """Write the Harish-Chandra sum for phi_lambda(t) into row i of out from column split[i] on.
 
-    Row i keeps its own truncation K = max(12, ceil(27 / t_i)).  The table
-    c(lambda) Gamma_k(lambda) is built once, at the largest K, and held as
-    real columns, Re and Im of each lambda side by side (complex lambda takes
-    lambda and -lambda, side by side), and summed in x = e^(-2t) by
-    `_power_sums`.  Real lambda gives phi = 2 e^(-rho t) Re(e^(i lambda t) S)
-    with the phases from a `_PhaseTable`; complex lambda sums
-    e^((+-i lambda - rho) t) S.
+    The table c(lambda) Gamma_k(lambda) is built once, at the largest K, as
+    real columns (Re and Im of lambda, and of -lambda for complex lambda, side
+    by side).  A block writes out[r0:r1, c0:], c0 its least split aligned down
+    to the phase period, as S = [x^0 ... x^K] @ table, then
+    2 e^(-rho t) Re(e^(i lambda t) S) for real lambda and the sum of
+    e^((+-i lambda - rho) t) S for complex lambda; the 2F1 route overwrites
+    the cells left of the split.
     """
     real = not np.iscomplexobj(lam)
     lam_pm = lam if real else np.stack([lam, -lam], axis=-1).ravel()
     k_row = _hc_terms(t)
-    table = gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)
-    phase = _PhaseTable(lam, t.max()) if real else None
-
-    def powers(block, k):
-        return np.exp(np.outer(-2.0 * t[block], np.arange(k + 1)))
-
+    table = (gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)).view(float)
+    per_col = table.shape[1] // lam.size  # real columns per column
+    phase = _PhaseTable(lam, t[-1]) if real else None
+    q = (phase.q or 1) if real else 1  # the blocks start at multiples of the period
+    first = split // q * q
     with np.errstate(under="ignore"):
-        for block, cols, s in _power_sums(powers, k_row, table.view(float), hc):
-            tb = t[block]
+        for r0, r1 in _row_blocks(k_row, lam.size - first):
+            tb, c0 = t[r0:r1], first[r1 - 1]
+            powers = np.exp(np.outer(-2.0 * tb, np.arange(k_row[r0] + 1)))
+            s = (powers @ table[: k_row[r0] + 1, per_col * c0 :]).view(complex)
             if real:
-                s *= phase(tb, cols)
-                out[rows[block], cols] = 2.0 * np.exp(-params.rho * tb)[:, None] * s.real
+                np.multiply(phase.real_part(s, tb, c0), 2.0 * np.exp(-params.rho * tb)[:, None], out=out[r0:r1, c0:])
             else:
-                s *= np.exp((1j * lam_pm[2 * cols.start : 2 * cols.stop] - params.rho) * tb[:, None])
-                out[rows[block], cols] = s[:, 0::2] + s[:, 1::2]
+                s *= np.exp((1j * lam_pm[2 * c0 :] - params.rho) * tb[:, None])
+                np.add(s[:, 0::2], s[:, 1::2], out=out[r0:r1, c0:])
 
 
-def _hypergeometric(params, t, lam, out, rows, on):
-    """Write (cosh t)^(i lambda - rho) 2F1(a, c - b; c; tanh^2 t) into out[rows], where on.
+def _coefficients(a, cb, c, k_tab):
+    """C_k(lambda) = prod_(j<k) r_j(lambda) for k <= k_tab[j] in column j, zero below.
 
-    Row i takes K_i terms by `specfun._series_terms` on its routed column of
-    largest |lambda|, where |C_k(lambda)| is largest on the real line.  Each
-    column's C_k(lambda) = prod_(j<k) r_j(lambda) is formed only up to the
-    largest K of its rows, in a short table over all columns and a tall one
-    over the deeper columns (the split of least size), and summed in w by
-    `_power_sums`.  A column whose C_k still leave the doubles (|lambda| past
-    about 1e6, at t below about 1e-5) takes `specfun.hyp2f1_real_arg`.
+    k_tab is non-increasing, so the columns that reach a depth are a prefix.
+    """
+    table = np.zeros((k_tab[0] + 1, k_tab.size), dtype=complex)
+    table[0] = 1.0
+    edges = np.unique(k_tab)
+    for lo, hi in zip(np.r_[0, edges[:-1]], edges):
+        m = np.count_nonzero(k_tab >= hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = _term_ratio(a[:m], cb[:m], c, np.arange(lo, hi)[:, None])
+            table[lo + 1 : hi + 1, :m] = np.cumprod(ratio, axis=0) * table[lo, :m]
+    return table
+
+
+def _hypergeometric(params, t, lam, split, out):
+    """Write (cosh t)^(i lambda - rho) 2F1(a, c - b; c; tanh^2 t) into row i of out left of column split[i].
+
+    Row i takes K_i terms by `specfun._series_terms` on its top column
+    split[i] - 1, where |C_k(lambda)| is largest on the real line.  A column's
+    C_k(lambda) is formed only to the largest K of its rows (a reverse running
+    maximum), in a short table over all columns and a tall one over the deeper
+    columns (the split of least size).  A block is one product over the
+    columns left of its largest split, written where each row routes.  A
+    column whose C_k still leave the doubles (|lambda| past about 1e6, at t
+    below about 1e-5) takes `specfun.hyp2f1_real_arg`.
     """
     a, b, c = _phi_params(params, lam)
+    n = lam.size
     w = np.tanh(t) ** 2
-    by_lam = np.argsort(-np.abs(lam), kind="stable")
-    top = by_lam[on[:, by_lam].argmax(axis=1)]
-    k_row = _series_terms(a[top], (c - b)[top], c, 2.0 * np.log(np.tanh(t)))
-    row_order = np.argsort(-k_row, kind="stable")  # a column's K is that of its first routed row here
-    k_col = np.where(on.any(axis=0), k_row[row_order[on[row_order].argmax(axis=0)]], 0)
-    splits = [(k_col.max(), slice(0, 0))] + [(d, _column_span(k_col[None, :] > d)) for d in np.unique(k_col)[:-1]]
-    depth, deep = min(splits, key=lambda s: (s[0] + 1) * lam.size + (k_col.max() + 1) * (s[1].stop - s[1].start))
+    k_row = _series_terms(a[split - 1], (c - b)[split - 1], c, 2.0 * np.log(np.tanh(t)))
+    routed = np.searchsorted(-split, -np.arange(n))  # the rows routed to column j are the first routed[j]
+    k_col = np.r_[0, np.maximum.accumulate(k_row)][routed]  # the largest K of those rows
     theta = np.log(np.cosh(t))
-    phase = _PhaseTable(lam, theta.max()) if np.isrealobj(lam) else None
+    phase = _PhaseTable(lam, theta[-1]) if np.isrealobj(lam) else None
+    q = (phase.q or 1) if phase is not None else 1  # the blocks end at multiples of the period
+    k_max = k_col[0]
+    depths = [k_max, *np.unique(k_col)[:-1].tolist()]
+    deep_cols = [min(n, -(-np.count_nonzero(k_col > d) // q) * q) for d in depths]
+    depth, n_deep = min(zip(depths, deep_cols), key=lambda d: (d[0] + 1) * n + (k_max + 1) * d[1])
+    short = _coefficients(a, c - b, c, np.minimum(k_col, depth))
+    tall = _coefficients(a, c - b, c, k_col[:n_deep]) if n_deep else np.zeros((1, 0), dtype=complex)
+    fallback = ~np.isfinite(short).all(axis=0)
+    fallback[:n_deep] |= ~np.isfinite(tall).all(axis=0)
+    short[:, fallback] = tall[:, fallback[:n_deep]] = 0.0
+    short, tall = short.view(float), tall.view(float)
+    end = np.minimum(-(-split // q) * q, n)
 
-    def powers(block, k):
+    for r0, r1 in _row_blocks(k_row, end):
+        k, c1, tb = k_row[r0], end[r0], theta[r0:r1]
         # w^k to an ulp; e^(k log w) would round k log w, an error that the
         # cancelling terms at large lambda t amplify
-        return w[block, None] ** np.arange(k + 1)
-
-    def write(block, cols, s, where):
-        tb = theta[block]
+        powers = w[r0:r1, None] ** np.arange(k + 1)
+        s = (powers @ (short if k <= depth else tall)[: k + 1, : 2 * c1]).view(complex)
         if phase is not None:
-            value = (s * phase(tb, cols)).real
+            value = phase.real_part(s, tb, 0)
             value *= np.exp(-params.rho * tb)[:, None]
         else:
-            value = s * np.exp(np.multiply.outer(tb, 1j * lam[cols] - params.rho))
-        out[rows[block], cols] = np.where(where, value, out[rows[block], cols])
-
-    fallback = np.zeros(lam.size, dtype=bool)
-    for cols, k_tab, k_sum in [  # the rows that sum a table keep their K, the others take -1
-        (slice(0, lam.size), np.minimum(k_col, depth), np.where(k_row > depth, -1, k_row)),
-        (deep, k_col[deep], np.where(k_row > depth, k_row, -1)),
-    ]:
-        table = np.zeros((k_tab.max(initial=0) + 1, k_tab.size), dtype=complex)
-        table[0] = 1.0
-        col_order = np.argsort(-k_tab, kind="stable")  # rows lo + 1 ... hi for the columns with K >= hi
-        edges = np.unique(k_tab)
-        for lo, hi in zip(np.r_[0, edges[:-1]], edges):
-            need = col_order[: np.count_nonzero(k_tab >= hi)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = _term_ratio(a[cols][need], (c - b)[cols][need], c, np.arange(lo, hi)[:, None])
-                table[lo + 1 : hi + 1, need] = np.cumprod(ratio, axis=0) * table[lo, need]
-        finite = np.isfinite(table).all(axis=0)
-        table[:, ~finite] = 0.0
-        fallback[cols] |= ~finite
-        for block, span, s in _power_sums(powers, k_sum, table.view(float), on[:, cols]):
-            write(block, slice(cols.start + span.start, cols.start + span.stop), s, on[block, cols][:, span] & finite[span])
+            value = s * np.exp(np.multiply.outer(tb, 1j * lam[:c1] - params.rho))
+        np.copyto(out[r0:r1, :c1], value, where=(np.arange(c1) < split[r0:r1, None]) & ~fallback[:c1])
     for col in np.flatnonzero(fallback):
-        cells = np.flatnonzero(on[:, col])
-        write(cells, slice(col, col + 1), hyp2f1_real_arg(a[col], (c - b)[col], c, w[cells])[:, None], True)
+        rows = routed[col]
+        value = hyp2f1_real_arg(a[col], (c - b)[col], c, w[:rows]) * np.exp((1j * lam[col] - params.rho) * theta[:rows])
+        out[:rows, col] = value.real if phase is not None else value
 
 
 def _require_finite(name, x):
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name} must be finite")
+
+
+def _route_split(t, mag):
+    """Per row of ascending t, how many columns of ascending |lambda| take the 2F1 route.
+
+    Cell for cell as `_hypergeometric_route`: the search at 12 / t moves over
+    the columns where its rounding and that of |lambda| t disagree.
+    """
+    n = mag.size
+    split = np.searchsorted(mag, _LAMT_SWITCH / t, side="right")
+    while np.any(move := (split > 0) & (mag[split - 1] * t > _LAMT_SWITCH)):
+        split -= move
+    while np.any(move := (split < n) & (mag[np.minimum(split, n - 1)] * t <= _LAMT_SWITCH)):
+        split += move
+    split[t > _T_SWITCH] = 0
+    return split
 
 
 def _phi(params, t, lam, hypergeometric=None):
@@ -399,24 +414,31 @@ def _phi(params, t, lam, hypergeometric=None):
             "e^(-rho t) underflows the smallest normal double (2.2e-308)"
         )
     real = not np.any(np.imag(lam))
-    if real:
-        lam = np.abs(np.real(lam))
-    if hypergeometric is None:
-        direct = _hypergeometric_route(lam[None, :], t[:, None])
-    else:
-        direct = np.full((t.size, lam.size), hypergeometric)
-    out = np.empty(direct.shape, dtype=float if real else complex)
+    lam = np.abs(np.real(lam)) if real else lam
+    out = np.empty((t.size, lam.size), dtype=float if real else complex)
+    if not out.size:
+        return out
+    mag = lam if real else np.abs(lam)
+    # a stable ascending order of t and of |lambda|, or None where they are sorted already
+    rows, cols = (None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable") for x in (t, mag))
+    t = t if rows is None else t[rows]
+    lam, mag = (lam, mag) if cols is None else (lam[cols], mag[cols])
+    split = _route_split(t, mag) if hypergeometric is None else np.full(t.size, lam.size if hypergeometric else 0)
 
-    hc_rows = np.flatnonzero(~np.all(direct, axis=1))
-    if hc_rows.size:
+    hc = np.count_nonzero(split == lam.size)  # the split does not grow, so the first Harish-Chandra row
+    if hc < t.size:
         # c(lambda) has a pole at 0, where the two terms cancel: below the
         # floor, Re lambda moves to the floor and Im lambda stays
-        lam_hc = np.where(np.abs(lam) < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
-        _harish_chandra(params, t[hc_rows], lam_hc, out, hc_rows, ~direct[hc_rows])
+        lam_hc = np.where(mag < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
+        _harish_chandra(params, t[hc:], lam_hc, split[hc:], out[hc:])
+    top = np.count_nonzero(split)  # past the last 2F1 row
+    if top:
+        _hypergeometric(params, t[:top], lam, split[:top], out[:top])
 
-    rows = np.flatnonzero(np.any(direct, axis=1))
-    if rows.size:
-        _hypergeometric(params, t[rows], lam, out, rows, direct[rows])
+    if rows is not None:
+        out[rows] = out.copy()
+    if cols is not None:
+        out[:, cols] = out.copy()
     return out
 
 
@@ -437,11 +459,15 @@ def jacobi_phi(params, lam, t):
 
 
 def phi_matrix(params, t_nodes, lam_nodes):
-    """Dense real matrix phi_lambda(t) over real grids (t_nodes x lam_nodes)."""
+    """Dense real matrix phi_lambda(t) over real 1-D grids (t_nodes x lam_nodes)."""
     t_nodes = np.asarray(t_nodes, dtype=float)
+    lam_nodes = np.asarray(lam_nodes, dtype=float)
+    for name, nodes in (("t_nodes", t_nodes), ("lam_nodes", lam_nodes)):
+        if nodes.ndim != 1:
+            raise DomainError(f"phi_matrix requires 1-D {name}, got {nodes.ndim}-D")
     if np.any(t_nodes <= 0.0):
         raise DomainError("phi_matrix requires t > 0")
-    return _phi(params, t_nodes, np.asarray(lam_nodes, dtype=float))
+    return _phi(params, t_nodes, lam_nodes)
 
 
 def laplacian_residual(params, lam, t, h=1e-3):

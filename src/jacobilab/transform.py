@@ -288,8 +288,8 @@ def _weighted_product(phi, weights, values):
     if np.iscomplexobj(cols):
         cols = np.concatenate([cols.real, cols.imag], axis=1)
     cols = cols * weights[:, None]
-    _, scale = np.frexp(np.max(np.abs(cols), axis=0))
-    cols = np.ldexp(cols, -scale)
+    _, scale = np.frexp(np.abs(cols).max(axis=0))
+    np.ldexp(cols, -scale, out=cols)
     cols[np.abs(cols) < _SMALLEST_NORMAL] = 0.0
     out = np.ldexp(phi @ cols, scale)
     if out.shape[1] > k:

@@ -1,6 +1,8 @@
+import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from jacobilab import JacobiParameters, RadialGrid, SpectralGrid
@@ -16,6 +18,12 @@ def h3_params():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return JacobiParameters(0.5, -0.5, relaxed=True)
+
+
+@pytest.fixture(scope="session")
+def h5_params():
+    """Real hyperbolic space H^5: alpha = 3/2, beta = -1/2, rho = 2."""
+    return JacobiParameters(1.5, -0.5, relaxed=True)
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +67,14 @@ def _mpmath_c(params, lam):
 def mpmath_c():
     """The mpmath oracle for the c-function, c(params, lam) -> complex."""
     return _mpmath_c
+
+
+def _h3_heat_kernel(s, t):
+    """Heat kernel of H^3 (alpha = 1/2, beta = -1/2) in closed form, for the transform's normalization."""
+    return math.exp(-s) * t * np.exp(-t * t / (4.0 * s)) / (8.0 * math.sqrt(math.pi) * s**1.5 * np.sinh(t))
+
+
+@pytest.fixture(scope="session")
+def h3_heat_kernel():
+    """h_s(t) = e^(-s) t e^(-t^2 / 4s) / (8 sqrt(pi) s^(3/2) sinh t), as h3_heat_kernel(s, t)."""
+    return _h3_heat_kernel

@@ -215,6 +215,15 @@ class TestConvolve:
         expected = tau @ (f.values * grid.mu_weights)
         assert np.array_equal(convolve_direct(params, f, g).values, expected)
 
+    def test_h3_heat_kernels_closed_form(self, h3_params, h3_heat_kernel):
+        # h_0.1 * h_0.2 = h_0.3, each from its closed form, so no side of the
+        # check goes through the transform pair
+        grid = convolution_grid(h3_params)
+        f, g = (SampledRadialFunction(grid, h3_heat_kernel(s, grid.nodes)) for s in (0.1, 0.2))
+        expected = h3_heat_kernel(0.3, grid.nodes)
+        got = convolve(h3_params, f, g).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
+
     def test_commutativity(self, generic_params, conv_grid):
         f = bump(conv_grid, 0.8, 0.5)
         g = bump(conv_grid, 1.4, 0.7)

@@ -13,10 +13,12 @@ from jacobilab import (
     OverflowLimitError,
     ParameterError,
     PoleError,
+    SpectralGrid,
     bessel_local_expansion,
     bessel_script_J,
     c_asymptotics_report,
     c_function,
+    convolution_grid,
     default_grids,
     gangolli_fit,
     jacobi_phi,
@@ -27,7 +29,7 @@ from jacobilab import (
     weight_density,
 )
 from jacobilab._util import loglog_slope
-from jacobilab.core import _hypergeometric_route, _phi, _PhaseTable, gamma_coefficient_table
+from jacobilab.core import _hypergeometric_route, _phi, _PhaseTable, _route_split, gamma_coefficient_table
 
 RNG = np.random.default_rng(7)
 
@@ -326,6 +328,73 @@ class TestPhiMatrix:
         with pytest.raises(DomainError):
             phi_matrix(generic_params, np.array([0.0, 1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "t_nodes, lam_nodes, name",
+        [(1.0, [1.0, 2.0], "t_nodes"), ([1.0, 2.0], 3.0, "lam_nodes"), ([[1.0, 2.0]], [1.0], "t_nodes")],
+        ids=["scalar-t", "scalar-lambda", "2-D-t"],
+    )
+    def test_non_1d_nodes_raise(self, generic_params, t_nodes, lam_nodes, name):
+        with pytest.raises(DomainError, match=rf"\b{name}\b"):
+            phi_matrix(generic_params, t_nodes, lam_nodes)
+
+
+class TestRouteSplit:
+    # on ascending t and |lambda| the 2F1 cells of a row are the columns left
+    # of one split; it must route every cell as _hypergeometric_route does
+    @staticmethod
+    def _assert_split_is_route(t, lam):
+        split = _route_split(t, lam)
+        route = _hypergeometric_route(lam[None, :], t[:, None])
+        assert np.array_equal(split, np.count_nonzero(route, axis=1))
+        assert np.all(route == (np.arange(lam.size) < split[:, None]))
+
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_default_grids(self, request, preset):
+        p = request.getfixturevalue(preset)
+        rgrid, sgrid = default_grids(p)
+        self._assert_split_is_route(rgrid.nodes, sgrid.nodes)
+
+    def test_convolution_grid(self, generic_params):
+        self._assert_split_is_route(convolution_grid(generic_params).nodes, SpectralGrid.build(generic_params).nodes)
+
+    def test_lambda_t_at_the_switch(self):
+        # lambda = 12 / t and its neighbours, where the rounding of 12 / t and
+        # of lambda t disagree on some rows in either direction, and t = 2
+        rng = np.random.default_rng(3)
+        t = np.sort(np.concatenate([rng.uniform(0.05, 2.0, 300), [2.0, np.nextafter(2.0, 3.0)]]))
+        edge = 12.0 / t
+        lam = np.unique(np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]))
+        naive = np.searchsorted(lam, edge, side="right")
+        split = _route_split(t, lam)
+        assert np.any(naive[t <= 2.0] > split[t <= 2.0]) and np.any(naive[t <= 2.0] < split[t <= 2.0])
+        self._assert_split_is_route(t, lam)
+
+    def test_permuted_grid_matches_grid(self, generic_params):
+        # rows and columns are sorted before the build and put back after it,
+        # so permuted (or mirrored) nodes give the permuted matrix, within the
+        # bounds of test_unpatterned_lambda_matches_grid
+        p = generic_params
+        rgrid, sgrid = default_grids(p, 20.0, 200, 50.0, 150)
+        t, lam = rgrid.nodes, sgrid.nodes
+        grid = phi_matrix(p, t, lam)
+        phase_ulps = 4.0 * np.finfo(float).eps * np.outer(t, lam)
+        bound = np.exp(-p.rho * t)[:, None] * (1e-14 + phase_ulps * 2.0 * np.abs(c_function(p, lam)))
+        route = _hypergeometric_route(lam[None, :], t[:, None])
+        bound[route] = np.broadcast_to(1.5e-12 * np.exp(-p.rho * t)[:, None], route.shape)[route]
+        rng = np.random.default_rng(17)
+        rows, cols = rng.permutation(t.size), rng.permutation(lam.size)
+        for r, c, sign in [(rows, slice(None), 1.0), (slice(None), cols, 1.0), (rows, cols, -1.0)]:
+            got = phi_matrix(p, t[r], sign * lam[c])
+            assert np.all(np.abs(got - grid[r][:, c]) <= bound[r][:, c])
+
+    def test_repeated_row(self, generic_params):
+        t = np.array([0.3, 1.7, 1.7, 4.0])
+        lam = np.linspace(0.0, 40.0, 81)
+        mat = phi_matrix(generic_params, t, lam)
+        assert np.array_equal(mat[1], mat[2])
+        route = _hypergeometric_route(lam, 1.7)
+        assert np.any(route) and not np.all(route)
+
 
 def _mpmath_phi(params, lam, t):
     # phi_lambda(t) = 2F1((rho + i lambda)/2, (rho - i lambda)/2; alpha + 1; -sinh^2 t)
@@ -355,6 +424,35 @@ class TestPhiNearLambdaZero:
             for j, lam in enumerate(lams):
                 ref = _mpmath_phi(p, lam, t)
                 assert abs(got[i, j] - ref) <= 1.5e-12 * math.exp(-p.rho * t), (t, lam)
+
+
+class TestClosedFormH5:
+    # alpha = 3/2, beta = -1/2 is real hyperbolic space H^5 (rho = 2), where
+    # phi_lambda(t) = 3 (lambda sin(lambda t) cosh t - lambda^2 cos(lambda t) sinh t)
+    #                 / (lambda^2 (lambda^2 + 1) sinh^3 t)
+    # and |c(lambda)|^-2 = lambda^2 (lambda^2 + 1) / 36
+    def test_phi_matrix_on_default_grids(self, h5_params):
+        # the closed form cancels near t = 0, so it is taken in mpmath
+        p = h5_params
+        rgrid, sgrid = default_grids(p)
+        rng = np.random.default_rng(18)
+        rows = np.unique(np.concatenate([rng.integers(0, rgrid.nodes.size, 40), [0, rgrid.nodes.size - 1]]))
+        cols = np.unique(np.concatenate([rng.integers(0, sgrid.nodes.size, 40), [0, sgrid.nodes.size - 1]]))
+        t, lam = rgrid.nodes[rows], sgrid.nodes[cols]
+        mat = phi_matrix(p, t, lam)
+        with mpmath.workdps(40):
+            for i, ti in enumerate(t):
+                x = mpmath.mpf(ti)
+                for j, lj in enumerate(lam):
+                    y = mpmath.mpf(lj)
+                    ref = 3 * (y * mpmath.sin(y * x) * mpmath.cosh(x) - y * y * mpmath.cos(y * x) * mpmath.sinh(x))
+                    ref /= y * y * (y * y + 1) * mpmath.sinh(x) ** 3
+                    assert abs(mat[i, j] - float(ref)) <= 1.5e-12 * math.exp(-p.rho * ti), (ti, lj)
+
+    def test_plancherel_density(self, h5_params):
+        lam = default_grids(h5_params)[1].nodes
+        expected = lam**2 * (lam**2 + 1.0) / 36.0
+        assert np.all(np.abs(plancherel_density(h5_params, lam) - expected) <= 1e-13 * expected)
 
 
 class TestCFunction:

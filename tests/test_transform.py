@@ -17,6 +17,7 @@ from jacobilab import (
     apply_laplacian,
     convolve,
     convolve_direct,
+    default_grids,
     estimate_operator_norm,
     heat_kernel,
     inverse_transform,
@@ -405,6 +406,14 @@ class TestHeatKernel:
         rgrid, sgrid = grids
         with pytest.raises(DomainError):
             heat_kernel(generic_params, 0.0, rgrid, sgrid)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
+    def test_h3_closed_form(self, h3_params, h3_heat_kernel, s):
+        # ground truth that does not go through the transform pair
+        rgrid, sgrid = default_grids(h3_params)
+        expected = h3_heat_kernel(s, rgrid.nodes)
+        got = heat_kernel(h3_params, s, rgrid, sgrid).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
 
 
 class TestLaplacian:
