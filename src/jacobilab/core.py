@@ -9,21 +9,35 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
   away from 0.
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
-cells, each on the route that one rule (`_hypergeometric_route`) picks.  On
-rows in ascending t and columns in ascending |lambda| (input in another order
-is permuted, and the permutation undone), the 2F1 cells of a row are the
+cells, each on the route that one rule (`_hypergeometric_route`) picks: 2F1
+where t <= t_s and |lambda| t <= 12, Harish-Chandra elsewhere.  On rows in
+ascending t and columns in ascending |lambda| (input in another order is
+permuted, and the permutation undone), the 2F1 cells of a row are the
 columns left of one split column, which does not grow with t.  On either
 route a cell is a power series in one row variable times a table over
 lambda: x = e^(-2t) with c(lambda) Gamma_k(lambda), or w = tanh^2 t with the
 2F1 coefficients C_k(lambda) of the Pfaff form.  Each row keeps its own
-number of terms, a multiple of 8 (max(12, ceil(27 / t)) rounded up for
-Harish-Chandra, the envelope rule `specfun._series_terms` for 2F1), so the
-rows that share it are a few runs, and a block of at most `_BLOCK_SIZE` cells
-of a run is one real matrix product written to a contiguous slice of the
-output.  Real lambda takes 2 Re of the Harish-Chandra term at lambda; complex
-lambda sums the terms at lambda and -lambda.  The scalar `jacobi_phi`, the
-dense `phi_matrix`, `laplacian_residual` and the local expansion all call
-`_phi`.
+number of terms, a multiple of 8, so the rows that share it are a few runs,
+and a block of at most `_BLOCK_SIZE` cells of a run is one real matrix
+product written to a contiguous slice of the output.  Real lambda takes
+2 Re of the Harish-Chandra term at lambda; complex lambda sums the terms at
+lambda and -lambda.  The scalar `jacobi_phi`, the dense `phi_matrix`,
+`laplacian_residual` and the local expansion all call `_phi`.
+
+The 2F1 term count is the envelope rule `specfun._series_terms`.  The
+Harish-Chandra side has two rules, both from one envelope
+E_k >= max over real lambda of |Gamma_k(lambda)| that each `JacobiParameters`
+computes on first use (about 2 ms) and keeps (`_HarishChandraRules`):
+* a row at t sums K terms, K the first multiple of 8 where
+  E_K e^(-2Kt) < 2^-53 (at least max(12, ceil(27 / t)), rounded up, for
+  complex lambda), so K grows with alpha: at t = 0.5 it is 48 at the generic
+  preset and 128 at (15, 5);
+* the switch t_s(alpha, beta) is the least t >= 1 at which no term
+  E_k e^(-2kt) exceeds 2, at most 2, so the Harish-Chandra sum cancels
+  little from t_s on: 1 at the generic, damek-ricci-like, h3 and h5
+  presets and at (3, 1) and (4, 2), about 1.45 at (6, 2) and 2 at (15, 5).
+Neither depends on the grid, so a cell's route and term count do not depend
+on its batch.
 
 For real lambda both routes need e^(i lambda theta), at theta = t and at
 theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
@@ -39,6 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,22 +75,31 @@ __all__ = [
 ]
 
 # Dispatch thresholds for phi evaluation: the hypergeometric series is used
-# when t <= _T_SWITCH and |lambda| * t <= _LAMT_SWITCH, the Harish-Chandra
-# series otherwise.  Beyond these limits the 2F1 series loses too many digits
-# to oscillatory cancellation or plain convergence failure.
-_T_SWITCH = 2.0
+# when t <= t_s(alpha, beta) and |lambda| * t <= _LAMT_SWITCH, the
+# Harish-Chandra series otherwise.  Beyond |lambda| t = 12 the 2F1 series
+# loses too many digits to oscillatory cancellation; t_s is where the
+# Harish-Chandra terms stop cancelling (see `_HarishChandraRules`), at most
+# _T_CAP and at least _T_FLOOR: below it a scalar Harish-Chandra cell costs
+# more than a 2F1 one (measured on the pointwise benchmark).
+_T_FLOOR = 1.0
+_T_CAP = 2.0
 _LAMT_SWITCH = 12.0
 _LAMBDA_FLOOR = 1e-12  # HC route regularization near the c-function pole at 0
 _GAMMA_CAP = 1e100
 _HC_MAX_TERMS = 800
+# Gamma_k(lambda) is tabulated to _ENVELOPE_TERMS at these lambda (its
+# maximum over the real line sits at lambda = 0 in every case measured), and
+# continued past that by the power law of its growth
+_ENVELOPE_TERMS = 128
+_ENVELOPE_LAMBDA = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0])
 _BLOCK_SIZE = 16384  # cells of one block of a phi matrix, so that its working arrays stay in cache
 # e^(-rho t) falls below the smallest normal double (2.2e-308) beyond this.
 _RHO_T_MAX = 708.0
 
 
-def _hypergeometric_route(lam, t):
+def _hypergeometric_route(params, lam, t):
     """True where phi_lambda(t) takes the 2F1 route; even in lambda, broadcasts."""
-    return (t <= _T_SWITCH) & (np.abs(lam) * t <= _LAMT_SWITCH)
+    return (t <= params._hc_rules.t_switch) & (np.abs(lam) * t <= _LAMT_SWITCH)
 
 
 @dataclass(frozen=True)
@@ -111,6 +135,11 @@ class JacobiParameters:
         if not beta_ok:
             raise ParameterError("parameters must satisfy alpha > beta > -1/2")
         object.__setattr__(self, "rho", a + b + 1.0)
+
+    @cached_property
+    def _hc_rules(self):
+        """The route switch and the Harish-Chandra term counts of this pair, built on first use."""
+        return _HarishChandraRules(self)
 
 
 def weight_density(params: JacobiParameters, t):
@@ -148,11 +177,22 @@ def gamma_coefficient_table(params, lam, k_max):
         Gamma_k = -(1 / (4k(k - i lambda))) sum_{m=1}^{k} b_m s_{k-m} Gamma_{k-m}
     with s_j = i lambda - rho - 2j and b_m the coefficients of the drift term,
     (2a+1) coth t + (2b+1) tanh t = 2 rho + sum_{m>=1} b_m e^{-2mt},
-    b_m = 2[(2a+1) + (-1)^m (2b+1)].
+    b_m = 2[(2a+1) + (-1)^m (2b+1)].  k_max may also be a non-decreasing
+    array, one depth per lambda: column j is formed to k = k_max[j], with the
+    bits a full column would have, and is zero past it.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    table = _gamma_recurrence(params, np.atleast_1d(np.asarray(lam, dtype=complex)), k_max)
+    if not np.all(np.abs(table) <= _GAMMA_CAP):
+        raise OverflowLimitError("|Gamma_k| exceeded 1e100")
+    return table
+
+
+def _gamma_recurrence(params, lam, k_max):
+    """`gamma_coefficient_table` on a 1-D complex lambda array, without its 1e100 cap."""
+    depth = np.broadcast_to(k_max, lam.shape)
+    top = int(depth.max(initial=0))
     il = 1j * lam
-    gaps = np.arange(1, k_max + 1)[:, None] - il
+    gaps = np.arange(1, top + 1)[:, None] - il
     if np.any(np.abs(gaps) < 1e-10):
         raise DomainError(
             "lambda lies in the exceptional set of the Harish-Chandra recurrence"
@@ -161,20 +201,65 @@ def gamma_coefficient_table(params, lam, k_max):
     # 2(2a+1) P_k + 2(2b+1) Q_k with P_k = sum_{j<k} w_j, Q_k = sum_{j<k} (-1)^(k-j) w_j
     ca = 2.0 * (2.0 * params.alpha + 1.0)
     cb = 2.0 * (2.0 * params.beta + 1.0)
-    table = np.empty((k_max + 1, lam.size), dtype=complex)
+    table = np.zeros((top + 1, lam.size), dtype=complex)
     table[0] = 1.0
-    gaps *= -4.0 * np.arange(1, k_max + 1)[:, None]  # now the denominators -4k(k - i lambda)
+    gaps *= -4.0 * np.arange(1, top + 1)[:, None]  # now the denominators -4k(k - i lambda)
     slope = il - params.rho  # s_0; w_k = s_k Gamma_k
-    p_sum = q_sum = 0.0
+    p_sum = q_sum = np.zeros(lam.size, dtype=complex)
+    start = np.searchsorted(depth, np.arange(top + 1)).tolist()  # the columns formed to k are those from start[k] on
+    rows = table
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            weighted = (slope - 2.0 * (k - 1)) * table[k - 1]
+        for k in range(1, top + 1):
+            if start[k] > start[k - 1]:
+                cut = start[k] - start[k - 1]
+                slope, p_sum, q_sum, gaps, rows = (x[..., cut:] for x in (slope, p_sum, q_sum, gaps, rows))
+            weighted = (slope - 2.0 * (k - 1)) * rows[k - 1]
             p_sum = p_sum + weighted
             q_sum = -q_sum - weighted
-            table[k] = (ca * p_sum + cb * q_sum) / gaps[k - 1]
-    if not np.all(np.abs(table) <= _GAMMA_CAP):
-        raise OverflowLimitError("|Gamma_k| exceeded 1e100")
+            rows[k] = (ca * p_sum + cb * q_sum) / gaps[k - 1]
     return table
+
+
+class _HarishChandraRules:
+    """The Harish-Chandra term counts and the route switch t_s of one (alpha, beta).
+
+    Both come from one envelope E_k >= max over real lambda of |Gamma_k(lambda)|:
+    the maximum of |Gamma_k| over `_ENVELOPE_LAMBDA` up to k = _ENVELOPE_TERMS
+    (or the last k below _GAMMA_CAP), and past it E_k grows as (1 + k)^d,
+    d = max(2 alpha - 1, the log-log slope of its last octave).  Gamma_k grows
+    as k^(2 alpha - 1), the order of the singularity of the Harish-Chandra
+    series at t = 0 (Gangolli's bound C (1 + k)^d); the slope reaches
+    2 alpha - 1 from below for large alpha and from above near alpha = 1/2, so
+    d does not fall short of it past the table.
+
+    * A row at t takes K = the first multiple of 8 where E_K e^(-2Kt) < 2^-53;
+      the envelope E_k e^(-2kt) rises to one peak and falls, so K is past the
+      peak.  `ladder[m - 1]` is the least t at which the multiples 8m, 8m + 8,
+      ... up to _HC_MAX_TERMS all pass, non-increasing in m.
+    * t_s is the least t >= _T_FLOOR with max_k E_k e^(-2kt) <= 2, at most
+      _T_CAP: from t_s on no Harish-Chandra term exceeds twice the leading one,
+      so the sum cancels little.  Here the k = 1 term decides it,
+      Gamma_1(0) = (alpha - beta) rho: t_s is _T_FLOOR at the generic,
+      damek-ricci-like, h3 and h5 presets and at (3, 1) and (4, 2)
+      (1/2 log 5 = 0.80 and 1/2 log 7 = 0.97), 1/2 log 18 = 1.45 at (6, 2)
+      and _T_CAP at (15, 5).
+    """
+
+    def __init__(self, params):
+        with np.errstate(divide="ignore"):
+            table = np.log(np.abs(_gamma_recurrence(params, _ENVELOPE_LAMBDA.astype(complex), _ENVELOPE_TERMS)))
+        log_env = table.max(axis=1)
+        top = np.argmin(np.r_[log_env <= math.log(_GAMMA_CAP), False]) - 1  # the last k of the table kept
+        log_env = log_env[: top + 1]
+        slope = 2.0 * params.alpha - 1.0
+        if top >= 2:
+            slope = max(slope, (log_env[top] - log_env[top // 2]) / math.log((1.0 + top) / (1.0 + top // 2)))
+        k = np.arange(1, _HC_MAX_TERMS + 1)
+        self.log_envelope = np.r_[log_env, log_env[top] + slope * np.log((1.0 + k[top:]) / (1.0 + top))]
+        need = (self.log_envelope[1:] - math.log(2.0)) / (2.0 * k)
+        self.t_switch = float(min(max(_T_FLOOR, need.max()), _T_CAP))
+        ladder = (self.log_envelope[8::8] + 53.0 * math.log(2.0)) / (2.0 * k[7::8])
+        self.ladder = np.maximum.accumulate(ladder[::-1])[::-1]
 
 
 def gangolli_fit(params, k_max, lambda_set):
@@ -195,14 +280,21 @@ def gangolli_fit(params, k_max, lambda_set):
     return float(np.max(env)), float(d_fit)
 
 
-def _hc_terms(t):
-    """Harish-Chandra truncation per node, max(12, ceil(27 / t)) up to a multiple of 8, at most 800."""
-    k = np.maximum(12, np.ceil(27.0 / t)).astype(int)
+def _hc_terms(params, t, real=True):
+    """Harish-Chandra terms K per node from the envelope rule of `_HarishChandraRules`, at most 800.
+
+    Complex lambda takes at least max(12, ceil(27 / t)) rounded up to a
+    multiple of 8, since the envelope bounds Gamma_k on the real line only.
+    """
+    ladder = params._hc_rules.ladder
+    k = 8 * (1 + np.searchsorted(-ladder, -t, side="right"))
+    if not real:
+        k = np.maximum(k, -(-np.maximum(12, np.ceil(27.0 / t)).astype(int) // 8) * 8)
     if k.max() > _HC_MAX_TERMS:
         raise DomainError(
             f"Harish-Chandra truncation would exceed {_HC_MAX_TERMS} terms (t = {np.min(t):.3g})"
         )
-    return -(-k // 8) * 8
+    return k
 
 
 class _PhaseTable:
@@ -276,30 +368,48 @@ def _row_blocks(k_row, width):
             yield r0, min(r0 + step, hi)
 
 
+def _product(powers, table):
+    """powers @ table, a lone row taken as a block of two.
+
+    BLAS sums a one-row product (a matrix-vector product) in another order
+    than a block's, so a row alone would not match its row of a matrix to
+    the bit.
+    """
+    if powers.shape[0] > 1:
+        return powers @ table
+    return (np.repeat(powers, 2, axis=0) @ table)[:1]
+
+
 def _harish_chandra(params, t, lam, split, out):
     """Write the Harish-Chandra sum for phi_lambda(t) into row i of out from column split[i] on.
 
-    The table c(lambda) Gamma_k(lambda) is built once, at the largest K, as
-    real columns (Re and Im of lambda, and of -lambda for complex lambda, side
-    by side).  A block writes out[r0:r1, c0:], c0 its least split aligned down
-    to the phase period, as S = [x^0 ... x^K] @ table, then
+    The table c(lambda) Gamma_k(lambda) holds real columns (Re and Im of
+    lambda, and of -lambda for complex lambda, side by side).  Row i sums
+    the columns from first[i], its split aligned down to the phase period, on;
+    first and K fall with t, so column j is summed by the last rows, and only
+    to the K of the first of them, which grows with j: the table is formed
+    that far, a staircase.  A block writes out[r0:r1, c0:],
+    c0 its least first, as S = [x^0 ... x^K] @ table, then
     2 e^(-rho t) Re(e^(i lambda t) S) for real lambda and the sum of
     e^((+-i lambda - rho) t) S for complex lambda; the 2F1 route overwrites
     the cells left of the split.
     """
     real = not np.iscomplexobj(lam)
     lam_pm = lam if real else np.stack([lam, -lam], axis=-1).ravel()
-    k_row = _hc_terms(t)
-    table = (gamma_coefficient_table(params, lam_pm, int(k_row.max())) * c_function(params, lam_pm)).view(float)
-    per_col = table.shape[1] // lam.size  # real columns per column
+    n, m = lam.size, lam_pm.size // lam.size  # m values of lambda per column
+    k_row = _hc_terms(params, t, real)
     phase = _PhaseTable(lam, t[-1]) if real else None
     q = (phase.q or 1) if real else 1  # the blocks start at multiples of the period
     first = split // q * q
+    k_col = np.append(k_row, 0)[np.searchsorted(-first, -np.arange(n))]  # the K of the first row to sum column j
+    table = gamma_coefficient_table(params, lam_pm, np.repeat(k_col, m))
+    table *= c_function(params, lam_pm)
+    table = table.view(float)
     with np.errstate(under="ignore"):
-        for r0, r1 in _row_blocks(k_row, lam.size - first):
-            tb, c0 = t[r0:r1], first[r1 - 1]
-            powers = np.exp(np.outer(-2.0 * tb, np.arange(k_row[r0] + 1)))
-            s = (powers @ table[: k_row[r0] + 1, per_col * c0 :]).view(complex)
+        for r0, r1 in _row_blocks(k_row, n - first):
+            tb, c0, k = t[r0:r1], first[r1 - 1], k_row[r0]
+            powers = np.exp(np.outer(-2.0 * tb, np.arange(k + 1)))
+            s = _product(powers, table[: k + 1, 2 * m * c0 :]).view(complex)
             if real:
                 np.multiply(phase.real_part(s, tb, c0), 2.0 * np.exp(-params.rho * tb)[:, None], out=out[r0:r1, c0:])
             else:
@@ -361,7 +471,7 @@ def _hypergeometric(params, t, lam, split, out):
         # w^k to an ulp; e^(k log w) would round k log w, an error that the
         # cancelling terms at large lambda t amplify
         powers = w[r0:r1, None] ** np.arange(k + 1)
-        s = (powers @ (short if k <= depth else tall)[: k + 1, : 2 * c1]).view(complex)
+        s = _product(powers, (short if k <= depth else tall)[: k + 1, : 2 * c1]).view(complex)
         if phase is not None:
             value = phase.real_part(s, tb, 0)
             value *= np.exp(-params.rho * tb)[:, None]
@@ -379,7 +489,7 @@ def _require_finite(name, x):
         raise DomainError(f"{name} must be finite")
 
 
-def _route_split(t, mag):
+def _route_split(params, t, mag):
     """Per row of ascending t, how many columns of ascending |lambda| take the 2F1 route.
 
     Cell for cell as `_hypergeometric_route`: the search at 12 / t moves over
@@ -391,7 +501,7 @@ def _route_split(t, mag):
         split -= move
     while np.any(move := (split < n) & (mag[np.minimum(split, n - 1)] * t <= _LAMT_SWITCH)):
         split += move
-    split[t > _T_SWITCH] = 0
+    split[t > params._hc_rules.t_switch] = 0
     return split
 
 
@@ -423,7 +533,10 @@ def _phi(params, t, lam, hypergeometric=None):
     rows, cols = (None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable") for x in (t, mag))
     t = t if rows is None else t[rows]
     lam, mag = (lam, mag) if cols is None else (lam[cols], mag[cols])
-    split = _route_split(t, mag) if hypergeometric is None else np.full(t.size, lam.size if hypergeometric else 0)
+    if hypergeometric is None:
+        split = _route_split(params, t, mag)
+    else:
+        split = np.full(t.size, lam.size if hypergeometric else 0)
 
     hc = np.count_nonzero(split == lam.size)  # the split does not grow, so the first Harish-Chandra row
     if hc < t.size:
@@ -482,7 +595,7 @@ def laplacian_residual(params, lam, t, h=1e-3):
     if not t > 2.0 * h > 0.0:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
-    route = bool(_hypergeometric_route(lam, t))
+    route = bool(_hypergeometric_route(params, lam, t))
     nodes = t + h * np.arange(-2.0, 3.0)
     fm2, fm1, f0, fp1, fp2 = _phi(params, nodes, np.array([lam]), route)[:, 0]
     d1 = (fm2 - fp2 + 8.0 * (fp1 - fm1)) / (12.0 * h)
@@ -502,7 +615,7 @@ def c_function(params, lam):
     By the duplication formula for Gamma(i lambda) (DLMF 5.5.5), with
     z = i lambda / 2 this is 2^(rho - 1) pi^(-1/2) Gamma(alpha + 1) times the
     ratios Gamma(z)/Gamma(z + rho/2) and Gamma(z + 1/2)/Gamma(z + (alpha - beta + 1)/2),
-    each taken from `specfun.gamma_ratio` as e^L F, so the Gammas never leave
+    both taken from one `specfun.gamma_ratio` call as e^L F, so the Gammas never leave
     log space.  c is exactly 0 at the poles of its denominator.  Raises
     OverflowLimitError where a nonzero c leaves the normal doubles (alpha past
     about 500, or |lambda| past about 1e150).
@@ -510,8 +623,8 @@ def c_function(params, lam):
     lam_arr = np.asarray(lam, dtype=complex)
     _require_finite("lambda", lam_arr)
     z = 0.5j * lam_arr.reshape(-1)
-    l1, f1 = gamma_ratio(z, 0.0, 0.5 * params.rho)
-    l2, f2 = gamma_ratio(z, 0.5, 0.5 * (params.alpha - params.beta + 1.0))
+    shifts = [[0.5 * params.rho], [0.5 * (params.alpha - params.beta + 1.0)]]
+    (l1, l2), (f1, f2) = gamma_ratio(z, [[0.0], [0.5]], shifts)
     log_const = math.lgamma(params.alpha + 1.0) + (params.rho - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
     zero = (f1 == 0.0) | (f2 == 0.0)
     with np.errstate(all="ignore"):

@@ -74,7 +74,7 @@ def _rising(z, n):
 
 def _lanczos_sum(x):
     """A(x) of the Lanczos form Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^(-t) A(x), t = x + g - 1/2."""
-    return _LANCZOS_C[0] + (_LANCZOS_C[1:] / (x[:, None] + np.arange(len(_LANCZOS_C) - 1.0))).sum(axis=1)
+    return _LANCZOS_C[0] + (_LANCZOS_C[1:] / (x[..., None] + np.arange(len(_LANCZOS_C) - 1.0))).sum(axis=-1)
 
 
 def gamma_complex(z):
@@ -98,7 +98,8 @@ def gamma_complex(z):
 def gamma_ratio(z, a, b):
     """(L, F) with Gamma(z + a) / Gamma(z + b) = e^L F, for finite complex z and real a, b.
 
-    Both Gammas take the same shift n >= 0, the least with
+    z, a and b broadcast against each other, so one call takes several
+    ratios.  Both Gammas of a ratio take the same shift n >= 0, the least with
     Re(z + min(a, b) + n) >= 1/2, so with x_a = z + a + n, x_b = z + b + n and
     t_b = x_b + g - 1/2 the large terms of their Lanczos forms cancel in
         L = (x_a - 1/2) log1p((a - b)/t_b) + (a - b)(log t_b - 1) + log(A(x_a)/A(x_b)).
@@ -106,10 +107,12 @@ def gamma_ratio(z, a, b):
     the phase of a 1/z pole does not round through exp.  F is exactly 0 where
     Gamma(z + b) has a pole; PoleError where Gamma(z + a) has one.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if np.any(_at_pole(z + a)):
-        raise PoleError(f"gamma_ratio: Gamma(z + {a:g}) evaluated at a nonpositive integer")
-    n = np.maximum(np.ceil(0.5 - z.real - min(a, b)), 0.0)
+    z, a, b = np.asarray(z, dtype=complex), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    pole = _at_pole(z + a)
+    if np.any(pole):
+        at = np.broadcast_to(a, pole.shape)[pole][0]
+        raise PoleError(f"gamma_ratio: Gamma(z + {at:g}) evaluated at a nonpositive integer")
+    n = np.maximum(np.ceil(0.5 - z.real - np.minimum(a, b)), 0.0)
     x_a, t_b = z + a + n, z + b + n + _LANCZOS_G - 0.5
     w = (a - b) / t_b  # log1p(w) in parts, since numpy's complex log1p loses small |w|
     log1p = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(w.imag, 1.0 + w.real)

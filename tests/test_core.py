@@ -122,7 +122,7 @@ class TestJacobiPhi:
             jacobi_phi(generic_params, 2.0, 400.0)
 
     def test_truncation_guard_raises(self, generic_params):
-        # t = 0.02 would need ceil(27 / t) = 1350 Harish-Chandra terms
+        # t = 0.02 would need more than 800 Harish-Chandra terms
         with pytest.raises(DomainError, match="800"):
             jacobi_phi(generic_params, 1000.0, 0.02)
         with pytest.raises(DomainError, match="800"):
@@ -156,7 +156,7 @@ class TestJacobiPhi:
         p = generic_params
         lams = np.array([2 + 0.5j, 0.7 - 1.1j, 9 + 0.3j, 1.5j])
         ts = np.array([0.3, 1.2, 1.9, 3.0, 6.0])
-        route = _hypergeometric_route(lams[None, :], ts[:, None])
+        route = _hypergeometric_route(p, lams[None, :], ts[:, None])
         assert np.any(route) and not np.all(route)
         mat = _phi(p, ts, lams)
         with mpmath.workdps(30):
@@ -196,7 +196,7 @@ class TestPhiMatrix:
         t_nodes = np.array([0.2, 1.0, 2.5, 6.0])
         lam_nodes = np.array([0.4, 2.0, 11.0, 30.0, -11.0, -30.0])
         mat = phi_matrix(generic_params, t_nodes, lam_nodes)
-        route = _hypergeometric_route(lam_nodes[None, :], t_nodes[:, None])
+        route = _hypergeometric_route(generic_params, lam_nodes[None, :], t_nodes[:, None])
         for i, t in enumerate(t_nodes):
             for j, lam in enumerate(lam_nodes):
                 ref = jacobi_phi(generic_params, lam, t).real
@@ -215,7 +215,7 @@ class TestPhiMatrix:
         rgrid, sgrid = default_grids(p, 20.0, 200, 50.0, 150)
         t, lam = rgrid.nodes, sgrid.nodes
         mat = phi_matrix(p, t, lam)
-        route = _hypergeometric_route(lam[None, :], t[:, None])
+        route = _hypergeometric_route(p, lam[None, :], t[:, None])
         for i in [*range(0, t.size, 53), t.size - 1]:
             row = phi_matrix(p, t[i : i + 1], lam)[0]
             scale = math.exp(-p.rho * t[i])
@@ -225,12 +225,15 @@ class TestPhiMatrix:
 
     @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params", "a3b1_params"])
     def test_longest_series_against_mpmath(self, request, preset):
-        # the 2F1 cells with the most terms, t in (1.5, 2] up to lambda t = 12,
-        # and the cells on either side of each zero of phi_lambda(t) in lambda
+        # the 2F1 cells with the most terms, t just below the switch t_s up to
+        # lambda t = 12, and the cells on either side of each zero of
+        # phi_lambda(t) in lambda; the same cells on t in (1.5, 2], below the
+        # fixed switch t = 2 of earlier versions, on either route
         p = request.getfixturevalue(preset)
-        for t in (1.55, 1.7, 1.85, 1.95, 2.0):
+        t_s = p._hc_rules.t_switch
+        for t in (*(t_s * np.array([0.775, 0.85, 0.925, 0.975, 1.0])), 1.55, 1.7, 1.85, 1.95, 2.0):
             lams = np.linspace(0.0, 12.0 / t, 400)
-            assert np.all(_hypergeometric_route(lams, t))
+            assert np.all(_hypergeometric_route(p, lams, t)) or t > t_s
             row = phi_matrix(p, [t], lams)[0]
             zeros = np.flatnonzero(np.sign(row[:-1]) != np.sign(row[1:]))
             assert zeros.size
@@ -271,7 +274,7 @@ class TestPhiMatrix:
         grid = phi_matrix(p, t, lam)
         phase_ulps = 4.0 * np.finfo(float).eps * np.outer(t, lam)
         bound = np.exp(-p.rho * t)[:, None] * (1e-14 + phase_ulps * 2.0 * np.abs(c_function(p, lam)))
-        route = _hypergeometric_route(lam[None, :], t[:, None])
+        route = _hypergeometric_route(p, lam[None, :], t[:, None])
         bound[route] = np.broadcast_to(1.5e-12 * np.exp(-p.rho * t)[:, None], route.shape)[route]
         perm = np.random.default_rng(16).permutation(lam.size)
         for cols in (perm, np.arange(lam.size - 1)):
@@ -288,7 +291,7 @@ class TestPhiMatrix:
         t = np.array([3e-4, 1e-3, 1.9])
         lam = np.array([0.5, 600.0, 1e4])
         mat = phi_matrix(p, t, lam)
-        assert _hypergeometric_route(1e4, 1e-3)
+        assert _hypergeometric_route(p, 1e4, 1e-3)
         for i, ti in enumerate(t):
             for j, lj in enumerate(lam):
                 ref = _mpmath_phi(p, lj, ti)
@@ -342,9 +345,9 @@ class TestRouteSplit:
     # on ascending t and |lambda| the 2F1 cells of a row are the columns left
     # of one split; it must route every cell as _hypergeometric_route does
     @staticmethod
-    def _assert_split_is_route(t, lam):
-        split = _route_split(t, lam)
-        route = _hypergeometric_route(lam[None, :], t[:, None])
+    def _assert_split_is_route(p, t, lam):
+        split = _route_split(p, t, lam)
+        route = _hypergeometric_route(p, lam[None, :], t[:, None])
         assert np.array_equal(split, np.count_nonzero(route, axis=1))
         assert np.all(route == (np.arange(lam.size) < split[:, None]))
 
@@ -352,22 +355,26 @@ class TestRouteSplit:
     def test_default_grids(self, request, preset):
         p = request.getfixturevalue(preset)
         rgrid, sgrid = default_grids(p)
-        self._assert_split_is_route(rgrid.nodes, sgrid.nodes)
+        self._assert_split_is_route(p, rgrid.nodes, sgrid.nodes)
 
     def test_convolution_grid(self, generic_params):
-        self._assert_split_is_route(convolution_grid(generic_params).nodes, SpectralGrid.build(generic_params).nodes)
+        p = generic_params
+        self._assert_split_is_route(p, convolution_grid(p).nodes, SpectralGrid.build(p).nodes)
 
     def test_lambda_t_at_the_switch(self):
         # lambda = 12 / t and its neighbours, where the rounding of 12 / t and
-        # of lambda t disagree on some rows in either direction, and t = 2
+        # of lambda t disagree on some rows in either direction, and t = 2,
+        # the switch t_s of (15, 5)
+        p = JacobiParameters(15.0, 5.0)
+        assert p._hc_rules.t_switch == 2.0
         rng = np.random.default_rng(3)
         t = np.sort(np.concatenate([rng.uniform(0.05, 2.0, 300), [2.0, np.nextafter(2.0, 3.0)]]))
         edge = 12.0 / t
         lam = np.unique(np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]))
         naive = np.searchsorted(lam, edge, side="right")
-        split = _route_split(t, lam)
+        split = _route_split(p, t, lam)
         assert np.any(naive[t <= 2.0] > split[t <= 2.0]) and np.any(naive[t <= 2.0] < split[t <= 2.0])
-        self._assert_split_is_route(t, lam)
+        self._assert_split_is_route(p, t, lam)
 
     def test_permuted_grid_matches_grid(self, generic_params):
         # rows and columns are sorted before the build and put back after it,
@@ -379,7 +386,7 @@ class TestRouteSplit:
         grid = phi_matrix(p, t, lam)
         phase_ulps = 4.0 * np.finfo(float).eps * np.outer(t, lam)
         bound = np.exp(-p.rho * t)[:, None] * (1e-14 + phase_ulps * 2.0 * np.abs(c_function(p, lam)))
-        route = _hypergeometric_route(lam[None, :], t[:, None])
+        route = _hypergeometric_route(p, lam[None, :], t[:, None])
         bound[route] = np.broadcast_to(1.5e-12 * np.exp(-p.rho * t)[:, None], route.shape)[route]
         rng = np.random.default_rng(17)
         rows, cols = rng.permutation(t.size), rng.permutation(lam.size)
@@ -388,11 +395,14 @@ class TestRouteSplit:
             assert np.all(np.abs(got - grid[r][:, c]) <= bound[r][:, c])
 
     def test_repeated_row(self, generic_params):
-        t = np.array([0.3, 1.7, 1.7, 4.0])
+        # a repeated row just below the switch t_s, where its cells take both routes
+        p = generic_params
+        t_r = 0.9 * p._hc_rules.t_switch
+        t = np.array([0.3, t_r, t_r, 4.0])
         lam = np.linspace(0.0, 40.0, 81)
-        mat = phi_matrix(generic_params, t, lam)
+        mat = phi_matrix(p, t, lam)
         assert np.array_equal(mat[1], mat[2])
-        route = _hypergeometric_route(lam, 1.7)
+        route = _hypergeometric_route(p, lam, t_r)
         assert np.any(route) and not np.all(route)
 
 
@@ -402,6 +412,77 @@ def _mpmath_phi(params, lam, t):
         rho, lam = mpmath.mpf(params.rho), mpmath.mpf(lam)
         z = -mpmath.sinh(mpmath.mpf(t)) ** 2
         return float(mpmath.re(mpmath.hyp2f1((rho + 1j * lam) / 2, (rho - 1j * lam) / 2, params.alpha + 1.0, z)))
+
+
+def _preset(request, spec):
+    return request.getfixturevalue(spec) if isinstance(spec, str) else JacobiParameters(*spec)
+
+
+class TestHarishChandraRules:
+    # one envelope E_k >= max over real lambda of |Gamma_k(lambda)| per (alpha,
+    # beta) sets the Harish-Chandra term count of each row and the switch t_s
+    SMALL = ["generic_params", "dr_params", "h3_params", "h5_params", (0.75, 0.0)]
+    LARGE = [(3.0, 1.0), (4.0, 2.0), (6.0, 2.0)]
+
+    @pytest.mark.parametrize("spec", ["generic_params", "h3_params", (0.75, 0.0), (3.0, 1.0), (6.0, 2.0), (15.0, 5.0)])
+    def test_envelope_bounds_coefficients(self, request, spec):
+        # past k = 128 the envelope is the power law (1 + k)^d
+        p = _preset(request, spec)
+        rng = np.random.default_rng(19)
+        lam = np.concatenate([np.linspace(0.0, 10.0, 41), np.geomspace(10.0, 1e3, 20), rng.uniform(0.0, 60.0, 20)])
+        table = np.abs(gamma_coefficient_table(p, lam, 800))
+        assert np.all(table <= np.exp(p._hc_rules.log_envelope)[:, None] * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("spec", [*SMALL, *LARGE, (15.0, 5.0)])
+    def test_switch_per_preset(self, request, spec):
+        # t_s = max(1, min(2, log(E_1 / 2) / 2)) here, E_1 = Gamma_1(0) = (alpha - beta) rho:
+        # 1 at the small presets and at (3, 1) and (4, 2), 1.45 at (6, 2), 2 at (15, 5);
+        # on either side of it phi_lambda(t) takes the other route, and
+        # jacobi_phi is a 1 x 1 phi_matrix on both
+        p = _preset(request, spec)
+        t_s = p._hc_rules.t_switch
+        expected = min(max(1.0, math.log((p.alpha - p.beta) * p.rho / 2.0) / 2.0), 2.0)
+        assert t_s == pytest.approx(expected, rel=1e-14)
+        for t in (t_s * (1.0 - 1e-6), t_s, t_s * (1.0 + 1e-6)):
+            for lam in (0.0, 0.7, 5.0):
+                assert _hypergeometric_route(p, lam, t) == (t <= t_s)
+                assert jacobi_phi(p, lam, t).real == phi_matrix(p, [t], [lam])[0, 0], (t, lam)
+
+    @pytest.mark.parametrize("spec", [(3.0, 1.0), (6.0, 2.0), (15.0, 5.0)])
+    def test_large_alpha_against_mpmath(self, spec):
+        # the truncation follows the growth of Gamma_k with alpha; no cell sits
+        # near a zero of phi
+        p = JacobiParameters(*spec)
+        for t in (0.241, 0.5, 2.05, 2.5, 3.0):
+            for lam in (0.0, 0.5, 3.0, 30.0):
+                ref = _mpmath_phi(p, lam, t)
+                assert abs(jacobi_phi(p, lam, t).real - ref) <= 5e-13 * abs(ref), (t, lam)
+
+    @pytest.mark.parametrize("spec", SMALL)
+    def test_moved_band_against_mpmath(self, request, spec):
+        # t in (t_s, 2] with lambda t <= 12 was 2F1 and is Harish-Chandra now
+        p = _preset(request, spec)
+        t_s = p._hc_rules.t_switch
+        for t in np.linspace(t_s, 2.0, 6)[1:]:
+            lams = np.linspace(0.0, 12.0 / t, 25)
+            assert not np.any(_hypergeometric_route(p, lams, t))
+            row = phi_matrix(p, [t], lams)[0]
+            for lam, value in zip(lams, row):
+                assert abs(value - _mpmath_phi(p, lam, t)) <= 1.5e-12 * math.exp(-p.rho * t), (t, lam)
+
+    @pytest.mark.parametrize("spec", LARGE)
+    def test_moved_band_large_alpha(self, spec):
+        # there phi e^(rho t) reaches 1e3 - 1e4, so the scale is |phi|: per
+        # row, the worst Harish-Chandra cell is no worse than the worst 2F1
+        # cell it replaces (at lambda t near 12)
+        p = JacobiParameters(*spec)
+        t_s = p._hc_rules.t_switch
+        for t in np.linspace(t_s, 2.0, 5)[1:]:
+            lams = np.linspace(0.0, 12.0 / t, 25)
+            ref = np.array([_mpmath_phi(p, lam, t) for lam in lams])
+            hc = phi_matrix(p, [t], lams)[0]
+            hyp = _phi(p, np.array([t]), lams, hypergeometric=True)[0]
+            assert np.max(np.abs(hc - ref) / np.abs(ref)) <= np.max(np.abs(hyp - ref) / np.abs(ref)), t
 
 
 class TestPhiNearLambdaZero:
