@@ -280,7 +280,7 @@ def gangolli_fit(params, k_max, lambda_set):
     return float(np.max(env)), float(d_fit)
 
 
-def _hc_terms(params, t, real=True):
+def _hc_terms(params, t, real):
     """Harish-Chandra terms K per node from the envelope rule of `_HarishChandraRules`, at most 800.
 
     Complex lambda takes at least max(12, ceil(27 / t)) rounded up to a
