@@ -95,8 +95,9 @@ def kernel_values(params, s, t, u):
 def kernel_K(params, s, t, u) -> KernelEvaluation:
     """Scalar kernel evaluation with explicit support flag."""
     s, t, u = float(s), float(t), float(u)
-    if min(s, t, u) <= 0.0:
-        raise DomainError("kernel_K requires s, t, u > 0")
+    for name, x in (("s", s), ("t", t), ("u", u)):
+        if not x > 0.0:
+            raise DomainError(f"kernel_K requires {name} > 0, got {name} = {x:g}")
     in_support = abs(s - t) < u < s + t
     value = float(kernel_values(params, s, t, u)) if in_support else 0.0
     return KernelEvaluation(s, t, u, value, in_support)

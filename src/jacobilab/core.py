@@ -270,7 +270,10 @@ def gangolli_fit(params, k_max, lambda_set):
     """
     if k_max < 16:
         raise ParameterError("gangolli_fit requires k_max >= 16")
-    table = gamma_coefficient_table(params, np.asarray(lambda_set, dtype=complex), k_max)
+    lams = np.asarray(lambda_set, dtype=complex)
+    if not lams.size:
+        raise DomainError("gangolli_fit requires a non-empty lambda_set")
+    table = gamma_coefficient_table(params, lams, k_max)
     mags = np.abs(table)
     k = np.arange(k_max + 1)
     peak = np.maximum(mags.max(axis=1), 1e-300)
@@ -437,13 +440,15 @@ def _hypergeometric(params, t, lam, split, out):
     """Write (cosh t)^(i lambda - rho) 2F1(a, c - b; c; tanh^2 t) into row i of out left of column split[i].
 
     Row i takes K_i terms by `specfun._series_terms` on its top column
-    split[i] - 1, where |C_k(lambda)| is largest on the real line.  A column's
-    C_k(lambda) is formed only to the largest K of its rows (a reverse running
-    maximum), in a short table over all columns and a tall one over the deeper
-    columns (the split of least size).  A block is one product over the
-    columns left of its largest split, written where each row routes.  A
-    column whose C_k still leave the doubles (|lambda| past about 1e6, at t
-    below about 1e-5) takes `specfun.hyp2f1_real_arg`.
+    split[i] - 1, where |C_k(lambda)| is largest on the real line.  Column j
+    is summed by the first rows, and its C_k(lambda) are formed only to the
+    largest K of them (a reverse running maximum, which does not grow with
+    j): one staircase table, as on the Harish-Chandra side.  A block is one
+    product over the columns left of its largest split, written where each
+    row routes.  A column whose C_k leave the doubles (|lambda| past about
+    1e6, at t below about 1e-5) takes `specfun.hyp2f1_real_arg`; there |C_k|
+    rises through every K, and a non-finite C_k stays non-finite down its
+    column, so the column's deepest formed entry tells.
     """
     a, b, c = _phi_params(params, lam)
     n = lam.size
@@ -454,16 +459,10 @@ def _hypergeometric(params, t, lam, split, out):
     theta = np.log(np.cosh(t))
     phase = _PhaseTable(lam, theta[-1]) if np.isrealobj(lam) else None
     q = (phase.q or 1) if phase is not None else 1  # the blocks end at multiples of the period
-    k_max = k_col[0]
-    depths = [k_max, *np.unique(k_col)[:-1].tolist()]
-    deep_cols = [min(n, -(-np.count_nonzero(k_col > d) // q) * q) for d in depths]
-    depth, n_deep = min(zip(depths, deep_cols), key=lambda d: (d[0] + 1) * n + (k_max + 1) * d[1])
-    short = _coefficients(a, c - b, c, np.minimum(k_col, depth))
-    tall = _coefficients(a, c - b, c, k_col[:n_deep]) if n_deep else np.zeros((1, 0), dtype=complex)
-    fallback = ~np.isfinite(short).all(axis=0)
-    fallback[:n_deep] |= ~np.isfinite(tall).all(axis=0)
-    short[:, fallback] = tall[:, fallback[:n_deep]] = 0.0
-    short, tall = short.view(float), tall.view(float)
+    table = _coefficients(a, c - b, c, k_col)
+    fallback = ~np.isfinite(table[k_col, np.arange(n)])
+    table[:, fallback] = 0.0
+    table = table.view(float)
     end = np.minimum(-(-split // q) * q, n)
 
     for r0, r1 in _row_blocks(k_row, end):
@@ -471,7 +470,7 @@ def _hypergeometric(params, t, lam, split, out):
         # w^k to an ulp; e^(k log w) would round k log w, an error that the
         # cancelling terms at large lambda t amplify
         powers = w[r0:r1, None] ** np.arange(k + 1)
-        s = _product(powers, (short if k <= depth else tall)[: k + 1, : 2 * c1]).view(complex)
+        s = _product(powers, table[: k + 1, : 2 * c1]).view(complex)
         if phase is not None:
             value = phase.real_part(s, tb, 0)
             value *= np.exp(-params.rho * tb)[:, None]
@@ -655,8 +654,8 @@ def c_asymptotics_report(params, lambda_list):
     |c'(lambda)/c(lambda)| * lambda (stays bounded).
     """
     lams = np.asarray(lambda_list, dtype=float)
-    if np.any(np.diff(lams) <= 0) or lams[0] < 1.0:
-        raise DomainError("lambda_list must be increasing with min >= 1")
+    if not (lams.size and np.all(np.diff(lams) > 0) and lams[0] >= 1.0):
+        raise DomainError("lambda_list must be non-empty and increasing with min >= 1")
     expo = 2.0 * params.alpha + 1.0
     h = 1e-5 * lams
     c = c_function(params, np.stack([lams, lams + h, lams - h]))

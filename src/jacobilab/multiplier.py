@@ -22,7 +22,7 @@ from ._util import (
     neville_zero,
     smoothstep_quintic,
 )
-from .core import JacobiParameters, c_function, gamma_coefficient_table, weight_density
+from .core import JacobiParameters, _require_finite, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
     DecayError,
@@ -121,6 +121,7 @@ class CutoffPair:
 def omega(params, lam):
     """omega(lambda) = (lambda^2 + 4 rho^2)^(alpha + 1/4), principal branch."""
     lam = np.asarray(lam, dtype=complex)
+    _require_finite("lambda", lam)
     base = lam**2 + 4.0 * params.rho**2
     on_cut = (base.real <= 0.0) & (np.abs(base.imag) < 1e-300)
     if np.any(on_cut):

@@ -309,8 +309,9 @@ def bessel_script_J(alpha, x):
     ConvergenceError naming alpha and x where neither is.  OverflowLimitError
     naming alpha where the value leaves the normal doubles.
     """
-    if math.isnan(x) or math.isnan(alpha):
-        raise DomainError("NaN argument to bessel_script_J")
+    for name, arg in (("alpha", alpha), ("x", x)):
+        if not math.isfinite(arg):
+            raise DomainError(f"bessel_script_J requires finite {name}, got {name} = {arg}")
     if alpha < -0.5:
         raise DomainError("bessel_script_J requires alpha >= -1/2")
     if x < 0.0:

@@ -90,6 +90,13 @@ class TestEval:
     def test_bad_params_exit_2(self, capsys):
         assert run(["--alpha", "0.2", "--beta", "0.1", "eval", "omega", "--lambda", "1"]) == 2
 
+    def test_nan_argument_exit_2(self, capsys):
+        # NaN printed a kernel value of 0 and an omega of nan, with exit 0
+        assert run(["--preset", "generic", "eval", "kernel-K", "--s", "nan", "--t", "1", "--u", "1"]) == 2
+        assert "s > 0" in capsys.readouterr().err
+        assert run(["--preset", "generic", "eval", "omega", "--lambda", "nan"]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+
 
 class TestTransformPipeline:
     def test_roundtrip(self, tmp_path, capsys):

@@ -152,6 +152,13 @@ class TestKernel:
         with pytest.raises(DomainError):
             kernel_values(generic_params, 1.0, math.nan, 1.0)
 
+    @pytest.mark.parametrize("arg", ["s", "t", "u"])
+    def test_kernel_K_nan_argument_raises(self, generic_params, arg):
+        # NaN failed the support test there too, and read as a kernel value of 0
+        args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: math.nan}
+        with pytest.raises(DomainError, match=f"{arg} > 0"):
+            kernel_K(generic_params, **args)
+
     def test_unit_mass(self, generic_params):
         # integral K(s,t,u) dmu(u) = 1 for every fixed (s, t)
         from jacobilab.convolution import _support_rule

@@ -28,6 +28,7 @@ from jacobilab import (
     plancherel_density,
     weight_density,
 )
+from jacobilab import core
 from jacobilab._util import loglog_slope
 from jacobilab.core import _hypergeometric_route, _phi, _PhaseTable, _route_split, gamma_coefficient_table
 
@@ -282,7 +283,7 @@ class TestPhiMatrix:
             got = phi_matrix(p, t, lam[cols])
             assert np.all(np.abs(got - grid[:, cols]) <= bound[:, cols])
 
-    def test_huge_lambda_at_small_t_against_mpmath(self, generic_params):
+    def test_huge_lambda_at_small_t_against_mpmath(self, generic_params, monkeypatch):
         # lambda t <= 12 routes a tiny t with a huge lambda to 2F1, whose
         # coefficients C_k(lambda) grow like (lambda / 2)^(2k) / (k!)^2; they
         # are formed per column only as far as its rows sum, and must not
@@ -301,6 +302,20 @@ class TestPhiMatrix:
         for lj, ti in [(1e4, 1e-3), (1.2e7, 1e-6)]:
             ref = _mpmath_phi(p, lj, ti)
             assert abs(jacobi_phi(p, lj, ti).real - ref) <= 1.5e-12 * math.exp(-p.rho * ti), (ti, lj)
+        # and in a matrix only that column does: at t <= 1e-7 every cell takes
+        # 2F1, and of these columns only lambda = 1e8 leaves the doubles
+        calls = []
+        fallback = core.hyp2f1_real_arg
+        monkeypatch.setattr(core, "hyp2f1_real_arg", lambda *args: calls.append(args) or fallback(*args))
+        t = np.array([1e-8, 5e-8, 1e-7])
+        lam = np.array([0.5, 600.0, 1e4, 1e6, 3e7, 1e8])
+        assert np.all(_hypergeometric_route(p, lam[None, :], t[:, None]))
+        mat = phi_matrix(p, t, lam)
+        assert len(calls) == 1
+        for i, ti in enumerate(t):
+            for j, lj in enumerate(lam):
+                ref = _mpmath_phi(p, lj, ti)
+                assert abs(mat[i, j] - ref) <= 1.5e-12 * math.exp(-p.rho * ti), (ti, lj)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), t=st.floats(0.05, 8.0), re=st.floats(0.25, 30.0), im=st.floats(-0.95, 0.95))
@@ -627,6 +642,10 @@ class TestCFunction:
         assert abs(ratios[-1] - ratios[-2]) <= 0.02 * abs(ratios[-1])
         assert all(np.isfinite(r["logderiv_scaled"]) for r in rows)
 
+    def test_asymptotics_report_empty_raises(self, generic_params):
+        with pytest.raises(DomainError, match="lambda_list"):
+            c_asymptotics_report(generic_params, [])
+
 
 @pytest.mark.parametrize(
     "call",
@@ -681,6 +700,10 @@ class TestHarishChandra:
         _, d1 = gangolli_fit(generic_params, 32, lams)
         _, d2 = gangolli_fit(generic_params, 64, lams)
         assert abs(d1 - d2) < 0.2
+
+    def test_gangolli_fit_empty_lambda_set_raises(self, generic_params):
+        with pytest.raises(DomainError, match="lambda_set"):
+            gangolli_fit(generic_params, 32, [])
 
 
 class TestBesselLocalExpansion:

@@ -69,6 +69,12 @@ class TestOmega:
         with pytest.raises(DomainError):
             omega(generic_params, bad)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan), np.array([1.0, math.nan])])
+    def test_non_finite_lambda_raises(self, generic_params, lam):
+        # NaN gave nan + nan i and two RuntimeWarnings
+        with pytest.raises(DomainError, match="lambda"):
+            omega(generic_params, lam)
+
 
 class TestModifiedMultiplier:
     def test_h3_magnitude_is_lambda(self, h3_params):

@@ -227,3 +227,10 @@ class TestBesselScriptJ:
             bessel_script_J(1.2, -1.0)
         with pytest.raises(DomainError):
             bessel_script_J(-0.7, 1.0)
+
+    def test_infinite_argument_raises(self):
+        # the Hankel branch took cos(inf), a bare ValueError
+        with pytest.raises(DomainError, match="finite x"):
+            bessel_script_J(1.2, math.inf)
+        with pytest.raises(DomainError, match="finite alpha"):
+            bessel_script_J(math.inf, 1.0)
