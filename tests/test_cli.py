@@ -91,7 +91,8 @@ class TestEval:
         assert run(["--alpha", "0.2", "--beta", "0.1", "eval", "omega", "--lambda", "1"]) == 2
 
     def test_nan_argument_exit_2(self, capsys):
-        # NaN printed a kernel value of 0 and an omega of nan, with exit 0
+        # NaN fails every comparison: unchecked, it prints a kernel value of 0
+        # and an omega of nan, with exit 0
         assert run(["--preset", "generic", "eval", "kernel-K", "--s", "nan", "--t", "1", "--u", "1"]) == 2
         assert "s > 0" in capsys.readouterr().err
         assert run(["--preset", "generic", "eval", "omega", "--lambda", "nan"]) == 2

@@ -154,7 +154,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("arg", ["s", "t", "u"])
     def test_kernel_K_nan_argument_raises(self, generic_params, arg):
-        # NaN failed the support test there too, and read as a kernel value of 0
+        # NaN fails the support test, which alone would read it as a kernel value of 0
         args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: math.nan}
         with pytest.raises(DomainError, match=f"{arg} > 0"):
             kernel_K(generic_params, **args)

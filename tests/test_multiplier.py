@@ -71,7 +71,7 @@ class TestOmega:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(1.0, math.nan), np.array([1.0, math.nan])])
     def test_non_finite_lambda_raises(self, generic_params, lam):
-        # NaN gave nan + nan i and two RuntimeWarnings
+        # unchecked, NaN gives nan + nan i and RuntimeWarnings
         with pytest.raises(DomainError, match="lambda"):
             omega(generic_params, lam)
 

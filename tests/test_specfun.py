@@ -229,7 +229,7 @@ class TestBesselScriptJ:
             bessel_script_J(-0.7, 1.0)
 
     def test_infinite_argument_raises(self):
-        # the Hankel branch took cos(inf), a bare ValueError
+        # unchecked, x = inf reaches cos(inf) in the Hankel branch, a bare ValueError
         with pytest.raises(DomainError, match="finite x"):
             bessel_script_J(1.2, math.inf)
         with pytest.raises(DomainError, match="finite alpha"):
