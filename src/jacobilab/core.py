@@ -10,7 +10,7 @@ The Jacobi function phi_lambda is evaluated through two independent routes:
 
 Every phi value comes from one evaluator, `_phi`, over a grid of t x lambda
 cells, each on the route that one rule (`_hypergeometric_route`) picks: 2F1
-where t <= t_s and |lambda| t <= 12, Harish-Chandra elsewhere.  On rows in
+where t <= t_s and |lambda| <= 12 / t, Harish-Chandra elsewhere.  On rows in
 ascending t and columns in ascending |lambda| (input in another order is
 permuted, and the permutation undone), the 2F1 cells of a row are the
 columns left of one split column, which does not grow with t.  On either
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 # Dispatch thresholds for phi evaluation: the hypergeometric series is used
-# when t <= t_s(alpha, beta) and |lambda| * t <= _LAMT_SWITCH, the
+# when t <= t_s(alpha, beta) and |lambda| <= _LAMT_SWITCH / t, the
 # Harish-Chandra series otherwise.  Beyond |lambda| t = 12 the 2F1 series
 # loses too many digits to oscillatory cancellation; t_s is where the
 # Harish-Chandra terms stop cancelling (see `_HarishChandraRules`), at most
@@ -99,7 +99,7 @@ _RHO_T_MAX = 708.0
 
 def _hypergeometric_route(params, lam, t):
     """True where phi_lambda(t) takes the 2F1 route; even in lambda, broadcasts."""
-    return (t <= params._hc_rules.t_switch) & (np.abs(lam) * t <= _LAMT_SWITCH)
+    return (t <= params._hc_rules.t_switch) & (np.abs(lam) <= _LAMT_SWITCH / t)
 
 
 @dataclass(frozen=True)
@@ -491,15 +491,10 @@ def _require_finite(name, x):
 def _route_split(params, t, mag):
     """Per row of ascending t, how many columns of ascending |lambda| take the 2F1 route.
 
-    Cell for cell as `_hypergeometric_route`: the search at 12 / t moves over
-    the columns where its rounding and that of |lambda| t disagree.
+    Cell for cell as `_hypergeometric_route`, which compares |lambda| with the
+    same rounded 12 / t that the search does.
     """
-    n = mag.size
     split = np.searchsorted(mag, _LAMT_SWITCH / t, side="right")
-    while np.any(move := (split > 0) & (mag[split - 1] * t > _LAMT_SWITCH)):
-        split -= move
-    while np.any(move := (split < n) & (mag[np.minimum(split, n - 1)] * t <= _LAMT_SWITCH)):
-        split += move
     split[t > params._hc_rules.t_switch] = 0
     return split
 
@@ -571,9 +566,14 @@ def jacobi_phi(params, lam, t):
 
 
 def phi_matrix(params, t_nodes, lam_nodes):
-    """Dense real matrix phi_lambda(t) over real 1-D grids (t_nodes x lam_nodes)."""
+    """Dense matrix phi_lambda(t) over 1-D grids t_nodes x lam_nodes.
+
+    Real lambda gives a real matrix; complex lambda nodes (as for phi on a
+    shifted contour) give a complex one.
+    """
     t_nodes = np.asarray(t_nodes, dtype=float)
-    lam_nodes = np.asarray(lam_nodes, dtype=float)
+    lam_nodes = np.asarray(lam_nodes)
+    lam_nodes = lam_nodes.astype(complex if np.iscomplexobj(lam_nodes) else float, copy=False)
     for name, nodes in (("t_nodes", t_nodes), ("lam_nodes", lam_nodes)):
         if nodes.ndim != 1:
             raise DomainError(f"phi_matrix requires 1-D {name}, got {nodes.ndim}-D")

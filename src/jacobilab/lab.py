@@ -161,8 +161,8 @@ def mihlin_proxy_norm(g, lam_max=50.0):
 
     This is a surrogate for the (uncomputable) Euclidean multiplier norm.
     """
-    if lam_max <= 1.0:
-        raise DomainError("mihlin_proxy_norm requires lam_max > 1")
+    if not 1.0 < lam_max < math.inf:
+        raise DomainError("mihlin_proxy_norm requires 1 < lam_max < inf")
     lam, g0, gp, _ = dyadic_differences(g, 1.0 / lam_max, lam_max)
     return float(np.max(np.abs(g0)) + np.max(np.abs(lam * gp)))
 

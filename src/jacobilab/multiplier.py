@@ -28,6 +28,7 @@ from .errors import (
     DecayError,
     DomainError,
     GridError,
+    OverflowLimitError,
     ParameterError,
     PoleError,
 )
@@ -119,17 +120,20 @@ class CutoffPair:
 
 
 def omega(params, lam):
-    """omega(lambda) = (lambda^2 + 4 rho^2)^(alpha + 1/4), principal branch."""
+    """omega(lambda) = (lambda^2 + 4 rho^2)^(alpha + 1/4), principal branch;
+    OverflowLimitError where it leaves the doubles."""
     lam = np.asarray(lam, dtype=complex)
     _require_finite("lambda", lam)
-    base = lam**2 + 4.0 * params.rho**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = lam**2 + 4.0 * params.rho**2
+        out = base ** (params.alpha + 0.25)
     on_cut = (base.real <= 0.0) & (np.abs(base.imag) < 1e-300)
     if np.any(on_cut):
         raise DomainError("omega branch point: lambda^2 + 4 rho^2 on the cut")
-    out = base ** (params.alpha + 0.25)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        raise OverflowLimitError(f"omega leaves the doubles at lambda = {complex(lam[overflow].flat[0]):.6g}")
+    return complex(out) if out.ndim == 0 else out
 
 
 def c_inverse_reflected(params, lam):
@@ -204,8 +208,8 @@ def hormander_check(g, lam_max=400.0):
 
     Returns sup|g|, sup|lambda g'| and sup|lambda^2 g''| over a dyadic grid.
     """
-    if lam_max <= 1.0:
-        raise DomainError("hormander_check requires lam_max > 1")
+    if not 1.0 < lam_max < math.inf:
+        raise DomainError("hormander_check requires 1 < lam_max < inf")
     lam, g0, gp, gpp = dyadic_differences(g, 1.0, lam_max)
     return {
         "sup_g": float(np.max(np.abs(g0))),
@@ -220,6 +224,7 @@ def p_s_function(params, s, lam):
     with phi the spectral cutoff of CutoffPair()."""
     cutoffs = CutoffPair()
     lam = np.asarray(lam, dtype=float)
+    _require_finite("lambda", lam)
     out = np.zeros(lam.shape, dtype=complex)
     live = (1.0 - cutoffs.phi(lam)) > 0.0
     if np.any(live):
@@ -232,13 +237,14 @@ def p_s_function(params, s, lam):
     return out
 
 
+def _require_rapid_decay(m: MultiplierSpec):
+    if m.decay_class != "rapidly-decreasing":
+        raise DecayError(f"multiplier '{m.label}' is not rapidly decreasing; apply heat_regularize first")
+
+
 def kernel_from_multiplier(params, m: MultiplierSpec, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRadialFunction:
     """k = inverse Jacobi transform of m, sampled on rgrid."""
-    if m.decay_class != "rapidly-decreasing":
-        raise DecayError(
-            f"multiplier '{m.label}' is not rapidly decreasing; "
-            "apply heat_regularize first"
-        )
+    _require_rapid_decay(m)
     spectral = SampledSpectralFunction(sgrid, m(sgrid.nodes))
     return inverse_transform(params, spectral, rgrid)
 
@@ -306,10 +312,36 @@ def delta_expansion(params, t):
     return coeffs, delta, recon
 
 
-def _spectral_line_rule(lam_max=_LINE_LAM_MAX, n_panels=400):
-    """Four-point composite Gauss-Legendre rule on [-lam_max, lam_max], for
-    integrals over the full line."""
-    return composite_gauss_legendre(np.linspace(-lam_max, lam_max, n_panels + 1), 4)
+def _line_rule(r=_LINE_LAM_MAX):
+    """Four-point composite Gauss-Legendre rule on [-r, r]: 400 panels on
+    |lambda| <= min(r, 50), where the integrands live, and 40 on each tail
+    beyond, where they have died out."""
+    core = min(r, _LINE_LAM_MAX)
+    tail = np.linspace(core, r, 41)[1:] if r > core else np.empty(0)
+    breaks = np.concatenate([-tail[::-1], np.linspace(-core, core, 401), tail])
+    return composite_gauss_legendre(breaks, 4)
+
+
+def _line_integrals(params, m: MultiplierSpec, lam, weights, t, j_max):
+    """sum_n w_n M(lambda_n) Gamma_j(lambda_n) e^(i lambda_n t), shape (j_max + 1, t.size).
+
+    The Harish-Chandra line integrals of the multiplier side, for
+    j = 0..j_max and each t, over a path rule (lambda_n, w_n) whose weights
+    include d lambda.  Raises DecayError unless m is rapidly decreasing,
+    ParameterError unless j_max is an integer >= 0, and DomainError for an
+    empty or non-finite t.
+    """
+    _require_rapid_decay(m)
+    if not isinstance(j_max, (int, np.integer)) or j_max < 0:
+        raise ParameterError(f"the Harish-Chandra index must be an integer >= 0, got {j_max!r}")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not t.size:
+        raise DomainError("t must be non-empty")
+    _require_finite("t", t)
+    lam = np.asarray(lam, dtype=complex)
+    with np.errstate(under="ignore"):
+        terms = weights * modified_multiplier(params, m, lam) * gamma_coefficient_table(params, lam, j_max)
+        return terms @ np.exp(1j * np.outer(lam, t))
 
 
 def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4):
@@ -318,57 +350,42 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4
     |lambda| <= 50.
 
     t_nodes must sit in [sqrt(R0), infinity); for such t only the a^+ branch
-    contributes.  Returns a dict with all pieces, the reconstruction
-    sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target (1-psi) k Delta, and
-    the maximum relative error.
+    contributes.  The b_j^+/- are `_line_integrals` at t and -t; the direct
+    target (1-psi) k Delta keeps its own lambda sum, as the check on them.
+    Returns a dict with all pieces, the reconstruction
+    sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target, and the maximum
+    relative error.
     """
     cutoffs = CutoffPair()
     t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     if np.any(t < math.sqrt(cutoffs.R0)):
         raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
-    if m.decay_class != "rapidly-decreasing":
-        raise DecayError("hc_global_pieces requires a rapidly decreasing multiplier")
-
-    lam, wlam = _spectral_line_rule()
-    mvals = modified_multiplier(params, m, lam.astype(complex))
-    j_max = ell_max  # b_j needed for j = ell - j' down to 0
-    gamma_table = gamma_coefficient_table(params, lam.astype(complex), j_max)
+    lam, wlam = _line_rule()
     # the inverse-transform normalization, folded over lambda -> -lambda
     const = plancherel_constant()
-
-    # b_j^{+/-}(t): oscillatory line integrals, shape (j, t)
-    phase_plus = np.exp(1j * np.outer(lam, t))  # e^{i lambda t}
-    e_rho = np.exp(params.rho * t)
-    integ = mvals[:, None] * gamma_table.T  # (lam, j)
-    b_plus = const * e_rho[None, :] * ((integ.T * wlam[None, :]) @ phase_plus)
-    b_minus = const * np.exp(-params.rho * t)[None, :] * (
-        (integ.T * wlam[None, :]) @ np.conj(phase_plus)
-    )
+    # b_j^{+/-}(t) for j = 0..ell_max, shape (j, t)
+    b = _line_integrals(params, m, lam, wlam, np.concatenate([t, -t]), ell_max)
+    b_plus = const * np.exp(params.rho * t) * b[:, : t.size]
+    b_minus = const * np.exp(-params.rho * t) * b[:, t.size :]
 
     coeffs, delta, _ = delta_expansion(params, t)
     one_minus_psi = 1.0 - cutoffs.psi(t)
     ells = np.arange(ell_max + 1)
-    a_plus = one_minus_psi[None, :] * np.exp(-2.0 * np.outer(ells, t)) * delta[None, :]
+    a_plus = one_minus_psi * np.exp(-2.0 * np.outer(ells, t)) * delta
     a_minus = np.zeros_like(a_plus)  # 1_(-inf,0] kills the minus branch for t > 0
 
-    recon = np.zeros(len(t), dtype=complex)
-    k_lj = {}
-    for ell in ells:
-        for j in range(len(coeffs)):
-            idx = ell - j
-            if idx < 0:
-                piece = np.zeros(len(t), dtype=complex)
-            else:
-                piece = a_minus[ell] * b_minus[idx] + a_plus[ell] * b_plus[idx]
-            k_lj[(ell, j)] = piece
-            recon = recon + coeffs[j] * piece
+    # K_{l,j} = a_l^- b_(l-j)^- + a_l^+ b_(l-j)^+, where a^- vanishes
+    k_lj = {
+        (ell, j): a_plus[ell] * b_plus[ell - j] if j <= ell else np.zeros(t.size, dtype=complex)
+        for ell in ells
+        for j in range(len(coeffs))
+    }
+    recon = sum(coeffs[j] * piece for (_, j), piece in k_lj.items())
 
-    # direct target: (1 - psi) k Delta with k from the inverse transform sum
-    decay = np.exp(-2.0 * np.outer(t, np.arange(j_max + 1)))
-    hc_sum = decay @ gamma_table  # gamma_table shape (k, lam) -> (t, lam)
-    target_k = const * np.exp(-params.rho * t) * (
-        (mvals[None, :] * hc_sum * np.exp(1j * np.outer(t, lam))) @ wlam
-    )
+    # the direct target: k by its own inverse-transform sum, the check on the b_j
+    mvals = modified_multiplier(params, m, lam)
+    hc_sum = np.exp(-2.0 * np.outer(t, ells)) @ gamma_coefficient_table(params, lam, ell_max)
+    target_k = const * np.exp(-params.rho * t) * ((mvals * hc_sum * np.exp(1j * np.outer(t, lam))) @ wlam)
     target = one_minus_psi * target_k * weight_density(params, t)
 
     scale = np.max(np.abs(target))
@@ -394,60 +411,37 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
     direct  = integral over |lambda| <= 50 of M(lambda) Gamma_k e^((i lambda + rho)t)
     shifted = same integrand over the rectangle top Im lambda = rho(1 - 1/R)
               plus the two vertical edges, for the largest R.
-    Returns a dict with both values, the defect, and the edge magnitudes.
+    Each segment is one `_line_integrals` call.  r_values must be non-empty,
+    finite, strictly increasing and above 1.  Returns a dict with both
+    values, the defect, and the edge magnitudes.
     """
     if t <= 0.0:
         raise DomainError("contour_shift_check requires t > 0")
-    if m.decay_class != "rapidly-decreasing":
-        raise DecayError("contour shift requires a rapidly decreasing multiplier")
+    r_arr = np.asarray(r_values, dtype=float)
+    increasing = r_arr.ndim == 1 and r_arr.size and np.all(np.diff(r_arr) > 0.0)
+    if not (increasing and 1.0 < r_arr[0] and r_arr[-1] < np.inf):
+        raise ParameterError("r_values must be non-empty, finite, strictly increasing and above 1")
 
-    def integrand(lam_c):
-        lam_c = np.asarray(lam_c, dtype=complex)
-        gam = gamma_coefficient_table(params, lam_c, k)[k]
-        return (
-            modified_multiplier(params, m, lam_c)
-            * gam
-            * np.exp((1j * lam_c + params.rho) * t)
-        )
-
-    lam, wlam = _spectral_line_rule()
-    direct = complex(np.sum(integrand(lam) * wlam))
-
+    lam, wlam = _line_rule()
+    direct = _line_integrals(params, m, lam, wlam, t, k)[k, 0]
     edges = []
-    shifted_values = []
-    for r in r_values:
+    for r in r_arr:
         h = params.rho * (1.0 - 1.0 / r)
-        if r > _LINE_LAM_MAX:
-            # dense panels where the integrand lives, sparse on the dead tails
-            bp = np.concatenate(
-                [
-                    np.linspace(-r, -_LINE_LAM_MAX, 41),
-                    np.linspace(-_LINE_LAM_MAX, _LINE_LAM_MAX, 401)[1:],
-                    np.linspace(_LINE_LAM_MAX, r, 41)[1:],
-                ]
-            )
-            xs, wx = composite_gauss_legendre(bp, 4)
-        else:
-            xs, wx = _spectral_line_rule(r, 240)
-        with np.errstate(under="ignore"):
-            top = complex(np.sum(integrand(xs + 1j * h) * wx))
-            s_nodes, s_w = composite_gauss_legendre(np.linspace(0.0, h, 33), 4)
-            right = complex(np.sum(integrand(r + 1j * s_nodes) * s_w) * 1j)
-            left = complex(np.sum(integrand(-r + 1j * s_nodes) * s_w) * 1j)
-        edge_size = abs(right) + abs(left)
-        edges.append(edge_size)
+        xs, wx = _line_rule(r)
+        s_nodes, s_w = composite_gauss_legendre(np.linspace(0.0, h, 33), 4)
+        top = _line_integrals(params, m, xs + 1j * h, wx, t, k)[k, 0]
+        right = _line_integrals(params, m, r + 1j * s_nodes, 1j * s_w, t, k)[k, 0]
+        left = _line_integrals(params, m, -r + 1j * s_nodes, 1j * s_w, t, k)[k, 0]
+        edges.append(abs(right) + abs(left))
         # Cauchy: bottom segment = top segment - right edge + left edge
-        shifted_values.append(top - right + left)
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            raise DomainError(
-                "vertical-edge integrals grow with R; integrand not decaying"
-            )
-    shifted = shifted_values[-1]
+        shifted = top - right + left
+    if np.any(np.diff(edges) > 0.0):
+        raise DomainError("vertical-edge integrals grow with R; integrand not decaying")
+    lift = math.exp(params.rho * t)  # e^(rho t), common to every segment
     return {
-        "direct": direct,
-        "shifted": shifted,
-        "defect": abs(direct - shifted),
-        "edge_magnitudes": edges,
+        "direct": complex(lift * direct),
+        "shifted": complex(lift * shifted),
+        "defect": lift * abs(direct - shifted),
+        "edge_magnitudes": [lift * e for e in edges],
         "r_values": tuple(r_values),
     }

@@ -80,6 +80,9 @@ class TestEval:
         assert abs(complex(float(re), float(im)) - expected) <= 1e-12 * abs(expected)
         assert run(["--alpha", "600", "--beta", "1", "eval", "c", "--lambda", "2"]) == 2
         assert "alpha = 600" in capsys.readouterr().err
+        # so does omega(1e160), printed as inf,nan before
+        assert run(["--preset", "generic", "eval", "omega", "--lambda", "1e160"]) == 2
+        assert "lambda = 1e+160" in capsys.readouterr().err
 
     def test_missing_argument_exit_2(self, capsys):
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2"]) == 2

@@ -226,6 +226,9 @@ class TestMihlinProxy:
     def test_guard(self):
         with pytest.raises(DomainError):
             mihlin_proxy_norm(lambda lam: lam, lam_max=0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mihlin_proxy_norm(lambda lam: lam, lam_max=bad)
 
 
 class TestTheoremExperiment:

@@ -75,6 +75,12 @@ class TestOmega:
         with pytest.raises(DomainError, match="lambda"):
             omega(generic_params, lam)
 
+    @pytest.mark.parametrize("call", [omega, w_function])
+    def test_overflow_raises(self, generic_params, call):
+        # unchecked, omega(1e160) is inf with a RuntimeWarning
+        with pytest.raises(OverflowLimitError, match="lambda = 1e\\+160"):
+            call(generic_params, np.array([1.0, 1e160]))
+
 
 class TestModifiedMultiplier:
     def test_h3_magnitude_is_lambda(self, h3_params):
@@ -223,6 +229,9 @@ class TestHormanderCheck:
     def test_guard(self):
         with pytest.raises(DomainError):
             hormander_check(lambda lam: lam, lam_max=0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hormander_check(lambda lam: lam, lam_max=bad)
 
 
 class TestCutoffs:
@@ -300,6 +309,11 @@ class TestPsFunction:
         expected = lam**-0.5 / c_function(generic_params, lam.astype(complex))
         assert np.max(np.abs(got - expected)) < 1e-12
 
+    def test_nan_lambda_raises(self, generic_params):
+        # unchecked, NaN fails the cutoff test and reads as P_s = 0
+        with pytest.raises(DomainError, match="lambda"):
+            p_s_function(generic_params, 0.5, [3.0, math.nan])
+
 
 class TestGlobalPieces:
     def test_reconstruction_converges(self, generic_params):
@@ -339,6 +353,19 @@ class TestGlobalPieces:
         with pytest.raises(DecayError):
             hc_global_pieces(generic_params, bounded, 3, np.array([1.5]))
 
+    @pytest.mark.parametrize(
+        "ell_max, t, error",
+        [
+            (-1, [1.5], ParameterError),
+            (2.5, [1.5], ParameterError),
+            (3, [], DomainError),
+            (3, [1.5, math.inf], DomainError),
+        ],
+    )
+    def test_bad_index_or_t_raises(self, generic_params, ell_max, t, error):
+        with pytest.raises(error):
+            hc_global_pieces(generic_params, gauss_multiplier(), ell_max, np.array(t))
+
 
 class TestContourShift:
     def test_defect_vanishes(self, generic_params):
@@ -355,3 +382,21 @@ class TestContourShift:
         bounded = MultiplierSpec(lambda lam: np.ones(np.shape(lam)), True, "bounded", "one")
         with pytest.raises(DecayError):
             contour_shift_check(generic_params, bounded, 0, t=1.0)
+
+    @pytest.mark.parametrize(
+        "k, t, r_values, error",
+        [
+            (0, math.nan, (10.0, 100.0), DomainError),
+            (0, math.inf, (10.0, 100.0), DomainError),
+            (-1, 1.5, (10.0, 100.0), ParameterError),
+            (0.5, 1.5, (10.0, 100.0), ParameterError),
+            (0, 1.5, (), ParameterError),
+            (0, 1.5, (0.5,), ParameterError),
+            (0, 1.5, (100.0, 10.0), ParameterError),
+            (0, 1.5, (10.0, math.inf), ParameterError),
+        ],
+    )
+    def test_bad_input_raises(self, generic_params, k, t, r_values, error):
+        # unchecked, r_values = (0.5,) gives a defect of 3066 and k = -1 computes k = 0
+        with pytest.raises(error):
+            contour_shift_check(generic_params, gauss_multiplier(), k, t, r_values)
