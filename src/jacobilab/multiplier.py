@@ -130,8 +130,8 @@ def omega(params, lam):
     on_cut = (base.real <= 0.0) & (np.abs(base.imag) < 1e-300)
     if np.any(on_cut):
         raise DomainError("omega branch point: lambda^2 + 4 rho^2 on the cut")
-    overflow = ~np.isfinite(out)
-    if np.any(overflow):
+    if not np.isfinite(out).all():
+        overflow = ~np.isfinite(out)
         raise OverflowLimitError(f"omega leaves the doubles at lambda = {complex(lam[overflow].flat[0]):.6g}")
     return complex(out) if out.ndim == 0 else out
 
