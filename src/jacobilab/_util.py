@@ -10,6 +10,7 @@ __all__ = [
     "composite_gauss_legendre",
     "dyadic_differences",
     "graded_breakpoints",
+    "is_count",
     "loglog_slope",
     "neville_zero",
     "smoothstep_quintic",
@@ -34,6 +35,11 @@ def graded_breakpoints(upper, n_panels):
     """Panel breakpoints upper (i / n_panels)^2 on [0, upper], clustered at 0."""
     i = np.arange(n_panels + 1, dtype=float) / n_panels
     return upper * i**2.0
+
+
+def is_count(n, least=1):
+    """True for an int or numpy integer n >= least; a float, even 3.0, is not a count."""
+    return isinstance(n, (int, np.integer)) and n >= least
 
 
 def dyadic_differences(g, lam_min, lam_max):

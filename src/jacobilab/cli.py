@@ -2,9 +2,11 @@
 reports, and the theorem probe.
 
 Exit codes: 0 success, 2 schema/domain errors, 3 decay-check failures,
-4 probe instability.  All files are written atomically and carry a header
-with the configuration hash, so identical (config, seed) runs are
-byte-identical.
+4 probe instability.  Each subcommand declares its handler and the flags its
+configuration hash reads, once, in `build_parser`.  Every CSV goes through
+`_emit`, under a header line with that hash: to stdout, or atomically to
+--output with `<name>.manifest.json` beside it, so identical (config, seed)
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
+# The flags besides the parameters that a command reads.  A config hash covers
+# these and no other, so a flag a command ignores (the grid flags of convolve,
+# which runs on convolution_grid; --lmax of hormander-w, whose window is fixed)
+# cannot change its header.  A report's reads depend on its kind.
+_GRID_FLAGS = ("t_max", "radial_panels", "lam_max", "spectral_panels")
+_REPORT_READS = {"c-asymptotics": ("lmax",), "gangolli": ("kmax",), "expansion-errors": (), "hormander-w": ()}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="jacobilab", allow_abbrev=False)
     parser.add_argument("--preset", choices=sorted(_PRESETS))
@@ -74,36 +84,39 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate phi, c, omega, or kernel-K")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("what", choices=["phi", "c", "omega", "kernel-K"])
     p_eval.add_argument("--lambda", dest="lam", type=float)
     p_eval.add_argument("--t", type=float)
     p_eval.add_argument("--s", type=float)
     p_eval.add_argument("--u", type=float)
 
-    for name in ("transform", "inverse"):
+    for name, run in (("transform", _cmd_transform), ("inverse", _cmd_inverse)):
         p = sub.add_parser(name)
+        p.set_defaults(run=run, reads=_GRID_FLAGS)
         p.add_argument("--input", required=True)
         p.add_argument("--output", required=True)
 
     p_conv = sub.add_parser("convolve")
+    p_conv.set_defaults(run=_cmd_convolve, reads=())
     p_conv.add_argument("--input-f", required=True)
     p_conv.add_argument("--input-g", required=True)
     p_conv.add_argument("--output", required=True)
 
     p_heat = sub.add_parser("heat")
+    p_heat.set_defaults(run=_cmd_heat, reads=_GRID_FLAGS)
     p_heat.add_argument("--s", type=float, required=True)
     p_heat.add_argument("--output", required=True)
 
     p_rep = sub.add_parser("report")
-    p_rep.add_argument(
-        "kind",
-        choices=["c-asymptotics", "gangolli", "expansion-errors", "hormander-w"],
-    )
+    p_rep.set_defaults(run=_cmd_report)  # reads: _REPORT_READS of the kind
+    p_rep.add_argument("kind", choices=list(_REPORT_READS))
     p_rep.add_argument("--lmax", type=float, default=400.0)
     p_rep.add_argument("--kmax", type=int, default=32)
     p_rep.add_argument("--output")
 
     p_probe = sub.add_parser("probe-theorem")
+    p_probe.set_defaults(run=_cmd_probe, reads=_GRID_FLAGS + ("seed",))
     p_probe.add_argument("--family", help="JSON manifest; defaults to the standard family")
     p_probe.add_argument("--p", type=float, default=2.0)
     p_probe.add_argument("--trials", type=int, default=8)
@@ -121,26 +134,13 @@ def _make_params(args):
     return JacobiParameters(args.alpha, args.beta, relaxed=args.relaxed)
 
 
-# The flags besides the parameters that each file-writing command reads.  A
-# config hash covers these and no other, so a flag a command ignores (the grid
-# flags of convolve, which runs on convolution_grid) cannot change its header.
-_GRID_FLAGS = ("t_max", "radial_panels", "lam_max", "spectral_panels")
-_READS = {
-    "transform": _GRID_FLAGS,
-    "inverse": _GRID_FLAGS,
-    "heat": _GRID_FLAGS,
-    "probe-theorem": _GRID_FLAGS + ("seed",),
-    "report": ("lmax", "kmax"),
-}
-
-
 def _config_hash(args, params):
     payload = {
         "alpha": params.alpha,
         "beta": params.beta,
         "relaxed": params.relaxed,
         "version": __version__,
-        **{name: getattr(args, name) for name in _READS.get(args.command, ())},
+        **{name: getattr(args, name) for name in args.reads},
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -169,17 +169,33 @@ def _format(x):
     return f"{x:.15g}"
 
 
-def _csv_text(header_cols, rows, conf_hash):
+def _emit(args, params, header, rows, inputs):
+    """The CSV of rows under a config-hash line: atomically to --output, with
+    <name>.manifest.json beside it (the hash, the version, the command and the
+    command's own inputs), or to stdout without --output."""
+    conf = _config_hash(args, params)
     buf = io.StringIO()
-    buf.write(f"# jacobilab {__version__} config-hash {conf_hash}\n")
+    buf.write(f"# jacobilab {__version__} config-hash {conf}\n")
     writer = csv.writer(buf)
-    writer.writerow(header_cols)
-    for row in rows:
-        writer.writerow([_format(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    writer.writerow(header)
+    writer.writerows([_format(v) if isinstance(v, float) else v for v in row] for row in rows)
+    if not args.output:
+        sys.stdout.write(buf.getvalue())
+        return
+    path = _output_path(args, args.output)
+    manifest = {"config_hash": conf, "version": __version__, "command": args.command, **inputs}
+    _atomic_write(path, buf.getvalue())
+    _atomic_write(path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _read_samples(path, key):
+def _read_samples(path, key, nodes):
+    """The key,re,im samples of a CSV file, resampled onto nodes.
+
+    Blank lines and lines that start with # are skipped, the header must read
+    key,re,im (csv quoting and padding allowed), and columns past the third are
+    ignored.  The innermost sample is held toward 0 (radial functions are
+    even), and beyond the outermost one the values are 0 (decay).
+    """
     try:
         with open(path, newline="") as fh:
             lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -187,26 +203,16 @@ def _read_samples(path, key):
         raise _CliError(f"cannot read {path}: {exc}", 2)
     if not lines:
         raise _CliError(f"empty input file {path}", 2)
-    reader = csv.DictReader(lines)
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != [key, "re", "im"]:
+    if [f.strip() for f in next(csv.reader(lines[:1]))] != [key, "re", "im"]:
         raise _CliError(f"{path}: expected columns {key},re,im", 2)
-    xs, vals = [], []
-    for record in reader:
-        try:
-            xs.append(float(record[key]))
-            vals.append(float(record["re"]) + 1j * float(record["im"]))
-        except (TypeError, ValueError):
-            raise _CliError(f"{path}: non-numeric row {record}", 2)
-    if not xs:
+    if len(lines) == 1:
         raise _CliError(f"{path}: no data rows", 2)
-    return np.asarray(xs), np.asarray(vals)
-
-
-def _resample(xs, vals, nodes):
-    # hold the innermost sample toward 0 (radial functions are even); pad
-    # with zeros beyond the outermost sample (decay)
-    order = np.argsort(xs)
-    xs, vals = xs[order], vals[order]
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, usecols=(0, 1, 2), quotechar='"', comments=None)
+    except ValueError as exc:
+        raise _CliError(f"{path}: bad data row: {exc}", 2)
+    order = np.argsort(data[:, 0])
+    xs, vals = data[order, 0], (data[:, 1] + 1j * data[:, 2])[order]
     re = np.interp(nodes, xs, vals.real, left=vals[0].real, right=0.0)
     im = np.interp(nodes, xs, vals.imag, left=vals[0].imag, right=0.0)
     return re + 1j * im
@@ -216,17 +222,9 @@ def _grids(args, params):
     return default_grids(params, args.t_max, args.radial_panels, args.lam_max, args.spectral_panels)
 
 
-def _write_function_csv(args, params, path, key, nodes, values, manifest_extra):
-    conf = _config_hash(args, params)
+def _write_function_csv(args, params, key, nodes, values, inputs):
     rows = [(float(x), float(v.real), float(v.imag)) for x, v in zip(nodes, values)]
-    _atomic_write(path, _csv_text([key, "re", "im"], rows, conf))
-    manifest = {
-        "config_hash": conf,
-        "version": __version__,
-        "command": args.command,
-        **manifest_extra,
-    }
-    _atomic_write(path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _emit(args, params, [key, "re", "im"], rows, inputs)
 
 
 def _cmd_eval(args, params):
@@ -256,62 +254,51 @@ def _cmd_eval(args, params):
     return 0
 
 
-def _cmd_transform(args, params, forward):
+# The looser gate of both transforms still rejects undecayed inputs but
+# tolerates the quadrature noise floor of spectra produced by transform.
+def _cmd_transform(args, params):
     rgrid, sgrid = _grids(args, params)
-    # the looser gate still rejects undecayed inputs but tolerates the
-    # quadrature noise floor of spectra produced by the forward command
-    if forward:
-        xs, vals = _read_samples(args.input, "t")
-        f = SampledRadialFunction(rgrid, _resample(xs, vals, rgrid.nodes))
-        out = jacobi_transform(params, f, sgrid, decay_fraction=1e-6)
-        nodes, key = sgrid.nodes, "lambda"
-    else:
-        xs, vals = _read_samples(args.input, "lambda")
-        g = SampledSpectralFunction(sgrid, _resample(xs, vals, sgrid.nodes))
-        out = inverse_transform(params, g, rgrid, decay_fraction=1e-6)
-        nodes, key = rgrid.nodes, "t"
-    path = _output_path(args, args.output)
-    _write_function_csv(args, params, path, key, nodes, out.values, {"input": args.input})
+    f = SampledRadialFunction(rgrid, _read_samples(args.input, "t", rgrid.nodes))
+    out = jacobi_transform(params, f, sgrid, decay_fraction=1e-6)
+    _write_function_csv(args, params, "lambda", sgrid.nodes, out.values, {"input": args.input})
+    return 0
+
+
+def _cmd_inverse(args, params):
+    rgrid, sgrid = _grids(args, params)
+    g = SampledSpectralFunction(sgrid, _read_samples(args.input, "lambda", sgrid.nodes))
+    out = inverse_transform(params, g, rgrid, decay_fraction=1e-6)
+    _write_function_csv(args, params, "t", rgrid.nodes, out.values, {"input": args.input})
     return 0
 
 
 def _cmd_convolve(args, params):
     grid = convolution_grid(params)
-    xs_f, vals_f = _read_samples(args.input_f, "t")
-    xs_g, vals_g = _read_samples(args.input_g, "t")
-    f = SampledRadialFunction(grid, _resample(xs_f, vals_f, grid.nodes))
-    g = SampledRadialFunction(grid, _resample(xs_g, vals_g, grid.nodes))
+    f = SampledRadialFunction(grid, _read_samples(args.input_f, "t", grid.nodes))
+    g = SampledRadialFunction(grid, _read_samples(args.input_g, "t", grid.nodes))
     result = convolve(params, f, g)
-    path = _output_path(args, args.output)
-    _write_function_csv(
-        args, params, path, "t", grid.nodes, result.values,
-        {"input_f": args.input_f, "input_g": args.input_g},
-    )
+    inputs = {"input_f": args.input_f, "input_g": args.input_g}
+    _write_function_csv(args, params, "t", grid.nodes, result.values, inputs)
     return 0
 
 
 def _cmd_heat(args, params):
     rgrid, sgrid = _grids(args, params)
     h = heat_kernel(params, args.s, rgrid, sgrid)
-    path = _output_path(args, args.output)
-    _write_function_csv(args, params, path, "t", rgrid.nodes, h.values, {"s": args.s})
+    _write_function_csv(args, params, "t", rgrid.nodes, h.values, {"s": args.s})
     return 0
 
 
 def _cmd_report(args, params):
-    conf = _config_hash(args, params)
+    args.reads = _REPORT_READS[args.kind]
     if args.kind == "c-asymptotics":
         lams = [float(l) for l in np.geomspace(2.0, args.lmax, 24)]
-        rows = [
-            (r["lambda"], r["d_ratio"], r["d_prime_scaled"], r["logderiv_scaled"])
-            for r in c_asymptotics_report(params, lams)
-        ]
-        text = _csv_text(["lambda", "d_ratio", "d_prime_scaled", "logderiv_scaled"], rows, conf)
+        header = ["lambda", "d_ratio", "d_prime_scaled", "logderiv_scaled"]
+        rows = [tuple(r[name] for name in header) for r in c_asymptotics_report(params, lams)]
     elif args.kind == "gangolli":
-        k_max = max(args.kmax, 16)
         lams = np.concatenate([np.linspace(0.5, 10.0, 12), np.linspace(12.0, 50.0, 8)])
-        c_fit, d_fit = gangolli_fit(params, k_max, lams.astype(complex))
-        text = _csv_text(["C", "d", "k_max"], [(float(c_fit), float(d_fit), float(k_max))], conf)
+        c_fit, d_fit = gangolli_fit(params, args.kmax, lams.astype(complex))
+        header, rows = ["C", "d", "k_max"], [(c_fit, d_fit, float(args.kmax))]
     elif args.kind == "expansion-errors":
         from .core import bessel_local_expansion
 
@@ -320,7 +307,7 @@ def _cmd_report(args, params):
             for t in (0.05, 0.2, 0.8):
                 val, resid = bessel_local_expansion(params, lam, t, M=2)
                 rows.append((float(lam), float(t), float(val), float(resid)))
-        text = _csv_text(["lambda", "t", "value", "residual"], rows, conf)
+        header = ["lambda", "t", "value", "residual"]
     else:
         lams = np.geomspace(50.0, 400.0, 40)
         wvals = np.abs(w_function(params, lams))
@@ -330,15 +317,9 @@ def _cmd_report(args, params):
             (w_function(params, lams + step) - w_function(params, lams - step)) / (2 * step)
         )
         slope_wp, _ = loglog_slope(lams, wp)
-        text = _csv_text(
-            ["slope_w", "slope_wprime", "expected_w", "bound_wprime"],
-            [(float(slope_w), float(slope_wp), float(-params.alpha), -0.5)],
-            conf,
-        )
-    if args.output:
-        _atomic_write(_output_path(args, args.output), text)
-    else:
-        sys.stdout.write(text)
+        header = ["slope_w", "slope_wprime", "expected_w", "bound_wprime"]
+        rows = [(float(slope_w), float(slope_wp), float(-params.alpha), -0.5)]
+    _emit(args, params, header, rows, {"kind": args.kind, **{name: getattr(args, name) for name in args.reads}})
     return 0
 
 
@@ -413,7 +394,6 @@ def _cmd_probe(args, params):
             for m, row in zip(family, res["rows"])
         ]
 
-    conf = _config_hash(args, params)
     rows = []
     stable = True
     for row, ratio_fine in zip(res["rows"], leg(args.p, fine)):
@@ -434,15 +414,8 @@ def _cmd_probe(args, params):
                 f"drift={drift:.3g}",
             )
         )
-    text = _csv_text(
-        ["experiment", "member", "p", "lower_bound", "proxy_norm", "ratio", "flags"],
-        rows,
-        conf,
-    )
-    if args.output:
-        _atomic_write(_output_path(args, args.output), text)
-    else:
-        sys.stdout.write(text)
+    header = ["experiment", "member", "p", "lower_bound", "proxy_norm", "ratio", "flags"]
+    _emit(args, params, header, rows, {"family": args.family, "p": args.p, "trials": args.trials})
     verdict = res["verdict_max_ratio"]
     print(f"verdict: max ratio {verdict:.6g} ({'stable' if stable else 'UNSTABLE'})")
     if abs(args.p - 2.0) > 1e-12:
@@ -461,25 +434,9 @@ def _cmd_probe(args, params):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        params = _make_params(args)
-        if args.command == "eval":
-            return _cmd_eval(args, params)
-        if args.command == "transform":
-            return _cmd_transform(args, params, forward=True)
-        if args.command == "inverse":
-            return _cmd_transform(args, params, forward=False)
-        if args.command == "convolve":
-            return _cmd_convolve(args, params)
-        if args.command == "heat":
-            return _cmd_heat(args, params)
-        if args.command == "report":
-            return _cmd_report(args, params)
-        if args.command == "probe-theorem":
-            return _cmd_probe(args, params)
-        raise _CliError(f"unknown command {args.command}", 2)
+        return args.run(args, _make_params(args))
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

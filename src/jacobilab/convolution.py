@@ -188,7 +188,7 @@ def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) 
 def young_check(params, f, g, p, q):
     """Ratio ||f*g||_r / (||f||_p ||g||_q) with 1/r = 1/p + 1/q - 1."""
     inv_r = (1.0 / p if p != math.inf else 0.0) + (1.0 / q if q != math.inf else 0.0) - 1.0
-    if inv_r < -1e-12 or inv_r > 1.0 + 1e-12:
+    if not -1e-12 <= inv_r <= 1.0 + 1e-12:
         raise DomainError("no exponent r with 1/p + 1/q - 1 = 1/r in [1, inf]")
     r = math.inf if inv_r <= 1e-12 else 1.0 / inv_r
     conv = convolve(params, f, g)

@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import loglog_slope
+from ._util import is_count, loglog_slope
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
 from .specfun import _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
@@ -268,8 +268,8 @@ def gangolli_fit(params, k_max, lambda_set):
     d is the least-squares log-log slope of max_lambda |Gamma_k| against 1+k,
     C the smallest constant making the bound hold on every computed sample.
     """
-    if k_max < 16:
-        raise ParameterError("gangolli_fit requires k_max >= 16")
+    if not is_count(k_max, 16):
+        raise ParameterError(f"gangolli_fit requires an integer k_max >= 16, not {k_max!r}")
     lams = np.asarray(lambda_set, dtype=complex)
     if not lams.size:
         raise DomainError("gangolli_fit requires a non-empty lambda_set")
@@ -488,6 +488,20 @@ def _require_finite(name, x):
         raise DomainError(f"{name} must be finite")
 
 
+def _require_rho_t(params, t, what, power=1):
+    """DomainError unless t is finite; OverflowLimitError naming rho t where
+    e^(power rho |t|) passes e^708, so that it or its reciprocal leaves the
+    normal doubles.  Call it before forming the exponential."""
+    _require_finite("t", t)
+    rho_t = params.rho * float(np.max(np.abs(t), initial=0.0))
+    if power * rho_t > _RHO_T_MAX:
+        factor = "" if power == 1 else f"{power:g} "
+        raise OverflowLimitError(
+            f"{what}: rho t = {rho_t:.6g} exceeds {_RHO_T_MAX / power:g}; "
+            f"e^({factor}rho t) leaves the normal doubles past e^{_RHO_T_MAX:g}"
+        )
+
+
 def _route_split(params, t, mag):
     """Per row of ascending t, how many columns of ascending |lambda| take the 2F1 route.
 
@@ -509,14 +523,8 @@ def _phi(params, t, lam, hypergeometric=None):
     Harish-Chandra term; complex lambda sums the terms at lambda and -lambda.
     Raises OverflowLimitError where rho t > 708, since phi then underflows.
     """
-    _require_finite("t", t)
+    _require_rho_t(params, t, "phi_lambda(t)")
     _require_finite("lambda", lam)
-    rho_t = params.rho * np.max(t, initial=0.0)
-    if rho_t > _RHO_T_MAX:
-        raise OverflowLimitError(
-            f"phi_lambda(t): rho t = {rho_t:.6g} exceeds {_RHO_T_MAX:g}; "
-            "e^(-rho t) underflows the smallest normal double (2.2e-308)"
-        )
     real = not np.any(np.imag(lam))
     lam = np.abs(np.real(lam)) if real else lam
     out = np.empty((t.size, lam.size), dtype=float if real else complex)
@@ -654,6 +662,7 @@ def c_asymptotics_report(params, lambda_list):
     |c'(lambda)/c(lambda)| * lambda (stays bounded).
     """
     lams = np.asarray(lambda_list, dtype=float)
+    _require_finite("lambda_list", lams)
     if not (lams.size and np.all(np.diff(lams) > 0) and lams[0] >= 1.0):
         raise DomainError("lambda_list must be non-empty and increasing with min >= 1")
     expo = 2.0 * params.alpha + 1.0

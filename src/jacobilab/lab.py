@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import dyadic_differences
+from ._util import dyadic_differences, is_count
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
@@ -56,6 +56,11 @@ class OperatorNormEstimate:
 def _check_exponent(p):
     if not 1.0 < p < math.inf:
         raise ParameterError(f"p must lie in (1, inf), not {p}")
+
+
+def _check_trials(trials):
+    if not is_count(trials):
+        raise ParameterError(f"trials must be an integer >= 1, not {trials!r}")
 
 
 def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunction, p, sgrid: SpectralGrid):
@@ -134,8 +139,7 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grid
     and the witness is the first trial, in trial order, with the largest ratio.
     """
     _check_exponent(p)
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    _check_trials(trials)
     rgrid, sgrid = default_grids(params) if grids is None else grids
     spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
     mhat = m(sgrid.nodes)[:, None] * spectra
@@ -216,6 +220,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
     on other grids or at another p divide by its row's proxy_norm.
     """
     _check_exponent(p)
+    _check_trials(trials)
     lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
     for member in multiplier_family:

@@ -19,10 +19,11 @@ import numpy as np
 from ._util import (
     composite_gauss_legendre,
     dyadic_differences,
+    is_count,
     neville_zero,
     smoothstep_quintic,
 )
-from .core import JacobiParameters, _require_finite, c_function, gamma_coefficient_table, weight_density
+from .core import JacobiParameters, _require_finite, _require_rho_t, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
     DecayError,
@@ -179,6 +180,7 @@ def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:
     extrapolates to eps = 0 by Neville's scheme; raises ConvergenceError if
     dropping the coarsest rung moves the answer by more than 1e-6.
     """
+    _require_finite("height", height)
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     eps = tuple(float(e) for e in eps_ladder)
     if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -223,6 +225,7 @@ def p_s_function(params, s, lam):
     """P_s(lambda) = (1 - phi(lambda)) |lambda|^(-s) c(lambda)^(-1) for real lambda,
     with phi the spectral cutoff of CutoffPair()."""
     cutoffs = CutoffPair()
+    _require_finite("s", s)
     lam = np.asarray(lam, dtype=float)
     _require_finite("lambda", lam)
     out = np.zeros(lam.shape, dtype=complex)
@@ -294,7 +297,8 @@ def delta_expansion(params, t):
     The c_j are the coefficients of (1-X)^[[alpha]] (1+X)^[[beta]] with
     X = e^(-2t), where [[x]] is the integer part of 2x+1, and
     delta(t) = (1-X)^<alpha> (1+X)^<beta> collects the decimal parts.
-    Returns (coefficients, delta_factor, reconstruction).
+    Returns (coefficients, delta_factor, reconstruction); OverflowLimitError
+    naming rho t where e^(2 rho t) leaves the doubles (rho t > 354).
     """
     na, fa = _bracket_parts(params.alpha)
     nb, fb = _bracket_parts(params.beta)
@@ -305,6 +309,7 @@ def delta_expansion(params, t):
         poly_a = poly_a * np.poly1d([1.0, 1.0])
     coeffs = poly_a.coefficients[::-1].copy()  # c_0 ... c_J, ascending in X
     t = np.asarray(t, dtype=float)
+    _require_rho_t(params, t, "delta_expansion", power=2)
     x = np.exp(-2.0 * t)
     delta = (1.0 - x) ** fa * (1.0 + x) ** fb
     powers = x[..., None] ** np.arange(len(coeffs))
@@ -332,7 +337,7 @@ def _line_integrals(params, m: MultiplierSpec, lam, weights, t, j_max):
     empty or non-finite t.
     """
     _require_rapid_decay(m)
-    if not isinstance(j_max, (int, np.integer)) or j_max < 0:
+    if not is_count(j_max, 0):
         raise ParameterError(f"the Harish-Chandra index must be an integer >= 0, got {j_max!r}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if not t.size:
@@ -354,12 +359,14 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4
     target (1-psi) k Delta keeps its own lambda sum, as the check on them.
     Returns a dict with all pieces, the reconstruction
     sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target, and the maximum
-    relative error.
+    relative error.  Raises OverflowLimitError naming rho t where Delta's
+    e^(2 rho t) leaves the doubles (rho t > 354).
     """
     cutoffs = CutoffPair()
     t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     if np.any(t < math.sqrt(cutoffs.R0)):
         raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
+    _require_rho_t(params, t, "hc_global_pieces", power=2)
     lam, wlam = _line_rule()
     # the inverse-transform normalization, folded over lambda -> -lambda
     const = plancherel_constant()
@@ -413,7 +420,9 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
               plus the two vertical edges, for the largest R.
     Each segment is one `_line_integrals` call.  r_values must be non-empty,
     finite, strictly increasing and above 1.  Returns a dict with both
-    values, the defect, and the edge magnitudes.
+    values, the defect, and the edge magnitudes.  Raises OverflowLimitError
+    naming rho t where the common factor e^(rho t) leaves the doubles
+    (rho t > 708).
     """
     if t <= 0.0:
         raise DomainError("contour_shift_check requires t > 0")
@@ -421,6 +430,7 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
     increasing = r_arr.ndim == 1 and r_arr.size and np.all(np.diff(r_arr) > 0.0)
     if not (increasing and 1.0 < r_arr[0] and r_arr[-1] < np.inf):
         raise ParameterError("r_values must be non-empty, finite, strictly increasing and above 1")
+    _require_rho_t(params, t, "contour_shift_check")
 
     lam, wlam = _line_rule()
     direct = _line_integrals(params, m, lam, wlam, t, k)[k, 0]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, graded_breakpoints
+from ._util import composite_gauss_legendre, graded_breakpoints, is_count
 from .core import JacobiParameters, phi_matrix, plancherel_density, weight_density
 from .errors import DecayError, DomainError, GridError
 
@@ -65,14 +65,13 @@ class _PanelGrid:
     """
 
     def __init__(self, breakpoints, nodes_per_panel):
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.nodes_per_panel = int(nodes_per_panel)
-        bp = self.breakpoints
+        self.breakpoints = bp = np.asarray(breakpoints, dtype=float)
         increasing = bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0)
         if not (increasing and np.all(np.isfinite(bp)) and bp[0] >= 0.0):
             raise GridError("breakpoints must be finite, start at 0 or above and strictly increase")
-        if self.nodes_per_panel < 1:
-            raise GridError(f"nodes_per_panel must be at least 1, not {nodes_per_panel}")
+        if not is_count(nodes_per_panel):
+            raise GridError(f"nodes_per_panel must be an integer >= 1, not {nodes_per_panel!r}")
+        self.nodes_per_panel = int(nodes_per_panel)
         self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
         x, _ = composite_gauss_legendre([-1.0, 1.0], nodes_per_panel)
         diff = x[:, None] - x[None, :]
@@ -126,8 +125,8 @@ def _check_extent(kind, upper_name, upper, n_panels):
     """GridError naming a builder argument that admits no grid."""
     if not (math.isfinite(upper) and upper > 0.0):
         raise GridError(f"{kind} grid: {upper_name} must be finite and positive, not {upper}")
-    if n_panels < 1:
-        raise GridError(f"{kind} grid: n_panels must be at least 1, not {n_panels}")
+    if not is_count(n_panels):
+        raise GridError(f"{kind} grid: n_panels must be an integer >= 1, not {n_panels!r}")
 
 
 class RadialGrid(_PanelGrid):
@@ -226,8 +225,8 @@ def _lp_norm(values, weights, p):
     """L^p norm over the node axis: a float, or one norm per column."""
     if p == math.inf:
         out = np.max(np.abs(values), axis=0)
-    elif p < 1:
-        raise DomainError("p must be >= 1")
+    elif not p >= 1:
+        raise DomainError(f"p must be >= 1 or inf, not {p}")
     else:
         weights = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
         out = np.sum(weights * np.abs(values) ** p, axis=0) ** (1.0 / p)

@@ -150,6 +150,33 @@ class TestTransformPipeline:
             ["--preset", "generic", "transform", "--input", tmp_path / "empty.csv", "--output", "x.csv"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "row", ["1.0,2.0\n", "1.0,,0.0\n", "1.0,abc,0.0\n"], ids=["short-row", "empty-field", "non-numeric"]
+    )
+    def test_bad_data_row_exit_2(self, tmp_path, capsys, row):
+        (tmp_path / "bad.csv").write_text("t,re,im\n0.5,1.0,0.0\n" + row)
+        assert run(
+            ["--preset", "generic", "--output-dir", str(tmp_path), "transform", "--input", tmp_path / "bad.csv",
+             "--output", "x.csv"]
+        ) == 2
+        assert "bad.csv" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_crlf_and_quoted_input_read_as_plain(self, tmp_path, capsys):
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "plain.csv", t, np.exp(-(t**2)))
+        plain = (tmp_path / "plain.csv").read_text()
+        (tmp_path / "crlf.csv").write_bytes(plain.replace("\r\n", "\n").replace("\n", "\r\n").encode())
+        with open(tmp_path / "plain.csv", newline="") as src, open(tmp_path / "quoted.csv", "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
+        assert '"t","re","im"' in (tmp_path / "quoted.csv").read_text()
+        base = ["--preset", "generic", "--output-dir", str(tmp_path), *FAST]
+        for name in ("plain", "crlf", "quoted"):
+            assert run(base + ["transform", "--input", tmp_path / f"{name}.csv", "--output", f"{name}-out.csv"]) == 0
+        want = (tmp_path / "plain-out.csv").read_bytes()
+        assert (tmp_path / "crlf-out.csv").read_bytes() == want
+        assert (tmp_path / "quoted-out.csv").read_bytes() == want
+
     def test_output_dir_env_override(self, tmp_path, capsys, monkeypatch):
         outdir = tmp_path / "envout"
         monkeypatch.setenv("JACOBI_OUTPUT_DIR", str(outdir))
@@ -245,6 +272,43 @@ class TestReports:
         base = ["--preset", "generic", "--output-dir", str(tmp_path)]
         assert run(base + ["report", "expansion-errors", "--output", "e.csv"]) == 0
         assert (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, ignored, read",
+        [("gangolli", ["--lmax", "100"], ["--kmax", "40"]),
+         ("hormander-w", ["--lmax", "100"], None),
+         ("expansion-errors", ["--kmax", "40"], None),
+         ("c-asymptotics", ["--kmax", "40"], ["--lmax", "100"])],
+    )
+    def test_hash_covers_only_the_flags_the_kind_reads(self, capsys, kind, ignored, read):
+        # a flag a report ignores changes none of its bytes; one it reads moves its hash
+        assert run(["--preset", "generic", "report", kind]) == 0
+        default = capsys.readouterr().out
+        assert run(["--preset", "generic", "report", kind, *ignored]) == 0
+        assert capsys.readouterr().out == default
+        if read:
+            assert run(["--preset", "generic", "report", kind, *read]) == 0
+            assert capsys.readouterr().out.splitlines()[0] != default.splitlines()[0]
+
+    def test_gangolli_kmax_below_16_exit_2(self, capsys):
+        # k_max 4 was clamped to 16 with no message, under a header that hashed 4
+        assert run(["--preset", "generic", "report", "gangolli", "--kmax", "4"]) == 2
+        assert "k_max >= 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [(["report", "gangolli", "--kmax", "24"], {"kind": "gangolli", "kmax": 24}),
+         ([*FAST, "probe-theorem", "--trials", "2"], {"family": None, "p": 2.0, "trials": 2})],
+        ids=["report", "probe-theorem"],
+    )
+    def test_output_file_has_manifest(self, tmp_path, capsys, command, inputs):
+        assert run(["--preset", "generic", "--output-dir", tmp_path, *command, "--output", "o.csv"]) == 0
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        header = (tmp_path / "o.csv").read_text().splitlines()[0]
+        assert header.endswith("config-hash " + manifest.pop("config_hash"))
+        assert manifest.pop("command") in command
+        assert manifest.pop("version") in header
+        assert manifest == inputs
 
 
 class TestProbeTheorem:

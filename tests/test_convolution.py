@@ -250,6 +250,8 @@ class TestConvolve:
         f = bump(conv_grid, 0.7, 0.5)
         with pytest.raises(DomainError):
             young_check(generic_params, f, f, 2, 4)
+        with pytest.raises(DomainError):
+            young_check(generic_params, f, f, math.nan, 1)
 
     def test_grid_guards(self, generic_params, conv_grid):
         f = bump(conv_grid, 0.8, 0.5)

@@ -643,6 +643,11 @@ class TestCFunction:
         with pytest.raises(DomainError, match="lambda_list"):
             c_asymptotics_report(generic_params, [])
 
+    def test_asymptotics_report_infinite_lambda_raises(self, generic_params):
+        # unchecked, lambda = inf passes as increasing and warns "invalid value"
+        with pytest.raises(DomainError, match="lambda_list"):
+            c_asymptotics_report(generic_params, [1.0, math.inf])
+
 
 @pytest.mark.parametrize(
     "call",
@@ -701,6 +706,11 @@ class TestHarishChandra:
     def test_gangolli_fit_empty_lambda_set_raises(self, generic_params):
         with pytest.raises(DomainError, match="lambda_set"):
             gangolli_fit(generic_params, 32, [])
+
+    @pytest.mark.parametrize("k_max", [4, 16.5])
+    def test_gangolli_fit_k_max_guard(self, generic_params, k_max):
+        with pytest.raises(ParameterError, match="k_max"):
+            gangolli_fit(generic_params, k_max, [1.0, 2.0])
 
 
 class TestBesselLocalExpansion:

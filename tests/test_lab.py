@@ -192,6 +192,10 @@ class TestEstimateOperatorNorm:
     def test_trials_guard(self, generic_params, grids):
         with pytest.raises(ParameterError):
             estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=0)
+        with pytest.raises(ParameterError, match="trials"):
+            estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=2.5, grids=grids)
+        with pytest.raises(ParameterError, match="trials"):
+            theorem_ratio_experiment(generic_params, standard_multiplier_family(generic_params), 2, grids=grids, trials=2.5)
 
     def test_p_guard(self, generic_params, grids):
         with pytest.raises(ParameterError):

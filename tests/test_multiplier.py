@@ -153,6 +153,11 @@ class TestBoundaryTrace:
         with pytest.raises(ParameterError):
             boundary_trace(lambda z: z, 1.0, [1.0], eps_ladder=(1e-2, 1e-3))
 
+    def test_nan_height_raises(self):
+        # unchecked, every sample is NaN
+        with pytest.raises(DomainError, match="height"):
+            boundary_trace(lambda z: z, math.nan, [1.0, 2.0])
+
     def test_unstable_trace_raises(self, generic_params):
         # pole on the target line: the ladder cannot settle
         rho = generic_params.rho
@@ -297,6 +302,11 @@ class TestDeltaExpansion:
         target = weight_density(generic_params, t)
         assert np.max(np.abs(recon - target) / target) < 1e-12
 
+    def test_overflow_raises(self, generic_params):
+        # e^(2 rho t) at rho t = 1000 leaves the doubles
+        with pytest.raises(OverflowLimitError, match="rho t = 1000"):
+            delta_expansion(generic_params, [400.0])
+
 
 class TestPsFunction:
     def test_vanishes_inside_cutoff(self, generic_params):
@@ -313,6 +323,11 @@ class TestPsFunction:
         # unchecked, NaN fails the cutoff test and reads as P_s = 0
         with pytest.raises(DomainError, match="lambda"):
             p_s_function(generic_params, 0.5, [3.0, math.nan])
+
+    def test_nan_s_raises(self, generic_params):
+        # unchecked, |lambda|^(-nan) makes every sample past the cutoff NaN
+        with pytest.raises(DomainError, match="s must"):
+            p_s_function(generic_params, math.nan, [3.0])
 
 
 class TestGlobalPieces:
@@ -366,6 +381,12 @@ class TestGlobalPieces:
         with pytest.raises(error):
             hc_global_pieces(generic_params, gauss_multiplier(), ell_max, np.array(t))
 
+    @pytest.mark.parametrize("t", [150.0, 300.0])
+    def test_overflow_raises(self, generic_params, t):
+        # Delta(t) and the Delta expansion form e^(2 rho t), and b^+ forms e^(rho t)
+        with pytest.raises(OverflowLimitError, match=f"rho t = {2.5 * t:g}"):
+            hc_global_pieces(generic_params, gauss_multiplier(), 3, np.array([1.5, t]))
+
 
 class TestContourShift:
     def test_defect_vanishes(self, generic_params):
@@ -400,3 +421,8 @@ class TestContourShift:
         # unchecked, r_values = (0.5,) gives a defect of 3066 and k = -1 computes k = 0
         with pytest.raises(error):
             contour_shift_check(generic_params, gauss_multiplier(), k, t, r_values)
+
+    def test_overflow_raises(self, generic_params):
+        # the common factor e^(rho t) at rho t = 750 leaves the doubles
+        with pytest.raises(OverflowLimitError, match="rho t = 750"):
+            contour_shift_check(generic_params, gauss_multiplier(), 0, 300.0, (10.0, 100.0))

@@ -133,11 +133,15 @@ class TestGrids:
             (lambda p: SpectralGrid(p, [0.0], 4), "breakpoints"),
             (lambda p: RadialGrid(p, [-1.0, 1.0], 4), "breakpoints"),
             (lambda p: RadialGrid(p, [0.0, math.inf], 4), "breakpoints"),
+            (lambda p: RadialGrid.graded(p, 20.0, 2.5), "n_panels"),
+            (lambda p: SpectralGrid.build(p, 50.0, 2.5), "n_panels"),
+            (lambda p: SpectralGrid.build(p, 50.0, 40, nodes_per_panel=2.5), "nodes_per_panel"),
         ],
         ids=[
             "radial-0-panels", "radial-negative-panels", "t_max-0", "t_max-inf", "t_max-nan",
             "0-nodes", "spectral-0-panels", "lam_max-0", "lam_max-negative", "repeated-breakpoint",
-            "no-panel", "negative-start", "infinite-breakpoint",
+            "no-panel", "negative-start", "infinite-breakpoint", "radial-fractional-panels",
+            "spectral-fractional-panels", "fractional-nodes",
         ],
     )
     def test_grid_shape_errors_name_the_argument(self, generic_params, build, name):
@@ -164,6 +168,8 @@ class TestNorms:
         rgrid, _ = small_grids
         with pytest.raises(DomainError):
             gaussian_bump(rgrid).norm(0.5)
+        with pytest.raises(DomainError):
+            gaussian_bump(rgrid).norm(math.nan)
 
 
 class TestTransformPair:
