@@ -164,12 +164,14 @@ class TestTransformPipeline:
 
     def test_crlf_and_quoted_input_read_as_plain(self, tmp_path, capsys):
         t = np.linspace(0.05, 8.0, 200)
-        write_radial_csv(tmp_path / "plain.csv", t, np.exp(-(t**2)))
-        plain = (tmp_path / "plain.csv").read_text()
-        (tmp_path / "crlf.csv").write_bytes(plain.replace("\r\n", "\n").replace("\n", "\r\n").encode())
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        plain = (tmp_path / "f.csv").read_text()  # universal newlines: "\n" line ends
+        (tmp_path / "plain.csv").write_bytes(plain.encode())
+        (tmp_path / "crlf.csv").write_bytes(plain.replace("\n", "\r\n").encode())
         with open(tmp_path / "plain.csv", newline="") as src, open(tmp_path / "quoted.csv", "w", newline="") as dst:
-            csv.writer(dst, quoting=csv.QUOTE_ALL).writerows(csv.reader(src))
-        assert '"t","re","im"' in (tmp_path / "quoted.csv").read_text()
+            csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(src))
+        assert b"\r" not in (tmp_path / "plain.csv").read_bytes() + (tmp_path / "quoted.csv").read_bytes()
+        assert (tmp_path / "quoted.csv").read_text().startswith('"t","re","im"\n"0.05",')
         base = ["--preset", "generic", "--output-dir", str(tmp_path), *FAST]
         for name in ("plain", "crlf", "quoted"):
             assert run(base + ["transform", "--input", tmp_path / f"{name}.csv", "--output", f"{name}-out.csv"]) == 0
