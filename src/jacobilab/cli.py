@@ -34,8 +34,8 @@ from .core import (
     jacobi_phi,
 )
 from .errors import DecayError, JacobiLabError
-from .lab import _proxy_ratio, estimate_operator_norm, standard_multiplier_family, theorem_ratio_experiment
-from .multiplier import MultiplierSpec, omega, w_function
+from .lab import _omega_weighted, _proxy_ratio, estimate_operator_norm, standard_multiplier_family, theorem_ratio_experiment
+from .multiplier import omega, w_function
 from .transform import (
     SampledRadialFunction,
     SampledSpectralFunction,
@@ -345,21 +345,12 @@ def _member_from_manifest(entry, params):
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in ("lam", "rho"):
             raise _CliError(f"expression uses disallowed name '{name}'", 2)
-    weighted = bool(entry.get("omega_weighted", True))
 
-    def evaluate(lam, _code=code):
-        lam = np.asarray(lam, dtype=complex)
-        scope = {"lam": lam, "rho": params.rho, **_EXPR_NAMES}
-        with np.errstate(under="ignore"):
-            value = eval(_code, {"__builtins__": {}}, scope)
-            value = np.broadcast_to(np.asarray(value, dtype=complex), lam.shape)
-            if weighted:
-                return value / omega(params, lam)
-            return value + 0j
+    def profile(lam):
+        value = eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES})
+        return np.broadcast_to(np.asarray(value, dtype=complex), lam.shape)
 
-    return MultiplierSpec(
-        evaluate, bool(entry.get("even", True)), entry["decay_class"], entry["label"]
-    )
+    return _omega_weighted(params, profile, entry["decay_class"], entry["label"])
 
 
 def _cmd_probe(args, params):

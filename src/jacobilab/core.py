@@ -95,6 +95,9 @@ _ENVELOPE_LAMBDA = np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0])
 _BLOCK_SIZE = 16384  # cells of one block of a phi matrix, so that its working arrays stay in cache
 # e^(-rho t) falls below the smallest normal double (2.2e-308) beyond this.
 _RHO_T_MAX = 708.0
+# The splitting radius: the local expansion holds on (0, R0], and the cutoffs
+# of the kernel splitting switch over on [sqrt(R0), R0] and [1/R0, 2/R0].
+_R0 = 1.1
 
 
 def _hypergeometric_route(params, lam, t):
@@ -694,8 +697,8 @@ def bessel_local_expansion(params, lam, t, M):
     of the quartic-order error term of the two-term expansion.  Returns
     (truncation value, residual phi - truncation).
     """
-    if not 0.0 < t <= 1.1:
-        raise DomainError("bessel_local_expansion requires 0 < t <= R0 = 1.1")
+    if not 0.0 < t <= _R0:
+        raise DomainError(f"bessel_local_expansion requires 0 < t <= R0 = {_R0:g}")
     if M not in (1, 2):
         raise ParameterError("M must be 1 or 2")
     lam = float(lam)

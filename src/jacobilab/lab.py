@@ -58,9 +58,11 @@ def _check_exponent(p):
         raise ParameterError(f"p must lie in (1, inf), not {p}")
 
 
-def _check_trials(trials):
+def _check_trials(trials, seed):
     if not is_count(trials):
         raise ParameterError(f"trials must be an integer >= 1, not {trials!r}")
+    if not is_count(seed, 0):
+        raise ParameterError(f"seed must be an integer >= 0, not {seed!r}")
 
 
 def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunction, p, sgrid: SpectralGrid):
@@ -139,7 +141,7 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grid
     and the witness is the first trial, in trial order, with the largest ratio.
     """
     _check_exponent(p)
-    _check_trials(trials)
+    _check_trials(trials, seed)
     rgrid, sgrid = default_grids(params) if grids is None else grids
     spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
     mhat = m(sgrid.nodes)[:, None] * spectra
@@ -171,36 +173,28 @@ def mihlin_proxy_norm(g, lam_max=50.0):
     return float(np.max(np.abs(g0)) + np.max(np.abs(lam * gp)))
 
 
+def _omega_weighted(params, profile, decay_class, label) -> MultiplierSpec:
+    """The multiplier m = profile / omega, so that omega m, whose boundary
+    trace the probe takes, is the profile itself.  profile maps a complex
+    lambda array to an array of its shape."""
+
+    def evaluate(lam):
+        lam = np.asarray(lam, dtype=complex)
+        with np.errstate(under="ignore"):
+            return profile(lam) / omega(params, lam)
+
+    return MultiplierSpec(evaluate, decay_class, label)
+
+
 def standard_multiplier_family(params) -> list:
     """The 5-member test family: omega^(-1) times strip-holomorphic profiles."""
     rho = params.rho
-
-    def weighted(profile, label, decay):
-        def evaluate(lam):
-            lam = np.asarray(lam, dtype=complex)
-            with np.errstate(under="ignore"):
-                return profile(lam) / omega(params, lam)
-
-        return MultiplierSpec(evaluate, True, decay, label)
-
     return [
-        weighted(lambda l: np.exp(-0.05 * l**2), "gauss-wide", "rapidly-decreasing"),
-        weighted(lambda l: np.exp(-0.2 * l**2), "gauss-narrow", "rapidly-decreasing"),
-        weighted(
-            lambda l: np.exp(-0.1 * l**2) * np.cos(l) ** 2,
-            "gauss-modulated",
-            "rapidly-decreasing",
-        ),
-        weighted(
-            lambda l: (l**2 + 1.0) / (l**2 + 4.0 * rho**2),
-            "rational",
-            "bounded",
-        ),
-        weighted(
-            lambda l: np.exp(-0.02 * (l**2 + rho**2)),
-            "heat-like",
-            "rapidly-decreasing",
-        ),
+        _omega_weighted(params, lambda l: np.exp(-0.05 * l**2), "rapidly-decreasing", "gauss-wide"),
+        _omega_weighted(params, lambda l: np.exp(-0.2 * l**2), "rapidly-decreasing", "gauss-narrow"),
+        _omega_weighted(params, lambda l: np.exp(-0.1 * l**2) * np.cos(l) ** 2, "rapidly-decreasing", "gauss-modulated"),
+        _omega_weighted(params, lambda l: (l**2 + 1.0) / (l**2 + 4.0 * rho**2), "bounded", "rational"),
+        _omega_weighted(params, lambda l: np.exp(-0.02 * (l**2 + rho**2)), "rapidly-decreasing", "heat-like"),
     ]
 
 
@@ -220,7 +214,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
     on other grids or at another p divide by its row's proxy_norm.
     """
     _check_exponent(p)
-    _check_trials(trials)
+    _check_trials(trials, seed)
     lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
     for member in multiplier_family:
@@ -239,7 +233,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
         if not flags:
             try:
                 proxy = mihlin_proxy_norm(
-                    lambda lam: boundary_trace(weighted_m, params.rho, lam).samples, lam_max=40.0
+                    lambda lam: boundary_trace(weighted_m, params.rho, lam), lam_max=40.0
                 )
             except JacobiLabError:
                 flags.append("no-boundary-trace")

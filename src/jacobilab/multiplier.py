@@ -23,7 +23,7 @@ from ._util import (
     neville_zero,
     smoothstep_quintic,
 )
-from .core import JacobiParameters, _require_finite, _require_rho_t, c_function, gamma_coefficient_table, weight_density
+from .core import _R0, JacobiParameters, _require_finite, _require_rho_t, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
     DecayError,
@@ -44,7 +44,6 @@ from .transform import (
 
 __all__ = [
     "MultiplierSpec",
-    "BoundaryTrace",
     "CutoffPair",
     "omega",
     "modified_multiplier",
@@ -63,21 +62,23 @@ __all__ = [
 
 _EPS_LADDER = (1e-2, 1e-3, 1e-4)
 _TRACE_TOL = 1e-4
+_HC_TOL = 1e-4  # the relative error at which hc_global_pieces reports converged
 _LINE_LAM_MAX = 50.0  # |lambda| cut of the real-line integrals
 
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """An even multiplier defined (at least) on the open strip |Im lambda| < rho."""
+    """A multiplier defined (at least) on the open strip |Im lambda| < rho.
+
+    The theorem is about even multipliers; `evenness_defect` measures how far
+    one is from even, and the probe flags a member where it is not.
+    """
 
     evaluate: object  # callable complex -> complex, vectorized over arrays
-    even: bool
     decay_class: str  # "rapidly-decreasing" | "bounded"
     label: str
 
     def __post_init__(self):
-        if not self.even:
-            raise ParameterError(f"multiplier '{self.label}' must be even")
         if self.decay_class not in ("rapidly-decreasing", "bounded"):
             raise ParameterError(f"unknown decay class '{self.decay_class}'")
 
@@ -89,34 +90,22 @@ class MultiplierSpec:
         return float(np.max(np.abs(self(lam) - self(-lam))))
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    nodes: np.ndarray
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
 class CutoffPair:
-    """The radial cutoff psi and spectral cutoff phi of the kernel splitting.
+    """The radial cutoff psi and spectral cutoff phi of the kernel splitting,
+    at the fixed splitting radius R0 = core._R0.
 
     psi == 1 on [-sqrt(R0), sqrt(R0)], == 0 off [-R0, R0];
     phi == 1 on [-1/R0, 1/R0], == 0 off [-2/R0, 2/R0].
     """
 
-    R0: float = 1.1
-
-    def __post_init__(self):
-        if not 1.0 < self.R0 < math.sqrt(math.pi / 2.0):
-            raise ParameterError("R0 must lie in (1, sqrt(pi/2))")
-
     def psi(self, t):
         t = np.abs(np.asarray(t, dtype=float))
-        lo = math.sqrt(self.R0)
-        return 1.0 - smoothstep_quintic((t - lo) / (self.R0 - lo))
+        lo = math.sqrt(_R0)
+        return 1.0 - smoothstep_quintic((t - lo) / (_R0 - lo))
 
     def phi(self, lam):
         lam = np.abs(np.asarray(lam, dtype=float))
-        lo = 1.0 / self.R0
+        lo = 1.0 / _R0
         return 1.0 - smoothstep_quintic((lam - lo) / lo)
 
 
@@ -173,30 +162,30 @@ def modified_multiplier(params, m: MultiplierSpec, lam):
     return complex(out[0]) if scalar else out
 
 
-def boundary_trace(g, height, nodes, eps_ladder=_EPS_LADDER) -> BoundaryTrace:
-    """Vertical-approach limit of g at the horizontal line Im lambda = height.
+def boundary_trace(g, height, nodes):
+    """Vertical-approach limit of g at the horizontal line Im lambda = height,
+    as an array of samples at x + i height, one per node x.
 
-    Samples g at x + i(height - eps) for the decreasing eps ladder and
-    extrapolates to eps = 0 by Neville's scheme; raises ConvergenceError if
-    dropping the coarsest rung moves the answer by more than 1e-6.
+    Samples g at x + i(height - eps) for the fixed eps ladder (1e-2, 1e-3,
+    1e-4) and extrapolates to eps = 0 by Neville's scheme; raises
+    ConvergenceError if dropping the coarsest rung moves the answer by more
+    than 1e-4 of its scale, and DomainError for a non-finite height or node.
     """
     _require_finite("height", height)
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    eps = tuple(float(e) for e in eps_ladder)
-    if len(eps) < 3 or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ParameterError("eps ladder must be strictly decreasing, length >= 3")
+    _require_finite("nodes", nodes)
     if height == 0.0:
-        return BoundaryTrace(nodes, np.asarray(g(nodes.astype(complex))))
-    rows = [np.asarray(g(nodes + 1j * (height - e))) for e in eps]
-    full = neville_zero(eps, rows)
-    tail = neville_zero(eps[1:], rows[1:])
+        return np.asarray(g(nodes.astype(complex)))
+    rows = [np.asarray(g(nodes + 1j * (height - e))) for e in _EPS_LADDER]
+    full = neville_zero(_EPS_LADDER, rows)
+    tail = neville_zero(_EPS_LADDER[1:], rows[1:])
     scale = max(np.max(np.abs(full)), 1.0)
     defect = np.max(np.abs(full - tail)) / scale
     if defect > _TRACE_TOL:
         raise ConvergenceError(
             f"boundary trace did not converge (ladder defect {defect:.3e})"
         )
-    return BoundaryTrace(nodes, full)
+    return full
 
 
 def w_function(params, lam):
@@ -266,7 +255,6 @@ def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
 
     return MultiplierSpec(
         evaluate=regularized,
-        even=m.even,
         decay_class="rapidly-decreasing",
         label=f"{m.label}*heat({s:g})",
     )
@@ -275,10 +263,9 @@ def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
 def split_kernel(k: SampledRadialFunction):
     """(psi*k, (1-psi)*k): local part supported in [0,R0], global off [0,sqrt(R0)],
     with psi the radial cutoff of CutoffPair()."""
-    cutoffs = CutoffPair()
-    if k.grid.t_max <= cutoffs.R0 + 0.5:
+    if k.grid.t_max <= _R0 + 0.5:
         raise GridError("kernel grid must extend past R0 with margin")
-    psi = cutoffs.psi(k.grid.nodes)
+    psi = CutoffPair().psi(k.grid.nodes)
     local = SampledRadialFunction(k.grid, psi * k.values)
     tail = SampledRadialFunction(k.grid, (1.0 - psi) * k.values)
     return local, tail
@@ -297,7 +284,8 @@ def delta_expansion(params, t):
     The c_j are the coefficients of (1-X)^[[alpha]] (1+X)^[[beta]] with
     X = e^(-2t), where [[x]] is the integer part of 2x+1, and
     delta(t) = (1-X)^<alpha> (1+X)^<beta> collects the decimal parts.
-    Returns (coefficients, delta_factor, reconstruction); OverflowLimitError
+    Returns (coefficients, delta_factor, reconstruction); DomainError for
+    t < 0, where (1-X)^<alpha> has no real value, and OverflowLimitError
     naming rho t where e^(2 rho t) leaves the doubles (rho t > 354).
     """
     na, fa = _bracket_parts(params.alpha)
@@ -309,6 +297,8 @@ def delta_expansion(params, t):
         poly_a = poly_a * np.poly1d([1.0, 1.0])
     coeffs = poly_a.coefficients[::-1].copy()  # c_0 ... c_J, ascending in X
     t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise DomainError("delta_expansion requires t >= 0")
     _require_rho_t(params, t, "delta_expansion", power=2)
     x = np.exp(-2.0 * t)
     delta = (1.0 - x) ** fa * (1.0 + x) ** fb
@@ -349,7 +339,7 @@ def _line_integrals(params, m: MultiplierSpec, lam, weights, t, j_max):
         return terms @ np.exp(1j * np.outer(lam, t))
 
 
-def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4):
+def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes):
     """The a_l^+/-, b_j^+/-, K_{l,j} decomposition of K = (1-psi) k Delta, with
     psi the radial cutoff of CutoffPair() and the lambda integrals truncated to
     |lambda| <= 50.
@@ -358,13 +348,14 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4
     contributes.  The b_j^+/- are `_line_integrals` at t and -t; the direct
     target (1-psi) k Delta keeps its own lambda sum, as the check on them.
     Returns a dict with all pieces, the reconstruction
-    sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target, and the maximum
-    relative error.  Raises OverflowLimitError naming rho t where Delta's
-    e^(2 rho t) leaves the doubles (rho t > 354).
+    sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target, the maximum
+    relative error, and whether it is at most 1e-4.  Raises
+    OverflowLimitError naming rho t where Delta's e^(2 rho t) leaves the
+    doubles (rho t > 354).
     """
     cutoffs = CutoffPair()
     t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
-    if np.any(t < math.sqrt(cutoffs.R0)):
+    if np.any(t < math.sqrt(_R0)):
         raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
     _require_rho_t(params, t, "hc_global_pieces", power=2)
     lam, wlam = _line_rule()
@@ -408,7 +399,7 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes, tolerance=1e-4
         "reconstruction": recon,
         "target": target,
         "rel_error": rel_error,
-        "converged": rel_error <= tolerance,
+        "converged": rel_error <= _HC_TOL,
     }
 
 
@@ -437,16 +428,16 @@ def contour_shift_check(params, m: MultiplierSpec, k, t, r_values=(10.0, 100.0, 
     edges = []
     for r in r_arr:
         h = params.rho * (1.0 - 1.0 / r)
-        xs, wx = _line_rule(r)
         s_nodes, s_w = composite_gauss_legendre(np.linspace(0.0, h, 33), 4)
-        top = _line_integrals(params, m, xs + 1j * h, wx, t, k)[k, 0]
         right = _line_integrals(params, m, r + 1j * s_nodes, 1j * s_w, t, k)[k, 0]
         left = _line_integrals(params, m, -r + 1j * s_nodes, 1j * s_w, t, k)[k, 0]
         edges.append(abs(right) + abs(left))
-        # Cauchy: bottom segment = top segment - right edge + left edge
-        shifted = top - right + left
     if np.any(np.diff(edges) > 0.0):
         raise DomainError("vertical-edge integrals grow with R; integrand not decaying")
+    # Cauchy at the largest R, the loop's last r and h:
+    # bottom segment = top segment - right edge + left edge
+    xs, wx = _line_rule(r)
+    shifted = _line_integrals(params, m, xs + 1j * h, wx, t, k)[k, 0] - right + left
     lift = math.exp(params.rho * t)  # e^(rho t), common to every segment
     return {
         "direct": complex(lift * direct),

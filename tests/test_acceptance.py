@@ -59,7 +59,7 @@ def gauss_spec(scale, label="gauss"):
         with np.errstate(under="ignore"):
             return np.exp(-scale * lam**2)
 
-    return MultiplierSpec(evaluate, True, "rapidly-decreasing", label)
+    return MultiplierSpec(evaluate, "rapidly-decreasing", label)
 
 
 def test_criterion_1_special_function_identities():
@@ -264,9 +264,7 @@ def test_criterion_8_global_decomposition(generic_params):
         res = hc_global_pieces(generic_params, m, ell_max=30, t_nodes=t_nodes)
         assert res["rel_error"] < 1e-4, scale
         errs = [
-            hc_global_pieces(
-                generic_params, m, ell_max=e, t_nodes=t_nodes, tolerance=1.0
-            )["rel_error"]
+            hc_global_pieces(generic_params, m, ell_max=e, t_nodes=t_nodes)["rel_error"]
             for e in (1, 2, 3)
         ]
         assert errs[0] >= errs[1] >= errs[2], errs

@@ -19,6 +19,7 @@ REMOVED = [
     "jacobi_phi_hypergeometric",
     "HarishChandraSeries",
     "harish_chandra_coefficients",
+    "BoundaryTrace",
 ]
 
 

@@ -28,7 +28,7 @@ def constant_multiplier(value=1.0):
     def evaluate(lam):
         return np.full(np.shape(np.asarray(lam)), complex(value))
 
-    return MultiplierSpec(evaluate, True, "bounded", f"const-{value:g}")
+    return MultiplierSpec(evaluate, "bounded", f"const-{value:g}")
 
 
 def heat_multiplier(params, s=0.05):
@@ -38,7 +38,7 @@ def heat_multiplier(params, s=0.05):
         with np.errstate(under="ignore"):
             return np.exp(-s * (np.asarray(lam) ** 2 + rho2))
 
-    return MultiplierSpec(evaluate, True, "rapidly-decreasing", f"heat-{s:g}")
+    return MultiplierSpec(evaluate, "rapidly-decreasing", f"heat-{s:g}")
 
 
 def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
@@ -217,6 +217,20 @@ class TestEstimateOperatorNorm:
         with pytest.raises(ParameterError):
             lab.OperatorNormEstimate(p, 1.0, 1, 0, "none")
 
+    @pytest.mark.parametrize("seed", [2.5, -1, "7"])
+    def test_bad_seed_refused_before_any_transform(self, generic_params, small_grids, monkeypatch, seed):
+        # unchecked, numpy's default_rng raises its own TypeError or ValueError
+        def no_work(*args, **kwargs):
+            raise AssertionError("a trial was built or transformed")
+
+        monkeypatch.setattr(lab, "_trial_functions", no_work)
+        monkeypatch.setattr(lab, "inverse_transform", no_work)
+        with pytest.raises(ParameterError, match="seed"):
+            estimate_operator_norm(generic_params, constant_multiplier(), 2, seed=seed, grids=small_grids)
+        with pytest.raises(ParameterError, match="seed"):
+            theorem_ratio_experiment(generic_params, standard_multiplier_family(generic_params), 2, seed=seed,
+                                     grids=small_grids)
+
 
 class TestMihlinProxy:
     def test_constant(self):
@@ -256,7 +270,7 @@ class TestTheoremExperiment:
             with np.errstate(under="ignore"):
                 return lam * np.exp(-0.1 * lam**2)
 
-        bad = MultiplierSpec(odd, True, "rapidly-decreasing", "sneaky-odd")
+        bad = MultiplierSpec(odd, "rapidly-decreasing", "sneaky-odd")
         res = theorem_ratio_experiment(
             generic_params, [bad], 2, seed=0, grids=grids, trials=2
         )

@@ -456,7 +456,7 @@ class TestParameterMismatch:
             lambda p, f, s: convolve(p, f, f),
             lambda p, f, s: convolve_direct(p, f, f),
             lambda p, f, s: estimate_operator_norm(
-                p, MultiplierSpec(lambda lam: np.exp(-np.asarray(lam) ** 2), True, "rapidly-decreasing", "g"),
+                p, MultiplierSpec(lambda lam: np.exp(-np.asarray(lam) ** 2), "rapidly-decreasing", "g"),
                 2.0, trials=1, grids=(f.grid, s),
             ),
             lambda p, f, s: apply_laplacian(p, f),
