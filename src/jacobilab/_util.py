@@ -12,7 +12,6 @@ __all__ = [
     "graded_breakpoints",
     "is_count",
     "loglog_slope",
-    "neville_zero",
     "smoothstep_quintic",
 ]
 
@@ -38,24 +37,26 @@ def graded_breakpoints(upper, n_panels):
 
 
 def is_count(n, least=1):
-    """True for an int or numpy integer n >= least; a float, even 3.0, is not a count."""
-    return isinstance(n, (int, np.integer)) and n >= least
+    """True for an int or numpy integer n >= least; a float, even 3.0, is not a
+    count, nor is a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
 
 
 def dyadic_differences(g, lam_min, lam_max):
     """Samples of g and its central differences on a dyadic grid.
 
     The grid is every 2^(k / 16), k integer, in [lam_min, lam_max]; the step
-    at lam is 1e-5 lam.  Returns (lam, g, g', g'').
+    at lam is 1e-5 lam.  g is called once, on lam, lam + h and lam - h
+    together.  Returns (lam, g, g', g'').
     """
     k_lo = math.floor(math.log2(lam_min) * 16) - 1
     k_hi = math.ceil(math.log2(lam_max) * 16) + 1
     lam = 2.0 ** (np.arange(k_lo, k_hi + 1) / 16)
     lam = lam[(lam >= lam_min) & (lam <= lam_max)]
     h = 1e-5 * lam
-    g0 = np.asarray(g(lam), dtype=complex)
-    g_plus = np.asarray(g(lam + h))
-    g_minus = np.asarray(g(lam - h))
+    g0, g_plus, g_minus = np.split(np.asarray(g(np.concatenate([lam, lam + h, lam - h]))), 3)
+    # only g0 is cast: a real g's differences stay in real division
+    g0 = g0.astype(complex)
     return (
         lam,
         g0,
@@ -70,31 +71,6 @@ def loglog_slope(x, y):
     ly = np.log(np.asarray(y, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
     return float(slope), float(intercept)
-
-
-def neville_zero(xs, rows):
-    """Neville polynomial extrapolation to x = 0, elementwise over arrays.
-
-    rows[k] holds the samples at xs[k].  The real and imaginary parts run the
-    recurrence separately in real arithmetic, which reproduces the scalar
-    complex recurrence bitwise; the result is real when every imaginary part
-    is below 1e-300.
-    """
-    xs = list(map(float, xs))
-    rows = [np.asarray(r, dtype=complex) for r in rows]
-    n = len(xs)
-    parts = []
-    for tab in ([r.real for r in rows], [r.imag for r in rows]):
-        for level in range(1, n):
-            for i in range(n - level):
-                tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
-                    xs[i] - xs[i + level]
-                )
-        parts.append(tab[0])
-    re, im = parts
-    if np.all(np.abs(im) < 1e-300):
-        return re
-    return re + 1j * im
 
 
 def smoothstep_quintic(x):

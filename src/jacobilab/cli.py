@@ -1,8 +1,8 @@
 """Command-line surface: point evaluation, transform pipelines, diagnostic
 reports, and the theorem probe.
 
-Exit codes: 0 success, 2 schema/domain errors, 3 decay-check failures,
-4 probe instability.  Each subcommand declares its handler and the flags its
+Exit codes: 0 success, 2 schema/domain errors and failed writes,
+3 decay-check failures, 4 probe instability.  Each subcommand declares its handler and the flags its
 configuration hash reads, once, in `build_parser`.  Every CSV goes through
 `_emit`, under a header line with that hash: to stdout, or atomically to
 --output with `<name>.manifest.json` beside it, so identical (config, seed)
@@ -54,10 +54,8 @@ _PRESETS = {
 }
 
 
-class _CliError(Exception):
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
+class _CliError(JacobiLabError):
+    """A bad flag, input file or manifest: exit 2, as for the library's errors."""
 
 
 # The flags besides the parameters that a command reads.  A config hash covers
@@ -130,7 +128,7 @@ def _make_params(args):
         a, b, relaxed = _PRESETS[args.preset]
         return JacobiParameters(a, b, relaxed=relaxed)
     if args.alpha is None or args.beta is None:
-        raise _CliError("either --preset or both --alpha and --beta are required", 2)
+        raise _CliError("either --preset or both --alpha and --beta are required")
     return JacobiParameters(args.alpha, args.beta, relaxed=args.relaxed)
 
 
@@ -144,12 +142,6 @@ def _config_hash(args, params):
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def _output_path(args, name):
-    base = args.output_dir or os.environ.get("JACOBI_OUTPUT_DIR") or "."
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, name)
 
 
 def _atomic_write(path, text):
@@ -172,7 +164,8 @@ def _format(x):
 def _emit(args, params, header, rows, inputs):
     """The CSV of rows under a config-hash line: atomically to --output, with
     <name>.manifest.json beside it (the hash, the version, the command and the
-    command's own inputs), or to stdout without --output."""
+    command's own inputs), or to stdout without --output.  A failed write
+    exits 2 and leaves no temporary file."""
     conf = _config_hash(args, params)
     buf = io.StringIO()
     buf.write(f"# jacobilab {__version__} config-hash {conf}\n")
@@ -182,10 +175,15 @@ def _emit(args, params, header, rows, inputs):
     if not args.output:
         sys.stdout.write(buf.getvalue())
         return
-    path = _output_path(args, args.output)
+    base = args.output_dir or os.environ.get("JACOBI_OUTPUT_DIR") or "."
+    path = os.path.join(base, args.output)
     manifest = {"config_hash": conf, "version": __version__, "command": args.command, **inputs}
-    _atomic_write(path, buf.getvalue())
-    _atomic_write(path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    try:
+        os.makedirs(base, exist_ok=True)
+        _atomic_write(path, buf.getvalue())
+        _atomic_write(path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}")
 
 
 def _read_samples(path, key, nodes):
@@ -200,17 +198,17 @@ def _read_samples(path, key, nodes):
         with open(path, newline="") as fh:
             lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", 2)
+        raise _CliError(f"cannot read {path}: {exc}")
     if not lines:
-        raise _CliError(f"empty input file {path}", 2)
+        raise _CliError(f"empty input file {path}")
     if [f.strip() for f in next(csv.reader(lines[:1]))] != [key, "re", "im"]:
-        raise _CliError(f"{path}: expected columns {key},re,im", 2)
+        raise _CliError(f"{path}: expected columns {key},re,im")
     if len(lines) == 1:
-        raise _CliError(f"{path}: no data rows", 2)
+        raise _CliError(f"{path}: no data rows")
     try:
         data = np.loadtxt(lines[1:], delimiter=",", ndmin=2, usecols=(0, 1, 2), quotechar='"', comments=None)
     except ValueError as exc:
-        raise _CliError(f"{path}: bad data row: {exc}", 2)
+        raise _CliError(f"{path}: bad data row: {exc}")
     order = np.argsort(data[:, 0])
     xs, vals = data[order, 0], (data[:, 1] + 1j * data[:, 2])[order]
     re = np.interp(nodes, xs, vals.real, left=vals[0].real, right=0.0)
@@ -231,22 +229,22 @@ def _cmd_eval(args, params):
     out = csv.writer(sys.stdout)
     if args.what == "phi":
         if args.lam is None or args.t is None:
-            raise _CliError("eval phi needs --lambda and --t", 2)
+            raise _CliError("eval phi needs --lambda and --t")
         v = jacobi_phi(params, args.lam, args.t)
         out.writerow(["phi", _format(args.lam), _format(args.t), _format(float(np.real(v)))])
     elif args.what == "c":
         if args.lam is None:
-            raise _CliError("eval c needs --lambda", 2)
+            raise _CliError("eval c needs --lambda")
         v = c_function(params, complex(args.lam))
         out.writerow(["c", _format(args.lam), _format(v.real), _format(v.imag)])
     elif args.what == "omega":
         if args.lam is None:
-            raise _CliError("eval omega needs --lambda", 2)
+            raise _CliError("eval omega needs --lambda")
         v = omega(params, complex(args.lam))
         out.writerow(["omega", _format(args.lam), _format(v.real), _format(v.imag)])
     else:
         if args.s is None or args.t is None or args.u is None:
-            raise _CliError("eval kernel-K needs --s, --t and --u", 2)
+            raise _CliError("eval kernel-K needs --s, --t and --u")
         k = kernel_K(params, args.s, args.t, args.u)
         out.writerow(
             ["kernel-K", _format(args.s), _format(args.t), _format(args.u), _format(k.value)]
@@ -336,15 +334,15 @@ _EXPR_NAMES = {
 def _member_from_manifest(entry, params):
     for field in ("label", "expression", "decay_class"):
         if field not in entry:
-            raise _CliError(f"manifest member missing '{field}'", 2)
+            raise _CliError(f"manifest member missing '{field}'")
     code_text = entry["expression"]
     try:
         code = compile(code_text, "<manifest>", "eval")
     except SyntaxError as exc:
-        raise _CliError(f"bad expression '{code_text}': {exc}", 2)
+        raise _CliError(f"bad expression '{code_text}': {exc}")
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in ("lam", "rho"):
-            raise _CliError(f"expression uses disallowed name '{name}'", 2)
+            raise _CliError(f"expression uses disallowed name '{name}'")
 
     def profile(lam):
         value = eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES})
@@ -359,10 +357,10 @@ def _cmd_probe(args, params):
             with open(args.family) as fh:
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _CliError(f"bad manifest: {exc}", 2)
+            raise _CliError(f"bad manifest: {exc}")
         members = manifest.get("members")
         if not isinstance(members, list) or not members:
-            raise _CliError("manifest must contain a non-empty 'members' list", 2)
+            raise _CliError("manifest must contain a non-empty 'members' list")
         family = [_member_from_manifest(e, params) for e in members]
     else:
         family = standard_multiplier_family(params)
@@ -428,9 +426,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.run(args, _make_params(args))
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except DecayError as exc:
         print(f"decay check failed: {exc}", file=sys.stderr)
         return 3

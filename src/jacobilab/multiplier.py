@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (
-    composite_gauss_legendre,
-    dyadic_differences,
-    is_count,
-    neville_zero,
-    smoothstep_quintic,
-)
+from ._util import composite_gauss_legendre, dyadic_differences, is_count, smoothstep_quintic
 from .core import _R0, JacobiParameters, _require_finite, _require_rho_t, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
@@ -64,6 +58,7 @@ _EPS_LADDER = (1e-2, 1e-3, 1e-4)
 _TRACE_TOL = 1e-4
 _HC_TOL = 1e-4  # the relative error at which hc_global_pieces reports converged
 _LINE_LAM_MAX = 50.0  # |lambda| cut of the real-line integrals
+_HORMANDER_LAM_MAX = 400.0  # hormander_check's window is [1, 400]
 
 
 @dataclass(frozen=True)
@@ -164,23 +159,27 @@ def modified_multiplier(params, m: MultiplierSpec, lam):
 
 def boundary_trace(g, height, nodes):
     """Vertical-approach limit of g at the horizontal line Im lambda = height,
-    as an array of samples at x + i height, one per node x.
+    as a complex array of samples at x + i height, one per node x.
 
     Samples g at x + i(height - eps) for the fixed eps ladder (1e-2, 1e-3,
-    1e-4) and extrapolates to eps = 0 by Neville's scheme; raises
-    ConvergenceError if dropping the coarsest rung moves the answer by more
-    than 1e-4 of its scale, and DomainError for a non-finite height or node.
+    1e-4) and extrapolates to eps = 0 by Neville's tableau, on the real and
+    imaginary parts separately; raises ConvergenceError if dropping the
+    coarsest rung moves the answer by more than 1e-4 of its scale, and
+    DomainError for a non-finite height or node.
     """
     _require_finite("height", height)
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     _require_finite("nodes", nodes)
     if height == 0.0:
-        return np.asarray(g(nodes.astype(complex)))
-    rows = [np.asarray(g(nodes + 1j * (height - e))) for e in _EPS_LADDER]
-    full = neville_zero(_EPS_LADDER, rows)
-    tail = neville_zero(_EPS_LADDER[1:], rows[1:])
+        return np.asarray(g(nodes.astype(complex)), dtype=complex)
+    x0, x1, x2 = _EPS_LADDER
+    # float views interleave Re and Im, so each part runs the tableau in real arithmetic
+    r0, r1, r2 = (np.ascontiguousarray(g(nodes + 1j * (height - e)), dtype=complex).view(float) for e in _EPS_LADDER)
+    p01 = r1 + (r1 - r0) * x1 / (x0 - x1)
+    tail = r2 + (r2 - r1) * x2 / (x1 - x2)  # the two finest rungs
+    full = (tail + (tail - p01) * x2 / (x0 - x2)).view(complex)
     scale = max(np.max(np.abs(full)), 1.0)
-    defect = np.max(np.abs(full - tail)) / scale
+    defect = np.max(np.abs(full - tail.view(complex))) / scale
     if defect > _TRACE_TOL:
         raise ConvergenceError(
             f"boundary trace did not converge (ladder defect {defect:.3e})"
@@ -194,19 +193,18 @@ def w_function(params, lam):
     return 1.0 / (omega(params, lam) * c_function(params, lam))
 
 
-def hormander_check(g, lam_max=400.0):
-    """Finite-difference Mihlin/Hormander diagnostics of g on [1, lam_max].
+def hormander_check(g):
+    """Finite-difference Mihlin/Hormander diagnostics of g on [1, 400].
 
-    Returns sup|g|, sup|lambda g'| and sup|lambda^2 g''| over a dyadic grid.
+    Returns sup|g|, sup|lambda g'| and sup|lambda^2 g''| over a dyadic grid,
+    and the window's upper end as lam_max.
     """
-    if not 1.0 < lam_max < math.inf:
-        raise DomainError("hormander_check requires 1 < lam_max < inf")
-    lam, g0, gp, gpp = dyadic_differences(g, 1.0, lam_max)
+    lam, g0, gp, gpp = dyadic_differences(g, 1.0, _HORMANDER_LAM_MAX)
     return {
         "sup_g": float(np.max(np.abs(g0))),
         "sup_lam_gp": float(np.max(np.abs(lam * gp))),
         "sup_lam2_gpp": float(np.max(np.abs(lam**2 * gpp))),
-        "lam_max": float(lam_max),
+        "lam_max": _HORMANDER_LAM_MAX,
     }
 
 

@@ -87,6 +87,16 @@ class TestEval:
     def test_missing_argument_exit_2(self, capsys):
         assert run(["--preset", "generic", "eval", "phi", "--lambda", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["c"], "eval c needs --lambda"), (["omega"], "eval omega needs --lambda"),
+         (["kernel-K", "--s", "1", "--t", "1.2"], "eval kernel-K needs --s, --t and --u")],
+        ids=["c", "omega", "kernel-K"],
+    )
+    def test_missing_flag_exit_2(self, capsys, argv, message):
+        assert run(["--preset", "generic", "eval", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_params_exit_2(self, capsys):
         assert run(["eval", "phi", "--lambda", "2", "--t", "1"]) == 2
 
@@ -149,6 +159,16 @@ class TestTransformPipeline:
         assert run(
             ["--preset", "generic", "transform", "--input", tmp_path / "empty.csv", "--output", "x.csv"]
         ) == 2
+
+    @pytest.mark.parametrize("name, message", [("blank.csv", "empty input file"), ("absent.csv", "cannot read")])
+    def test_blank_or_unreadable_input_exit_2(self, tmp_path, capsys, name, message):
+        (tmp_path / "blank.csv").write_text("")
+        path = tmp_path / name
+        assert run(
+            ["--preset", "generic", "--output-dir", str(tmp_path), "transform", "--input", path, "--output", "x.csv"]
+        ) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message} {path}")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "row", ["1.0,2.0\n", "1.0,,0.0\n", "1.0,abc,0.0\n"], ids=["short-row", "empty-field", "non-numeric"]
@@ -254,6 +274,27 @@ class TestHeatAndConvolve:
         assert code == 3
 
 
+class TestWriteErrors:
+    # unmapped, these end in an IsADirectoryError or FileExistsError traceback
+    def test_output_naming_a_directory_exit_2(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "heat", "--s", "0.1", "--output", "taken"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'taken'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
+
+    def test_output_dir_naming_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("kept\n")
+        code = run(
+            ["--preset", "generic", *FAST, "--output-dir", tmp_path / "file", "heat", "--s", "0.1", "--output", "h.csv"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'file' / 'h.csv'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+
 class TestReports:
     def test_hormander_w(self, capsys):
         assert run(["--preset", "generic", "report", "hormander-w"]) == 0
@@ -349,6 +390,17 @@ class TestProbeTheorem:
         assert run(
             ["--preset", "generic", "probe-theorem", "--family", tmp_path / "evil.json"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [({"expression": "exp(-lam**2)", "decay_class": "bounded"}, "manifest member missing 'label'"),
+         ({"label": "cut", "expression": "exp(-lam**", "decay_class": "bounded"}, "bad expression 'exp(-lam**'")],
+        ids=["no-label", "syntax-error"],
+    )
+    def test_bad_member_exit_2(self, tmp_path, capsys, member, message):
+        (tmp_path / "family.json").write_text(json.dumps({"members": [member]}))
+        assert run(["--preset", "generic", "probe-theorem", "--family", tmp_path / "family.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_members_exit_2(self, tmp_path, capsys):
         (tmp_path / "m.json").write_text("{}")

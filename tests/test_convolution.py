@@ -210,6 +210,12 @@ class TestConvolve:
         scale = np.max(np.abs(prod))
         assert np.max(np.abs(chat.values - prod)) < 1e-4 * scale
 
+    def test_direct_needs_one_grid(self, generic_params):
+        f, g = (SampledRadialFunction(grid, np.zeros_like(grid.nodes))
+                for grid in (RadialGrid.graded(generic_params, 5.0, 10) for _ in range(2)))
+        with pytest.raises(GridError, match="convolve requires f and g on the same grid"):
+            convolve_direct(generic_params, f, g)
+
     @pytest.mark.parametrize("ab", [(1.2, 0.3), (4.0, 2.0)], ids=["generic", "rho-7"])
     def test_direct_mirrors_translates(self, ab):
         # convolve_direct computes tau_x g(y) for y >= x only; by the symmetry

@@ -49,6 +49,12 @@ class TestJacobiParameters:
         with pytest.raises(ParameterError):
             JacobiParameters(1.0, -0.6)
 
+    def test_nan_and_relaxed_guards(self):
+        with pytest.raises(ParameterError, match="NaN Jacobi parameter"):
+            JacobiParameters(math.nan, 0.3)
+        with pytest.raises(ParameterError, match=r"relaxed mode still requires alpha >= 1/2"):
+            JacobiParameters(0.4, 0.1, relaxed=True)
+
     def test_relaxed_boundary_warns(self):
         with pytest.warns(UserWarning):
             p = JacobiParameters(0.5, -0.5, relaxed=True)
@@ -151,6 +157,12 @@ class TestJacobiPhi:
     def test_negative_t_raises(self, generic_params):
         with pytest.raises(DomainError):
             jacobi_phi(generic_params, 1.0, -0.1)
+
+    @pytest.mark.parametrize("t", [2e-3, 1e-3, 0.0])
+    def test_residual_stencil_must_fit_in_t(self, generic_params, t):
+        # the five-point stencil at step h = 1e-3 reaches t - 2h
+        with pytest.raises(DomainError, match=r"laplacian_residual requires t > 2h > 0"):
+            laplacian_residual(generic_params, 1.0, t)
 
     def test_complex_lambda_against_mpmath(self, generic_params):
         # phi_lambda(t) = 2F1((rho + i lambda)/2, (rho - i lambda)/2; alpha + 1; -sinh^2 t)

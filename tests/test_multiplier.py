@@ -33,7 +33,7 @@ from jacobilab import (
     w_function,
     weight_density,
 )
-from jacobilab._util import loglog_slope, neville_zero
+from jacobilab._util import loglog_slope
 
 
 def gauss_multiplier(scale=0.1, label="gauss"):
@@ -126,7 +126,40 @@ class TestModifiedMultiplier:
                 c_inverse_reflected(generic_params, lam)
 
 
+def neville_zero_scalar(xs, ys):
+    """The scalar Neville recurrence, one node at a time (reference)."""
+    xs = list(map(float, xs))
+    tab = [complex(y) for y in ys]
+    n = len(xs)
+    for level in range(1, n):
+        for i in range(n - level):
+            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
+                xs[i] - xs[i + level]
+            )
+    return tab[0]
+
+
 class TestBoundaryTrace:
+    @pytest.mark.parametrize("imag_scale", [1.0, 0.0])
+    def test_tableau_matches_scalar_recurrence(self, imag_scale):
+        # samples near a smooth value at each rung; the fixed tableau must
+        # reproduce the scalar complex recurrence bitwise, and stay complex
+        # for a real g
+        rng = np.random.default_rng(11)
+        height, eps = 0.75, (1e-2, 1e-3, 1e-4)
+        base = rng.normal(size=50) + 1j * imag_scale * rng.normal(size=50)
+        rungs = {height - e: base + 1e-7 * (rng.normal(size=50) + 1j * imag_scale * rng.normal(size=50)) for e in eps}
+        if not imag_scale:
+            rungs = {k: v.real for k, v in rungs.items()}
+
+        def g(z):
+            return rungs[float(z.imag[0])]
+
+        got = boundary_trace(g, height, np.linspace(1.0, 2.0, 50))
+        want = np.array([neville_zero_scalar(eps, [rungs[height - e][i] for e in eps]) for i in range(50)])
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
+
     def test_entire_function_trace(self, generic_params):
         # strip-scaled Gaussian: trace equals the direct evaluation on the line
         rho = generic_params.rho
@@ -145,6 +178,7 @@ class TestBoundaryTrace:
 
         nodes = np.array([1.0, 2.0])
         trace = boundary_trace(g, 0.0, nodes)
+        assert trace.dtype == np.complex128
         assert np.allclose(trace, nodes**2)
 
     def test_nan_height_raises(self):
@@ -172,42 +206,6 @@ class TestBoundaryTrace:
             boundary_trace(g, rho, np.array([1e-4]))
 
 
-def neville_zero_scalar(xs, ys):
-    """The scalar Neville recurrence, one node at a time (reference)."""
-    xs = list(map(float, xs))
-    tab = [complex(y) for y in ys]
-    n = len(xs)
-    for level in range(1, n):
-        for i in range(n - level):
-            tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) * xs[i + level] / (
-                xs[i] - xs[i + level]
-            )
-    val = tab[0]
-    if abs(val.imag) < 1e-300:
-        return val.real
-    return val
-
-
-class TestNevilleZero:
-    def test_matches_scalar_recurrence(self):
-        rng = np.random.default_rng(11)
-        eps = (1e-2, 1e-3, 1e-4)
-        rows = [rng.normal(size=50) + 1j * rng.normal(size=50) for _ in eps]
-        real_rows = [r.real for r in rows]
-        for xs, ys in ((eps, rows), (eps[1:], rows[1:]), (eps, real_rows)):
-            got = neville_zero(xs, ys)
-            want = np.array([neville_zero_scalar(xs, [r[i] for r in ys]) for i in range(50)])
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
-    def test_real_only_when_every_imaginary_part_vanishes(self):
-        xs = (1e-2, 1e-3, 1e-4)
-        rows = [np.array([1.0 + 0j, 2.0 + 0j]) * (1 + x) for x in xs]
-        assert neville_zero(xs, rows).dtype == np.float64
-        rows[0][1] += 1e-3j
-        assert neville_zero(xs, rows).dtype == np.complex128
-
-
 class TestWFunction:
     @pytest.mark.parametrize("preset", ["generic", "h3", "dr"])
     def test_decay_slope(self, preset, generic_params, h3_params, dr_params):
@@ -230,16 +228,10 @@ class TestWFunction:
 class TestHormanderCheck:
     def test_known_function(self):
         # g = lam/(1+lam): sup|g| -> 1, sup|lam g'| = max lam/(1+lam)^2 = 1/4
-        report = hormander_check(lambda lam: lam / (1.0 + lam), lam_max=400.0)
+        report = hormander_check(lambda lam: lam / (1.0 + lam))
         assert 0.99 < report["sup_g"] < 1.0
         assert report["sup_lam_gp"] == pytest.approx(0.25, rel=1e-3)
-
-    def test_guard(self):
-        with pytest.raises(DomainError):
-            hormander_check(lambda lam: lam, lam_max=0.5)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                hormander_check(lambda lam: lam, lam_max=bad)
+        assert report["lam_max"] == 400.0
 
 
 class TestCutoffs:
@@ -274,6 +266,12 @@ class TestKernelFromMultiplier:
             kernel_from_multiplier(generic_params, m, rgrid, sgrid)
         smoothed = heat_regularize(m, 0.05, generic_params)
         kernel_from_multiplier(generic_params, smoothed, rgrid, sgrid)
+
+    @pytest.mark.parametrize("s", [0.0, -0.1, math.nan])
+    def test_heat_regularize_needs_positive_s(self, generic_params, s):
+        m = MultiplierSpec(lambda lam: np.ones(np.shape(lam)), "bounded", "one")
+        with pytest.raises(DomainError, match=r"heat_regularize requires s > 0"):
+            heat_regularize(m, s, generic_params)
 
     def test_split_partition(self, generic_params, small_grids):
         rgrid, sgrid = small_grids
@@ -375,6 +373,7 @@ class TestGlobalPieces:
         [
             (-1, [1.5], ParameterError),
             (2.5, [1.5], ParameterError),
+            (True, [1.5], ParameterError),
             (3, [], DomainError),
             (3, [1.5, math.inf], DomainError),
         ],

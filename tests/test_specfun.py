@@ -98,6 +98,11 @@ class TestGammaIdentities:
 
 
 class TestHyp2F1:
+    @pytest.mark.parametrize("abc", [(math.nan, 1.0, 2.0), (1.0, complex(0.5, math.nan), 2.0), (1.0, 1.0, math.nan)])
+    def test_nan_parameter_raises(self, abc):
+        with pytest.raises(DomainError, match="NaN argument to hyp2f1"):
+            hyp2f1(*abc, 0.5)
+
     def test_against_mpmath_positive_argument(self):
         for _ in range(25):
             a = complex(RNG.uniform(-2, 3), RNG.uniform(-2, 2))

@@ -136,12 +136,13 @@ class TestGrids:
             (lambda p: RadialGrid.graded(p, 20.0, 2.5), "n_panels"),
             (lambda p: SpectralGrid.build(p, 50.0, 2.5), "n_panels"),
             (lambda p: SpectralGrid.build(p, 50.0, 40, nodes_per_panel=2.5), "nodes_per_panel"),
+            (lambda p: SpectralGrid.build(p, 25.0, True), "n_panels"),
         ],
         ids=[
             "radial-0-panels", "radial-negative-panels", "t_max-0", "t_max-inf", "t_max-nan",
             "0-nodes", "spectral-0-panels", "lam_max-0", "lam_max-negative", "repeated-breakpoint",
             "no-panel", "negative-start", "infinite-breakpoint", "radial-fractional-panels",
-            "spectral-fractional-panels", "fractional-nodes",
+            "spectral-fractional-panels", "fractional-nodes", "spectral-bool-panels",
         ],
     )
     def test_grid_shape_errors_name_the_argument(self, generic_params, build, name):
