@@ -373,9 +373,9 @@ class TestGlobalPieces:
         [
             (-1, [1.5], ParameterError),
             (2.5, [1.5], ParameterError),
-            (True, [1.5], ParameterError),
             (3, [], DomainError),
             (3, [1.5, math.inf], DomainError),
+            (True, [1.5], ParameterError),
         ],
     )
     def test_bad_index_or_t_raises(self, generic_params, ell_max, t, error):
