@@ -12,6 +12,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -144,16 +144,33 @@ def _config_hash(args, params):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _atomic_write(path, text):
+def _write_pair(base, name, text, manifest):
+    """Write text to base/name and manifest to base/name.manifest.json, or neither.
+
+    Each file is written to a fresh temporary file beside it, created with
+    mode 0o666 so that the umask applies, and renamed over its target.  On a
+    failure every file this call made is removed, and an OSError becomes a
+    _CliError naming the path that failed.
+    """
+    target = path = os.path.join(base, name)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jacobilab-")
+    made = []  # the files this call has created, temporary or renamed
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(base, exist_ok=True)
+        for target, content in ((path, text), (path + ".manifest.json", manifest)):
+            tmp = os.path.join(directory, f".jacobilab-{os.urandom(8).hex()}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            made.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(content)
+            os.replace(tmp, target)
+            made[-1] = target
+    except BaseException as exc:
+        for made_path in made:
+            with contextlib.suppress(OSError):
+                os.unlink(made_path)
+        if isinstance(exc, OSError):
+            raise _CliError(f"cannot write {target}: {exc}")
         raise
 
 
@@ -165,7 +182,7 @@ def _emit(args, params, header, rows, inputs):
     """The CSV of rows under a config-hash line: atomically to --output, with
     <name>.manifest.json beside it (the hash, the version, the command and the
     command's own inputs), or to stdout without --output.  A failed write
-    exits 2 and leaves no temporary file."""
+    exits 2 and leaves neither file and no temporary file."""
     conf = _config_hash(args, params)
     buf = io.StringIO()
     buf.write(f"# jacobilab {__version__} config-hash {conf}\n")
@@ -176,14 +193,8 @@ def _emit(args, params, header, rows, inputs):
         sys.stdout.write(buf.getvalue())
         return
     base = args.output_dir or os.environ.get("JACOBI_OUTPUT_DIR") or "."
-    path = os.path.join(base, args.output)
     manifest = {"config_hash": conf, "version": __version__, "command": args.command, **inputs}
-    try:
-        os.makedirs(base, exist_ok=True)
-        _atomic_write(path, buf.getvalue())
-        _atomic_write(path + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}")
+    _write_pair(base, args.output, buf.getvalue(), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _read_samples(path, key, nodes):
@@ -369,15 +380,13 @@ def _cmd_probe(args, params):
     fine = default_grids(
         params, args.t_max, int(args.radial_panels * 1.25), args.lam_max, int(args.spectral_panels * 1.5)
     )
-    res = theorem_ratio_experiment(
-        params, family, args.p, seed=args.seed, grids=coarse, trials=args.trials
-    )
+    res = theorem_ratio_experiment(params, family, args.p, coarse, seed=args.seed, trials=args.trials)
 
     def leg(p, grids):
         # per member, the ratio at p on grids against its row's proxy; None if flagged
         return [
             None if row["flags"] else _proxy_ratio(
-                estimate_operator_norm(params, m, p, trials=args.trials, seed=args.seed, grids=grids).lower_bound,
+                estimate_operator_norm(params, m, p, grids, trials=args.trials, seed=args.seed).lower_bound,
                 row["proxy_norm"],
             )
             for m, row in zip(family, res["rows"])

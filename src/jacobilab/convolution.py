@@ -105,7 +105,7 @@ def kernel_K(params, s, t, u) -> KernelEvaluation:
 
 def convolution_grid(params) -> RadialGrid:
     """Radial grid of 320 nodes on (0, 10], within the node budget of `convolve_direct`."""
-    return RadialGrid.graded(params, 10.0, 40, 8)
+    return RadialGrid.graded(params, 10.0, 40)
 
 
 def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):

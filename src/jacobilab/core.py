@@ -98,6 +98,7 @@ _RHO_T_MAX = 708.0
 # The splitting radius: the local expansion holds on (0, R0], and the cutoffs
 # of the kernel splitting switch over on [sqrt(R0), R0] and [1/R0, 2/R0].
 _R0 = 1.1
+_RESIDUAL_STEP = 1e-3  # the step h of laplacian_residual's five-point stencil
 
 
 def _hypergeometric_route(params, lam, t):
@@ -593,16 +594,17 @@ def phi_matrix(params, t_nodes, lam_nodes):
     return _phi(params, t_nodes, lam_nodes)
 
 
-def laplacian_residual(params, lam, t, h=1e-3):
+def laplacian_residual(params, lam, t):
     """Residual of the eigen-equation at (lambda, t) by central differences.
 
     |phi'' + ((2a+1) coth t + (2b+1) tanh t) phi' + (lambda^2 + rho^2) phi|,
-    with the fourth-order five-point stencil t - 2h, ..., t + 2h evaluated on
-    the route of its centre, so branch switching cannot pollute it.  Its
-    truncation error is O(h^4), so at h = 1e-3 the residual sits near the
-    rounding floor of phi'' (about 1e-16 / h^2) rather than above it.
+    with the fourth-order five-point stencil t - 2h, ..., t + 2h at the step
+    h = 1e-3, evaluated on the route of its centre, so branch switching
+    cannot pollute it.  Its truncation error is O(h^4), so the residual sits
+    near the rounding floor of phi'' (about 1e-16 / h^2) rather than above it.
     """
-    if not t > 2.0 * h > 0.0:
+    h = _RESIDUAL_STEP
+    if not t > 2.0 * h:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
     route = bool(_hypergeometric_route(params, lam, t))

@@ -24,7 +24,6 @@ from .transform import (
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
-    default_grids,
     inverse_transform,
     jacobi_transform,
     phi_matrix_for,
@@ -84,15 +83,15 @@ def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunctio
     return tf, tf.norm(p) / denom
 
 
-def _trial_functions(params, m, rgrid, sgrid, trials, seed):
+def _trial_functions(params, mvals, rgrid, sgrid, trials, seed):
     """Deterministic trial family as spectra, one column per trial, with a
     description of each, all spectral profiles: a bump targeted at the peak
-    of |m|, bump superpositions, heat kernels translated to a radial node,
-    and bumps modulated by cos(0.1 lambda + theta)."""
+    of |m| (mvals: m sampled on the spectral nodes), bump superpositions,
+    heat kernels translated to a radial node, and bumps modulated by
+    cos(0.1 lambda + theta)."""
     rng = np.random.default_rng(seed)
     lam = sgrid.nodes
-    with np.errstate(under="ignore"):
-        peak = float(lam[np.argmax(np.abs(m(lam)))])
+    peak = float(lam[np.argmax(np.abs(mvals))])
     phi = phi_matrix_for(params, rgrid, sgrid)
     spectra = np.empty((len(lam), trials))
     descs = []
@@ -135,20 +134,24 @@ def _trial_functions(params, m, rgrid, sgrid, trials, seed):
     return spectra, descs
 
 
-def estimate_operator_norm(params, m: MultiplierSpec, p, trials=12, seed=0, grids=None) -> OperatorNormEstimate:
-    """Lower bound on ||T_m||_{L^p -> L^p} over the seeded trial family.
+def estimate_operator_norm(params, m: MultiplierSpec, p, grids, trials=12, seed=0) -> OperatorNormEstimate:
+    """Lower bound on ||T_m||_{L^p -> L^p} over the seeded trial family on
+    grids, a (RadialGrid, SpectralGrid) pair.
 
-    Each trial is a spectrum S; f and T_m f are the inverse transforms of S
-    and m S, from one block [S | m S].  Trials whose radial
-    L^2 norm is zero or not finite are dropped, the rest are gated for decay,
-    and the witness is the first trial, in trial order, with the largest ratio.
+    m is sampled once on the spectral nodes.  Each trial is a spectrum S; f
+    and T_m f are the inverse transforms of S and m S, from one block
+    [S | m S].  Trials whose radial L^2 norm is zero or not finite are
+    dropped, the rest are gated for decay, and the witness is the first
+    trial, in trial order, with the largest ratio.
     """
     _check_exponent(p)
     _check_trials(trials, seed)
-    rgrid, sgrid = default_grids(params) if grids is None else grids
-    spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
+    rgrid, sgrid = grids
+    with np.errstate(under="ignore"):
+        mvals = m(sgrid.nodes)
+    spectra, descs = _trial_functions(params, mvals, rgrid, sgrid, trials, seed)
     # the spectra are exact by construction; only the radial trials are gated
-    block = SampledSpectralFunction(sgrid, np.hstack([spectra, m(sgrid.nodes)[:, None] * spectra]))
+    block = SampledSpectralFunction(sgrid, np.hstack([spectra, mvals[:, None] * spectra]))
     out = inverse_transform(params, block, rgrid, decay_fraction=None).values
     norms = _lp_norm(out[:, :trials], rgrid.mu_weights, 2)
     kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
@@ -202,9 +205,9 @@ def _proxy_ratio(lower_bound, proxy):
     return lower_bound / proxy if proxy > 0 else math.inf
 
 
-def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, trials=9):
-    """Per member: ||T_m|| lower bound, Mihlin proxy of the boundary trace of
-    omega*m, and their ratio.
+def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials=9):
+    """Per member: ||T_m|| lower bound on grids, Mihlin proxy of the boundary
+    trace of omega*m, and their ratio.
 
     A member that is not even, is unbounded on the strip, or has no boundary
     trace on the proxy's nodes (a JacobiLabError from the trace) is flagged,
@@ -236,7 +239,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, seed=0, grids=None, t
             except JacobiLabError:
                 flags.append("no-boundary-trace")
         if not flags:
-            lower_bound = estimate_operator_norm(params, member, p, trials=trials, seed=seed, grids=grids).lower_bound
+            lower_bound = estimate_operator_norm(params, member, p, grids, trials=trials, seed=seed).lower_bound
             ratio = _proxy_ratio(lower_bound, proxy)
         rows.append(
             {

@@ -1,15 +1,16 @@
 """Quadrature grids, the Jacobi transform pair, and the heat semigroup.
 
 Every grid is a composite Gauss-Legendre rule given by its panel breakpoints
-and nodes_per_panel; each panel is an affine image of one reference panel,
-which carries the barycentric weights and the differentiation matrix used to
-interpolate and differentiate samples on any panel.  Functions cross module
-boundaries as samples on explicit grids, never as closures.  A grid carries
-the parameters it was built for, and every transform raises GridError when
-they differ from the ones it is given.  The dense phi_lambda(t) matrix for a
-(radial, spectral) grid pair is built once and cached on the radial grid, so
-it is freed with the grid; the key is the spectral grid's content, so equal
-spectral grids share it.
+and nodes_per_panel (8 on the radial and 4 on the spectral grids that the
+builders make; the constructors take any count); each panel is an affine
+image of one reference panel, which carries the barycentric weights and the
+differentiation matrix used to interpolate and differentiate samples on any
+panel.  Functions cross module boundaries as samples on explicit grids,
+never as closures.  A grid carries the parameters it was built for, and
+every transform raises GridError when they differ from the ones it is given.
+The dense phi_lambda(t) matrix for a (radial, spectral) grid pair is built
+once and cached on the radial grid, so it is freed with the grid; the key is
+the spectral grid's content, so equal spectral grids share it.
 
 phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
@@ -140,9 +141,10 @@ class RadialGrid(_PanelGrid):
         self._phi_cache = {}
 
     @classmethod
-    def graded(cls, params, t_max=20.0, n_panels=400, nodes_per_panel=8):
+    def graded(cls, params, t_max=20.0, n_panels=400):
+        """Graded panels on (0, t_max], 8 nodes each."""
         _check_extent("radial", "t_max", t_max, n_panels)
-        return cls(params, graded_breakpoints(t_max, n_panels), nodes_per_panel)
+        return cls(params, graded_breakpoints(t_max, n_panels), 8)
 
 
 def plancherel_constant() -> float:
@@ -166,9 +168,10 @@ class SpectralGrid(_PanelGrid):
         self.nu_weights = self.base_weights * self.density * plancherel_constant()
 
     @classmethod
-    def build(cls, params, lam_max=50.0, n_panels=300, nodes_per_panel=4):
+    def build(cls, params, lam_max=50.0, n_panels=300):
+        """Equal panels on (0, lam_max], 4 nodes each."""
         _check_extent("spectral", "lam_max", lam_max, n_panels)
-        return cls(params, np.linspace(0.0, lam_max, n_panels + 1), nodes_per_panel)
+        return cls(params, np.linspace(0.0, lam_max, n_panels + 1), 4)
 
 
 def _sample_values(grid, values):

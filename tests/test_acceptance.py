@@ -33,7 +33,7 @@ from jacobilab import (
     w_function,
     young_check,
 )
-from jacobilab._util import loglog_slope
+from jacobilab._util import graded_breakpoints, loglog_slope
 from jacobilab.convolution import _support_rule
 from jacobilab.core import bessel_local_expansion, gamma_coefficient_table, weight_density
 from jacobilab.lab import mihlin_proxy_norm
@@ -149,12 +149,12 @@ def test_criterion_4_transform_pair(generic_params, grids):
         assert diff.norm(2) / f.norm(2) < 1e-6, (center, width)
     # defect contracts by >= x4 under grid doubling, starting from a coarse pair
     coarse = (
-        RadialGrid.graded(generic_params, 16.0, 30, 4),
-        SpectralGrid.build(generic_params, 40.0, 40, 4),
+        RadialGrid(generic_params, graded_breakpoints(16.0, 30), 4),
+        SpectralGrid.build(generic_params, 40.0, 40),
     )
     fine = (
-        RadialGrid.graded(generic_params, 16.0, 60, 4),
-        SpectralGrid.build(generic_params, 40.0, 80, 4),
+        RadialGrid(generic_params, graded_breakpoints(16.0, 60), 4),
+        SpectralGrid.build(generic_params, 40.0, 80),
     )
     f_c = bump_function(coarse[0], 1.5, 0.7)
     f_f = bump_function(fine[0], 1.5, 0.7)
@@ -271,9 +271,7 @@ def test_criterion_8_global_decomposition(generic_params):
     # contour-shift defect < 1e-6 with vanishing edge integrals
     m = gauss_spec(0.1)
     for k in (0, 1):
-        res = contour_shift_check(
-            generic_params, m, k=k, t=1.5, r_values=(10.0, 100.0, 1000.0)
-        )
+        res = contour_shift_check(generic_params, m, k=k, t=1.5)
         scale = max(abs(res["direct"]), 1e-300)
         assert res["defect"] / scale < 1e-6, k
         edges = res["edge_magnitudes"]

@@ -294,6 +294,25 @@ class TestWriteErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text() == "kept\n"
 
+    def test_failed_manifest_leaves_neither_file(self, tmp_path, capsys):
+        # without the rollback, h.csv stays behind under a message that names it
+        (tmp_path / "h.csv.manifest.json").mkdir()
+        code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "heat", "--s", "0.1", "--output", "h.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'h.csv.manifest.json'}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["h.csv.manifest.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        # a temporary file from mkstemp has mode 0600 whatever the umask
+        saved = os.umask(umask)
+        try:
+            assert run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "heat", "--s", "0.1", "--output", "h.csv"]) == 0
+        finally:
+            os.umask(saved)
+        for name in ("h.csv", "h.csv.manifest.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
 
 class TestReports:
     def test_hormander_w(self, capsys):

@@ -76,6 +76,8 @@ class TestKernel:
         assert not kernel_K(generic_params, 1.0, 1.2, 2.5).in_support
         assert kernel_K(generic_params, 1.0, 1.2, 2.5).value == 0.0
         assert not kernel_K(generic_params, 1.0, 1.2, 0.1).in_support
+        # a batch wholly outside the support is all zeros
+        assert np.array_equal(kernel_values(generic_params, 1.0, 1.0, [5.0, 6.0]), [0.0, 0.0])
 
     def test_against_mpmath_oracle(self, generic_params):
         for _ in range(20):
@@ -221,7 +223,7 @@ class TestConvolve:
         # convolve_direct computes tau_x g(y) for y >= x only; by the symmetry
         # of K and of the support rule the result is bitwise the full one
         params = JacobiParameters(*ab)
-        grid = RadialGrid.graded(params, 6.0, 12, 8)
+        grid = RadialGrid.graded(params, 6.0, 12)
         f, g = bump(grid, 0.8, 0.5), bump(grid, 1.1, 0.6)
         tau = np.stack([translate(params, g, x).values for x in grid.nodes])
         assert np.array_equal(tau, tau.T)
@@ -267,7 +269,7 @@ class TestConvolve:
             convolve(generic_params, f, g)
 
     def test_node_budget(self, generic_params):
-        big = RadialGrid.graded(generic_params, 10.0, 100, 8)
+        big = RadialGrid.graded(generic_params, 10.0, 100)
         f = bump(big, 0.8, 0.5)
         with pytest.raises(CostBudgetError):
             convolve_direct(generic_params, f, f)
@@ -282,7 +284,7 @@ class TestConvolve:
         # h_0.1 * h_0.2 = h_0.3, at rho != 5/2 too, and past the node budget
         # of the quadrature reference
         params = JacobiParameters(*ab)
-        grid = RadialGrid.graded(params, 10.0, nodes // 8, 8)
+        grid = RadialGrid.graded(params, 10.0, nodes // 8)
         sgrid = SpectralGrid.build(params)
         h1, h2, h3 = (heat_kernel(params, s, grid, sgrid) for s in (0.1, 0.2, 0.3))
         conv = convolve(params, h1, h2)

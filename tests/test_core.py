@@ -369,6 +369,10 @@ class TestPhiMatrix:
         with pytest.raises(DomainError, match=rf"\b{name}\b"):
             phi_matrix(generic_params, t_nodes, lam_nodes)
 
+    def test_no_t_nodes_give_an_empty_matrix(self, generic_params):
+        mat = phi_matrix(generic_params, [], [1.0])
+        assert mat.shape == (0, 1) and mat.dtype == np.float64
+
 
 class TestRouteSplit:
     # on ascending t and |lambda| the 2F1 cells of a row are the columns left
@@ -700,6 +704,9 @@ class TestHarishChandra:
     def test_exceptional_lambda_raises(self, generic_params):
         with pytest.raises(DomainError):
             gamma_coefficient_table(generic_params, np.array([-3j]), 10)
+        # at (30, 5) the coefficients pass the cap long before k = 800
+        with pytest.raises(OverflowLimitError, match=r"\|Gamma_k\| exceeded 1e100"):
+            gamma_coefficient_table(JacobiParameters(30.0, 5.0), [0.5], 800)
 
     def test_gangolli_envelope_holds(self, generic_params):
         lams = np.linspace(0.5, 30.0, 15).astype(complex)

@@ -49,7 +49,7 @@ def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
     (forward transform, m, inverse transform) instead.
     """
     rgrid, sgrid = grids
-    spectra, descs = _trial_functions(params, m, rgrid, sgrid, trials, seed)
+    spectra, descs = _trial_functions(params, m(sgrid.nodes), rgrid, sgrid, trials, seed)
     best, witness, count = 0.0, "none", 0
     for j in range(trials):
         g = SampledSpectralFunction(sgrid, spectra[:, j])
@@ -144,7 +144,7 @@ class TestEstimateOperatorNorm:
     def test_heat_trials_sit_on_radial_nodes(self, generic_params, grids):
         rgrid, sgrid = grids
         m = heat_multiplier(generic_params)
-        spectra, descs = _trial_functions(generic_params, m, rgrid, sgrid, 12, 7)
+        spectra, descs = _trial_functions(generic_params, m(sgrid.nodes), rgrid, sgrid, 12, 7)
         phi = phi_matrix_for(generic_params, rgrid, sgrid)
         heat = [(j, d) for j, d in enumerate(descs) if d.startswith("heat kernel")]
         assert len(heat) == 3
@@ -191,7 +191,7 @@ class TestEstimateOperatorNorm:
 
     def test_trials_guard(self, generic_params, grids):
         with pytest.raises(ParameterError):
-            estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=0)
+            estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=0, grids=grids)
         with pytest.raises(ParameterError, match="trials"):
             estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=2.5, grids=grids)
         with pytest.raises(ParameterError, match="trials"):

@@ -227,6 +227,11 @@ class TestBesselScriptJ:
         with pytest.raises(OverflowLimitError, match="alpha = 165"):
             bessel_script_J(165.0, 3.0)
 
+    def test_large_comparable_alpha_and_x_raise(self):
+        # neither branch is accurate where alpha and x are both large and close
+        with pytest.raises(ConvergenceError, match="alpha = 60, x = 100"):
+            bessel_script_J(60.0, 100.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bessel_script_J(1.2, -1.0)

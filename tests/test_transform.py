@@ -26,6 +26,7 @@ from jacobilab import (
     plancherel_defect,
 )
 from jacobilab import standard_multiplier_family, transform
+from jacobilab._util import graded_breakpoints
 from jacobilab.lab import _trial_functions
 from jacobilab.transform import phi_matrix_for
 
@@ -125,7 +126,7 @@ class TestGrids:
             (lambda p: RadialGrid.graded(p, 0.0, 40), "t_max"),
             (lambda p: RadialGrid.graded(p, math.inf, 40), "t_max"),
             (lambda p: RadialGrid.graded(p, math.nan, 40), "t_max"),
-            (lambda p: RadialGrid.graded(p, 5.0, 10, 0), "nodes_per_panel"),
+            (lambda p: RadialGrid(p, graded_breakpoints(5.0, 10), 0), "nodes_per_panel"),
             (lambda p: SpectralGrid.build(p, 50.0, 0), "n_panels"),
             (lambda p: SpectralGrid.build(p, 0.0, 40), "lam_max"),
             (lambda p: SpectralGrid.build(p, -5.0, 40), "lam_max"),
@@ -135,7 +136,7 @@ class TestGrids:
             (lambda p: RadialGrid(p, [0.0, math.inf], 4), "breakpoints"),
             (lambda p: RadialGrid.graded(p, 20.0, 2.5), "n_panels"),
             (lambda p: SpectralGrid.build(p, 50.0, 2.5), "n_panels"),
-            (lambda p: SpectralGrid.build(p, 50.0, 40, nodes_per_panel=2.5), "nodes_per_panel"),
+            (lambda p: SpectralGrid(p, np.linspace(0.0, 50.0, 41), 2.5), "nodes_per_panel"),
             (lambda p: SpectralGrid.build(p, 25.0, True), "n_panels"),
         ],
         ids=[
@@ -338,8 +339,9 @@ class TestSubnormalOperands:
         P = generic_params
         phi = phi_matrix_for(P, rgrid, sgrid)
         m = standard_multiplier_family(P)[1]
-        spectra, _ = _trial_functions(P, m, rgrid, sgrid, 8, 0)
-        mhat = m(sgrid.nodes)[:, None] * spectra
+        mvals = m(sgrid.nodes)
+        spectra, _ = _trial_functions(P, mvals, rgrid, sgrid, 8, 0)
+        mhat = mvals[:, None] * spectra
         trials = np.hstack([spectra, mhat.real])
         assert np.any(_subnormal(trials * sgrid.nu_weights[:, None]))
         radial = inverse_transform(P, SampledSpectralFunction(sgrid, trials), rgrid, decay_fraction=None).values
@@ -439,7 +441,7 @@ class TestLaplacian:
         assert err < 1e-3
 
     def test_minimum_size_guard(self, generic_params):
-        rgrid = RadialGrid.graded(generic_params, 5.0, 1, 8)
+        rgrid = RadialGrid.graded(generic_params, 5.0, 1)
         f = SampledRadialFunction(rgrid, np.ones(8))
         with pytest.raises(GridError):
             apply_laplacian(generic_params, f)
