@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 __all__ = [
     "composite_gauss_legendre",
+    "gauss_legendre",
     "dyadic_differences",
     "graded_breakpoints",
     "is_count",
     "loglog_slope",
     "smoothstep_quintic",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def composite_gauss_legendre(breakpoints, nodes_per_panel=4):
@@ -24,7 +35,7 @@ def composite_gauss_legendre(breakpoints, nodes_per_panel=4):
     [-1, 1], so nodes lie strictly inside their panel and sort increasing.
     """
     breakpoints = np.asarray(breakpoints, dtype=float)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x_ref, w_ref = gauss_legendre(nodes_per_panel)
     half = 0.5 * (breakpoints[1:] - breakpoints[:-1])[:, None]
     mid = 0.5 * (breakpoints[:-1] + breakpoints[1:])[:, None]
     return (mid + half * x_ref).ravel(), (half * w_ref).ravel()

@@ -34,7 +34,7 @@ from .core import (
     jacobi_phi,
 )
 from .errors import DecayError, JacobiLabError
-from .lab import _omega_weighted, _proxy_ratio, estimate_operator_norm, standard_multiplier_family, theorem_ratio_experiment
+from .lab import _estimates, _omega_weighted, _proxy_ratio, standard_multiplier_family, theorem_ratio_experiment
 from .multiplier import omega, w_function
 from .transform import (
     SampledRadialFunction,
@@ -384,12 +384,11 @@ def _cmd_probe(args, params):
 
     def leg(p, grids):
         # per member, the ratio at p on grids against its row's proxy; None if flagged
+        probed = [m for m, row in zip(family, res["rows"]) if not row["flags"]]
+        estimates = iter(_estimates(params, probed, p, grids, args.trials, args.seed))
         return [
-            None if row["flags"] else _proxy_ratio(
-                estimate_operator_norm(params, m, p, grids, trials=args.trials, seed=args.seed).lower_bound,
-                row["proxy_norm"],
-            )
-            for m, row in zip(family, res["rows"])
+            None if row["flags"] else _proxy_ratio(next(estimates).lower_bound, row["proxy_norm"])
+            for row in res["rows"]
         ]
 
     rows = []

@@ -3,8 +3,10 @@ and the theorem ratio experiment.
 
 Operator norms are estimated from below by maximizing ||T_m f||_p / ||f||_p
 over a deterministic, seeded family of trial functions.  The trials are
-spectra S and (T_m f)^ = m f^, so f and T_m f of every trial come from one
-inverse transform of the block [S | m S], with no forward transform.  The
+spectra S and (T_m f)^ = m f^, so f and T_m f of every trial come from an
+inverse transform of the block [S | m S], with no forward transform.  A
+family is probed from one block: the trial spectra its members share are in
+it once, beside every member's m S.  The
 Euclidean multiplier norm of a boundary trace is replaced by the Mihlin
 proxy sup|g| + sup|lambda g'|, an upper-bound surrogate labeled as such in
 every output.
@@ -136,34 +138,60 @@ def _trial_functions(params, mvals, rgrid, sgrid, trials, seed):
 
 def estimate_operator_norm(params, m: MultiplierSpec, p, grids, trials=12, seed=0) -> OperatorNormEstimate:
     """Lower bound on ||T_m||_{L^p -> L^p} over the seeded trial family on
-    grids, a (RadialGrid, SpectralGrid) pair.
-
-    m is sampled once on the spectral nodes.  Each trial is a spectrum S; f
-    and T_m f are the inverse transforms of S and m S, from one block
-    [S | m S].  Trials whose radial L^2 norm is zero or not finite are
-    dropped, the rest are gated for decay, and the witness is the first
-    trial, in trial order, with the largest ratio.
+    grids, a (RadialGrid, SpectralGrid) pair: the one-member call of the
+    family probe, see _estimates.
     """
     _check_exponent(p)
     _check_trials(trials, seed)
+    return _estimates(params, [m], p, grids, trials, seed)[0]
+
+
+def _estimates(params, members, p, grids, trials, seed):
+    """One OperatorNormEstimate per member, from one inverse transform.
+
+    Each member's m is sampled once on the spectral nodes and gives its
+    trials, spectra S; f and T_m f are the inverse transforms of S and m S.
+    The block holds each trial spectrum once, however many members share it
+    to the bit, then each member's m S columns, and goes through one inverse transform: a GEMM column does
+    not depend on the block's width or its place in it, so each member's
+    numbers are those of a block of its own.  Per member, trials whose
+    radial L^2 norm is zero or not finite are dropped, the rest are gated
+    for decay, and the witness is the first trial, in trial order, with the
+    largest ratio.
+    """
+    if not members:
+        return []
     rgrid, sgrid = grids
-    with np.errstate(under="ignore"):
-        mvals = m(sgrid.nodes)
-    spectra, descs = _trial_functions(params, mvals, rgrid, sgrid, trials, seed)
+    distinct = {}  # the bytes of each distinct trial spectrum -> (its column, the spectrum)
+    probes = []  # per member: (m S columns, the columns of its trials' S, descriptions)
+    for m in members:
+        with np.errstate(under="ignore"):
+            mvals = m(sgrid.nodes)
+        spectra, descs = _trial_functions(params, mvals, rgrid, sgrid, trials, seed)
+        cols = [distinct.setdefault(s.tobytes(), (len(distinct), s))[0] for s in spectra.T]
+        probes.append((mvals[:, None] * spectra, cols, descs))
     # the spectra are exact by construction; only the radial trials are gated
-    block = SampledSpectralFunction(sgrid, np.hstack([spectra, mvals[:, None] * spectra]))
+    columns = [s for _, s in distinct.values()] + [ms for ms, _, _ in probes]
+    block = SampledSpectralFunction(sgrid, np.column_stack(columns))
     out = inverse_transform(params, block, rgrid, decay_fraction=None).values
-    norms = _lp_norm(out[:, :trials], rgrid.mu_weights, 2)
-    kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
-    _check_decay(out[:, kept], _tail_count(rgrid), "radial function")
-    ratios = _lp_norm(out[:, trials + kept], rgrid.mu_weights, p) / _lp_norm(out[:, kept], rgrid.mu_weights, p)
-    best = 0.0
-    witness = "none"
-    for j, ratio in zip(kept, ratios):
-        if ratio > best:
-            best = ratio
-            witness = descs[j]
-    return OperatorNormEstimate(float(p), float(best), len(kept), int(seed), witness)
+    first = len(distinct)  # the block column of the current member's first m S
+    estimates = []
+    for m, (_, cols, descs) in zip(members, probes):
+        f, tf = out[:, cols], out[:, first : first + trials]
+        first += trials
+        norms = _lp_norm(f, rgrid.mu_weights, 2)
+        kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
+        names = [f"radial trial {j} of {m.label} ({descs[j]})" for j in kept]
+        _check_decay(f[:, kept], _tail_count(rgrid), names)
+        ratios = _lp_norm(tf[:, kept], rgrid.mu_weights, p) / _lp_norm(f[:, kept], rgrid.mu_weights, p)
+        best = 0.0
+        witness = "none"
+        for j, ratio in zip(kept, ratios):
+            if ratio > best:
+                best = ratio
+                witness = descs[j]
+        estimates.append(OperatorNormEstimate(float(p), float(best), len(kept), int(seed), witness))
+    return estimates
 
 
 def mihlin_proxy_norm(g):
@@ -211,7 +239,9 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
 
     A member that is not even, is unbounded on the strip, or has no boundary
     trace on the proxy's nodes (a JacobiLabError from the trace) is flagged,
-    gets NaN numbers and stays out of the verdict.  The flags and the proxy
+    gets NaN numbers and stays out of the verdict.  Every row's flags and
+    proxy are formed first; the unflagged members are then probed together,
+    from one inverse transform (see _estimates).  The flags and the proxy
     depend on neither the grids nor p, so callers that probe a member again
     on other grids or at another p divide by its row's proxy_norm.
     """
@@ -219,6 +249,7 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
     _check_trials(trials, seed)
     lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
+    probed = []  # (row, member) of every unflagged member
     for member in multiplier_family:
 
         def weighted_m(lam, member=member):
@@ -232,25 +263,26 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
             strip_sup = float(np.max(np.abs(weighted_m(lattice))))
         if not np.isfinite(strip_sup):
             flags.append("unbounded-on-strip")
-        lower_bound = proxy = ratio = math.nan
+        proxy = math.nan
         if not flags:
             try:
                 proxy = mihlin_proxy_norm(lambda lam: boundary_trace(weighted_m, params.rho, lam))
             except JacobiLabError:
                 flags.append("no-boundary-trace")
+        row = {
+            "member": member.label,
+            "p": p,
+            "lower_bound": math.nan,
+            "proxy_norm": proxy,
+            "ratio": math.nan,
+            "strip_sup": strip_sup,
+            "flags": ",".join(flags),
+        }
+        rows.append(row)
         if not flags:
-            lower_bound = estimate_operator_norm(params, member, p, grids, trials=trials, seed=seed).lower_bound
-            ratio = _proxy_ratio(lower_bound, proxy)
-        rows.append(
-            {
-                "member": member.label,
-                "p": p,
-                "lower_bound": lower_bound,
-                "proxy_norm": proxy,
-                "ratio": ratio,
-                "strip_sup": strip_sup,
-                "flags": ",".join(flags),
-            }
-        )
+            probed.append((row, member))
+    for (row, _), est in zip(probed, _estimates(params, [m for _, m in probed], p, grids, trials, seed)):
+        row["lower_bound"] = est.lower_bound
+        row["ratio"] = _proxy_ratio(est.lower_bound, row["proxy_norm"])
     valid = [r["ratio"] for r in rows if r["flags"] == "" and np.isfinite(r["ratio"])]
     return {"rows": rows, "verdict_max_ratio": max(valid) if valid else math.nan}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, graded_breakpoints, is_count
+from ._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints, is_count
 from .core import JacobiParameters, phi_matrix, plancherel_density, weight_density
 from .errors import DecayError, DomainError, GridError
 
@@ -74,7 +74,7 @@ class _PanelGrid:
             raise GridError(f"nodes_per_panel must be an integer >= 1, not {nodes_per_panel!r}")
         self.nodes_per_panel = int(nodes_per_panel)
         self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
-        x, _ = composite_gauss_legendre([-1.0, 1.0], nodes_per_panel)
+        x, _ = gauss_legendre(self.nodes_per_panel)
         diff = x[:, None] - x[None, :]
         np.fill_diagonal(diff, 1.0)
         self._bary = 1.0 / np.prod(diff, axis=1)
@@ -260,17 +260,21 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
 
 def _check_decay(values, tail_count, what, fraction=_DECAY_FRACTION):
     """Raise DecayError naming the first column whose last tail_count samples
-    are not below fraction times its peak; a zero column passes.  The test is
-    on tail / peak, which does not underflow for a subnormal peak."""
+    are not below fraction times its peak; a zero column passes.  what names
+    the values, or is a list with one name per column.  The test is on
+    tail / peak, which does not underflow for a subnormal peak."""
     peak = np.atleast_1d(np.max(np.abs(values), axis=0))
     tail = np.atleast_1d(np.max(np.abs(values[-tail_count:]), axis=0))
     with np.errstate(invalid="ignore"):
         bad = np.flatnonzero((peak > 0.0) & (tail / peak >= fraction))
     if bad.size:
         j = bad[0]
-        where = f" (column {j})" if values.ndim > 1 else ""
+        if not isinstance(what, str):
+            what = what[j]
+        elif values.ndim > 1:
+            what = f"{what} (column {j})"
         raise DecayError(
-            f"{what}{where} has not decayed at the end of its grid "
+            f"{what} has not decayed at the end of its grid "
             f"(tail {tail[j]:.3e} vs {peak[j]:.3e} peak)"
         )
 

@@ -189,6 +189,27 @@ class TestEstimateOperatorNorm:
         with pytest.raises(DecayError):
             estimate_operator_norm(generic_params, m, 2, trials=8, grids=grids)
 
+    def test_decay_error_names_the_trial_and_member(self, generic_params, small_grids, monkeypatch):
+        # trial 0 is dropped (zero), trial 2 is a heat kernel translated to the
+        # last radial node: the gate must name trial 2, not its kept position 1
+        rgrid, sgrid = small_grids
+        real = lab._trial_functions
+
+        def rigged(params, mvals, rgrid, sgrid, trials, seed):
+            spectra, descs = real(params, mvals, rgrid, sgrid, trials, seed)
+            spectra[:, 0] = 0.0
+            phi = phi_matrix_for(params, rgrid, sgrid)
+            spectra[:, 2] = np.exp(-0.01 * (sgrid.nodes**2 + params.rho**2)) * phi[-1]
+            return spectra, descs[:2] + ["heat kernel at the grid's end"] + descs[3:]
+
+        monkeypatch.setattr(lab, "_trial_functions", rigged)
+        family = standard_multiplier_family(generic_params)
+        with pytest.raises(DecayError, match=r"^radial trial 2 of gauss-narrow \(heat kernel at the grid's end\) has"):
+            estimate_operator_norm(generic_params, family[1], 2, small_grids, trials=8)
+        # in a family, the first member in family order is named
+        with pytest.raises(DecayError, match=r"^radial trial 2 of gauss-wide \("):
+            theorem_ratio_experiment(generic_params, family, 2, small_grids, trials=8)
+
     def test_trials_guard(self, generic_params, grids):
         with pytest.raises(ParameterError):
             estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=0, grids=grids)
@@ -275,6 +296,54 @@ class TestTheoremExperiment:
         )
         assert res["rows"][0]["flags"] != ""
         assert math.isnan(res["verdict_max_ratio"])
+
+    @pytest.mark.parametrize("preset", ["generic", "dr", "h3"])
+    def test_family_rows_equal_one_member_rows(self, preset, generic_params, dr_params, h3_params):
+        # one block for the family against a block of one member: a GEMM
+        # column does not depend on the block's width, so the rows agree to the bit
+        params = {"generic": generic_params, "dr": dr_params, "h3": h3_params}[preset]
+        grids = (RadialGrid.graded(params, 20.0, 200), SpectralGrid.build(params, 50.0, 150))
+        family = standard_multiplier_family(params)
+        for p in (1.5, 2, 3):
+            rows = theorem_ratio_experiment(params, family, p, grids, seed=5, trials=8)["rows"]
+            for m, row in zip(family, rows):
+                assert row["flags"] == ""
+                assert row == theorem_ratio_experiment(params, [m], p, grids, seed=5, trials=8)["rows"][0]
+            for m, est in zip(family, lab._estimates(params, family, p, grids, 8, 5)):
+                single = estimate_operator_norm(params, m, p, grids, trials=8, seed=5)
+                assert (est.lower_bound, est.trials, est.witness) == (single.lower_bound, single.trials, single.witness)
+
+    def test_flagged_member_leaves_the_other_rows_unchanged(self, generic_params, small_grids):
+        def odd(lam):
+            lam = np.asarray(lam, dtype=complex)
+            with np.errstate(under="ignore"):
+                return lam * np.exp(-0.1 * lam**2)
+
+        family = standard_multiplier_family(generic_params)
+        bad = MultiplierSpec(odd, "rapidly-decreasing", "sneaky-odd")
+        rows = theorem_ratio_experiment(generic_params, family[:2] + [bad] + family[2:], 2, small_grids, trials=8)["rows"]
+        assert rows[2]["flags"] == "not-even"
+        assert all(math.isnan(rows[2][key]) for key in ("lower_bound", "proxy_norm", "ratio"))
+        assert rows[:2] + rows[3:] == theorem_ratio_experiment(generic_params, family, 2, small_grids, trials=8)["rows"]
+
+    def test_warm_family_is_one_inverse_transform(self, generic_params, grids, monkeypatch):
+        family = standard_multiplier_family(generic_params)
+        theorem_ratio_experiment(generic_params, family, 2, grids, seed=1, trials=8)
+        widths = []
+        original = lab.inverse_transform
+
+        def counted(params, g, rgrid, **kwargs):
+            widths.append(g.values.shape[1])
+            return original(params, g, rgrid, **kwargs)
+
+        monkeypatch.setattr(lab, "inverse_transform", counted)
+        theorem_ratio_experiment(generic_params, family, 2, grids, seed=1, trials=8)
+        rgrid, sgrid = grids
+        spectra = np.hstack([_trial_functions(generic_params, m(sgrid.nodes), rgrid, sgrid, 8, 1)[0] for m in family])
+        distinct = np.unique(spectra, axis=1).shape[1]
+        # four of the five members peak at one node, so they share both targeted bumps
+        assert distinct == 10
+        assert widths == [distinct + 5 * 8]
 
     def test_pole_on_strip_lattice_is_flagged_without_warnings(self, generic_params, small_grids):
         # omega m = 1/lam^2 has a pole at the lattice point 0; the RuntimeWarnings

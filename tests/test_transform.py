@@ -26,7 +26,7 @@ from jacobilab import (
     plancherel_defect,
 )
 from jacobilab import standard_multiplier_family, transform
-from jacobilab._util import graded_breakpoints
+from jacobilab._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints
 from jacobilab.lab import _trial_functions
 from jacobilab.transform import phi_matrix_for
 
@@ -48,6 +48,23 @@ class TestGrids:
         # integral of exp(-t) over (0, 10) against plain dt
         got = float(np.sum(rgrid.base_weights * np.exp(-rgrid.nodes)))
         assert got == pytest.approx(1.0 - math.exp(-10.0), rel=1e-12)
+
+    def test_reference_rule_computed_once_and_read_only(self, generic_params, monkeypatch):
+        x, w = gauss_legendre(8)
+        assert gauss_legendre(8)[0] is x and gauss_legendre(8)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+        ref_x, ref_w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        # mid + half x on [-1, 1] is x itself, to the bit
+        nodes, weights = composite_gauss_legendre([-1.0, 1.0], 8)
+        assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+        gauss_legendre(4)
+
+        def no_solve(n):
+            raise AssertionError(f"Gauss-Legendre rule of {n} nodes computed again")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_solve)
+        default_grids(generic_params, 5.0, 10, 10.0, 10)
 
     def test_mu_weights_carry_density(self, generic_params):
         rgrid = RadialGrid.graded(generic_params, 5.0, 50)
