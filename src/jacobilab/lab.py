@@ -152,12 +152,12 @@ def _estimates(params, members, p, grids, trials, seed):
     Each member's m is sampled once on the spectral nodes and gives its
     trials, spectra S; f and T_m f are the inverse transforms of S and m S.
     The block holds each trial spectrum once, however many members share it
-    to the bit, then each member's m S columns, and goes through one inverse transform: a GEMM column does
-    not depend on the block's width or its place in it, so each member's
-    numbers are those of a block of its own.  Per member, trials whose
-    radial L^2 norm is zero or not finite are dropped, the rest are gated
-    for decay, and the witness is the first trial, in trial order, with the
-    largest ratio.
+    to the bit, then each member's m S columns.  A GEMM column does not
+    depend on the block's width or its place in it, so each member's numbers
+    are those of a block of its own.  Per member, trials whose radial L^2
+    norm is zero or not finite are dropped, the rest are gated for decay
+    (a DecayError names the member and the trial), and the witness is the
+    first trial, in trial order, with the largest ratio.
     """
     if not members:
         return []
