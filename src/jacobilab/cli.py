@@ -1,8 +1,8 @@
 """Command-line surface: point evaluation, transform pipelines, diagnostic
-reports, and the theorem probe.
+reports, and the theorem probe, which formats what lab.probe_theorem decides.
 
-Exit codes: 0 success, 2 schema/domain errors and failed writes,
-3 decay-check failures, 4 probe instability.  Each subcommand declares its handler and the flags its
+Exit codes: 0 success, 2 schema/domain errors and failed writes, 3 decay-check
+failures, 4 a probe that probe_theorem finds unstable.  Each subcommand declares its handler and the flags its
 configuration hash reads, once, in `build_parser`.  Every CSV goes through
 `_emit`, under a header line with that hash: to stdout, or atomically to
 --output with `<name>.manifest.json` beside it, so identical (config, seed)
@@ -34,7 +34,7 @@ from .core import (
     jacobi_phi,
 )
 from .errors import DecayError, JacobiLabError
-from .lab import _estimates, _omega_weighted, _proxy_ratio, standard_multiplier_family, theorem_ratio_experiment
+from .lab import _omega_weighted, probe_theorem, standard_multiplier_family
 from .multiplier import omega, w_function
 from .transform import (
     SampledRadialFunction,
@@ -343,10 +343,14 @@ _EXPR_NAMES = {
 
 
 def _member_from_manifest(entry, params):
+    if not isinstance(entry, dict):
+        raise _CliError(f"manifest member {entry!r} is not an object")
     for field in ("label", "expression", "decay_class"):
         if field not in entry:
             raise _CliError(f"manifest member missing '{field}'")
-    code_text = entry["expression"]
+    label, code_text = entry["label"], entry["expression"]
+    if not (isinstance(label, str) and isinstance(code_text, str)):
+        raise _CliError(f"manifest member {label!r}: label and expression must be strings")
     try:
         code = compile(code_text, "<manifest>", "eval")
     except SyntaxError as exc:
@@ -356,10 +360,17 @@ def _member_from_manifest(entry, params):
             raise _CliError(f"expression uses disallowed name '{name}'")
 
     def profile(lam):
-        value = eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES})
-        return np.broadcast_to(np.asarray(value, dtype=complex), lam.shape)
+        value = np.asarray(eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES}))
+        if value.dtype.kind not in "biufc":
+            raise TypeError(f"its value is {value.dtype}, not numbers")
+        return np.broadcast_to(value.astype(complex), lam.shape)
 
-    return _omega_weighted(params, profile, entry["decay_class"], entry["label"])
+    try:  # once, on a few strip points, so that a bad expression fails here and not mid-probe
+        with np.errstate(all="ignore"):
+            profile(np.array([0.5 + 0.25j, 2.0, 7.5 - 0.5j]))
+    except Exception as exc:
+        raise _CliError(f"manifest member '{label}': expression '{code_text}' fails: {exc}")
+    return _omega_weighted(params, profile, entry["decay_class"], label)
 
 
 def _cmd_probe(args, params):
@@ -369,65 +380,33 @@ def _cmd_probe(args, params):
                 manifest = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _CliError(f"bad manifest: {exc}")
-        members = manifest.get("members")
+        members = manifest.get("members") if isinstance(manifest, dict) else None
         if not isinstance(members, list) or not members:
-            raise _CliError("manifest must contain a non-empty 'members' list")
+            raise _CliError("manifest must be a JSON object with a non-empty 'members' list")
         family = [_member_from_manifest(e, params) for e in members]
+        labels = [m.label for m in family]
+        if len(set(labels)) < len(labels):
+            raise _CliError(f"manifest member labels must be distinct, not {labels}")
     else:
         family = standard_multiplier_family(params)
 
-    coarse = _grids(args, params)
-    fine = default_grids(
-        params, args.t_max, int(args.radial_panels * 1.25), args.lam_max, int(args.spectral_panels * 1.5)
-    )
-    res = theorem_ratio_experiment(params, family, args.p, coarse, seed=args.seed, trials=args.trials)
-
-    def leg(p, grids):
-        # per member, the ratio at p on grids against its row's proxy; None if flagged
-        probed = [m for m, row in zip(family, res["rows"]) if not row["flags"]]
-        estimates = iter(_estimates(params, probed, p, grids, args.trials, args.seed))
-        return [
-            None if row["flags"] else _proxy_ratio(next(estimates).lower_bound, row["proxy_norm"])
-            for row in res["rows"]
-        ]
-
-    rows = []
-    stable = True
-    for row, ratio_fine in zip(res["rows"], leg(args.p, fine)):
-        if row["flags"]:
-            rows.append(("probe", row["member"], row["p"], "", "", "", row["flags"]))
-            continue
-        drift = abs(row["ratio"] - ratio_fine) / max(abs(row["ratio"]), 1e-300)
-        if not (np.isfinite(row["ratio"]) and np.isfinite(ratio_fine)) or drift > 0.10:
-            stable = False
-        rows.append(
-            (
-                "probe",
-                row["member"],
-                float(row["p"]),
-                float(row["lower_bound"]),
-                float(row["proxy_norm"]),
-                float(row["ratio"]),
-                f"drift={drift:.3g}",
-            )
-        )
+    res = probe_theorem(params, family, args.p, _grids(args, params), args.seed, args.trials)
+    rows = [
+        ("probe", row["member"], row["p"], "", "", "", row["flags"])
+        if row["flags"]
+        else ("probe", row["member"], float(row["p"]), float(row["lower_bound"]), float(row["proxy_norm"]),
+              float(row["ratio"]), f"drift={row['drift']:.3g}")
+        for row in res["rows"]
+    ]
     header = ["experiment", "member", "p", "lower_bound", "proxy_norm", "ratio", "flags"]
     _emit(args, params, header, rows, {"family": args.family, "p": args.p, "trials": args.trials})
-    verdict = res["verdict_max_ratio"]
-    print(f"verdict: max ratio {verdict:.6g} ({'stable' if stable else 'UNSTABLE'})")
-    if abs(args.p - 2.0) > 1e-12:
-        # duality spot check against the conjugate exponent; reported only
-        p_dual = args.p / (args.p - 1.0)
-        for row, ratio_dual in zip(res["rows"], leg(p_dual, coarse)):
-            if row["flags"]:
-                continue
-            quot = row["ratio"] / ratio_dual if ratio_dual else math.inf
-            within = 0.5 <= quot <= 2.0
-            print(
-                f"duality: {row['member']} ratio(p={args.p:g})/ratio(p'={p_dual:g}) "
-                f"= {quot:.4g} ({'within x2' if within else 'outside x2'})"
-            )
-    return 0 if stable else 4
+    print(f"verdict: max ratio {res['verdict_max_ratio']:.6g} ({'stable' if res['stable'] else 'UNSTABLE'})")
+    for row in res["rows"]:
+        if res["p_dual"] and not row["flags"]:  # the duality spot check; reported only
+            quot = row["duality"]
+            print(f"duality: {row['member']} ratio(p={args.p:g})/ratio(p'={res['p_dual']:g}) "
+                  f"= {quot:.4g} ({'within x2' if 0.5 <= quot <= 2.0 else 'outside x2'})")
+    return 0 if res["stable"] else 4
 
 
 def main(argv=None):

@@ -1,5 +1,5 @@
 """Empirical multiplier laboratory: operator-norm probes, the Mihlin proxy,
-and the theorem ratio experiment.
+the theorem ratio experiment and the theorem probe built on it.
 
 Operator norms are estimated from below by maximizing ||T_m f||_p / ||f||_p
 over a deterministic, seeded family of trial functions.  The trials are
@@ -9,7 +9,8 @@ family is probed from one block: the trial spectra its members share are in
 it once, beside every member's m S.  The
 Euclidean multiplier norm of a boundary trace is replaced by the Mihlin
 proxy sup|g| + sup|lambda g'|, an upper-bound surrogate labeled as such in
-every output.
+every output.  probe_theorem repeats the experiment on a refined grid pair
+and at the conjugate exponent, and decides whether its ratios are stable.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ._util import dyadic_differences, is_count
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
+    RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
@@ -37,12 +39,15 @@ __all__ = [
     "apply_multiplier_operator",
     "estimate_operator_norm",
     "mihlin_proxy_norm",
+    "probe_theorem",
     "theorem_ratio_experiment",
     "standard_multiplier_family",
 ]
 
 
 _PROXY_LAM_MAX = 40.0  # the Mihlin proxy's window is [1/40, 40]
+_REFINE = (1.25, 1.5)  # the refinement pair's radial and spectral panel counts, per coarse panel
+_DRIFT_MAX = 0.10  # a stable probe's largest relative change of a ratio under refinement
 
 
 @dataclass(frozen=True)
@@ -228,9 +233,20 @@ def standard_multiplier_family(params) -> list:
     ]
 
 
-def _proxy_ratio(lower_bound, proxy):
-    """A member's ratio: its operator-norm lower bound over its Mihlin proxy."""
-    return lower_bound / proxy if proxy > 0 else math.inf
+def _leg(params, family, rows, p, grids, trials, seed):
+    """Per row: its member's lower bound at p on grids and that over the row's
+    proxy_norm, NaN for a flagged row.  The unflagged members are probed
+    together, from one inverse transform (see _estimates)."""
+    probed = [m for m, row in zip(family, rows) if not row["flags"]]
+    estimates = iter(_estimates(params, probed, p, grids, trials, seed))
+    out = []
+    for row in rows:
+        if row["flags"]:
+            out.append((math.nan, math.nan))
+            continue
+        bound, proxy = next(estimates).lower_bound, row["proxy_norm"]
+        out.append((bound, bound / proxy if proxy > 0 else math.inf))
+    return out
 
 
 def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials=9):
@@ -241,15 +257,12 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
     trace on the proxy's nodes (a JacobiLabError from the trace) is flagged,
     gets NaN numbers and stays out of the verdict.  Every row's flags and
     proxy are formed first; the unflagged members are then probed together,
-    from one inverse transform (see _estimates).  The flags and the proxy
-    depend on neither the grids nor p, so callers that probe a member again
-    on other grids or at another p divide by its row's proxy_norm.
+    from one inverse transform (see _estimates).
     """
     _check_exponent(p)
     _check_trials(trials, seed)
     lattice = np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.linspace(0.0, 0.95 * params.rho, 7)[None, :]
     rows = []
-    probed = []  # (row, member) of every unflagged member
     for member in multiplier_family:
 
         def weighted_m(lam, member=member):
@@ -279,10 +292,38 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
             "flags": ",".join(flags),
         }
         rows.append(row)
-        if not flags:
-            probed.append((row, member))
-    for (row, _), est in zip(probed, _estimates(params, [m for _, m in probed], p, grids, trials, seed)):
-        row["lower_bound"] = est.lower_bound
-        row["ratio"] = _proxy_ratio(est.lower_bound, row["proxy_norm"])
+    for row, (bound, ratio) in zip(rows, _leg(params, multiplier_family, rows, p, grids, trials, seed)):
+        row["lower_bound"], row["ratio"] = bound, ratio
     valid = [r["ratio"] for r in rows if r["flags"] == "" and np.isfinite(r["ratio"])]
     return {"rows": rows, "verdict_max_ratio": max(valid) if valid else math.nan}
+
+
+def probe_theorem(params, family, p, grids, seed=0, trials=9):
+    """theorem_ratio_experiment on grids, checked on a refined pair and, for
+    p != 2, at p' = p/(p-1) on grids.
+
+    The refined pair is default_grids on the t_max and lam_max of grids, with
+    int(1.25 n_r) radial and int(1.5 n_s) spectral panels for their n_r and
+    n_s.  Each row gains ratio_fine (its ratio there), drift = |ratio -
+    ratio_fine| / |ratio| and duality = ratio / (its ratio at p'), inf where
+    that is 0: NaN for a flagged row, and duality NaN at p = 2.  The result
+    gains p_dual (None at p = 2) and stable: every unflagged member has a
+    finite ratio and ratio_fine, and a drift of at most 10 %.
+    """
+    res = theorem_ratio_experiment(params, family, p, grids, seed, trials)
+    rows, (rgrid, sgrid) = res["rows"], grids
+    fine = (
+        RadialGrid.graded(params, rgrid.t_max, int((len(rgrid.breakpoints) - 1) * _REFINE[0])),
+        SpectralGrid.build(params, sgrid.lam_max, int((len(sgrid.breakpoints) - 1) * _REFINE[1])),
+    )
+    for row, (_, ratio_fine) in zip(rows, _leg(params, family, rows, p, fine, trials, seed)):
+        row["ratio_fine"] = ratio_fine
+        row["drift"] = math.nan if row["flags"] else abs(row["ratio"] - ratio_fine) / max(abs(row["ratio"]), 1e-300)
+    # a ratio that is not finite, on either pair, makes the drift inf or NaN
+    res["stable"] = all(row["drift"] <= _DRIFT_MAX for row in rows if not row["flags"])
+    res["p_dual"] = p / (p - 1.0) if abs(p - 2.0) > 1e-12 else None
+    dual = _leg(params, family, rows, res["p_dual"], grids, trials, seed) if res["p_dual"] else [(math.nan, math.nan)] * len(rows)
+    for row, (_, ratio_dual) in zip(rows, dual):
+        # a NaN on either side (a flagged row, or no leg at p = 2) gives NaN
+        row["duality"] = row["ratio"] / ratio_dual if ratio_dual else math.inf
+    return res

@@ -12,6 +12,8 @@ from jacobilab import (
     convolution_grid,
     default_grids,
     heat_kernel,
+    probe_theorem,
+    standard_multiplier_family,
     theorem_ratio_experiment,
 )
 from jacobilab.cli import _member_from_manifest, main
@@ -394,10 +396,19 @@ class TestProbeTheorem:
         assert "verdict" in out
 
     def test_bad_manifest_exit_2(self, tmp_path, capsys):
-        (tmp_path / "bad.json").write_text("not json")
-        assert run(
-            ["--preset", "generic", "probe-theorem", "--family", tmp_path / "bad.json"]
-        ) == 2
+        gauss = {"label": "g", "expression": "exp(-0.1*lam**2)", "decay_class": "rapidly-decreasing"}
+        cases = [
+            ("not json", "bad manifest"),
+            (json.dumps([gauss]), "manifest must be a JSON object with a non-empty 'members' list"),
+            (json.dumps({"members": [gauss, gauss]}), "manifest member labels must be distinct"),
+        ]
+        for text, message in cases:
+            (tmp_path / "bad.json").write_text(text)
+            code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path / "out", "probe-theorem",
+                        "--family", tmp_path / "bad.json", "--trials", "2", "--output", "probe.csv"])
+            assert code == 2, text
+            assert capsys.readouterr().err.startswith(f"error: {message}"), text
+            assert not (tmp_path / "out").exists(), text
 
     def test_disallowed_expression_exit_2(self, tmp_path, capsys):
         manifest = {
@@ -413,13 +424,29 @@ class TestProbeTheorem:
     @pytest.mark.parametrize(
         "member, message",
         [({"expression": "exp(-lam**2)", "decay_class": "bounded"}, "manifest member missing 'label'"),
-         ({"label": "cut", "expression": "exp(-lam**", "decay_class": "bounded"}, "bad expression 'exp(-lam**'")],
-        ids=["no-label", "syntax-error"],
+         ({"label": "cut", "expression": "exp(-lam**", "decay_class": "bounded"}, "bad expression 'exp(-lam**'"),
+         ("gauss", "manifest member 'gauss' is not an object"),
+         (5, "manifest member 5 is not an object"),
+         ({"label": "five", "expression": 5, "decay_class": "bounded"},
+          "manifest member 'five': label and expression must be strings"),
+         ({"label": ["x"], "expression": "exp(-lam**2)", "decay_class": "bounded"},
+          "manifest member ['x']: label and expression must be strings"),
+         ({"label": "g", "expression": "exp(1,2,3)", "decay_class": "bounded"},
+          "manifest member 'g': expression 'exp(1,2,3)' fails:"),
+         ({"label": "g", "expression": '"abc"', "decay_class": "bounded"},
+          "manifest member 'g': expression '\"abc\"' fails: its value is <U3, not numbers"),
+         ({"label": "g", "expression": "exp", "decay_class": "bounded"},
+          "manifest member 'g': expression 'exp' fails: its value is object, not numbers")],
+        ids=["no-label", "syntax-error", "string-member", "number-member", "number-expression", "list-label",
+             "bad-call", "string-value", "function-value"],
     )
     def test_bad_member_exit_2(self, tmp_path, capsys, member, message):
         (tmp_path / "family.json").write_text(json.dumps({"members": [member]}))
-        assert run(["--preset", "generic", "probe-theorem", "--family", tmp_path / "family.json"]) == 2
+        code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path / "out", "probe-theorem",
+                    "--family", tmp_path / "family.json", "--trials", "2", "--output", "probe.csv"])
+        assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_members_exit_2(self, tmp_path, capsys):
         (tmp_path / "m.json").write_text("{}")
@@ -467,6 +494,21 @@ class TestProbeTheorem:
         )
         assert code == 4
         assert "(UNSTABLE)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "grid, stable",
+        [(FAST, True), (["--t-max", "12", "--radial-panels", "30", "--lam-max", "25", "--spectral-panels", "12"], False)],
+        ids=["fast", "coarse-radial"],
+    )
+    def test_exit_code_is_the_stable_flag(self, capsys, grid, stable):
+        params = JacobiParameters(1.2, 0.3)
+        t_max, n_r, lam_max, n_s = (float(v) for v in grid[1::2])
+        res = probe_theorem(params, standard_multiplier_family(params), 2.0,
+                            default_grids(params, t_max, int(n_r), lam_max, int(n_s)), seed=0, trials=2)
+        assert res["stable"] is stable
+        assert (run(["--preset", "generic", *grid, "probe-theorem", "--trials", "2"]) == 0) is stable
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("probe,")]
+        assert [ln.split(",")[6] for ln in lines] == [f"drift={row['drift']:.3g}" for row in res["rows"]]
 
     def test_p_infinity_exit_2_without_output(self, tmp_path, capsys):
         code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "probe-theorem", "--p", "inf",

@@ -16,7 +16,9 @@ from jacobilab import (
     estimate_operator_norm,
     mihlin_proxy_norm,
     standard_multiplier_family,
+    default_grids,
     inverse_transform,
+    probe_theorem,
     theorem_ratio_experiment,
 )
 from jacobilab import lab, transform
@@ -240,6 +242,8 @@ class TestEstimateOperatorNorm:
             estimate_operator_norm(generic_params, constant_multiplier(), p, trials=1, grids=small_grids)
         with pytest.raises(ParameterError, match=r"\(1, inf\)"):
             theorem_ratio_experiment(generic_params, standard_multiplier_family(generic_params), p, grids=small_grids)
+        with pytest.raises(ParameterError, match=r"\(1, inf\)"):
+            probe_theorem(generic_params, standard_multiplier_family(generic_params), p, small_grids)
         with pytest.raises(ParameterError):
             lab.OperatorNormEstimate(p, 1.0, 1, 0, "none")
 
@@ -256,6 +260,8 @@ class TestEstimateOperatorNorm:
         with pytest.raises(ParameterError, match="seed"):
             theorem_ratio_experiment(generic_params, standard_multiplier_family(generic_params), 2, seed=seed,
                                      grids=small_grids)
+        with pytest.raises(ParameterError, match="seed"):
+            probe_theorem(generic_params, standard_multiplier_family(generic_params), 2, small_grids, seed=seed)
 
 
 class TestMihlinProxy:
@@ -352,3 +358,55 @@ class TestTheoremExperiment:
         res = theorem_ratio_experiment(generic_params, [pole], 2, grids=small_grids, trials=2)
         assert res["rows"][0]["flags"] == "unbounded-on-strip"
         assert math.isnan(res["rows"][0]["proxy_norm"])
+
+
+def nan_equal(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+class TestProbeTheorem:
+    @pytest.fixture(scope="class")
+    def family(self, generic_params):
+        """The standard family with an odd member, which is flagged, in the middle."""
+        family = standard_multiplier_family(generic_params)
+        odd = lab._omega_weighted(generic_params, lambda l: np.exp(-0.1 * l**2) * (1 + 0.1 * l), "rapidly-decreasing", "odd")
+        return family[:2] + [odd] + family[2:]
+
+    @pytest.fixture(scope="class")
+    def coarse(self, generic_params):
+        return default_grids(generic_params, 12.0, 80, 25.0, 80)
+
+    def test_rows_extend_the_experiment_rows(self, generic_params, family, coarse):
+        res = probe_theorem(generic_params, family, 1.5, coarse, seed=3, trials=2)
+        exp = theorem_ratio_experiment(generic_params, family, 1.5, coarse, seed=3, trials=2)
+        assert res["verdict_max_ratio"] == exp["verdict_max_ratio"]
+        for row, exp_row in zip(res["rows"], exp["rows"], strict=True):
+            assert set(row) - set(exp_row) == {"ratio_fine", "drift", "duality"}
+            assert all(nan_equal(row[key], exp_row[key]) for key in exp_row), row["member"]
+
+    def test_ratio_fine_is_the_experiment_on_the_refined_pair(self, generic_params, family, coarse):
+        # the refined pair has 1.25 times the radial and 1.5 times the spectral panels
+        fine = default_grids(generic_params, 12.0, int(1.25 * 80), 25.0, int(1.5 * 80))
+        res = probe_theorem(generic_params, family, 1.5, coarse, seed=3, trials=2)
+        at_fine = theorem_ratio_experiment(generic_params, family, 1.5, fine, seed=3, trials=2)
+        at_dual = theorem_ratio_experiment(generic_params, family, 3.0, coarse, seed=3, trials=2)
+        assert res["p_dual"] == 3.0
+        for row, fine_row, dual_row in zip(res["rows"], at_fine["rows"], at_dual["rows"], strict=True):
+            assert nan_equal(row["ratio_fine"], fine_row["ratio"])
+            if not row["flags"]:
+                assert row["drift"] == abs(row["ratio"] - fine_row["ratio"]) / row["ratio"]
+                assert row["duality"] == row["ratio"] / dual_row["ratio"]
+
+    def test_flagged_member_is_nan_and_leaves_stable_alone(self, generic_params, family, coarse):
+        res = probe_theorem(generic_params, family, 1.5, coarse, seed=3, trials=2)
+        odd = res["rows"][2]
+        assert odd["flags"] == "not-even"
+        assert all(math.isnan(odd[key]) for key in ("ratio_fine", "drift", "duality"))
+        rest = probe_theorem(generic_params, family[:2] + family[3:], 1.5, coarse, seed=3, trials=2)
+        assert rest["stable"] == res["stable"]
+        assert rest["rows"] == res["rows"][:2] + res["rows"][3:]
+
+    def test_no_dual_leg_at_p_2(self, generic_params, family, coarse):
+        res = probe_theorem(generic_params, family, 2.0, coarse, seed=3, trials=2)
+        assert res["p_dual"] is None
+        assert all(math.isnan(row["duality"]) for row in res["rows"])
