@@ -360,16 +360,16 @@ def _member_from_manifest(entry, params):
             raise _CliError(f"expression uses disallowed name '{name}'")
 
     def profile(lam):
-        value = np.asarray(eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES}))
-        if value.dtype.kind not in "biufc":
-            raise TypeError(f"its value is {value.dtype}, not numbers")
-        return np.broadcast_to(value.astype(complex), lam.shape)
+        try:
+            value = np.asarray(eval(code, {"__builtins__": {}}, {"lam": lam, "rho": params.rho, **_EXPR_NAMES}))
+            if value.dtype.kind not in "biufc":
+                raise TypeError(f"its value is {value.dtype}, not numbers")
+            return np.broadcast_to(value.astype(complex), lam.shape)
+        except Exception as exc:
+            raise _CliError(f"manifest member '{label}': expression '{code_text}' fails: {exc}")
 
-    try:  # once, on a few strip points, so that a bad expression fails here and not mid-probe
-        with np.errstate(all="ignore"):
-            profile(np.array([0.5 + 0.25j, 2.0, 7.5 - 0.5j]))
-    except Exception as exc:
-        raise _CliError(f"manifest member '{label}': expression '{code_text}' fails: {exc}")
+    with np.errstate(all="ignore"):  # once on loading, on a few strip points, so most bad expressions fail here
+        profile(np.array([0.5 + 0.25j, 2.0, 7.5 - 0.5j]))
     return _omega_weighted(params, profile, entry["decay_class"], label)
 
 

@@ -436,9 +436,11 @@ class TestProbeTheorem:
          ({"label": "g", "expression": '"abc"', "decay_class": "bounded"},
           "manifest member 'g': expression '\"abc\"' fails: its value is <U3, not numbers"),
          ({"label": "g", "expression": "exp", "decay_class": "bounded"},
-          "manifest member 'g': expression 'exp' fails: its value is object, not numbers")],
+          "manifest member 'g': expression 'exp' fails: its value is object, not numbers"),
+         ({"label": "g", "expression": "exp(-lam[:3]**2)", "decay_class": "bounded"},
+          "manifest member 'g': expression 'exp(-lam[:3]**2)' fails: operands could not be broadcast")],
         ids=["no-label", "syntax-error", "string-member", "number-member", "number-expression", "list-label",
-             "bad-call", "string-value", "function-value"],
+             "bad-call", "string-value", "function-value", "shape-of-three"],
     )
     def test_bad_member_exit_2(self, tmp_path, capsys, member, message):
         (tmp_path / "family.json").write_text(json.dumps({"members": [member]}))
