@@ -38,7 +38,6 @@ from .transform import (
 
 __all__ = [
     "MultiplierSpec",
-    "CutoffPair",
     "omega",
     "modified_multiplier",
     "c_inverse_reflected",
@@ -86,23 +85,20 @@ class MultiplierSpec:
         return float(np.max(np.abs(self(lam) - self(-lam))))
 
 
-class CutoffPair:
-    """The radial cutoff psi and spectral cutoff phi of the kernel splitting,
-    at the fixed splitting radius R0 = core._R0.
+def _cutoff_psi(t):
+    """The radial cutoff psi of the kernel splitting at R0 = core._R0:
+    1 on [-sqrt(R0), sqrt(R0)], 0 off [-R0, R0]."""
+    t = np.abs(np.asarray(t, dtype=float))
+    lo = math.sqrt(_R0)
+    return 1.0 - smoothstep_quintic((t - lo) / (_R0 - lo))
 
-    psi == 1 on [-sqrt(R0), sqrt(R0)], == 0 off [-R0, R0];
-    phi == 1 on [-1/R0, 1/R0], == 0 off [-2/R0, 2/R0].
-    """
 
-    def psi(self, t):
-        t = np.abs(np.asarray(t, dtype=float))
-        lo = math.sqrt(_R0)
-        return 1.0 - smoothstep_quintic((t - lo) / (_R0 - lo))
-
-    def phi(self, lam):
-        lam = np.abs(np.asarray(lam, dtype=float))
-        lo = 1.0 / _R0
-        return 1.0 - smoothstep_quintic((lam - lo) / lo)
+def _cutoff_phi(lam):
+    """The spectral cutoff phi of the kernel splitting at R0 = core._R0:
+    1 on [-1/R0, 1/R0], 0 off [-2/R0, 2/R0]."""
+    lam = np.abs(np.asarray(lam, dtype=float))
+    lo = 1.0 / _R0
+    return 1.0 - smoothstep_quintic((lam - lo) / lo)
 
 
 def omega(params, lam):
@@ -211,13 +207,12 @@ def hormander_check(g):
 
 def p_s_function(params, s, lam):
     """P_s(lambda) = (1 - phi(lambda)) |lambda|^(-s) c(lambda)^(-1) for real lambda,
-    with phi the spectral cutoff of CutoffPair()."""
-    cutoffs = CutoffPair()
+    with phi the spectral cutoff, 1 on |lambda| <= 1/R0 and 0 past 2/R0."""
     _require_finite("s", s)
     lam = np.asarray(lam, dtype=float)
     _require_finite("lambda", lam)
     out = np.zeros(lam.shape, dtype=complex)
-    off = 1.0 - cutoffs.phi(lam)
+    off = 1.0 - _cutoff_phi(lam)
     live = off > 0.0
     if np.any(live):
         lam_live = lam[live]
@@ -258,10 +253,10 @@ def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
 
 def split_kernel(k: SampledRadialFunction):
     """(psi*k, (1-psi)*k): local part supported in [0,R0], global off [0,sqrt(R0)],
-    with psi the radial cutoff of CutoffPair()."""
+    with psi the radial cutoff, 1 on [0, sqrt(R0)] and 0 past R0."""
     if k.grid.t_max <= _R0 + 0.5:
         raise GridError("kernel grid must extend past R0 with margin")
-    psi = CutoffPair().psi(k.grid.nodes)
+    psi = _cutoff_psi(k.grid.nodes)
     local = SampledRadialFunction(k.grid, psi * k.values)
     tail = SampledRadialFunction(k.grid, (1.0 - psi) * k.values)
     return local, tail
@@ -336,20 +331,19 @@ def _line_integrals(params, m: MultiplierSpec, lam, weights, t, j_max):
 
 
 def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes):
-    """The a_l^+/-, b_j^+/-, K_{l,j} decomposition of K = (1-psi) k Delta, with
-    psi the radial cutoff of CutoffPair() and the lambda integrals truncated to
-    |lambda| <= 50.
+    """The a_l^+, b_j^+, K_{l,j} decomposition of K = (1-psi) k Delta, with
+    psi the radial cutoff and the lambda integrals truncated to |lambda| <= 50.
 
-    t_nodes must sit in [sqrt(R0), infinity); for such t only the a^+ branch
-    contributes.  The b_j^+/- are `_line_integrals` at t and -t; the direct
-    target (1-psi) k Delta keeps its own lambda sum, as the check on them.
-    Returns a dict with all pieces, the reconstruction
-    sum_{l<=ell_max} sum_j c_j K_{l,j}, the direct target, the maximum
-    relative error, and whether it is at most 1e-4.  Raises
-    OverflowLimitError naming rho t where Delta's e^(2 rho t) leaves the
-    doubles (rho t > 354).
+    t_nodes must sit in [sqrt(R0), infinity).  For t > 0 the indicator of
+    (-inf, 0] makes every a_l^- zero, so only the + branch is formed, and the
+    reconstruction is sum_{l<=ell_max} sum_{j<=l} c_j a_l^+ b_(l-j)^+.  The
+    b_j^+ are `_line_integrals` at t; the direct target (1-psi) k Delta keeps
+    its own lambda sum, as the check on them.  Returns a dict with the
+    pieces (K_lj maps (l, j), j <= l, to a_l^+ b_(l-j)^+), the
+    reconstruction, the direct target, the maximum relative error, and
+    whether it is at most 1e-4.  Raises OverflowLimitError naming rho t where
+    Delta's e^(2 rho t) leaves the doubles (rho t > 354).
     """
-    cutoffs = CutoffPair()
     t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     if np.any(t < math.sqrt(_R0)):
         raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
@@ -357,23 +351,14 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes):
     lam, wlam = _line_rule()
     # the inverse-transform normalization, folded over lambda -> -lambda
     const = plancherel_constant()
-    # b_j^{+/-}(t) for j = 0..ell_max, shape (j, t)
-    b = _line_integrals(params, m, lam, wlam, np.concatenate([t, -t]), ell_max)
-    b_plus = const * np.exp(params.rho * t) * b[:, : t.size]
-    b_minus = const * np.exp(-params.rho * t) * b[:, t.size :]
+    # b_j^+(t) for j = 0..ell_max, shape (j, t)
+    b_plus = const * np.exp(params.rho * t) * _line_integrals(params, m, lam, wlam, t, ell_max)
 
     coeffs, delta, _ = delta_expansion(params, t)
-    one_minus_psi = 1.0 - cutoffs.psi(t)
+    one_minus_psi = 1.0 - _cutoff_psi(t)
     ells = np.arange(ell_max + 1)
     a_plus = one_minus_psi * np.exp(-2.0 * np.outer(ells, t)) * delta
-    a_minus = np.zeros_like(a_plus)  # 1_(-inf,0] kills the minus branch for t > 0
-
-    # K_{l,j} = a_l^- b_(l-j)^- + a_l^+ b_(l-j)^+, where a^- vanishes
-    k_lj = {
-        (ell, j): a_plus[ell] * b_plus[ell - j] if j <= ell else np.zeros(t.size, dtype=complex)
-        for ell in ells
-        for j in range(len(coeffs))
-    }
+    k_lj = {(ell, j): a_plus[ell] * b_plus[ell - j] for ell in ells for j in range(min(ell + 1, len(coeffs)))}
     recon = sum(coeffs[j] * piece for (_, j), piece in k_lj.items())
 
     # the direct target: k by its own inverse-transform sum, the check on the b_j
@@ -388,9 +373,7 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes):
         "t_nodes": t,
         "coefficients": coeffs,
         "a_plus": a_plus,
-        "a_minus": a_minus,
         "b_plus": b_plus,
-        "b_minus": b_minus,
         "K_lj": k_lj,
         "reconstruction": recon,
         "target": target,

@@ -20,6 +20,7 @@ REMOVED = [
     "HarishChandraSeries",
     "harish_chandra_coefficients",
     "BoundaryTrace",
+    "CutoffPair",
 ]
 
 

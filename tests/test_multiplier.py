@@ -5,7 +5,6 @@ import pytest
 
 from jacobilab import (
     ConvergenceError,
-    CutoffPair,
     DecayError,
     DomainError,
     GridError,
@@ -34,6 +33,7 @@ from jacobilab import (
     weight_density,
 )
 from jacobilab._util import loglog_slope
+from jacobilab.multiplier import _cutoff_phi, _cutoff_psi
 
 
 def gauss_multiplier(scale=0.1, label="gauss"):
@@ -236,12 +236,11 @@ class TestHormanderCheck:
 
 class TestCutoffs:
     def test_plateaus_and_support(self):
-        cut = CutoffPair()
         lo = math.sqrt(1.1)
-        assert np.all(cut.psi(np.linspace(0.0, lo, 20)) == 1.0)
-        assert np.all(cut.psi(np.linspace(1.1, 3.0, 20)) == 0.0)
-        assert np.all(cut.phi(np.linspace(0.0, 1.0 / 1.1, 20)) == 1.0)
-        assert np.all(cut.phi(np.linspace(2.0 / 1.1, 5.0, 20)) == 0.0)
+        assert np.all(_cutoff_psi(np.linspace(0.0, lo, 20)) == 1.0)
+        assert np.all(_cutoff_psi(np.linspace(1.1, 3.0, 20)) == 0.0)
+        assert np.all(_cutoff_phi(np.linspace(0.0, 1.0 / 1.1, 20)) == 1.0)
+        assert np.all(_cutoff_phi(np.linspace(2.0 / 1.1, 5.0, 20)) == 0.0)
 
 
 class TestKernelFromMultiplier:
@@ -348,11 +347,6 @@ class TestGlobalPieces:
             for e in (1, 2, 3, 5)
         ]
         assert all(b <= a * (1.0 + 1e-9) for a, b in zip(errs, errs[1:]))
-
-    def test_minus_branch_vanishes(self, generic_params):
-        m = gauss_multiplier()
-        res = hc_global_pieces(generic_params, m, 3, np.array([1.5, 2.5]))
-        assert np.all(res["a_minus"] == 0.0)
 
     def test_a_plus_decay_in_ell(self, generic_params):
         m = gauss_multiplier()
