@@ -154,8 +154,10 @@ def estimate_operator_norm(params, m: MultiplierSpec, p, grids, trials=12, seed=
 def _estimates(params, members, p, grids, trials, seed):
     """One OperatorNormEstimate per member, from one inverse transform.
 
-    Each member's m is sampled once on the spectral nodes and gives its
-    trials, spectra S; f and T_m f are the inverse transforms of S and m S.
+    Each member's m is sampled once on the spectral nodes; before any trial
+    is built, a DomainError names the first member that is not finite there
+    and its first such node.  The samples give the member's trials, spectra
+    S; f and T_m f are the inverse transforms of S and m S.
     The block holds each trial spectrum once, however many members share it
     to the bit, then each member's m S columns.  A GEMM column does not
     depend on the block's width or its place in it, so each member's numbers
@@ -167,11 +169,15 @@ def _estimates(params, members, p, grids, trials, seed):
     if not members:
         return []
     rgrid, sgrid = grids
+    with np.errstate(all="ignore"):  # a member not finite on the nodes is the DomainError below, not a warning
+        samples = [m(sgrid.nodes) for m in members]
+    for m, mvals in zip(members, samples):
+        bad = np.flatnonzero(~np.isfinite(mvals))
+        if bad.size:
+            raise DomainError(f"multiplier '{m.label}' is not finite at the spectral node lambda = {sgrid.nodes[bad[0]]:.6g}")
     distinct = {}  # the bytes of each distinct trial spectrum -> (its column, the spectrum)
     probes = []  # per member: (m S columns, the columns of its trials' S, descriptions)
-    for m in members:
-        with np.errstate(under="ignore"):
-            mvals = m(sgrid.nodes)
+    for m, mvals in zip(members, samples):
         spectra, descs = _trial_functions(params, mvals, rgrid, sgrid, trials, seed)
         cols = [distinct.setdefault(s.tobytes(), (len(distinct), s))[0] for s in spectra.T]
         probes.append((mvals[:, None] * spectra, cols, descs))
@@ -253,11 +259,13 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
     """Per member: ||T_m|| lower bound on grids, Mihlin proxy of the boundary
     trace of omega*m, and their ratio.
 
-    A member that is not even, is unbounded on the strip, or has no boundary
-    trace on the proxy's nodes (a JacobiLabError from the trace) is flagged,
-    gets NaN numbers and stays out of the verdict.  Every row's flags and
-    proxy are formed first; the unflagged members are then probed together,
-    from one inverse transform (see _estimates).
+    A member that is not even, is unbounded on the strip (not finite on a
+    strip lattice or on the real samples of its evenness defect), or has no
+    boundary trace on the proxy's nodes (a JacobiLabError from the trace,
+    such as a sample that is not finite) is flagged, gets NaN numbers and
+    stays out of the verdict.  Every row's flags and proxy are formed first;
+    the unflagged members are then probed together, from one inverse
+    transform (see _estimates).
     """
     _check_exponent(p)
     _check_trials(trials, seed)
@@ -270,11 +278,12 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
             with np.errstate(under="ignore"):
                 return omega(params, lam) * member(lam)
 
-        flags = ["not-even"] if member.evenness_defect() > 1e-12 else []
         with np.errstate(all="ignore"):
-            # a pole on the lattice is a finding (the flag), not a warning
+            # a pole on the lattice or on the real line is a finding (the flag), not a warning
+            defect = member.evenness_defect()
             strip_sup = float(np.max(np.abs(weighted_m(lattice))))
-        if not np.isfinite(strip_sup):
+        flags = ["not-even"] if defect > 1e-12 else []
+        if not (np.isfinite(strip_sup) and np.isfinite(defect)):
             flags.append("unbounded-on-strip")
         proxy = math.nan
         if not flags:

@@ -160,9 +160,10 @@ def boundary_trace(g, height, nodes):
 
     Samples g at x + i(height - eps) for the fixed eps ladder (1e-2, 1e-3,
     1e-4) and extrapolates to eps = 0 by Neville's tableau, on the real and
-    imaginary parts separately; raises ConvergenceError if dropping the
-    coarsest rung moves the answer by more than 1e-4 of its scale, and
-    DomainError for a non-finite height or node.
+    imaginary parts separately; raises ConvergenceError naming the first
+    node where a rung's sample is not finite (a pole of g on a rung), or if
+    dropping the coarsest rung moves the answer by more than 1e-4 of its
+    scale, and DomainError for a non-finite height or node.
     """
     _require_finite("height", height)
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
@@ -170,13 +171,18 @@ def boundary_trace(g, height, nodes):
     if height == 0.0:
         return np.asarray(g(nodes.astype(complex)), dtype=complex)
     x0, x1, x2 = _EPS_LADDER
-    # float views interleave Re and Im, so each part runs the tableau in real arithmetic
-    r0, r1, r2 = (np.ascontiguousarray(g(nodes + 1j * (height - e)), dtype=complex).view(float) for e in _EPS_LADDER)
-    p01 = r1 + (r1 - r0) * x1 / (x0 - x1)
-    tail = r2 + (r2 - r1) * x2 / (x1 - x2)  # the two finest rungs
-    full = (tail + (tail - p01) * x2 / (x0 - x2)).view(complex)
-    scale = max(np.max(np.abs(full)), 1.0)
-    defect = np.max(np.abs(full - tail.view(complex))) / scale
+    with np.errstate(all="ignore"):  # a pole on a rung is the ConvergenceError below, not a warning
+        # float views interleave Re and Im, so each part runs the tableau in real arithmetic
+        r0, r1, r2 = (np.ascontiguousarray(g(nodes + 1j * (height - e)), dtype=complex).view(float) for e in _EPS_LADDER)
+        p01 = r1 + (r1 - r0) * x1 / (x0 - x1)
+        tail = r2 + (r2 - r1) * x2 / (x1 - x2)  # the two finest rungs
+        full = (tail + (tail - p01) * x2 / (x0 - x2)).view(complex)
+        scale = max(np.max(np.abs(full)), 1.0)
+        defect = np.max(np.abs(full - tail.view(complex))) / scale
+    # a non-finite rung sample makes its node's extrapolation inf or NaN
+    bad = np.flatnonzero(~np.isfinite(full))
+    if bad.size:
+        raise ConvergenceError(f"boundary trace is not finite at node x = {nodes[bad[0]]:.6g}")
     if defect > _TRACE_TOL:
         raise ConvergenceError(
             f"boundary trace did not converge (ladder defect {defect:.3e})"

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -536,6 +537,30 @@ class TestProbeTheorem:
         assert "probe,pole,2,,,,no-boundary-trace" in lines
         gauss = next(ln for ln in lines if ln.startswith("probe,gauss,"))
         assert float(gauss.split(",")[5]) > 0.0
+
+    @pytest.mark.parametrize(
+        "expression, lam_max, code, found",
+        [("1/(lam**2 - (32 + 1j*(rho-0.001))**2)", "25", 0, "probe,extra,2,,,,no-boundary-trace"),
+         ("1/(lam**2 - 35.0**2)", "25", 0, "probe,extra,2,,,,unbounded-on-strip"),
+         ("exp(0.3*lam**2)", "50", 2, "error: multiplier 'extra' is not finite at the spectral node lambda = ")],
+        ids=["pole-on-a-trace-rung", "real-pole-past-the-lattice", "overflow-on-the-spectral-nodes"],
+    )
+    def test_member_not_finite_somewhere_is_flagged_or_named(self, tmp_path, capsys, expression, lam_max, code, found):
+        # none of the three may leak a NaN into a row, or a warning; warnings
+        # are recorded, since as errors the manifest would turn them into a failing member
+        members = [
+            {"label": "gauss", "expression": "exp(-0.1*lam**2)", "decay_class": "rapidly-decreasing"},
+            {"label": "extra", "expression": expression, "decay_class": "bounded"},
+        ]
+        (tmp_path / "family.json").write_text(json.dumps({"members": members}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["--preset", "generic", "--t-max", "12", "--radial-panels", "80", "--lam-max", lam_max,
+                        "--spectral-panels", "80", "probe-theorem", "--family", tmp_path / "family.json",
+                        "--p", "2", "--trials", "2"]) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        assert any(ln.startswith(found) for ln in (captured.err if code else captured.out).splitlines())
 
 
 class TestGridFlags:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,12 +326,21 @@ class TestTheoremExperiment:
             with np.errstate(under="ignore"):
                 return lam * np.exp(-0.1 * lam**2)
 
+        # the pole 32 + i(rho - 1e-3) lies on the proxy node 32 of the trace's
+        # middle rung, off the strip lattice; unchecked, its proxy was NaN
+        # and its ratio inf
+        rho = generic_params.rho
         family = standard_multiplier_family(generic_params)
-        bad = MultiplierSpec(odd, "rapidly-decreasing", "sneaky-odd")
-        rows = theorem_ratio_experiment(generic_params, family[:2] + [bad] + family[2:], 2, small_grids, trials=8)["rows"]
-        assert rows[2]["flags"] == "not-even"
-        assert all(math.isnan(rows[2][key]) for key in ("lower_bound", "proxy_norm", "ratio"))
-        assert rows[:2] + rows[3:] == theorem_ratio_experiment(generic_params, family, 2, small_grids, trials=8)["rows"]
+        rest = theorem_ratio_experiment(generic_params, family, 2, small_grids, trials=8)["rows"]
+        for bad, flag in [
+            (MultiplierSpec(odd, "rapidly-decreasing", "sneaky-odd"), "not-even"),
+            (lab._omega_weighted(generic_params, lambda l: 1.0 / (l**2 - (32.0 + 1j * (rho - 0.001)) ** 2), "bounded", "rung-pole"),
+             "no-boundary-trace"),
+        ]:
+            rows = theorem_ratio_experiment(generic_params, family[:2] + [bad] + family[2:], 2, small_grids, trials=8)["rows"]
+            assert rows[2]["flags"] == flag
+            assert all(math.isnan(rows[2][key]) for key in ("lower_bound", "proxy_norm", "ratio"))
+            assert rows[:2] + rows[3:] == rest
 
     def test_warm_family_is_one_inverse_transform(self, generic_params, grids, monkeypatch):
         family = standard_multiplier_family(generic_params)
@@ -358,6 +368,44 @@ class TestTheoremExperiment:
         res = theorem_ratio_experiment(generic_params, [pole], 2, grids=small_grids, trials=2)
         assert res["rows"][0]["flags"] == "unbounded-on-strip"
         assert math.isnan(res["rows"][0]["proxy_norm"])
+
+    @pytest.mark.parametrize("pole", [10.0, 35.0], ids=["on-the-lattice", "beyond-the-lattice"])
+    def test_real_axis_pole_is_flagged_once_without_warnings(self, generic_params, small_grids, pole):
+        # a pole at 35 lies past the lattice's |Re lambda| <= 30 and on the
+        # evenness samples; unchecked, their NaN defect warned and passed
+        member = lab._omega_weighted(generic_params, lambda l: 1.0 / (l**2 - pole**2), "bounded", "real-pole")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = theorem_ratio_experiment(generic_params, [member], 2, small_grids, trials=2)
+        assert res["rows"][0]["flags"] == "unbounded-on-strip"
+        assert math.isnan(res["rows"][0]["lower_bound"])
+
+
+class TestNonFiniteMember:
+    """exp(0.3 lambda^2) is finite on the strip lattice and the proxy's window
+    but overflows past lambda = 48.6, so on lam_max = 50 grids it is not
+    finite on the spectral nodes."""
+
+    @pytest.fixture(scope="class")
+    def grows(self, generic_params):
+        return lab._omega_weighted(generic_params, lambda l: np.exp(0.3 * l**2), "bounded", "grows")
+
+    @pytest.mark.parametrize("entry", ["estimate_operator_norm", "theorem_ratio_experiment"])
+    def test_raises_naming_the_member_before_any_trial(self, generic_params, grids, grows, monkeypatch, entry):
+        def no_trials(*args):
+            raise AssertionError("a trial was built")
+
+        monkeypatch.setattr(lab, "_trial_functions", no_trials)
+        family = standard_multiplier_family(generic_params) + [grows]
+        nodes = grids[1].nodes
+        first = nodes[np.argmax(0.3 * nodes**2 > math.log(np.finfo(float).max))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"multiplier 'grows' is not finite at the spectral node lambda = {first:.6g}$"):
+                if entry == "estimate_operator_norm":
+                    estimate_operator_norm(generic_params, grows, 2, grids, trials=2)
+                else:
+                    theorem_ratio_experiment(generic_params, family, 2, grids, trials=2)
 
 
 def nan_equal(a, b):

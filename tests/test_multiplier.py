@@ -205,6 +205,15 @@ class TestBoundaryTrace:
         with pytest.raises(ConvergenceError):
             boundary_trace(g, rho, np.array([1e-4]))
 
+    def test_pole_on_a_rung_raises_naming_the_node(self):
+        # the rung at height 1 - 1e-3 hits the pole at node 5; unchecked, the
+        # NaN defect passes the gate and the sample there is -inf + nan i
+        def g(z):
+            return 1.0 / (np.asarray(z, dtype=complex) - (5.0 + 0.999j))
+
+        with pytest.raises(ConvergenceError, match="not finite at node x = 5$"):
+            boundary_trace(g, 1.0, [4.0, 5.0])
+
 
 class TestWFunction:
     @pytest.mark.parametrize("preset", ["generic", "h3", "dr"])
