@@ -371,8 +371,10 @@ class TestTheoremExperiment:
 
     @pytest.mark.parametrize("pole", [10.0, 35.0], ids=["on-the-lattice", "beyond-the-lattice"])
     def test_real_axis_pole_is_flagged_once_without_warnings(self, generic_params, small_grids, pole):
-        # a pole at 35 lies past the lattice's |Re lambda| <= 30 and on the
-        # evenness samples; unchecked, their NaN defect warned and passed
+        # both poles lie on the evenness samples, 10 also on the lattice and 35
+        # past its |Re lambda| <= 30; unchecked, the samples warned (an error
+        # here, raised for 10 before the lattice flag), and for 35 their NaN
+        # defect passed as even
         member = lab._omega_weighted(generic_params, lambda l: 1.0 / (l**2 - pole**2), "bounded", "real-pole")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
