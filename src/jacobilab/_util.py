@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "composite_gauss_legendre",
     "gauss_legendre",
@@ -14,6 +16,7 @@ __all__ = [
     "graded_breakpoints",
     "is_count",
     "loglog_slope",
+    "real_number",
     "smoothstep_quintic",
 ]
 
@@ -74,6 +77,20 @@ def dyadic_differences(g, lam_min, lam_max):
         (g_plus - g_minus) / (2.0 * h),
         (g_plus - 2.0 * g0 + g_minus) / h**2,
     )
+
+
+def real_number(what, name, x):
+    """float(x), or DomainError naming the argument where x is not a real number.
+
+    A complex x is refused even with a zero imaginary part.  Finiteness is
+    the caller's check.
+    """
+    if not isinstance(x, (complex, np.complexfloating)):
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} requires a real {name}, got {name} = {x!r}")
 
 
 def loglog_slope(x, y):

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._util import composite_gauss_legendre, smoothstep_quintic
 from .core import JacobiParameters, weight_density
-from .errors import CostBudgetError, DomainError, GridError
-from .specfun import _gamma_alpha_plus_one, hyp2f1_real_arg
+from .errors import CostBudgetError, DomainError, GridError, OverflowLimitError
+from .specfun import _TINY, _gamma_alpha_plus_one, hyp2f1_real_arg
 from .transform import RadialGrid, SampledRadialFunction, SampledSpectralFunction, SpectralGrid
 from .transform import _check_params, inverse_transform, jacobi_transform
 
@@ -57,47 +57,59 @@ def _kernel_prefactor(params):
 def kernel_values(params, s, t, u):
     """Vectorized kernel K(s,t,u); s, t, u broadcast against each other.
 
-    Returns 0 outside the support |s-t| < u < s+t.
+    Returns 0 outside the support |s-t| < u < s+t.  Raises DomainError for an
+    argument that is negative or not finite, and OverflowLimitError naming
+    (s, t, u) where cosh s cosh t cosh u, or the size of K, leaves the normal
+    doubles; the size is K without the factors (1 - B^2)^(alpha - 1/2) and
+    2F1, which vanish at the edges of the support.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s, t, u = np.broadcast_arrays(s, t, u)
-    if not np.all((s >= 0.0) & (t >= 0.0) & (u >= 0.0)):
-        raise DomainError("kernel arguments must be non-negative numbers, not NaN")
+    s, t, u = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    if not ((np.minimum(np.minimum(s, t), u) >= 0.0) & (np.maximum(np.maximum(s, t), u) < math.inf)).all():
+        raise DomainError("kernel arguments must be finite non-negative numbers, not NaN")
     out = np.zeros(s.shape)
     mask = (u > np.abs(s - t)) & (u < s + t) & (s > 0.0) & (t > 0.0) & (u > 0.0)
-    if not np.any(mask):
+    if not mask.any():
         return out
     sm, tm, um = s[mask], t[mask], u[mask]
-    chs, cht, chu = np.cosh(sm), np.cosh(tm), np.cosh(um)
-    # B = (ch^2 s + ch^2 t + ch^2 u - 1) / (2 ch s ch t ch u), and 1 - B in
-    # its factored form, which does not cancel near 0 or at the support edges;
-    # the s and t factors pair first, so K(s, t, u) = K(t, s, u) bit for bit
-    half = 0.5 * (sm + tm + um)
-    one_minus_b = 2.0 * np.sinh(half) * np.sinh(half - um) * (np.sinh(half - sm) * np.sinh(half - tm))
-    one_minus_b = np.clip(one_minus_b / (chs * cht * chu), 0.0, None)
+    a, b = params.alpha, params.beta
+    prefactor = _kernel_prefactor(params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        chs, cht, chu = np.cosh(sm), np.cosh(tm), np.cosh(um)
+        ch = chs * cht * chu
+        # B = (ch^2 s + ch^2 t + ch^2 u - 1) / (2 ch s ch t ch u), and 1 - B in
+        # its factored form, which does not cancel near 0 or at the support edges;
+        # the s and t factors pair first, so K(s, t, u) = K(t, s, u) bit for bit
+        half = 0.5 * (sm + tm + um)
+        one_minus_b = 2.0 * np.sinh(half) * np.sinh(half - um) * (np.sinh(half - sm) * np.sinh(half - tm))
+        one_minus_b = np.clip(one_minus_b / ch, 0.0, None)
+        size = prefactor * ch ** (a - b - 1.0) / (np.sinh(sm) * np.sinh(tm) * np.sinh(um)) ** (2.0 * a)
+    for what, ok in (
+        ("cosh s cosh t cosh u", (ch < math.inf) & np.isfinite(one_minus_b)),
+        ("K(s, t, u)", (size >= _TINY) & (size < math.inf)),
+    ):
+        if not ok.all():
+            i = np.argmin(ok)
+            raise OverflowLimitError(
+                f"kernel_values: {what} leaves the normal doubles at (s, t, u) = ({sm[i]:.6g}, {tm[i]:.6g}, {um[i]:.6g})"
+            )
     one_minus_b2 = one_minus_b * (2.0 - one_minus_b)
     w = np.minimum(0.5 * one_minus_b, 0.5 - 1e-16)
-    a, b, rho = params.alpha, params.beta, params.rho
     f21 = hyp2f1_real_arg(a + b, a - b, a + 0.5, w).real
-    val = (
-        _kernel_prefactor(params)
-        * (chs * cht * chu) ** (a - b - 1.0)
-        / (np.sinh(sm) * np.sinh(tm) * np.sinh(um)) ** (2.0 * a)
-        * one_minus_b2 ** (a - 0.5)
-        * f21
-    )
-    out[mask] = val
+    out[mask] = size * one_minus_b2 ** (a - 0.5) * f21
     return out
 
 
 def kernel_K(params, s, t, u) -> KernelEvaluation:
-    """Scalar kernel evaluation with explicit support flag."""
+    """Scalar kernel evaluation with explicit support flag.
+
+    DomainError for an argument that is not a positive finite number.
+    """
     s, t, u = float(s), float(t), float(u)
     for name, x in (("s", s), ("t", t), ("u", u)):
         if not x > 0.0:
             raise DomainError(f"kernel_K requires {name} > 0, got {name} = {x:g}")
+        if x == math.inf:
+            raise DomainError(f"kernel_K requires finite {name}, got {name} = inf")
     in_support = abs(s - t) < u < s + t
     value = float(kernel_values(params, s, t, u)) if in_support else 0.0
     return KernelEvaluation(s, t, u, value, in_support)

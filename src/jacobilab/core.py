@@ -39,6 +39,16 @@ computes on first use (about 2 ms) and keeps (`_HarishChandraRules`):
 Neither depends on the grid, so a cell's route and term count do not depend
 on its batch.
 
+Width one: where the lambda side is one column (`jacobi_phi` at real
+lambda, a 1 x 1 `phi_matrix`, `laplacian_residual`), the Gamma_k recurrence
+runs on Python complex numbers (`_gamma_recurrence`), the same step
+`_gamma_step` as the numpy rows of a wider table, at a few microseconds a
+term less.  Its table may differ from the same column of a wider one in the
+last bits (up to 2.7e-15 relative in a scan of five (alpha, beta), lambda
+<= 60 and k <= 64), as Python's complex products round apart from numpy's;
+`jacobi_phi` still equals a 1 x 1 `phi_matrix`, as both are width one, and
+every wider path keeps its bits.
+
 For real lambda both routes need e^(i lambda theta), at theta = t and at
 theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
 panel-group start plus a shared offset, so `_PhaseTable` takes these phases
@@ -50,6 +60,7 @@ scalar, a short or an irregular array) takes the direct cos and sin.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -57,9 +68,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import is_count, loglog_slope
+from ._util import is_count, loglog_slope, real_number
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
-from .specfun import _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
+from .specfun import _TINY, _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
 __all__ = [
     "JacobiParameters",
@@ -99,6 +110,10 @@ _RHO_T_MAX = 708.0
 # of the kernel splitting switch over on [sqrt(R0), R0] and [1/R0, 2/R0].
 _R0 = 1.1
 _RESIDUAL_STEP = 1e-3  # the step h of laplacian_residual's five-point stencil
+# the numerator shifts of the two Gamma ratios of c(lambda), Gamma(z)/Gamma(z + rho/2)
+# and Gamma(z + 1/2)/Gamma(z + (alpha - beta + 1)/2)
+_C_NUMERATOR_SHIFTS = np.array([[0.0], [0.5]])
+_EXCEPTIONAL = "lambda lies in the exceptional set of the Harish-Chandra recurrence"
 
 
 def _hypergeometric_route(params, lam, t):
@@ -186,25 +201,40 @@ def gamma_coefficient_table(params, lam, k_max):
     bits a full column would have, and is zero past it.
     """
     table = _gamma_recurrence(params, np.atleast_1d(np.asarray(lam, dtype=complex)), k_max)
-    if not np.all(np.abs(table) <= _GAMMA_CAP):
+    if not (np.abs(table) <= _GAMMA_CAP).all():
         raise OverflowLimitError("|Gamma_k| exceeded 1e100")
     return table
 
 
 def _gamma_recurrence(params, lam, k_max):
-    """`gamma_coefficient_table` on a 1-D complex lambda array, without its 1e100 cap."""
+    """`gamma_coefficient_table` on a 1-D complex lambda array, without its 1e100 cap.
+
+    One lambda runs `_gamma_step` on Python complex numbers, many run it on
+    numpy rows; the two may differ in the last bits, as numpy's complex
+    products round differently from Python's.
+    """
+    # b_m alternates between two values, so sum_{m=1}^{k} b_m w_{k-m} is
+    # 2(2a+1) P_k + 2(2b+1) Q_k with P_k = sum_{j<k} w_j, Q_k = sum_{j<k} (-1)^(k-j) w_j
+    ca = 2.0 * (2.0 * params.alpha + 1.0)
+    cb = 2.0 * (2.0 * params.beta + 1.0)
+    if lam.size == 1:
+        il = 1j * complex(lam[0])
+        slope = il - params.rho
+        value, p_sum, q_sum = 1.0 + 0.0j, 0.0j, 0.0j
+        column = [value]
+        for k in range(1, int(np.max(k_max)) + 1):
+            gap = k - il
+            if abs(gap) < 1e-10:
+                raise DomainError(_EXCEPTIONAL)
+            value, p_sum, q_sum = _gamma_step(ca, cb, slope, k, value, p_sum, q_sum, gap * (-4.0 * k))
+            column.append(value)
+        return np.array(column)[:, None]
     depth = np.broadcast_to(k_max, lam.shape)
     top = int(depth.max(initial=0))
     il = 1j * lam
     gaps = np.arange(1, top + 1)[:, None] - il
     if np.any(np.abs(gaps) < 1e-10):
-        raise DomainError(
-            "lambda lies in the exceptional set of the Harish-Chandra recurrence"
-        )
-    # b_m alternates between two values, so sum_{m=1}^{k} b_m w_{k-m} is
-    # 2(2a+1) P_k + 2(2b+1) Q_k with P_k = sum_{j<k} w_j, Q_k = sum_{j<k} (-1)^(k-j) w_j
-    ca = 2.0 * (2.0 * params.alpha + 1.0)
-    cb = 2.0 * (2.0 * params.beta + 1.0)
+        raise DomainError(_EXCEPTIONAL)
     table = np.zeros((top + 1, lam.size), dtype=complex)
     table[0] = 1.0
     gaps *= -4.0 * np.arange(1, top + 1)[:, None]  # now the denominators -4k(k - i lambda)
@@ -217,11 +247,16 @@ def _gamma_recurrence(params, lam, k_max):
             if start[k] > start[k - 1]:
                 cut = start[k] - start[k - 1]
                 slope, p_sum, q_sum, gaps, rows = (x[..., cut:] for x in (slope, p_sum, q_sum, gaps, rows))
-            weighted = (slope - 2.0 * (k - 1)) * rows[k - 1]
-            p_sum = p_sum + weighted
-            q_sum = -q_sum - weighted
-            rows[k] = (ca * p_sum + cb * q_sum) / gaps[k - 1]
+            rows[k], p_sum, q_sum = _gamma_step(ca, cb, slope, k, rows[k - 1], p_sum, q_sum, gaps[k - 1])
     return table
+
+
+def _gamma_step(ca, cb, slope, k, previous, p_sum, q_sum, gap):
+    """(Gamma_k, P_k, Q_k) from Gamma_(k-1), P_(k-1) and Q_(k-1), gap = -4k(k - i lambda)."""
+    weighted = (slope - 2.0 * (k - 1)) * previous
+    p_sum = p_sum + weighted
+    q_sum = -q_sum - weighted
+    return (ca * p_sum + cb * q_sum) / gap, p_sum, q_sum
 
 
 class _HarishChandraRules:
@@ -294,7 +329,7 @@ def _hc_terms(params, t, real):
     multiple of 8, since the envelope bounds Gamma_k on the real line only.
     """
     ladder = params._hc_rules.ladder
-    k = 8 * (1 + np.searchsorted(-ladder, -t, side="right"))
+    k = 8 * (1 + (-ladder).searchsorted(-t, side="right"))
     if not real:
         k = np.maximum(k, -(-np.maximum(12, np.ceil(27.0 / t)).astype(int) // 8) * 8)
     if k.max() > _HC_MAX_TERMS:
@@ -368,7 +403,7 @@ def _row_blocks(k_row, width):
     Row i spans width[i] columns, monotone in i, so a run of rows is as wide
     as its first or its last row.
     """
-    edges = [0, *(np.flatnonzero(np.diff(k_row)) + 1).tolist(), k_row.size]
+    edges = [0, *(np.flatnonzero(k_row[1:] != k_row[:-1]) + 1).tolist(), k_row.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
         step = max(1, _BLOCK_SIZE // int(max(width[lo], width[hi - 1])))
         for r0 in range(lo, hi, step):
@@ -408,14 +443,14 @@ def _harish_chandra(params, t, lam, split, out):
     phase = _PhaseTable(lam, t[-1]) if real else None
     q = (phase.q or 1) if real else 1  # the blocks start at multiples of the period
     first = split // q * q
-    k_col = np.append(k_row, 0)[np.searchsorted(-first, -np.arange(n))]  # the K of the first row to sum column j
-    table = gamma_coefficient_table(params, lam_pm, np.repeat(k_col, m))
+    k_col = np.concatenate([k_row, [0]])[(-first).searchsorted(-np.arange(n))]  # the K of the first row to sum column j
+    table = gamma_coefficient_table(params, lam_pm, k_col if m == 1 else np.repeat(k_col, m))
     table *= c_function(params, lam_pm)
     table = table.view(float)
     with np.errstate(under="ignore"):
         for r0, r1 in _row_blocks(k_row, n - first):
             tb, c0, k = t[r0:r1], first[r1 - 1], k_row[r0]
-            powers = np.exp(np.outer(-2.0 * tb, np.arange(k + 1)))
+            powers = np.exp((-2.0 * tb)[:, None] * np.arange(k + 1))
             s = _product(powers, table[: k + 1, 2 * m * c0 :]).view(complex)
             if real:
                 np.multiply(phase.real_part(s, tb, c0), 2.0 * np.exp(-params.rho * tb)[:, None], out=out[r0:r1, c0:])
@@ -488,7 +523,7 @@ def _hypergeometric(params, t, lam, split, out):
 
 
 def _require_finite(name, x):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{name} must be finite")
 
 
@@ -497,7 +532,7 @@ def _require_rho_t(params, t, what, power=1):
     e^(power rho |t|) passes e^708, so that it or its reciprocal leaves the
     normal doubles.  Call it before forming the exponential."""
     _require_finite("t", t)
-    rho_t = params.rho * float(np.max(np.abs(t), initial=0.0))
+    rho_t = params.rho * float(np.abs(t).max(initial=0.0))
     if power * rho_t > _RHO_T_MAX:
         factor = "" if power == 1 else f"{power:g} "
         raise OverflowLimitError(
@@ -529,14 +564,14 @@ def _phi(params, t, lam, hypergeometric=None):
     """
     _require_rho_t(params, t, "phi_lambda(t)")
     _require_finite("lambda", lam)
-    real = not np.any(np.imag(lam))
+    real = not (np.iscomplexobj(lam) and lam.imag.any())
     lam = np.abs(np.real(lam)) if real else lam
     out = np.empty((t.size, lam.size), dtype=float if real else complex)
     if not out.size:
         return out
     mag = lam if real else np.abs(lam)
     # a stable ascending order of t and of |lambda|, or None where they are sorted already
-    rows, cols = (None if np.all(x[:-1] <= x[1:]) else np.argsort(x, kind="stable") for x in (t, mag))
+    rows, cols = (None if (x[:-1] <= x[1:]).all() else np.argsort(x, kind="stable") for x in (t, mag))
     t = t if rows is None else t[rows]
     lam, mag = (lam, mag) if cols is None else (lam[cols], mag[cols])
     if hypergeometric is None:
@@ -548,7 +583,7 @@ def _phi(params, t, lam, hypergeometric=None):
     if hc < t.size:
         # c(lambda) has a pole at 0, where the two terms cancel: below the
         # floor, Re lambda moves to the floor and Im lambda stays
-        lam_hc = np.where(mag < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
+        lam_hc = lam if mag[0] >= _LAMBDA_FLOOR else np.where(mag < _LAMBDA_FLOOR, lam - lam.real + _LAMBDA_FLOOR, lam)
         _harish_chandra(params, t[hc:], lam_hc, split[hc:], out[hc:])
     top = np.count_nonzero(split)  # past the last 2F1 row
     if top:
@@ -562,19 +597,24 @@ def _phi(params, t, lam, hypergeometric=None):
 
 
 def jacobi_phi(params, lam, t):
-    """The Jacobi function phi_lambda(t) at one complex lambda and t >= 0.
+    """The Jacobi function phi_lambda(t) at one complex lambda and real t >= 0.
 
-    Raises OverflowLimitError where rho t > 708, since phi then underflows.
+    Raises DomainError for a non-finite lambda or a t that is not a finite
+    real number, and OverflowLimitError where rho t > 708, since phi then
+    underflows.
     """
     lam = complex(lam)
-    _require_finite("lambda", lam)
-    _require_finite("t", t)
+    if not cmath.isfinite(lam):
+        raise DomainError("lambda must be finite")
+    t = real_number("jacobi_phi", "t", t)
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
     if t < 0.0:
         raise DomainError("jacobi_phi requires t >= 0")
     a, b, _ = _phi_params(params, lam)
     if t == 0.0 or abs(a) <= 1e-15 or abs(b) <= 1e-15:
         return 1.0 + 0.0j  # phi_lambda(0) = 1; at lambda = +-i rho the series is 1
-    return complex(_phi(params, np.array([float(t)]), np.array([lam]))[0, 0])
+    return complex(_phi(params, np.array([t]), np.array([lam]))[0, 0])
 
 
 def phi_matrix(params, t_nodes, lam_nodes):
@@ -635,14 +675,14 @@ def c_function(params, lam):
     lam_arr = np.asarray(lam, dtype=complex)
     _require_finite("lambda", lam_arr)
     z = 0.5j * lam_arr.reshape(-1)
-    shifts = [[0.5 * params.rho], [0.5 * (params.alpha - params.beta + 1.0)]]
-    (l1, l2), (f1, f2) = gamma_ratio(z, [[0.0], [0.5]], shifts)
+    shifts = np.array([[0.5 * params.rho], [0.5 * (params.alpha - params.beta + 1.0)]])
+    (l1, l2), (f1, f2) = gamma_ratio(z, _C_NUMERATOR_SHIFTS, shifts)
     log_const = math.lgamma(params.alpha + 1.0) + (params.rho - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
     zero = (f1 == 0.0) | (f2 == 0.0)
     with np.errstate(all="ignore"):
         out = np.where(zero, 0.0, np.exp(log_const + l1 + l2) * f1 * f2)
-    bad = ~zero & ~(np.isfinite(out) & (np.abs(out) >= np.finfo(float).tiny))
-    if np.any(bad):
+        bad = ~(zero | (np.abs(out) >= _TINY) & np.isfinite(out))
+    if bad.any():
         raise OverflowLimitError(
             f"c_function: c(lambda) leaves the normal doubles at lambda = "
             f"{complex(lam_arr.reshape(-1)[bad][0]):.6g}, alpha = {params.alpha:g}"

@@ -90,26 +90,28 @@ def apply_multiplier_operator(params, m: MultiplierSpec, f: SampledRadialFunctio
     return tf, tf.norm(p) / denom
 
 
-def _trial_functions(params, mvals, rgrid, sgrid, trials, seed):
+def _trial_functions(params, samples, rgrid, sgrid, trials, seed):
     """Deterministic trial family as spectra, one column per trial, with a
     description of each, all spectral profiles: a bump targeted at the peak
-    of |m| (mvals: m sampled on the spectral nodes), bump superpositions,
-    heat kernels translated to a radial node, and bumps modulated by
-    cos(0.1 lambda + theta)."""
+    of |m|, bump superpositions, heat kernels translated to a radial node,
+    and bumps modulated by cos(0.1 lambda + theta).  samples holds each
+    member's m on the spectral nodes, and the result one (spectra, descs)
+    pair per member.  Only the targeted bumps depend on the member; the
+    other trials, and every draw of the seeded rng, are formed once."""
     rng = np.random.default_rng(seed)
     lam = sgrid.nodes
-    peak = float(lam[np.argmax(np.abs(mvals))])
     phi = phi_matrix_for(params, rgrid, sgrid)
     spectra = np.empty((len(lam), trials))
     descs = []
+    widths = {}  # trial -> width of the targeted bump, whose column each member fills
     for i in range(trials):
         kind = i % 4
         if kind == 0:
             # concentrate where |m| peaks; at p=2 this almost saturates sup|m|
-            width = 0.4 if i < 4 else float(rng.uniform(0.3, 1.0))
-            prof = np.exp(-((lam - peak) ** 2) / width**2)
-            desc = f"targeted bump at {peak:.2f} (width {width:.2f})"
-        elif kind == 1:
+            widths[i] = 0.4 if i < 4 else float(rng.uniform(0.3, 1.0))
+            descs.append(None)
+            continue
+        if kind == 1:
             n_bumps = int(rng.integers(1, 4))
             prof = np.zeros(len(lam))
             centers = []
@@ -138,7 +140,15 @@ def _trial_functions(params, mvals, rgrid, sgrid, trials, seed):
             desc = f"modulated bump at {c:.1f}"
         spectra[:, i] = prof
         descs.append(desc)
-    return spectra, descs
+    out = []
+    for mvals in samples:
+        peak = float(lam[np.argmax(np.abs(mvals))])
+        own, own_descs = spectra.copy(), list(descs)
+        for i, width in widths.items():
+            own[:, i] = np.exp(-((lam - peak) ** 2) / width**2)
+            own_descs[i] = f"targeted bump at {peak:.2f} (width {width:.2f})"
+        out.append((own, own_descs))
+    return out
 
 
 def estimate_operator_norm(params, m: MultiplierSpec, p, grids, trials=12, seed=0) -> OperatorNormEstimate:
@@ -156,15 +166,19 @@ def _estimates(params, members, p, grids, trials, seed):
 
     Each member's m is sampled once on the spectral nodes; before any trial
     is built, a DomainError names the first member that is not finite there
-    and its first such node.  The samples give the member's trials, spectra
-    S; f and T_m f are the inverse transforms of S and m S.
-    The block holds each trial spectrum once, however many members share it
-    to the bit, then each member's m S columns.  A GEMM column does not
-    depend on the block's width or its place in it, so each member's numbers
-    are those of a block of its own.  Per member, trials whose radial L^2
-    norm is zero or not finite are dropped, the rest are gated for decay
-    (a DecayError names the member and the trial), and the witness is the
-    first trial, in trial order, with the largest ratio.
+    and its first such node.  The samples give the members' trials, spectra
+    S, built in one `_trial_functions` call; f and T_m f are the inverse
+    transforms of S and m S.  The block holds each trial spectrum once,
+    however many members share it to the bit, then each member's m S
+    columns.  A member's numbers equal those of a block of its own only
+    where the GEMM rounds a column alike whatever the block's width and the
+    column's place in it, which BLAS does not promise (OpenBLAS's complex
+    GEMM in `multiplier._line_integrals` does not);
+    `test_family_rows_equal_one_member_rows` pins the equality for the
+    standard family at three presets on one grid pair.  Per member, trials
+    whose radial L^2 norm is zero or not finite are dropped, the rest are
+    gated for decay (a DecayError names the member and the trial), and the
+    witness is the first trial, in trial order, with the largest ratio.
     """
     if not members:
         return []
@@ -177,8 +191,7 @@ def _estimates(params, members, p, grids, trials, seed):
             raise DomainError(f"multiplier '{m.label}' is not finite at the spectral node lambda = {sgrid.nodes[bad[0]]:.6g}")
     distinct = {}  # the bytes of each distinct trial spectrum -> (its column, the spectrum)
     probes = []  # per member: (m S columns, the columns of its trials' S, descriptions)
-    for m, mvals in zip(members, samples):
-        spectra, descs = _trial_functions(params, mvals, rgrid, sgrid, trials, seed)
+    for mvals, (spectra, descs) in zip(samples, _trial_functions(params, samples, rgrid, sgrid, trials, seed)):
         cols = [distinct.setdefault(s.tobytes(), (len(distinct), s))[0] for s in spectra.T]
         probes.append((mvals[:, None] * spectra, cols, descs))
     # the spectra are exact by construction; only the radial trials are gated

@@ -3,21 +3,32 @@
 Everything here is pure and stateless; functions accept numpy arrays where
 noted and plain scalars otherwise.  Gamma takes one path, a 15-term Lanczos
 form (g = 607/128) at the least shift z + n with Re(z + n) >= 1/2, divided
-by z (z+1) ... (z+n-1); `gamma_ratio` keeps a quotient of two Gammas in log
-space.  Real arguments such as Gamma(alpha + 1) come from `math.gamma`.  The
-2F1 series has one term ratio (`_term_ratio`) and one truncation rule
-(`_series_terms`, from the log envelope of its terms), which the phi grids of
-`core` share; `hyp2f1_real_arg` sums it for one parameter pair over an array
-of arguments.  The series budgets are module constants (`_MAX_TERMS`,
+by z (z+1) ... (z+n-1), and its logarithm where that product leaves the
+doubles; `gamma_ratio` keeps a quotient of two Gammas in log space.  Real
+arguments such as Gamma(alpha + 1) come from `math.gamma`.  The 2F1 series
+has one term ratio (`_term_ratio`) and one truncation rule (`_series_terms`,
+from the log envelope of its terms), which the phi grids of `core` share;
+`hyp2f1_real_arg` sums it for one parameter pair over an array of
+arguments.  The series budgets are module constants (`_MAX_TERMS`,
 `_BESSEL_CROSSOVER`, `_BESSEL_TOL`), not options.
+
+Width one: a scalar call is mostly numpy call overhead on one-element
+arrays, so where `hyp2f1_real_arg` has one element to sum it takes that
+element's K directly, and with real a, b, c it sums on Python floats.  Their
+products and sums round as numpy's do, so the value is its batch element to
+the bit.  Complex sums stay in numpy: its complex multiply (a SIMD loop on
+hosts with one) rounds differently from Python's, so a Python complex sum
+would move a scalar off its batch element.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
+from ._util import real_number
 from .errors import ConvergenceError, DomainError, OverflowLimitError, ParameterError, PoleError
 
 __all__ = [
@@ -60,7 +71,7 @@ _POLE_TOL = 1e-14
 
 def _at_pole(z):
     """True where z sits within _POLE_TOL of a nonpositive integer."""
-    near = np.round(z.real)
+    near = np.rint(z.real)
     return (np.abs(z - near) <= _POLE_TOL) & (near <= 0)
 
 
@@ -72,53 +83,81 @@ def _rising(z, n):
     return acc
 
 
+_LANCZOS_TAIL = _LANCZOS_C[1:]
+_LANCZOS_SHIFT = np.arange(len(_LANCZOS_TAIL), dtype=float)
+_TINY = np.finfo(float).tiny  # the least normal double
+_LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(np.finfo(float).max)
+
+
 def _lanczos_sum(x):
     """A(x) of the Lanczos form Gamma(x) = sqrt(2 pi) t^(x - 1/2) e^(-t) A(x), t = x + g - 1/2."""
-    return _LANCZOS_C[0] + (_LANCZOS_C[1:] / (x[..., None] + np.arange(len(_LANCZOS_C) - 1.0))).sum(axis=-1)
+    return _LANCZOS_C[0] + (_LANCZOS_TAIL / (x[..., None] + _LANCZOS_SHIFT)).sum(axis=-1)
 
 
 def gamma_complex(z):
     """Gamma(z) for complex z, vectorized: the Lanczos form at z + n over z (z+1) ... (z+n-1).
 
-    Raises DomainError for a non-finite entry, PoleError for one within 1e-14 of a nonpositive integer.
+    Where that product leaves the doubles although Gamma(z) need not (its
+    power t^(x - 1/2) overflows from about z = 143 on), the element is formed
+    from its logarithm instead.  Raises DomainError for a non-finite entry,
+    PoleError for one within 1e-14 of a nonpositive integer, and
+    OverflowLimitError naming z where |Gamma(z)| leaves the normal doubles.
     """
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("non-finite argument to gamma_complex")
-    if np.any(_at_pole(z)):
+    if _at_pole(z).any():
         raise PoleError("gamma_complex evaluated at a nonpositive integer")
     flat = z.reshape(-1)  # a scalar takes the vector path, so it gets the same bits
     n = np.maximum(np.ceil(0.5 - flat.real), 0.0)
     x = flat + n
     t = x + _LANCZOS_G - 0.5
-    out = math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * np.exp(-t) * _lanczos_sum(x) / _rising(flat, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * np.exp(-t) * _lanczos_sum(x) / _rising(flat, n)
+        off = ~(np.abs(out) >= _TINY) | ~np.isfinite(out)
+    if off.any():
+        zo, no, xo, to = flat[off], n[off], x[off], t[off]
+        log_gamma = 0.5 * math.log(2.0 * math.pi) + (xo - 0.5) * np.log(to) - to + np.log(_lanczos_sum(xo))
+        for j in range(int(no.max())):
+            log_gamma -= np.log(np.where(j < no, zo + j, 1.0))
+        outside = ~((log_gamma.real >= _LOG_TINY) & (log_gamma.real <= _LOG_HUGE))
+        if outside.any():
+            raise OverflowLimitError(
+                f"gamma_complex: |Gamma(z)| leaves the normal doubles at z = {complex(zo[outside][0]):.6g}"
+            )
+        out[off] = np.exp(log_gamma)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def gamma_ratio(z, a, b):
     """(L, F) with Gamma(z + a) / Gamma(z + b) = e^L F, for finite complex z and real a, b.
 
-    z, a and b broadcast against each other, so one call takes several
-    ratios.  Both Gammas of a ratio take the same shift n >= 0, the least with
-    Re(z + min(a, b) + n) >= 1/2, so with x_a = z + a + n, x_b = z + b + n and
-    t_b = x_b + g - 1/2 the large terms of their Lanczos forms cancel in
+    a and b have one shape, which broadcasts against z, so one call takes
+    several ratios; the two Gammas of a ratio are formed side by side.  Both
+    take the same shift n >= 0, the least with Re(z + min(a, b) + n) >= 1/2,
+    so with x_a = z + a + n, x_b = z + b + n and t_b = x_b + g - 1/2 the
+    large terms of their Lanczos forms cancel in
         L = (x_a - 1/2) log1p((a - b)/t_b) + (a - b)(log t_b - 1) + log(A(x_a)/A(x_b)).
     The shift factor F = prod_{j<n} (z + b + j)/(z + a + j) stays linear, so
     the phase of a 1/z pole does not round through exp.  F is exactly 0 where
     Gamma(z + b) has a pole; PoleError where Gamma(z + a) has one.
     """
     z, a, b = np.asarray(z, dtype=complex), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    pole = _at_pole(z + a)
-    if np.any(pole):
-        at = np.broadcast_to(a, pole.shape)[pole][0]
+    z_ab = z + np.array((a, b))  # z + a over z + b
+    pole = _at_pole(z_ab)
+    if pole[0].any():
+        at = np.broadcast_to(a, pole[0].shape)[pole[0]][0]
         raise PoleError(f"gamma_ratio: Gamma(z + {at:g}) evaluated at a nonpositive integer")
     n = np.maximum(np.ceil(0.5 - z.real - np.minimum(a, b)), 0.0)
-    x_a, t_b = z + a + n, z + b + n + _LANCZOS_G - 0.5
-    w = (a - b) / t_b  # log1p(w) in parts, since numpy's complex log1p loses small |w|
+    x = z_ab + n
+    t_b = x[1] + _LANCZOS_G - 0.5
+    gap = a - b
+    w = gap / t_b  # log1p(w) in parts, since numpy's complex log1p loses small |w|
     log1p = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) + 1j * np.arctan2(w.imag, 1.0 + w.real)
-    lanczos = np.log(_lanczos_sum(x_a) / _lanczos_sum(z + b + n))
-    log_ratio = (x_a - 0.5) * log1p + (a - b) * (np.log(t_b) - 1.0) + lanczos
-    shift = np.where(_at_pole(z + b), 0.0, _rising(z + b, n) / _rising(z + a, n))
+    lanczos_a, lanczos_b = _lanczos_sum(x)
+    log_ratio = (x[0] - 0.5) * log1p + gap * (np.log(t_b) - 1.0) + np.log(lanczos_a / lanczos_b)
+    rising_a, rising_b = _rising(z_ab, n)
+    shift = np.where(pole[1], 0.0, rising_b / rising_a)
     return log_ratio, shift
 
 
@@ -127,14 +166,16 @@ def hyp2f1(a, b, c, z):
 
     For z in [0, 1) the defining series is summed directly; for z < 0 the
     Pfaff transformation maps the argument to w = z/(z-1) in [0, 1):
-    2F1(a, b; c; z) = (1-z)^(-a) * 2F1(a, c-b; c; w).
+    2F1(a, b; c; z) = (1-z)^(-a) * 2F1(a, c-b; c; w).  DomainError names a
+    non-finite a, b or c, and a z that is not a finite real number below 1.
     """
     a, b, c = complex(a), complex(b), complex(c)
-    if any(math.isnan(v.real) or math.isnan(v.imag) for v in (a, b, c)) or math.isnan(z):
-        raise DomainError("NaN argument to hyp2f1")
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        if not cmath.isfinite(v):
+            raise DomainError(f"{'NaN' if cmath.isnan(v) else 'non-finite'} argument to hyp2f1: {name} = {v}")
+    z = real_number("hyp2f1", "z", z)
     if abs(c - round(c.real)) <= _POLE_TOL and round(c.real) <= 0 and abs(c.imag) <= _POLE_TOL:
         raise ParameterError("2F1 parameter c is a nonpositive integer")
-    z = float(z)
     if not -math.inf < z < 1.0:
         raise DomainError(f"hyp2f1 requires a finite z < 1, got z = {z}")
     if 0.0 <= z < 1.0:
@@ -149,17 +190,24 @@ def hyp2f1_real_arg(a, b, c, w):
     Each element sums its own K terms, K from `_series_terms`, in nested form
     1 + r_0 w (1 + r_1 w (1 + ...)) with r_j the term ratio, so no
     coefficient C_k is formed and none can overflow, and a value does not
-    depend on the rest of the batch.  An element with w = 0 is 1.
+    depend on the rest of the batch.  An element with w = 0 is 1.  One live
+    element takes its K directly, and with real a, b, c its nested sum runs
+    on Python floats (`_nested_sum`).
     """
     w = np.asarray(w, dtype=float)
-    if not np.all((w >= 0.0) & (w < 1.0)):
+    if not ((w >= 0.0) & (w < 1.0)).all():
         raise DomainError("hyp2f1_real_arg requires finite w with 0 <= w < 1")
     a, b, c = complex(a), complex(b), complex(c)
     if a.imag == b.imag == c.imag == 0.0:
         a, b, c = a.real, b.real, c.real
     flat = w.ravel()
-    k = np.zeros(flat.size, dtype=int)
     live = np.flatnonzero(flat > 0.0)
+    if live.size == 1:
+        # one element needs neither the probe rule nor the sort below
+        out = np.ones(flat.size, dtype=type(a))
+        out[live] = _nested_sum(a, b, c, flat[live], int(_series_terms(a, b, c, np.log(flat[live]))[0]))
+        return out.reshape(w.shape)
+    k = np.zeros(flat.size, dtype=int)
     if live.size:
         # K rises with w for one pair: an element between two of up to 256 evenly spaced
         # probes of one K takes it (j is its probe interval, to within one interval)
@@ -190,6 +238,26 @@ def hyp2f1_real_arg(a, b, c, w):
     out = np.empty_like(total)
     out[order] = total
     return out.reshape(w.shape)
+
+
+def _nested_sum(a, b, c, w, k):
+    """The K-term nested sum of `hyp2f1_real_arg` for one element, w a one-element array.
+
+    Real a, b, c take Python floats, whose products and sums round as numpy's
+    do, so the value is the batch's to the bit.  Complex ones stay in numpy:
+    its complex products round differently from Python's.
+    """
+    if isinstance(a, float):
+        x, total = float(w[0]), 1.0
+        for j in range(k - 1, -1, -1):
+            total = _term_ratio(a, b, c, j) * x * total + 1.0
+        return total
+    step = _term_ratio(a, b, c, np.arange(k))[:, None] * w
+    total, scratch = np.ones(1, dtype=complex), np.empty(1, dtype=complex)
+    for row in step[::-1]:
+        np.multiply(row, total, out=scratch)
+        np.add(scratch, 1.0, out=total)
+    return total[0]
 
 
 def _term_ratio(a, b, c, j):

@@ -13,6 +13,7 @@ from jacobilab import (
     DomainError,
     GridError,
     JacobiParameters,
+    OverflowLimitError,
     RadialGrid,
     SampledRadialFunction,
     SpectralGrid,
@@ -160,6 +161,35 @@ class TestKernel:
         args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: math.nan}
         with pytest.raises(DomainError, match=f"{arg} > 0"):
             kernel_K(generic_params, **args)
+
+    def test_scalar_is_batch_element(self, generic_params):
+        rng = np.random.default_rng(29)
+        s, t = rng.uniform(0.05, 4.0, 200), rng.uniform(0.05, 4.0, 200)
+        u = np.abs(s - t) + (s + t - np.abs(s - t)) * rng.uniform(0.01, 0.99, 200)
+        batch = kernel_values(generic_params, s, t, u)
+        for i in range(s.size):
+            assert kernel_K(generic_params, s[i], t[i], u[i]).value == batch[i], i
+
+    @pytest.mark.parametrize(
+        "stu, what",
+        [((150.0, 150.0, 1.0), "K"), ((360.0, 360.0, 1.0), "cosh"), ((400.0, 400.0, 1.0), "cosh"), ((800.0, 1.0, 800.5), "cosh")],
+    )
+    def test_past_the_doubles_is_a_typed_limit(self, generic_params, stu, what):
+        # K underflowed to 0.0 after an overflow warning at s = t = 150, and
+        # at s = t = 360 the 2F1 series blamed a non-finite w
+        with pytest.raises(OverflowLimitError, match=rf"^kernel_values: {what}.*\({stu[0]:g}, {stu[1]:g}, {stu[2]:g}\)"):
+            kernel_K(generic_params, *stu)
+        with pytest.raises(OverflowLimitError):
+            kernel_values(generic_params, [1.0, stu[0]], [1.2, stu[1]], [1.5, stu[2]])
+
+    @pytest.mark.parametrize("arg", ["s", "t", "u"])
+    def test_kernel_K_infinite_argument_raises(self, generic_params, arg):
+        # an infinite argument fails the support test, which read it as a kernel value of 0
+        args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: math.inf}
+        with pytest.raises(DomainError, match=f"finite {arg}"):
+            kernel_K(generic_params, **args)
+        with pytest.raises(DomainError, match="finite"):
+            kernel_values(generic_params, *args.values())
 
     def test_unit_mass(self, generic_params):
         # integral K(s,t,u) dmu(u) = 1 for every fixed (s, t)

@@ -83,6 +83,12 @@ class TestWeightDensity:
 
 
 class TestJacobiPhi:
+    @pytest.mark.parametrize("t", [1 + 0j, np.complex128(1.0), "one"])
+    def test_t_that_is_not_real_is_named(self, generic_params, t):
+        # unchecked, a complex t reached `t < 0.0` and raised TypeError
+        with pytest.raises(DomainError, match="jacobi_phi requires a real t"):
+            jacobi_phi(generic_params, 1.0, t)
+
     def test_value_at_zero(self, generic_params):
         for lam in (0.0, 0.5, 3.0, 2.0 + 1.0j):
             assert jacobi_phi(generic_params, lam, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -586,6 +592,15 @@ class TestCFunction:
         with pytest.raises(PoleError):
             c_function(generic_params, 0.0)
 
+    @pytest.mark.parametrize("preset", ["generic_params", "dr_params", "h3_params"])
+    def test_scalar_is_vector_element(self, request, preset):
+        p = request.getfixturevalue(preset)
+        lams = np.concatenate([np.linspace(0.05, 60.0, 97), 1j * np.linspace(0.1, 0.9, 5) * p.rho, [3.0 - 0.7j]])
+        vec = c_function(p, lams)
+        for lam, value in zip(lams, vec):
+            assert c_function(p, lam) == value, lam
+            assert c_function(p, complex(lam)) == value, lam
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
     def test_non_finite_lambda_raises(self, generic_params, bad):
         with pytest.raises(DomainError, match="lambda must be finite"):
@@ -701,9 +716,21 @@ class TestHarishChandra:
                 gam.append(-acc / (4.0 * k * (k - 1j * lam)))
             assert np.allclose(table[:, j], gam, rtol=1e-13, atol=0.0), lam
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 5.0, 37.0, 2.0 + 0.5j, 1e-12])
+    def test_width_one_matches_wide_column(self, generic_params, lam):
+        # one lambda runs the recurrence on Python complex numbers, many on
+        # numpy rows: the same steps, rounded apart by at most a few ulps
+        lams = np.array([lam, 1.0, 7.0, 20.0, 45.0], dtype=complex)
+        for k_max in (16, 48, 128):
+            wide = gamma_coefficient_table(generic_params, lams, k_max)[:, 0]
+            one = gamma_coefficient_table(generic_params, [lam], k_max)[:, 0]
+            assert np.max(np.abs(one - wide)) <= 1e-14 * np.max(np.abs(wide)), (lam, k_max)
+
     def test_exceptional_lambda_raises(self, generic_params):
         with pytest.raises(DomainError):
             gamma_coefficient_table(generic_params, np.array([-3j]), 10)
+        with pytest.raises(DomainError, match="exceptional set"):
+            gamma_coefficient_table(generic_params, np.array([-3j, 1.0]), 10)
         # at (30, 5) the coefficients pass the cap long before k = 800
         with pytest.raises(OverflowLimitError, match=r"\|Gamma_k\| exceeded 1e100"):
             gamma_coefficient_table(JacobiParameters(30.0, 5.0), [0.5], 800)

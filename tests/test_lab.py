@@ -52,7 +52,7 @@ def per_trial_estimate(params, m, p, trials, seed, grids, round_trip=False):
     (forward transform, m, inverse transform) instead.
     """
     rgrid, sgrid = grids
-    spectra, descs = _trial_functions(params, m(sgrid.nodes), rgrid, sgrid, trials, seed)
+    ((spectra, descs),) = _trial_functions(params, [m(sgrid.nodes)], rgrid, sgrid, trials, seed)
     best, witness, count = 0.0, "none", 0
     for j in range(trials):
         g = SampledSpectralFunction(sgrid, spectra[:, j])
@@ -147,7 +147,7 @@ class TestEstimateOperatorNorm:
     def test_heat_trials_sit_on_radial_nodes(self, generic_params, grids):
         rgrid, sgrid = grids
         m = heat_multiplier(generic_params)
-        spectra, descs = _trial_functions(generic_params, m(sgrid.nodes), rgrid, sgrid, 12, 7)
+        ((spectra, descs),) = _trial_functions(generic_params, [m(sgrid.nodes)], rgrid, sgrid, 12, 7)
         phi = phi_matrix_for(generic_params, rgrid, sgrid)
         heat = [(j, d) for j, d in enumerate(descs) if d.startswith("heat kernel")]
         assert len(heat) == 3
@@ -198,12 +198,14 @@ class TestEstimateOperatorNorm:
         rgrid, sgrid = small_grids
         real = lab._trial_functions
 
-        def rigged(params, mvals, rgrid, sgrid, trials, seed):
-            spectra, descs = real(params, mvals, rgrid, sgrid, trials, seed)
-            spectra[:, 0] = 0.0
-            phi = phi_matrix_for(params, rgrid, sgrid)
-            spectra[:, 2] = np.exp(-0.01 * (sgrid.nodes**2 + params.rho**2)) * phi[-1]
-            return spectra, descs[:2] + ["heat kernel at the grid's end"] + descs[3:]
+        def rigged(params, samples, rgrid, sgrid, trials, seed):
+            out = []
+            for spectra, descs in real(params, samples, rgrid, sgrid, trials, seed):
+                spectra[:, 0] = 0.0
+                phi = phi_matrix_for(params, rgrid, sgrid)
+                spectra[:, 2] = np.exp(-0.01 * (sgrid.nodes**2 + params.rho**2)) * phi[-1]
+                out.append((spectra, descs[:2] + ["heat kernel at the grid's end"] + descs[3:]))
+            return out
 
         monkeypatch.setattr(lab, "_trial_functions", rigged)
         family = standard_multiplier_family(generic_params)
@@ -304,6 +306,20 @@ class TestTheoremExperiment:
         assert res["rows"][0]["flags"] != ""
         assert math.isnan(res["verdict_max_ratio"])
 
+    def test_trials_built_once_per_leg(self, generic_params, small_grids, monkeypatch):
+        # only the targeted bumps depend on the member, so each leg builds its
+        # trials, for every member, in one call
+        calls = []
+        real = lab._trial_functions
+
+        def counted(params, samples, *args):
+            calls.append(len(samples))
+            return real(params, samples, *args)
+
+        monkeypatch.setattr(lab, "_trial_functions", counted)
+        probe_theorem(generic_params, standard_multiplier_family(generic_params), 1.5, small_grids, trials=4)
+        assert calls == [5, 5, 5]
+
     @pytest.mark.parametrize("preset", ["generic", "dr", "h3"])
     def test_family_rows_equal_one_member_rows(self, preset, generic_params, dr_params, h3_params):
         # one block for the family against a block of one member: a GEMM
@@ -355,7 +371,8 @@ class TestTheoremExperiment:
         monkeypatch.setattr(lab, "inverse_transform", counted)
         theorem_ratio_experiment(generic_params, family, 2, grids, seed=1, trials=8)
         rgrid, sgrid = grids
-        spectra = np.hstack([_trial_functions(generic_params, m(sgrid.nodes), rgrid, sgrid, 8, 1)[0] for m in family])
+        samples = [m(sgrid.nodes) for m in family]
+        spectra = np.hstack([s for s, _ in _trial_functions(generic_params, samples, rgrid, sgrid, 8, 1)])
         distinct = np.unique(spectra, axis=1).shape[1]
         # four of the five members peak at one node, so they share both targeted bumps
         assert distinct == 10

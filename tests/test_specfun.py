@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -48,6 +49,20 @@ class TestGammaComplex:
         vec = gamma_complex(z)
         for zi, vi in zip(z, vec):
             assert vi == gamma_complex(zi)
+
+    @pytest.mark.parametrize("z", [171.7, 200.0, -200.5, -180.5, 1.0 + 600j])
+    def test_past_the_doubles_raises_naming_z(self, z):
+        # the Lanczos product overflowed to nan + nan i, with RuntimeWarnings
+        with pytest.raises(OverflowLimitError, match="leaves the normal doubles at z = " + re.escape(f"{complex(z):.6g}")):
+            gamma_complex(z)
+        with pytest.raises(OverflowLimitError):
+            gamma_complex(np.array([1.5, z]))
+
+    @pytest.mark.parametrize("z", [150.0, 171.5, -170.5, -150.5 + 3.0j, 160.0 + 20.0j])
+    def test_intermediate_overflow_is_not_a_limit(self, z):
+        # t^(x - 1/2) of the Lanczos form overflows from about z = 143 on, yet Gamma(z) is a normal double
+        expected = complex(mpmath.gamma(z))
+        assert abs(gamma_complex(z) - expected) <= 1e-12 * abs(expected), z
 
     def test_pole_raises(self):
         for bad in (0.0, -1.0, -7.0):
@@ -102,6 +117,22 @@ class TestHyp2F1:
     def test_nan_parameter_raises(self, abc):
         with pytest.raises(DomainError, match="NaN argument to hyp2f1"):
             hyp2f1(*abc, 0.5)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((math.inf, 1.0, 2.0, 0.5), "a = "),
+            ((1.0, -math.inf, 2.0, 0.5), "b = "),
+            ((1.0, 1.0, complex(2.0, math.inf), 0.5), "c = "),
+            ((1.0, 1.0, 2.0, 0.5 + 0j), "real z"),
+            ((1.0, 1.0, 2.0, np.complex128(-1.0)), "real z"),
+        ],
+    )
+    def test_non_finite_parameter_or_complex_z_is_named(self, args, named):
+        # an infinite parameter summed the series to its 100000-term budget, and
+        # a complex z raised TypeError
+        with pytest.raises(DomainError, match=named):
+            hyp2f1(*args)
 
     def test_against_mpmath_positive_argument(self):
         for _ in range(25):

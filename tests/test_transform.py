@@ -357,7 +357,7 @@ class TestSubnormalOperands:
         phi = phi_matrix_for(P, rgrid, sgrid)
         m = standard_multiplier_family(P)[1]
         mvals = m(sgrid.nodes)
-        spectra, _ = _trial_functions(P, mvals, rgrid, sgrid, 8, 0)
+        ((spectra, _),) = _trial_functions(P, [mvals], rgrid, sgrid, 8, 0)
         mhat = mvals[:, None] * spectra
         trials = np.hstack([spectra, mhat.real])
         assert np.any(_subnormal(trials * sgrid.nu_weights[:, None]))
