@@ -90,8 +90,9 @@ __all__ = [
 # Harish-Chandra series otherwise.  Beyond |lambda| t = 12 the 2F1 series
 # loses too many digits to oscillatory cancellation; t_s is where the
 # Harish-Chandra terms stop cancelling (see `_HarishChandraRules`), at most
-# _T_CAP and at least _T_FLOOR: below it a scalar Harish-Chandra cell costs
-# more than a 2F1 one (measured on the pointwise benchmark).
+# _T_CAP and at least _T_FLOOR, set where a scalar Harish-Chandra cell below
+# it cost more than a 2F1 one (on the pointwise benchmark); since the
+# width-one Gamma_k recurrence the two cost about the same.
 _T_FLOOR = 1.0
 _T_CAP = 2.0
 _LAMT_SWITCH = 12.0
