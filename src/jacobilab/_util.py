@@ -16,6 +16,7 @@ __all__ = [
     "graded_breakpoints",
     "is_count",
     "loglog_slope",
+    "real_array",
     "real_number",
     "smoothstep_quintic",
 ]
@@ -91,6 +92,23 @@ def real_number(what, name, x):
         except (TypeError, ValueError):
             pass
     raise DomainError(f"{what} requires a real {name}, got {name} = {x!r}")
+
+
+def real_array(what, name, x):
+    """x as a float64 array, or DomainError naming the argument where x is not
+    an array of real numbers.
+
+    A complex array is refused even with a zero imaginary part.  Finiteness
+    is the caller's check.
+    """
+    arr = np.asarray(x)
+    if not np.iscomplexobj(arr):
+        try:
+            return np.asarray(arr, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    got = f"{name} = {x!r}" if arr.ndim == 0 else f"a {arr.dtype} array"
+    raise DomainError(f"{what} requires a real {name}, got {got}")
 
 
 def loglog_slope(x, y):

@@ -1,7 +1,8 @@
 """Generalized translation kernel K(s,t,u), translation, and convolution.
 
 The transform turns convolution into a product, so `convolve` is the inverse
-transform of f-hat * g-hat, gated for decay on both inputs and the product.
+transform of f-hat * g-hat, gated for decay on both inputs and the product,
+on one fixed spectral grid that a process builds once per parameter pair.
 The kernel is evaluated through its hypergeometric closed form; translation
 is a quadrature over its compact support interval (|x-y|, x+y), and
 `convolve_direct`, the O(N^2) reference, integrates f against the translates
@@ -10,12 +11,13 @@ under a node budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, smoothstep_quintic
+from ._util import composite_gauss_legendre, real_array, real_number, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError, OverflowLimitError
 from .specfun import _TINY, _gamma_alpha_plus_one, hyp2f1_real_arg
@@ -57,13 +59,14 @@ def _kernel_prefactor(params):
 def kernel_values(params, s, t, u):
     """Vectorized kernel K(s,t,u); s, t, u broadcast against each other.
 
-    Returns 0 outside the support |s-t| < u < s+t.  Raises DomainError for an
-    argument that is negative or not finite, and OverflowLimitError naming
+    Returns 0 outside the support |s-t| < u < s+t.  Raises DomainError naming
+    an argument that is not real, or for one that is negative or not finite,
+    and OverflowLimitError naming
     (s, t, u) where cosh s cosh t cosh u, or the size of K, leaves the normal
     doubles; the size is K without the factors (1 - B^2)^(alpha - 1/2) and
     2F1, which vanish at the edges of the support.
     """
-    s, t, u = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(u, dtype=float))
+    s, t, u = np.broadcast_arrays(*(real_array("kernel_values", name, x) for name, x in (("s", s), ("t", t), ("u", u))))
     if not ((np.minimum(np.minimum(s, t), u) >= 0.0) & (np.maximum(np.maximum(s, t), u) < math.inf)).all():
         raise DomainError("kernel arguments must be finite non-negative numbers, not NaN")
     out = np.zeros(s.shape)
@@ -102,9 +105,9 @@ def kernel_values(params, s, t, u):
 def kernel_K(params, s, t, u) -> KernelEvaluation:
     """Scalar kernel evaluation with explicit support flag.
 
-    DomainError for an argument that is not a positive finite number.
+    DomainError for an argument that is not a positive finite real number.
     """
-    s, t, u = float(s), float(t), float(u)
+    s, t, u = (real_number("kernel_K", name, x) for name, x in (("s", s), ("t", t), ("u", u)))
     for name, x in (("s", s), ("t", t), ("u", u)):
         if not x > 0.0:
             raise DomainError(f"kernel_K requires {name} > 0, got {name} = {x:g}")
@@ -160,15 +163,22 @@ def _translate(params, f, x, y):
 def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
     """Hypergroup convolution f*g as the inverse transform of f-hat * g-hat.
 
-    f-hat = integral f phi dmu is taken on `SpectralGrid.build(params)`.  A
-    radial input that has not decayed by the end of its grid, or a product
-    f-hat * g-hat that has not decayed by lambda_max, raises DecayError.
+    f-hat = integral f phi dmu is taken on `SpectralGrid.build(params)`, built
+    once per parameter pair (`_spectral_grid`).  A radial input that has not
+    decayed by the end of its grid, or a product f-hat * g-hat that has not
+    decayed by lambda_max, raises DecayError.
     """
     if f.grid is not g.grid:
         raise GridError("convolve requires f and g on the same grid")
-    sgrid = SpectralGrid.build(params)
+    sgrid = _spectral_grid(params)
     product = jacobi_transform(params, f, sgrid).values * jacobi_transform(params, g, sgrid).values
     return inverse_transform(params, SampledSpectralFunction(sgrid, product), f.grid)
+
+
+@functools.lru_cache(maxsize=8)
+def _spectral_grid(params):
+    """`convolve`'s spectral grid for params, kept for the last 8 parameter pairs."""
+    return SpectralGrid.build(params)
 
 
 def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:

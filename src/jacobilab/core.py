@@ -26,8 +26,9 @@ lambda and -lambda.  The scalar `jacobi_phi`, the dense `phi_matrix`,
 
 The 2F1 term count is the envelope rule `specfun._series_terms`.  The
 Harish-Chandra side has two rules, both from one envelope
-E_k >= max over real lambda of |Gamma_k(lambda)| that each `JacobiParameters`
-computes on first use (about 2 ms) and keeps (`_HarishChandraRules`):
+E_k >= max over real lambda of |Gamma_k(lambda)|, computed (about 2 ms) the
+first time a process needs it for a parameter pair and shared by every equal
+`JacobiParameters` (`_HarishChandraRules`):
 * a row at t sums K terms, K the first multiple of 8 where
   E_K e^(-2Kt) < 2^-53 (at least max(12, ceil(27 / t)), rounded up, for
   complex lambda), so K grows with alpha: at t = 0.5 it is 48 at the generic
@@ -49,6 +50,14 @@ last bits (up to 2.7e-15 relative in a scan of five (alpha, beta), lambda
 `jacobi_phi` still equals a 1 x 1 `phi_matrix`, as both are width one, and
 every wider path keeps its bits.
 
+The Harish-Chandra table is c(lambda) Gamma_k(lambda).  A spectral grid
+keeps the c(lambda) its Plancherel density is formed from, and
+`transform.phi_matrix_for` hands it to `phi_matrix` (`_known_c`), so a grid
+pair's phi build does not evaluate c again: it takes the grid's array where
+its columns are exactly the grid's nodes, and calls `c_function` for any
+other lambda (a scalar, complex lambda, an unsorted array or one moved off
+the pole at 0).
+
 For real lambda both routes need e^(i lambda theta), at theta = t and at
 theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
 panel-group start plus a shared offset, so `_PhaseTable` takes these phases
@@ -61,6 +70,9 @@ scalar, a short or an irregular array) takes the direct cos and sin.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,7 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import is_count, loglog_slope, real_number
+from ._util import is_count, loglog_slope, real_array, real_number
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
 from .specfun import _TINY, _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
@@ -115,6 +127,8 @@ _RESIDUAL_STEP = 1e-3  # the step h of laplacian_residual's five-point stencil
 # and Gamma(z + 1/2)/Gamma(z + (alpha - beta + 1)/2)
 _C_NUMERATOR_SHIFTS = np.array([[0.0], [0.5]])
 _EXCEPTIONAL = "lambda lies in the exceptional set of the Harish-Chandra recurrence"
+# (lambda, c(lambda)) for one real lambda array while a phi build runs under `_known_c`
+_KNOWN_C = contextvars.ContextVar("_KNOWN_C", default=None)
 
 
 def _hypergeometric_route(params, lam, t):
@@ -158,18 +172,22 @@ class JacobiParameters:
 
     @cached_property
     def _hc_rules(self):
-        """The route switch and the Harish-Chandra term counts of this pair, built on first use."""
-        return _HarishChandraRules(self)
+        """The route switch and the Harish-Chandra term counts of this pair,
+        built on first use and shared by every equal JacobiParameters."""
+        return _shared_rules(self)
 
 
 def weight_density(params: JacobiParameters, t):
     """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0.
 
-    Raises OverflowLimitError naming alpha, beta and the least t given where
-    Delta(t) exceeds the largest double (about 2 rho t > 709).
+    Raises DomainError naming a t that is not a finite real number, and
+    OverflowLimitError naming alpha, beta and the least t given where Delta(t)
+    exceeds the largest double (about 2 rho t > 709).
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(np.isnan(t_arr)):
+    t_arr = real_array("weight_density", "t", t)
+    if not np.isfinite(t_arr).all():
+        raise DomainError(f"weight_density requires finite t, got t = {t_arr[~np.isfinite(t_arr)].flat[0]}")
+    if np.any(t_arr <= 0.0):
         raise DomainError("weight_density requires t > 0")
     with np.errstate(over="ignore"):
         out = (2.0 * np.sinh(t_arr)) ** (2.0 * params.alpha + 1.0) * (
@@ -300,6 +318,13 @@ class _HarishChandraRules:
         self.t_switch = float(min(max(_T_FLOOR, need.max()), _T_CAP))
         ladder = (self.log_envelope[8::8] + 53.0 * math.log(2.0)) / (2.0 * k[7::8])
         self.ladder = np.maximum.accumulate(ladder[::-1])[::-1]
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_rules(params):
+    """The `_HarishChandraRules` of params, one object per parameter pair among
+    the last 256 a process used (about 7 kB each)."""
+    return _HarishChandraRules(params)
 
 
 def gangolli_fit(params, k_max, lambda_set):
@@ -446,7 +471,11 @@ def _harish_chandra(params, t, lam, split, out):
     first = split // q * q
     k_col = np.concatenate([k_row, [0]])[(-first).searchsorted(-np.arange(n))]  # the K of the first row to sum column j
     table = gamma_coefficient_table(params, lam_pm, k_col if m == 1 else np.repeat(k_col, m))
-    table *= c_function(params, lam_pm)
+    known = _KNOWN_C.get()
+    if real and known is not None and np.array_equal(known[0], lam):
+        table *= known[1]
+    else:
+        table *= c_function(params, lam_pm)
     table = table.view(float)
     with np.errstate(under="ignore"):
         for r0, r1 in _row_blocks(k_row, n - first):
@@ -643,8 +672,10 @@ def laplacian_residual(params, lam, t):
     h = 1e-3, evaluated on the route of its centre, so branch switching
     cannot pollute it.  Its truncation error is O(h^4), so the residual sits
     near the rounding floor of phi'' (about 1e-16 / h^2) rather than above it.
+    DomainError for a t that is not a real number.
     """
     h = _RESIDUAL_STEP
+    t = real_number("laplacian_residual", "t", t)
     if not t > 2.0 * h:
         raise DomainError("laplacian_residual requires t > 2h > 0")
     lam = complex(lam)
@@ -657,6 +688,17 @@ def laplacian_residual(params, lam, t):
         2.0 * params.beta + 1.0
     ) * math.tanh(t)
     return abs(d2 + drift * d1 + (lam * lam + params.rho**2) * f0)
+
+
+@contextlib.contextmanager
+def _known_c(lam, c):
+    """Within the block, a Harish-Chandra table over exactly the real lambda
+    takes its c(lambda) from c instead of calling `c_function`."""
+    token = _KNOWN_C.set((lam, c))
+    try:
+        yield
+    finally:
+        _KNOWN_C.reset(token)
 
 
 def c_function(params, lam):
@@ -694,10 +736,16 @@ def c_function(params, lam):
 def plancherel_density(params, lam):
     """d(lambda) = |c(lambda)|^(-2) for real lambda != 0."""
     lam_arr = np.asarray(lam, dtype=float)
-    if np.any(lam_arr == 0.0):
-        raise PoleError("plancherel density undefined at lambda = 0")
-    out = 1.0 / np.abs(c_function(params, lam_arr.astype(complex))) ** 2
+    _, out = _c_and_density(params, lam_arr)
     return float(out) if lam_arr.ndim == 0 else out
+
+
+def _c_and_density(params, lam):
+    """(c(lambda), |c(lambda)|^(-2)) on a real lambda array; PoleError at lambda = 0."""
+    if np.any(lam == 0.0):
+        raise PoleError("plancherel density undefined at lambda = 0")
+    c = c_function(params, lam.astype(complex))
+    return c, 1.0 / np.abs(c) ** 2
 
 
 def c_asymptotics_report(params, lambda_list):
@@ -738,13 +786,15 @@ def bessel_local_expansion(params, lam, t, M):
 
     M counts the kept terms (1 or 2); the residual for M = 2 is the analogue
     of the quartic-order error term of the two-term expansion.  Returns
-    (truncation value, residual phi - truncation).
+    (truncation value, residual phi - truncation).  DomainError for a lambda
+    or t that is not a real number.
     """
+    lam = real_number("bessel_local_expansion", "lambda", lam)
+    t = real_number("bessel_local_expansion", "t", t)
     if not 0.0 < t <= _R0:
         raise DomainError(f"bessel_local_expansion requires 0 < t <= R0 = {_R0:g}")
     if M not in (1, 2):
         raise ParameterError("M must be 1 or 2")
-    lam = float(lam)
     c_a = _local_expansion_prefactor(params)
     base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
     value = base * bessel_script_J(params.alpha, abs(lam) * t)

@@ -375,8 +375,11 @@ def bessel_script_J(alpha, x):
     else the series where a double epsilon of the sum of its |terms|, a
     generous bound on its long double rounding, is below that;
     ConvergenceError naming alpha and x where neither is.  OverflowLimitError
-    naming alpha where the value leaves the normal doubles.
+    naming alpha where the value leaves the normal doubles.  DomainError
+    naming alpha or x where it is not a finite real number.
     """
+    alpha = real_number("bessel_script_J", "alpha", alpha)
+    x = real_number("bessel_script_J", "x", x)
     for name, arg in (("alpha", alpha), ("x", x)):
         if not math.isfinite(arg):
             raise DomainError(f"bessel_script_J requires finite {name}, got {name} = {arg}")

@@ -10,7 +10,10 @@ never as closures.  A grid carries the parameters it was built for, and
 every transform raises GridError when they differ from the ones it is given.
 The dense phi_lambda(t) matrix for a (radial, spectral) grid pair is built
 once and cached on the radial grid, so it is freed with the grid; the key is
-the spectral grid's content, so equal spectral grids share it.
+the spectral grid's content, so equal spectral grids share it.  A spectral
+grid keeps the c(lambda) on its nodes that its dnu weights are formed from,
+and a cold phi build multiplies its Harish-Chandra table by that array
+instead of evaluating c again; the build still goes through `phi_matrix`.
 
 phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints, is_count
-from .core import JacobiParameters, phi_matrix, plancherel_density, weight_density
-from .errors import DecayError, DomainError, GridError
+from ._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints, is_count, real_number
+from .core import _RHO_T_MAX, JacobiParameters, _c_and_density, _known_c, phi_matrix, weight_density
+from .errors import DecayError, DomainError, GridError, OverflowLimitError
 
 __all__ = [
     "RadialGrid",
@@ -164,7 +167,7 @@ class SpectralGrid(_PanelGrid):
         super().__init__(breakpoints, nodes_per_panel)
         self.params = params
         self.lam_max = float(self.breakpoints[-1])
-        self.density = plancherel_density(params, self.nodes)
+        self._c, self.density = _c_and_density(params, self.nodes)
         self.nu_weights = self.base_weights * self.density * plancherel_constant()
 
     @classmethod
@@ -254,7 +257,8 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
     _check_params(params, rgrid, sgrid)
     key = (sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
     if key not in rgrid._phi_cache:
-        rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
+        with _known_c(sgrid.nodes, sgrid._c):
+            rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
     return rgrid._phi_cache[key]
 
 
@@ -343,9 +347,22 @@ def plancherel_defect(params, f: SampledRadialFunction, sgrid: SpectralGrid) -> 
 
 
 def heat_kernel(params, s, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRadialFunction:
-    """h_s = inverse transform of lambda -> exp(-s (lambda^2 + rho^2))."""
+    """h_s = inverse transform of lambda -> exp(-s (lambda^2 + rho^2)).
+
+    DomainError for an s that is not a finite real number > 0, and
+    OverflowLimitError naming s where s rho^2 > 708, since every spectral
+    sample then underflows.
+    """
+    s = real_number("heat_kernel", "s", s)
+    if not math.isfinite(s):
+        raise DomainError(f"heat_kernel requires finite s, got s = {s}")
     if not s > 0.0:
         raise DomainError("heat_kernel requires s > 0")
+    if s * params.rho**2 > _RHO_T_MAX:
+        raise OverflowLimitError(
+            f"heat_kernel: s rho^2 = {s * params.rho**2:.6g} exceeds {_RHO_T_MAX:g} at s = {s:g}; "
+            "every sample e^(-s (lambda^2 + rho^2)) underflows"
+        )
     with np.errstate(under="ignore"):
         spectral = np.exp(-s * (sgrid.nodes**2 + params.rho**2))
     return inverse_transform(params, SampledSpectralFunction(sgrid, spectral), rgrid)

@@ -233,6 +233,18 @@ class TestHeatAndConvolve:
         xs, vals = read_csv(tmp_path / "c.csv")
         assert np.all(np.isfinite(vals))
 
+    def test_convolve_rerun_in_process_is_byte_identical(self, tmp_path, capsys):
+        # the second run takes the spectral grid and the Harish-Chandra rules
+        # that the first one left in the process
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        for name in ("c1.csv", "c2.csv"):
+            argv = ["--preset", "generic", "--output-dir", tmp_path, "convolve",
+                    "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "f.csv", "--output", name]
+            assert run(argv) == 0
+        for suffix in ("", ".manifest.json"):
+            assert (tmp_path / f"c1.csv{suffix}").read_bytes() == (tmp_path / f"c2.csv{suffix}").read_bytes()
+
     def test_convolve_ignores_grid_flags(self, tmp_path, capsys):
         # convolve runs on convolution_grid whatever the grid flags say, so
         # they neither move its rows nor enter its config hash

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacobilab import convolution
 from jacobilab import (
     CostBudgetError,
     DecayError,
@@ -183,6 +185,19 @@ class TestKernel:
             kernel_values(generic_params, [1.0, stu[0]], [1.2, stu[1]], [1.5, stu[2]])
 
     @pytest.mark.parametrize("arg", ["s", "t", "u"])
+    def test_complex_argument_is_named(self, generic_params, arg):
+        # kernel_K raised Python's TypeError, and kernel_values dropped the
+        # imaginary part after a ComplexWarning
+        args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: 1.3 + 0j}
+        with pytest.raises(DomainError, match=rf"^kernel_K requires a real {arg}, got {arg} = \(1\.3\+0j\)"):
+            kernel_K(generic_params, **args)
+        args[arg] = np.array([1.3 + 0j, 1.4 + 0.1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^kernel_values requires a real {arg}, got a complex128 array"):
+                kernel_values(generic_params, **args)
+
+    @pytest.mark.parametrize("arg", ["s", "t", "u"])
     def test_kernel_K_infinite_argument_raises(self, generic_params, arg):
         # an infinite argument fails the support test, which read it as a kernel value of 0
         args = {"s": 1.0, "t": 1.2, "u": 1.5, arg: math.inf}
@@ -241,6 +256,17 @@ class TestConvolve:
         prod = fhat.values * ghat.values
         scale = np.max(np.abs(prod))
         assert np.max(np.abs(chat.values - prod)) < 1e-4 * scale
+
+    def test_spectral_grid_built_once_per_pair(self, generic_params, conv_grid, monkeypatch):
+        builds = []
+        build = SpectralGrid.build.__func__
+        monkeypatch.setattr(SpectralGrid, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
+        convolution._spectral_grid.cache_clear()
+        f, g = bump(conv_grid, 0.8, 0.5), bump(conv_grid, 1.1, 0.6)
+        first = convolve(generic_params, f, g)
+        again = convolve(JacobiParameters(1.2, 0.3), f, g)
+        assert len(builds) == 1
+        assert np.array_equal(first.values, again.values)
 
     def test_direct_needs_one_grid(self, generic_params):
         f, g = (SampledRadialFunction(grid, np.zeros_like(grid.nodes))

@@ -71,6 +71,22 @@ class TestWeightDensity:
         with pytest.raises(DomainError):
             weight_density(generic_params, 0.0)
 
+    @pytest.mark.parametrize("t, got", [(0.5 + 0j, r"t = \(0\.5\+0j\)"), (np.array([0.5, 1.0 + 1j]), "a complex128 array")])
+    def test_complex_t_is_named(self, generic_params, t, got):
+        # a complex scalar raised Python's TypeError, and a complex array lost
+        # its imaginary part after a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^weight_density requires a real t, got {got}$"):
+                weight_density(generic_params, t)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, np.array([1.0, math.inf])])
+    def test_non_finite_t_is_named(self, generic_params, t):
+        # inf read as an overflow "at t = inf", and NaN as "requires t > 0"
+        bad = "inf" if np.any(np.isinf(t)) else "nan"
+        with pytest.raises(DomainError, match=f"requires finite t, got t = {bad}$"):
+            weight_density(generic_params, t)
+
     def test_overflow_raises_at_grid_build(self):
         # 2 rho t passes 709 at t = 16.9 for (15, 5): a typed error naming the
         # parameters and that t, not inf mu-weights
@@ -163,6 +179,12 @@ class TestJacobiPhi:
     def test_negative_t_raises(self, generic_params):
         with pytest.raises(DomainError):
             jacobi_phi(generic_params, 1.0, -0.1)
+
+    @pytest.mark.parametrize("t", [0.5 + 0j, 0.5 + 1j])
+    def test_residual_t_that_is_not_real_is_named(self, generic_params, t):
+        # a complex t raised Python's TypeError at the stencil guard
+        with pytest.raises(DomainError, match=r"^laplacian_residual requires a real t, got t = \(0\.5"):
+            laplacian_residual(generic_params, 1.0, t)
 
     @pytest.mark.parametrize("t", [2e-3, 1e-3, 0.0])
     def test_residual_stencil_must_fit_in_t(self, generic_params, t):
@@ -457,6 +479,17 @@ class TestHarishChandraRules:
     # beta) sets the Harish-Chandra term count of each row and the switch t_s
     SMALL = ["generic_params", "dr_params", "h3_params", "h5_params", (0.75, 0.0)]
     LARGE = [(3.0, 1.0), (4.0, 2.0), (6.0, 2.0)]
+
+    def test_one_rules_object_per_pair(self):
+        # the envelope depends on (alpha, beta) only, so equal JacobiParameters
+        # share the object built first
+        p, q = JacobiParameters(2.35, 0.65), JacobiParameters(2.35, 0.65)
+        assert p is not q and q._hc_rules is p._hc_rules
+        fresh = core._HarishChandraRules(JacobiParameters(2.35, 0.65))
+        assert fresh is not p._hc_rules
+        assert fresh.t_switch == p._hc_rules.t_switch
+        for name in ("ladder", "log_envelope"):
+            assert np.array_equal(getattr(fresh, name), getattr(p._hc_rules, name)), name
 
     @pytest.mark.parametrize("spec", ["generic_params", "h3_params", (0.75, 0.0), (3.0, 1.0), (6.0, 2.0), (15.0, 5.0)])
     def test_envelope_bounds_coefficients(self, request, spec):
@@ -809,6 +842,12 @@ class TestBesselLocalExpansion:
             two, _ = bessel_local_expansion(h3_params, 2.0, t, M=2)
             assert two == one
             assert abs(one - math.sin(2.0 * t) / (2.0 * math.sinh(t))) <= 1e-14
+
+    @pytest.mark.parametrize("lam, t, name", [(1.0 + 0j, 0.5, "lambda"), (1.0, 0.5 + 0j, "t")])
+    def test_complex_argument_is_named(self, generic_params, lam, t, name):
+        # a complex lambda or t raised Python's TypeError
+        with pytest.raises(DomainError, match=f"^bessel_local_expansion requires a real {name}"):
+            bessel_local_expansion(generic_params, lam, t, 1)
 
     def test_domain_guard(self, generic_params):
         with pytest.raises(DomainError):

@@ -269,6 +269,12 @@ class TestBesselScriptJ:
         with pytest.raises(DomainError):
             bessel_script_J(-0.7, 1.0)
 
+    @pytest.mark.parametrize("alpha, x, name", [(1.5, 1.0 + 0j, "x"), (1.5 + 0j, 1.0, "alpha"), (1.5, 2.0 + 1j, "x")])
+    def test_complex_argument_is_named(self, alpha, x, name):
+        # a complex alpha or x raised Python's TypeError
+        with pytest.raises(DomainError, match=rf"^bessel_script_J requires a real {name}, got {name} = \("):
+            bessel_script_J(alpha, x)
+
     def test_infinite_argument_raises(self):
         # unchecked, x = inf reaches cos(inf) in the Hankel branch, a bare ValueError
         with pytest.raises(DomainError, match="finite x"):

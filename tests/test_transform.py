@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from jacobilab import (
+    c_function,
     DecayError,
     DomainError,
     GridError,
@@ -22,10 +24,12 @@ from jacobilab import (
     heat_kernel,
     inverse_transform,
     jacobi_transform,
+    phi_matrix,
     plancherel_constant,
     plancherel_defect,
+    plancherel_density,
 )
-from jacobilab import standard_multiplier_family, transform
+from jacobilab import core, standard_multiplier_family, transform
 from jacobilab._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints
 from jacobilab.lab import _trial_functions
 from jacobilab.transform import phi_matrix_for
@@ -119,6 +123,29 @@ class TestGrids:
         assert again is first and len(rgrid._phi_cache) == 1
         phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 25.0, 20))
         assert len(rgrid._phi_cache) == 2
+
+    def test_cold_phi_build_reuses_the_grids_c(self, monkeypatch):
+        # c(lambda) on the spectral nodes is evaluated once, for the dnu
+        # weights; the phi build of the pair takes that array, to the bit
+        import jacobilab
+
+        sizes = []
+
+        def counted(params, lam):
+            sizes.append(np.size(lam))
+            return c_function(params, lam)
+
+        for module in (jacobilab, *(m for m in vars(jacobilab).values() if type(m) is type(jacobilab))):
+            for name, value in list(vars(module).items()):
+                if value is c_function:
+                    monkeypatch.setattr(module, name, counted)
+        params = JacobiParameters(1.35, 0.45)  # a pair no other test builds grids for
+        rgrid, sgrid = RadialGrid.graded(params, 12.0, 30), SpectralGrid.build(params, 30.0, 40)
+        matrix = phi_matrix_for(params, rgrid, sgrid)
+        assert sizes == [sgrid.nodes.size]
+        assert np.array_equal(matrix, phi_matrix(params, rgrid.nodes, sgrid.nodes))
+        assert sizes == [sgrid.nodes.size] * 2  # outside phi_matrix_for, phi_matrix evaluates c
+        assert np.array_equal(sgrid.density, plancherel_density(params, sgrid.nodes))
 
     def test_spectral_grid_past_double_range(self, generic_params, mpmath_c):
         # a grid out to |lambda| = 500 builds with the mpmath density; past
@@ -432,6 +459,20 @@ class TestHeatKernel:
         rgrid, sgrid = grids
         with pytest.raises(DomainError):
             heat_kernel(generic_params, 0.0, rgrid, sgrid)
+
+    @pytest.mark.parametrize("s", [120.0, 1e6])
+    def test_every_sample_underflowing_is_a_typed_limit(self, generic_params, small_grids, s):
+        # s rho^2 > 708 (s > 113.3 at rho = 2.5) returned an all-zero function
+        with pytest.raises(OverflowLimitError, match=rf"^heat_kernel: s rho\^2 = .* at s = {re.escape(f'{s:g}')};"):
+            heat_kernel(generic_params, s, *small_grids)
+
+    @pytest.mark.parametrize("s, what", [(math.inf, "finite s, got s = inf"), (math.nan, "finite s, got s = nan"),
+                                         (0.1 + 0j, r"a real s, got s = \(0\.1\+0j\)")])
+    def test_s_that_is_not_a_finite_real_is_named(self, generic_params, small_grids, s, what):
+        # inf returned an all-zero function, NaN read as "requires s > 0",
+        # and a complex s raised Python's TypeError
+        with pytest.raises(DomainError, match=f"^heat_kernel requires {what}$"):
+            heat_kernel(generic_params, s, *small_grids)
 
     @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
     def test_h3_closed_form(self, h3_params, h3_heat_kernel, s):
