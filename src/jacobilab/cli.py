@@ -3,10 +3,12 @@ reports, and the theorem probe, which formats what lab.probe_theorem decides.
 
 Exit codes: 0 success, 2 schema/domain errors and failed writes, 3 decay-check
 failures, 4 a probe that probe_theorem finds unstable.  Each subcommand declares its handler and the flags its
-configuration hash reads, once, in `build_parser`.  Every CSV goes through
-`_emit`, under a header line with that hash: to stdout, or atomically to
---output with `<name>.manifest.json` beside it, so identical (config, seed)
-runs are byte-identical.
+configuration hash reads, once, in `build_parser`; `main` parses with one
+parser per process (`_parser`), and `convolve` samples its inputs on the
+process's cached convolution grid pair, so an in-process call after the first
+builds neither.  Every CSV goes through `_emit`, under a header line with that
+hash: to stdout, or atomically to --output with `<name>.manifest.json` beside
+it, so identical (config, seed) runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from ._util import loglog_slope
-from .convolution import convolution_grid, convolve, kernel_K
+from .convolution import _convolution_grids, convolve, kernel_K
 from .core import (
     JacobiParameters,
     c_asymptotics_report,
@@ -121,6 +124,13 @@ def build_parser():
     p_probe.add_argument("--output")
 
     return parser
+
+
+@functools.cache
+def _parser():
+    """`build_parser()`, built once per process: parse_args leaves the parser
+    as it was and returns a new namespace, so `main` can reuse it."""
+    return build_parser()
 
 
 def _make_params(args):
@@ -282,7 +292,7 @@ def _cmd_inverse(args, params):
 
 
 def _cmd_convolve(args, params):
-    grid = convolution_grid(params)
+    grid = _convolution_grids(params)[0]
     f = SampledRadialFunction(grid, _read_samples(args.input_f, "t", grid.nodes))
     g = SampledRadialFunction(grid, _read_samples(args.input_g, "t", grid.nodes))
     result = convolve(params, f, g)
@@ -410,7 +420,7 @@ def _cmd_probe(args, params):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args, _make_params(args))
     except DecayError as exc:

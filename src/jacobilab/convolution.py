@@ -2,7 +2,9 @@
 
 The transform turns convolution into a product, so `convolve` is the inverse
 transform of f-hat * g-hat, gated for decay on both inputs and the product,
-on one fixed spectral grid that a process builds once per parameter pair.
+on one fixed spectral grid.  A process builds that spectral grid, the radial
+`convolution_grid` that the CLI samples its inputs on, and the pair's phi
+matrix once per parameter pair (`_convolution_grids`).
 The kernel is evaluated through its hypergeometric closed form; translation
 is a quadrature over its compact support interval (|x-y|, x+y), and
 `convolve_direct`, the O(N^2) reference, integrates f against the translates
@@ -119,7 +121,7 @@ def kernel_K(params, s, t, u) -> KernelEvaluation:
 
 
 def convolution_grid(params) -> RadialGrid:
-    """Radial grid of 320 nodes on (0, 10], within the node budget of `convolve_direct`."""
+    """A new radial grid of 320 nodes on (0, 10], within the node budget of `convolve_direct`."""
     return RadialGrid.graded(params, 10.0, 40)
 
 
@@ -164,21 +166,28 @@ def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> Samp
     """Hypergroup convolution f*g as the inverse transform of f-hat * g-hat.
 
     f-hat = integral f phi dmu is taken on `SpectralGrid.build(params)`, built
-    once per parameter pair (`_spectral_grid`).  A radial input that has not
+    once per parameter pair (`_convolution_grids`).  A radial input that has not
     decayed by the end of its grid, or a product f-hat * g-hat that has not
     decayed by lambda_max, raises DecayError.
     """
     if f.grid is not g.grid:
         raise GridError("convolve requires f and g on the same grid")
-    sgrid = _spectral_grid(params)
+    sgrid = _convolution_grids(params)[1]
     product = jacobi_transform(params, f, sgrid).values * jacobi_transform(params, g, sgrid).values
     return inverse_transform(params, SampledSpectralFunction(sgrid, product), f.grid)
 
 
 @functools.lru_cache(maxsize=8)
-def _spectral_grid(params):
-    """`convolve`'s spectral grid for params, kept for the last 8 parameter pairs."""
-    return SpectralGrid.build(params)
+def _convolution_grids(params):
+    """(`convolution_grid(params)`, `SpectralGrid.build(params)`), kept for the
+    last 8 parameter pairs.
+
+    `convolve` takes its spectral grid from here and the CLI its radial grid,
+    so the pair's phi matrix, which `phi_matrix_for` keeps on the radial grid,
+    is built once per pair: with it an entry holds about 3.1 MB (320 x 1200
+    doubles).
+    """
+    return convolution_grid(params), SpectralGrid.build(params)
 
 
 def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:

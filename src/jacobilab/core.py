@@ -74,6 +74,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -142,7 +143,8 @@ class JacobiParameters:
 
     Requires alpha > 1/2 and alpha > beta > -1/2.  The boundary value
     alpha = 1/2 (used by the closed-form test preset) is accepted only with
-    relaxed=True and emits a warning.
+    relaxed=True and emits a warning.  alpha and beta are stored as floats;
+    one that is not a finite real number raises ParameterError naming it.
     """
 
     alpha: float
@@ -151,9 +153,16 @@ class JacobiParameters:
     rho: float = field(init=False)
 
     def __post_init__(self):
-        a, b = float(self.alpha), float(self.beta)
-        if math.isnan(a) or math.isnan(b):
-            raise ParameterError("NaN Jacobi parameter")
+        for name in ("alpha", "beta"):
+            x = getattr(self, name)
+            if not isinstance(x, numbers.Real):
+                raise ParameterError(f"JacobiParameters requires a real {name}, got {name} = {x!r}")
+            if math.isnan(x):
+                raise ParameterError(f"NaN Jacobi parameter {name}")
+            if math.isinf(x):
+                raise ParameterError(f"JacobiParameters requires a finite {name}, got {name} = {x}")
+            object.__setattr__(self, name, float(x))
+        a, b = self.alpha, self.beta
         if self.relaxed:
             if a < 0.5:
                 raise ParameterError("relaxed mode still requires alpha >= 1/2")

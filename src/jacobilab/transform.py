@@ -351,7 +351,7 @@ def heat_kernel(params, s, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRad
 
     DomainError for an s that is not a finite real number > 0, and
     OverflowLimitError naming s where s rho^2 > 708, since every spectral
-    sample then underflows.
+    sample then underflows, or where no sample of h_s is a normal double.
     """
     s = real_number("heat_kernel", "s", s)
     if not math.isfinite(s):
@@ -365,7 +365,11 @@ def heat_kernel(params, s, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRad
         )
     with np.errstate(under="ignore"):
         spectral = np.exp(-s * (sgrid.nodes**2 + params.rho**2))
-    return inverse_transform(params, SampledSpectralFunction(sgrid, spectral), rgrid)
+    h = inverse_transform(params, SampledSpectralFunction(sgrid, spectral), rgrid)
+    peak = np.max(np.abs(h.values))
+    if not peak >= _SMALLEST_NORMAL:
+        raise OverflowLimitError(f"heat_kernel: no sample of h_s is a normal double at s = {s:g}; its largest is {peak:.3g}")
+    return h
 
 
 def apply_laplacian(params, f: SampledRadialFunction) -> SampledRadialFunction:

@@ -17,6 +17,7 @@ from jacobilab import (
     standard_multiplier_family,
     theorem_ratio_experiment,
 )
+from jacobilab import cli, convolution, core
 from jacobilab.cli import _member_from_manifest, main
 
 FAST = [
@@ -287,6 +288,78 @@ class TestHeatAndConvolve:
              "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "f.csv", "--output", "c.csv"]
         )
         assert code == 3
+
+
+def convolve_argv(base, preset, name):
+    return ["--preset", preset, "--output-dir", base, "convolve",
+            "--input-f", base / "f.csv", "--input-g", base / "f.csv", "--output", name]
+
+
+def same_outputs(base, first, second):
+    return all((base / f"{first}{suffix}").read_bytes() == (base / f"{second}{suffix}").read_bytes()
+               for suffix in ("", ".manifest.json"))
+
+
+class TestOncePerProcess:
+    def test_convolve_builds_its_grid_pair_and_phi_once(self, tmp_path, capsys, monkeypatch):
+        import jacobilab
+
+        calls = []
+        phi_matrix = core.phi_matrix
+
+        def counted(*args):
+            calls.append("phi_matrix")
+            return phi_matrix(*args)
+
+        # every binding of phi_matrix, as each module imports it by name
+        for module in (jacobilab, *(m for m in vars(jacobilab).values() if type(m) is type(jacobilab))):
+            for name, value in list(vars(module).items()):
+                if value is phi_matrix:
+                    monkeypatch.setattr(module, name, counted)
+        build = SpectralGrid.build.__func__
+        monkeypatch.setattr(SpectralGrid, "build", classmethod(lambda cls, *a: calls.append("build") or build(cls, *a)))
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        convolution._convolution_grids.cache_clear()
+        for name in ("c1.csv", "c2.csv"):
+            assert run(convolve_argv(tmp_path, "generic", name)) == 0
+        assert sorted(calls) == ["build", "phi_matrix"]
+        assert same_outputs(tmp_path, "c1.csv", "c2.csv")
+
+    def test_interleaved_presets_write_what_cold_runs_write(self, tmp_path, capsys):
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        presets = ("generic", "damek-ricci-like", "generic")
+        convolution._convolution_grids.cache_clear()
+        for i, preset in enumerate(presets):
+            assert run(convolve_argv(tmp_path, preset, f"warm{i}.csv")) == 0
+        for i, preset in enumerate(presets):
+            convolution._convolution_grids.cache_clear()
+            assert run(convolve_argv(tmp_path, preset, f"cold{i}.csv")) == 0
+            assert same_outputs(tmp_path, f"warm{i}.csv", f"cold{i}.csv")
+        assert not same_outputs(tmp_path, "warm0.csv", "warm1.csv")
+
+    def test_one_parser_carries_nothing_between_calls(self, tmp_path, capsys, monkeypatch):
+        # report sets args.reads from its kind; the next command through the
+        # same parser must hash and write as it would through a new one
+        t = np.linspace(0.05, 8.0, 200)
+        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        commands = [
+            lambda name: ["--preset", "generic", "--output-dir", tmp_path, "report", "gangolli", "--output", name],
+            lambda name: ["--preset", "generic", "--output-dir", tmp_path, *FAST, "heat", "--s", "0.1", "--output", name],
+            lambda name: convolve_argv(tmp_path, "generic", name),
+        ]
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        for i, command in enumerate(commands):
+            assert run(command(f"shared{i}.csv")) == 0
+        assert len(builds) == 1
+        for i, command in enumerate(commands):
+            cli._parser.cache_clear()
+            assert run(command(f"fresh{i}.csv")) == 0
+            assert same_outputs(tmp_path, f"shared{i}.csv", f"fresh{i}.csv")
 
 
 class TestWriteErrors:

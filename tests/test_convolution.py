@@ -261,7 +261,7 @@ class TestConvolve:
         builds = []
         build = SpectralGrid.build.__func__
         monkeypatch.setattr(SpectralGrid, "build", classmethod(lambda cls, *a: builds.append(a) or build(cls, *a)))
-        convolution._spectral_grid.cache_clear()
+        convolution._convolution_grids.cache_clear()
         f, g = bump(conv_grid, 0.8, 0.5), bump(conv_grid, 1.1, 0.6)
         first = convolve(generic_params, f, g)
         again = convolve(JacobiParameters(1.2, 0.3), f, g)

@@ -55,6 +55,28 @@ class TestJacobiParameters:
         with pytest.raises(ParameterError, match=r"relaxed mode still requires alpha >= 1/2"):
             JacobiParameters(0.4, 0.1, relaxed=True)
 
+    @pytest.mark.parametrize("alpha, beta, what", [
+        (math.inf, 0.5, "a finite alpha, got alpha = inf"),
+        (1.2, -math.inf, "a finite beta, got beta = -inf"),
+        ("2", 0.5, "a real alpha, got alpha = '2'"),
+        (1 + 1j, 0.5, r"a real alpha, got alpha = \(1\+1j\)"),
+        (1.2, 0.3 + 0j, r"a real beta, got beta = \(0\.3\+0j\)"),
+    ])
+    def test_parameter_that_is_not_a_finite_real_is_named(self, alpha, beta, what):
+        # inf was accepted, "2" was kept as a string, and a complex value raised TypeError
+        with pytest.raises(ParameterError, match=f"^JacobiParameters requires {what}$"):
+            JacobiParameters(alpha, beta)
+
+    def test_nan_is_named(self):
+        with pytest.raises(ParameterError, match="^NaN Jacobi parameter beta$"):
+            JacobiParameters(1.2, math.nan)
+
+    def test_stores_floats(self):
+        p = JacobiParameters(np.int64(2), np.float32(0.5))
+        assert type(p.alpha) is float and type(p.beta) is float
+        assert (p.alpha, p.beta, p.rho) == (2.0, 0.5, 3.5)
+        assert p == JacobiParameters(2.0, 0.5) and hash(p) == hash(JacobiParameters(2.0, 0.5))
+
     def test_relaxed_boundary_warns(self):
         with pytest.warns(UserWarning):
             p = JacobiParameters(0.5, -0.5, relaxed=True)

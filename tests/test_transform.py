@@ -466,6 +466,13 @@ class TestHeatKernel:
         with pytest.raises(OverflowLimitError, match=rf"^heat_kernel: s rho\^2 = .* at s = {re.escape(f'{s:g}')};"):
             heat_kernel(generic_params, s, *small_grids)
 
+    def test_output_without_a_normal_sample_is_a_typed_limit(self, generic_params):
+        # just below s rho^2 = 708 every spectral sample is normal, but the
+        # largest sample of h_s was 8.9e-314, returned without an error
+        s = 708.0 / generic_params.rho**2 - 0.01
+        with pytest.raises(OverflowLimitError, match=rf"^heat_kernel: no sample of h_s is a normal double at s = {s:g};"):
+            heat_kernel(generic_params, s, *default_grids(generic_params, 20.0, 40, 50.0, 40))
+
     @pytest.mark.parametrize("s, what", [(math.inf, "finite s, got s = inf"), (math.nan, "finite s, got s = nan"),
                                          (0.1 + 0j, r"a real s, got s = \(0\.1\+0j\)")])
     def test_s_that_is_not_a_finite_real_is_named(self, generic_params, small_grids, s, what):
