@@ -214,6 +214,16 @@ class TestTransformPipeline:
         assert (outdir / "o.csv").exists()
 
 
+def convolve_argv(base, preset, name):
+    return ["--preset", preset, "--output-dir", base, "convolve",
+            "--input-f", base / "f.csv", "--input-g", base / "f.csv", "--output", name]
+
+
+def same_outputs(base, first, second):
+    return all((base / f"{first}{suffix}").read_bytes() == (base / f"{second}{suffix}").read_bytes()
+               for suffix in ("", ".manifest.json"))
+
+
 class TestHeatAndConvolve:
     def test_heat(self, tmp_path, capsys):
         base = ["--preset", "generic", "--output-dir", str(tmp_path), *FAST]
@@ -234,17 +244,32 @@ class TestHeatAndConvolve:
         xs, vals = read_csv(tmp_path / "c.csv")
         assert np.all(np.isfinite(vals))
 
-    def test_convolve_rerun_in_process_is_byte_identical(self, tmp_path, capsys):
-        # the second run takes the spectral grid and the Harish-Chandra rules
-        # that the first one left in the process
+    def test_convolve_rerun_in_process_is_byte_identical(self, tmp_path, capsys, monkeypatch):
+        # the second run takes the grid pair, its phi matrix and the
+        # Harish-Chandra rules that the first one left in the process
+        import jacobilab
+
+        calls = []
+        phi_matrix = core.phi_matrix
+
+        def counted(*args):
+            calls.append("phi_matrix")
+            return phi_matrix(*args)
+
+        # every binding of phi_matrix, as each module imports it by name
+        for module in (jacobilab, *(m for m in vars(jacobilab).values() if type(m) is type(jacobilab))):
+            for name, value in list(vars(module).items()):
+                if value is phi_matrix:
+                    monkeypatch.setattr(module, name, counted)
+        build = SpectralGrid.build.__func__
+        monkeypatch.setattr(SpectralGrid, "build", classmethod(lambda cls, *a: calls.append("build") or build(cls, *a)))
         t = np.linspace(0.05, 8.0, 200)
         write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
+        convolution._convolution_grids.cache_clear()
         for name in ("c1.csv", "c2.csv"):
-            argv = ["--preset", "generic", "--output-dir", tmp_path, "convolve",
-                    "--input-f", tmp_path / "f.csv", "--input-g", tmp_path / "f.csv", "--output", name]
-            assert run(argv) == 0
-        for suffix in ("", ".manifest.json"):
-            assert (tmp_path / f"c1.csv{suffix}").read_bytes() == (tmp_path / f"c2.csv{suffix}").read_bytes()
+            assert run(convolve_argv(tmp_path, "generic", name)) == 0
+        assert sorted(calls) == ["build", "phi_matrix"]
+        assert same_outputs(tmp_path, "c1.csv", "c2.csv")
 
     def test_convolve_ignores_grid_flags(self, tmp_path, capsys):
         # convolve runs on convolution_grid whatever the grid flags say, so
@@ -290,42 +315,7 @@ class TestHeatAndConvolve:
         assert code == 3
 
 
-def convolve_argv(base, preset, name):
-    return ["--preset", preset, "--output-dir", base, "convolve",
-            "--input-f", base / "f.csv", "--input-g", base / "f.csv", "--output", name]
-
-
-def same_outputs(base, first, second):
-    return all((base / f"{first}{suffix}").read_bytes() == (base / f"{second}{suffix}").read_bytes()
-               for suffix in ("", ".manifest.json"))
-
-
 class TestOncePerProcess:
-    def test_convolve_builds_its_grid_pair_and_phi_once(self, tmp_path, capsys, monkeypatch):
-        import jacobilab
-
-        calls = []
-        phi_matrix = core.phi_matrix
-
-        def counted(*args):
-            calls.append("phi_matrix")
-            return phi_matrix(*args)
-
-        # every binding of phi_matrix, as each module imports it by name
-        for module in (jacobilab, *(m for m in vars(jacobilab).values() if type(m) is type(jacobilab))):
-            for name, value in list(vars(module).items()):
-                if value is phi_matrix:
-                    monkeypatch.setattr(module, name, counted)
-        build = SpectralGrid.build.__func__
-        monkeypatch.setattr(SpectralGrid, "build", classmethod(lambda cls, *a: calls.append("build") or build(cls, *a)))
-        t = np.linspace(0.05, 8.0, 200)
-        write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
-        convolution._convolution_grids.cache_clear()
-        for name in ("c1.csv", "c2.csv"):
-            assert run(convolve_argv(tmp_path, "generic", name)) == 0
-        assert sorted(calls) == ["build", "phi_matrix"]
-        assert same_outputs(tmp_path, "c1.csv", "c2.csv")
-
     def test_interleaved_presets_write_what_cold_runs_write(self, tmp_path, capsys):
         t = np.linspace(0.05, 8.0, 200)
         write_radial_csv(tmp_path / "f.csv", t, np.exp(-(t**2)))
