@@ -1,18 +1,28 @@
-"""Small numeric helpers shared across modules: quadrature rules, fits, bumps."""
+"""Small numeric helpers shared across modules: quadrature rules, fits, bumps,
+and the argument roles.  A public function converts and checks each scalar
+or array argument in one role call at entry (`real_number`, `real_array`,
+`complex_number`, `complex_array`, `exponent`, or the predicate `is_count`),
+which refuses a value that is not a finite number of its kind, naming it.
+"""
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
+    "complex_array",
+    "complex_number",
     "composite_gauss_legendre",
     "gauss_legendre",
     "dyadic_differences",
+    "exponent",
     "graded_breakpoints",
     "is_count",
     "loglog_slope",
@@ -80,35 +90,76 @@ def dyadic_differences(g, lam_min, lam_max):
     )
 
 
-def real_number(what, name, x):
-    """float(x), or DomainError naming the argument where x is not a real number.
-
-    A complex x is refused even with a zero imaginary part.  Finiteness is
-    the caller's check.
-    """
-    if not isinstance(x, (complex, np.complexfloating)):
+def real_number(what, name, x, positive=False, error=DomainError):
+    """float(x), or `error` naming the argument where x is not a finite real
+    number (with positive, one > 0).  A string or a complex x is refused,
+    even "2" or 2 + 0j."""
+    if not isinstance(x, (str, bytes, complex, np.complexfloating)):
         try:
-            return float(x)
+            x = float(x)
         except (TypeError, ValueError):
             pass
-    raise DomainError(f"{what} requires a real {name}, got {name} = {x!r}")
+        else:
+            if positive and not 0.0 < x < math.inf:
+                raise error(f"{what} requires {name} > 0 and finite {name}, got {name} = {x:g}")
+            if math.isfinite(x):
+                return x
+            raise error(f"{what} requires finite {name}, got {name} = {x}")
+    raise error(f"{what} requires a real {name}, got {name} = {x!r}")
 
 
-def real_array(what, name, x):
-    """x as a float64 array, or DomainError naming the argument where x is not
-    an array of real numbers.
+def complex_number(what, name, x):
+    """complex(x), or DomainError naming the argument where x is not one finite
+    number: a string or an array (even an empty one) is refused."""
+    if not isinstance(x, (str, bytes)):
+        try:
+            z = complex(x)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+            raise DomainError(_not_finite(what, name, z))
+    raise DomainError(f"{what} requires a number {name}, got {name} = {x!r}")
 
-    A complex array is refused even with a zero imaginary part.  Finiteness
-    is the caller's check.
-    """
+
+def real_array(what, name, x, error=DomainError):
+    """x as a float64 array, or `error` naming the argument where x is not an
+    array of finite real numbers; complex, string and object arrays are
+    refused, and an empty array passes."""
+    arr = _numeric(what, name, x, "biuf", "a real", error)
+    if not (finite := np.isfinite(arr)).all():
+        raise error(f"{what} requires finite {name}, got {name} = {arr[~finite].flat[0]}")
+    return arr
+
+
+def complex_array(what, name, x):
+    """x as a complex128 array, or DomainError naming the argument where x is
+    not an array of finite numbers, real ones included."""
+    arr = _numeric(what, name, x, "biufc", "a number", DomainError)
+    if not (finite := np.isfinite(arr)).all():
+        raise DomainError(_not_finite(what, name, arr[~finite].flat[0]))
+    return arr
+
+
+def _numeric(what, name, x, kinds, noun, error):
+    """x as a float64 array (complex128 where kinds has "c"), or `error` where its kind is not in kinds."""
     arr = np.asarray(x)
-    if not np.iscomplexobj(arr):
-        try:
-            return np.asarray(arr, dtype=float)
-        except (TypeError, ValueError):
-            pass
-    got = f"{name} = {x!r}" if arr.ndim == 0 else f"a {arr.dtype} array"
-    raise DomainError(f"{what} requires a real {name}, got {got}")
+    if arr.dtype.kind not in kinds:
+        raise error(f"{what} requires {noun} {name}, got " + (f"{name} = {x!r}" if arr.ndim == 0 else f"a {arr.dtype} array"))
+    return arr.astype(complex if "c" in kinds else float, copy=False)
+
+
+def _not_finite(what, name, z):
+    kind = "NaN" if cmath.isnan(z) else "non-finite"
+    return f"{kind} argument to {what}: {name} = {z}; {name} must be finite"
+
+
+def exponent(what, name, p):
+    """float(p) for an L^p exponent, a real p >= 1 or inf, else DomainError naming it."""
+    if isinstance(p, numbers.Real) and p >= 1.0:
+        return float(p)
+    raise DomainError(f"{what} requires {name} >= 1 or {name} = inf, got {name} = {p!r}")
 
 
 def loglog_slope(x, y):

@@ -311,6 +311,8 @@ def _cmd_heat(args, params):
 def _cmd_report(args, params):
     args.reads = _REPORT_READS[args.kind]
     if args.kind == "c-asymptotics":
+        if not 2.0 < args.lmax < math.inf:
+            raise _CliError(f"--lmax must be a finite number above 2, not {args.lmax:g}")
         lams = [float(l) for l in np.geomspace(2.0, args.lmax, 24)]
         header = ["lambda", "d_ratio", "d_prime_scaled", "logderiv_scaled"]
         rows = [tuple(r[name] for name in header) for r in c_asymptotics_report(params, lams)]

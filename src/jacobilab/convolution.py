@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, real_array, real_number, smoothstep_quintic
+from ._util import composite_gauss_legendre, exponent, real_array, real_number, smoothstep_quintic
 from .core import JacobiParameters, weight_density
 from .errors import CostBudgetError, DomainError, GridError, OverflowLimitError
 from .specfun import _TINY, _gamma_alpha_plus_one, hyp2f1_real_arg
@@ -61,16 +61,15 @@ def _kernel_prefactor(params):
 def kernel_values(params, s, t, u):
     """Vectorized kernel K(s,t,u); s, t, u broadcast against each other.
 
-    Returns 0 outside the support |s-t| < u < s+t.  Raises DomainError naming
-    an argument that is not real, or for one that is negative or not finite,
-    and OverflowLimitError naming
+    Returns 0 outside the support |s-t| < u < s+t.  Raises DomainError for
+    a negative argument, and OverflowLimitError naming
     (s, t, u) where cosh s cosh t cosh u, or the size of K, leaves the normal
     doubles; the size is K without the factors (1 - B^2)^(alpha - 1/2) and
     2F1, which vanish at the edges of the support.
     """
     s, t, u = np.broadcast_arrays(*(real_array("kernel_values", name, x) for name, x in (("s", s), ("t", t), ("u", u))))
-    if not ((np.minimum(np.minimum(s, t), u) >= 0.0) & (np.maximum(np.maximum(s, t), u) < math.inf)).all():
-        raise DomainError("kernel arguments must be finite non-negative numbers, not NaN")
+    if (np.minimum(np.minimum(s, t), u) < 0.0).any():
+        raise DomainError("kernel_values requires s, t, u >= 0")
     out = np.zeros(s.shape)
     mask = (u > np.abs(s - t)) & (u < s + t) & (s > 0.0) & (t > 0.0) & (u > 0.0)
     if not mask.any():
@@ -109,12 +108,7 @@ def kernel_K(params, s, t, u) -> KernelEvaluation:
 
     DomainError for an argument that is not a positive finite real number.
     """
-    s, t, u = (real_number("kernel_K", name, x) for name, x in (("s", s), ("t", t), ("u", u)))
-    for name, x in (("s", s), ("t", t), ("u", u)):
-        if not x > 0.0:
-            raise DomainError(f"kernel_K requires {name} > 0, got {name} = {x:g}")
-        if x == math.inf:
-            raise DomainError(f"kernel_K requires finite {name}, got {name} = inf")
+    s, t, u = (real_number("kernel_K", name, x, positive=True) for name, x in (("s", s), ("t", t), ("u", u)))
     in_support = abs(s - t) < u < s + t
     value = float(kernel_values(params, s, t, u)) if in_support else 0.0
     return KernelEvaluation(s, t, u, value, in_support)
@@ -145,10 +139,8 @@ def _support_rule(x, y, z_max, n_panels=_SUPPORT_PANELS):
 
 
 def translate(params, f: SampledRadialFunction, x) -> SampledRadialFunction:
-    """Generalized translation (tau_x f)(y) = integral f(z) K(x,y,z) dmu(z)."""
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("translate requires x > 0")
+    """Generalized translation (tau_x f)(y) = integral f(z) K(x,y,z) dmu(z), x > 0."""
+    x = real_number("translate", "x", x, positive=True)
     return SampledRadialFunction(f.grid, _translate(params, f, x, f.grid.nodes))
 
 
@@ -218,6 +210,7 @@ def convolve_direct(params, f: SampledRadialFunction, g: SampledRadialFunction) 
 
 def young_check(params, f, g, p, q):
     """Ratio ||f*g||_r / (||f||_p ||g||_q) with 1/r = 1/p + 1/q - 1."""
+    p, q = (exponent("young_check", name, x) for name, x in (("p", p), ("q", q)))
     inv_r = (1.0 / p if p != math.inf else 0.0) + (1.0 / q if q != math.inf else 0.0) - 1.0
     if not -1e-12 <= inv_r <= 1.0 + 1e-12:
         raise DomainError("no exponent r with 1/p + 1/q - 1 = 1/r in [1, inf]")

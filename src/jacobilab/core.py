@@ -69,7 +69,6 @@ scalar, a short or an irregular array) takes the direct cos and sin.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import contextvars
 import functools
@@ -81,7 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import is_count, loglog_slope, real_array, real_number
+from ._util import complex_array, complex_number, is_count, loglog_slope, real_array, real_number
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
 from .specfun import _TINY, _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
@@ -189,13 +188,10 @@ class JacobiParameters:
 def weight_density(params: JacobiParameters, t):
     """Weight Delta(t) = (2 sinh t)^(2a+1) (2 cosh t)^(2b+1), t > 0.
 
-    Raises DomainError naming a t that is not a finite real number, and
-    OverflowLimitError naming alpha, beta and the least t given where Delta(t)
-    exceeds the largest double (about 2 rho t > 709).
+    Raises OverflowLimitError naming alpha, beta and the least t given where
+    Delta(t) exceeds the largest double (about 2 rho t > 709).
     """
     t_arr = real_array("weight_density", "t", t)
-    if not np.isfinite(t_arr).all():
-        raise DomainError(f"weight_density requires finite t, got t = {t_arr[~np.isfinite(t_arr)].flat[0]}")
     if np.any(t_arr <= 0.0):
         raise DomainError("weight_density requires t > 0")
     with np.errstate(over="ignore"):
@@ -344,7 +340,7 @@ def gangolli_fit(params, k_max, lambda_set):
     """
     if not is_count(k_max, 16):
         raise ParameterError(f"gangolli_fit requires an integer k_max >= 16, not {k_max!r}")
-    lams = np.asarray(lambda_set, dtype=complex)
+    lams = complex_array("gangolli_fit", "lambda_set", lambda_set)
     if not lams.size:
         raise DomainError("gangolli_fit requires a non-empty lambda_set")
     table = gamma_coefficient_table(params, lams, k_max)
@@ -561,16 +557,10 @@ def _hypergeometric(params, t, lam, split, out):
         out[:rows, col] = value.real if phase is not None else value
 
 
-def _require_finite(name, x):
-    if not np.isfinite(x).all():
-        raise DomainError(f"{name} must be finite")
-
-
 def _require_rho_t(params, t, what, power=1):
-    """DomainError unless t is finite; OverflowLimitError naming rho t where
-    e^(power rho |t|) passes e^708, so that it or its reciprocal leaves the
-    normal doubles.  Call it before forming the exponential."""
-    _require_finite("t", t)
+    """OverflowLimitError naming rho t where e^(power rho |t|) passes e^708,
+    so that it or its reciprocal leaves the normal doubles, for a finite t.
+    Call it before forming the exponential."""
     rho_t = params.rho * float(np.abs(t).max(initial=0.0))
     if power * rho_t > _RHO_T_MAX:
         factor = "" if power == 1 else f"{power:g} "
@@ -602,7 +592,6 @@ def _phi(params, t, lam, hypergeometric=None):
     Raises OverflowLimitError where rho t > 708, since phi then underflows.
     """
     _require_rho_t(params, t, "phi_lambda(t)")
-    _require_finite("lambda", lam)
     real = not (np.iscomplexobj(lam) and lam.imag.any())
     lam = np.abs(np.real(lam)) if real else lam
     out = np.empty((t.size, lam.size), dtype=float if real else complex)
@@ -638,16 +627,10 @@ def _phi(params, t, lam, hypergeometric=None):
 def jacobi_phi(params, lam, t):
     """The Jacobi function phi_lambda(t) at one complex lambda and real t >= 0.
 
-    Raises DomainError for a non-finite lambda or a t that is not a finite
-    real number, and OverflowLimitError where rho t > 708, since phi then
-    underflows.
+    Raises OverflowLimitError where rho t > 708, since phi then underflows.
     """
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise DomainError("lambda must be finite")
+    lam = complex_number("jacobi_phi", "lambda", lam)
     t = real_number("jacobi_phi", "t", t)
-    if not math.isfinite(t):
-        raise DomainError("t must be finite")
     if t < 0.0:
         raise DomainError("jacobi_phi requires t >= 0")
     a, b, _ = _phi_params(params, lam)
@@ -662,9 +645,8 @@ def phi_matrix(params, t_nodes, lam_nodes):
     Real lambda gives a real matrix; complex lambda nodes (as for phi on a
     shifted contour) give a complex one.
     """
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    lam_nodes = np.asarray(lam_nodes)
-    lam_nodes = lam_nodes.astype(complex if np.iscomplexobj(lam_nodes) else float, copy=False)
+    t_nodes = real_array("phi_matrix", "t", t_nodes)
+    lam_nodes = complex_array("phi_matrix", "lambda", lam_nodes)
     for name, nodes in (("t_nodes", t_nodes), ("lam_nodes", lam_nodes)):
         if nodes.ndim != 1:
             raise DomainError(f"phi_matrix requires 1-D {name}, got {nodes.ndim}-D")
@@ -681,13 +663,12 @@ def laplacian_residual(params, lam, t):
     h = 1e-3, evaluated on the route of its centre, so branch switching
     cannot pollute it.  Its truncation error is O(h^4), so the residual sits
     near the rounding floor of phi'' (about 1e-16 / h^2) rather than above it.
-    DomainError for a t that is not a real number.
     """
     h = _RESIDUAL_STEP
     t = real_number("laplacian_residual", "t", t)
     if not t > 2.0 * h:
         raise DomainError("laplacian_residual requires t > 2h > 0")
-    lam = complex(lam)
+    lam = complex_number("laplacian_residual", "lambda", lam)
     route = bool(_hypergeometric_route(params, lam, t))
     nodes = t + h * np.arange(-2.0, 3.0)
     fm2, fm1, f0, fp1, fp2 = _phi(params, nodes, np.array([lam]), route)[:, 0]
@@ -724,8 +705,7 @@ def c_function(params, lam):
     OverflowLimitError where a nonzero c leaves the normal doubles (alpha past
     about 500, or |lambda| past about 1e150).
     """
-    lam_arr = np.asarray(lam, dtype=complex)
-    _require_finite("lambda", lam_arr)
+    lam_arr = complex_array("c_function", "lambda", lam)
     z = 0.5j * lam_arr.reshape(-1)
     shifts = np.array([[0.5 * params.rho], [0.5 * (params.alpha - params.beta + 1.0)]])
     (l1, l2), (f1, f2) = gamma_ratio(z, _C_NUMERATOR_SHIFTS, shifts)
@@ -744,7 +724,7 @@ def c_function(params, lam):
 
 def plancherel_density(params, lam):
     """d(lambda) = |c(lambda)|^(-2) for real lambda != 0."""
-    lam_arr = np.asarray(lam, dtype=float)
+    lam_arr = real_array("plancherel_density", "lambda", lam)
     _, out = _c_and_density(params, lam_arr)
     return float(out) if lam_arr.ndim == 0 else out
 
@@ -764,8 +744,7 @@ def c_asymptotics_report(params, lambda_list):
     derivative d'(lambda) (1+lambda)^(2a) normalization (stays bounded), and
     |c'(lambda)/c(lambda)| * lambda (stays bounded).
     """
-    lams = np.asarray(lambda_list, dtype=float)
-    _require_finite("lambda_list", lams)
+    lams = real_array("c_asymptotics_report", "lambda_list", lambda_list)
     if not (lams.size and np.all(np.diff(lams) > 0) and lams[0] >= 1.0):
         raise DomainError("lambda_list must be non-empty and increasing with min >= 1")
     expo = 2.0 * params.alpha + 1.0
@@ -795,15 +774,14 @@ def bessel_local_expansion(params, lam, t, M):
 
     M counts the kept terms (1 or 2); the residual for M = 2 is the analogue
     of the quartic-order error term of the two-term expansion.  Returns
-    (truncation value, residual phi - truncation).  DomainError for a lambda
-    or t that is not a real number.
+    (truncation value, residual phi - truncation).
     """
     lam = real_number("bessel_local_expansion", "lambda", lam)
     t = real_number("bessel_local_expansion", "t", t)
     if not 0.0 < t <= _R0:
         raise DomainError(f"bessel_local_expansion requires 0 < t <= R0 = {_R0:g}")
-    if M not in (1, 2):
-        raise ParameterError("M must be 1 or 2")
+    if not (is_count(M) and M <= 2):
+        raise ParameterError(f"M must be 1 or 2, not {M!r}")
     c_a = _local_expansion_prefactor(params)
     base = c_a * t ** (params.alpha + 0.5) / math.sqrt(weight_density(params, t))
     value = base * bessel_script_J(params.alpha, abs(lam) * t)

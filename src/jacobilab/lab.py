@@ -16,6 +16,7 @@ and at the conjugate exponent, and decides whether its ratios are stable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class OperatorNormEstimate:
 
 
 def _check_exponent(p):
-    if not 1.0 < p < math.inf:
+    if not (isinstance(p, numbers.Real) and 1.0 < p < math.inf):
         raise ParameterError(f"p must lie in (1, inf), not {p}")
 
 

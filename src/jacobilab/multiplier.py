@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, dyadic_differences, is_count, smoothstep_quintic
-from .core import _R0, JacobiParameters, _require_finite, _require_rho_t, c_function, gamma_coefficient_table, weight_density
+from ._util import complex_array, complex_number, composite_gauss_legendre, dyadic_differences, is_count, real_array, real_number, smoothstep_quintic
+from .core import _R0, JacobiParameters, _require_rho_t, c_function, gamma_coefficient_table, weight_density
 from .errors import (
     ConvergenceError,
     DecayError,
@@ -104,8 +104,7 @@ def _cutoff_phi(lam):
 def omega(params, lam):
     """omega(lambda) = (lambda^2 + 4 rho^2)^(alpha + 1/4), principal branch;
     OverflowLimitError where it leaves the doubles."""
-    lam = np.asarray(lam, dtype=complex)
-    _require_finite("lambda", lam)
+    lam = complex_array("omega", "lambda", lam)
     with np.errstate(over="ignore", invalid="ignore"):
         base = lam**2 + 4.0 * params.rho**2
         out = base ** (params.alpha + 0.25)
@@ -126,7 +125,7 @@ def c_inverse_reflected(params, lam):
     vanishes, at lambda = -i(alpha - beta + 1 + 2n) and -i(rho + 2n), and
     OverflowLimitError where c_function does.
     """
-    lam = np.asarray(lam, dtype=complex)
+    lam = complex_array("c_inverse_reflected", "lambda", lam)
     z = -1j * lam
     pole = (np.abs(z - np.round(z.real)) <= 1e-13) & (np.round(z.real) <= 0)
     c = c_function(params, np.where(pole, 1.0, -lam))
@@ -143,7 +142,7 @@ def modified_multiplier(params, m: MultiplierSpec, lam):
     c(-lambda)^(-1), so far out on shifted contours they stay 0.  Where m is
     nonzero, c_inverse_reflected's PoleError and OverflowLimitError apply.
     """
-    lam_arr = np.asarray(lam, dtype=complex)
+    lam_arr = complex_array("modified_multiplier", "lambda", lam)
     scalar = lam_arr.ndim == 0
     lam_arr = np.atleast_1d(lam_arr)
     mvals = np.atleast_1d(np.asarray(m(lam_arr), dtype=complex))
@@ -163,11 +162,10 @@ def boundary_trace(g, height, nodes):
     imaginary parts separately; raises ConvergenceError naming the first
     node where a rung's sample is not finite (a pole of g on a rung), or if
     dropping the coarsest rung moves the answer by more than 1e-4 of its
-    scale, and DomainError for a non-finite height or node.
+    scale.
     """
-    _require_finite("height", height)
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    _require_finite("nodes", nodes)
+    height = real_number("boundary_trace", "height", height)
+    nodes = np.atleast_1d(real_array("boundary_trace", "nodes", nodes))
     if height == 0.0:
         return np.asarray(g(nodes.astype(complex)), dtype=complex)
     x0, x1, x2 = _EPS_LADDER
@@ -177,8 +175,8 @@ def boundary_trace(g, height, nodes):
         p01 = r1 + (r1 - r0) * x1 / (x0 - x1)
         tail = r2 + (r2 - r1) * x2 / (x1 - x2)  # the two finest rungs
         full = (tail + (tail - p01) * x2 / (x0 - x2)).view(complex)
-        scale = max(np.max(np.abs(full)), 1.0)
-        defect = np.max(np.abs(full - tail.view(complex))) / scale
+        scale = np.max(np.abs(full), initial=1.0)
+        defect = np.max(np.abs(full - tail.view(complex)), initial=0.0) / scale
     # a non-finite rung sample makes its node's extrapolation inf or NaN
     bad = np.flatnonzero(~np.isfinite(full))
     if bad.size:
@@ -192,7 +190,7 @@ def boundary_trace(g, height, nodes):
 
 def w_function(params, lam):
     """w(lambda) = omega(lambda)^(-1) c(lambda)^(-1)."""
-    lam = np.asarray(lam, dtype=complex)
+    lam = complex_array("w_function", "lambda", lam)
     return 1.0 / (omega(params, lam) * c_function(params, lam))
 
 
@@ -213,16 +211,17 @@ def hormander_check(g):
 
 def p_s_function(params, s, lam):
     """P_s(lambda) = (1 - phi(lambda)) |lambda|^(-s) c(lambda)^(-1) for real lambda,
-    with phi the spectral cutoff, 1 on |lambda| <= 1/R0 and 0 past 2/R0."""
-    _require_finite("s", s)
-    lam = np.asarray(lam, dtype=float)
-    _require_finite("lambda", lam)
+    with phi the spectral cutoff, 1 on |lambda| <= 1/R0 and 0 past 2/R0.
+    s is one finite number, complex allowed."""
+    s = complex_number("p_s_function", "s", s)
+    lam = real_array("p_s_function", "lambda", lam)
     out = np.zeros(lam.shape, dtype=complex)
     off = 1.0 - _cutoff_phi(lam)
     live = off > 0.0
     if np.any(live):
         lam_live = lam[live]
-        out[live] = off[live] * np.abs(lam_live) ** (-s) / c_function(params, lam_live.astype(complex))
+        # a real s keeps the real power
+        out[live] = off[live] * np.abs(lam_live) ** (-s if s.imag else -s.real) / c_function(params, lam_live.astype(complex))
     return out
 
 
@@ -239,9 +238,8 @@ def kernel_from_multiplier(params, m: MultiplierSpec, rgrid: RadialGrid, sgrid: 
 
 
 def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
-    """m_s(lambda) = m(lambda) exp(-s (lambda^2 + rho^2)); rapidly decreasing."""
-    if not s > 0.0:
-        raise DomainError("heat_regularize requires s > 0")
+    """m_s(lambda) = m(lambda) exp(-s (lambda^2 + rho^2)), s > 0; rapidly decreasing."""
+    s = real_number("heat_regularize", "s", s, positive=True)
     rho2 = params.rho**2
     base = m.evaluate
 
@@ -285,6 +283,7 @@ def delta_expansion(params, t):
     t < 0, where (1-X)^<alpha> has no real value, and OverflowLimitError
     naming rho t where e^(2 rho t) leaves the doubles (rho t > 354).
     """
+    t = real_array("delta_expansion", "t", t)
     na, fa = _bracket_parts(params.alpha)
     nb, fb = _bracket_parts(params.beta)
     poly_a = np.poly1d([1.0])
@@ -293,7 +292,6 @@ def delta_expansion(params, t):
     for _ in range(nb):
         poly_a = poly_a * np.poly1d([1.0, 1.0])
     coeffs = poly_a.coefficients[::-1].copy()  # c_0 ... c_J, ascending in X
-    t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("delta_expansion requires t >= 0")
     _require_rho_t(params, t, "delta_expansion", power=2)
@@ -319,17 +317,11 @@ def _line_integrals(params, m: MultiplierSpec, lam, weights, t, j_max):
 
     The Harish-Chandra line integrals of the multiplier side, for
     j = 0..j_max and each t, over a path rule (lambda_n, w_n) whose weights
-    include d lambda.  Raises DecayError unless m is rapidly decreasing,
-    ParameterError unless j_max is an integer >= 0, and DomainError for an
-    empty or non-finite t.
+    include d lambda; t is finite, j_max an integer >= 0.  Raises DecayError
+    unless m is rapidly decreasing.
     """
     _require_rapid_decay(m)
-    if not is_count(j_max, 0):
-        raise ParameterError(f"the Harish-Chandra index must be an integer >= 0, got {j_max!r}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not t.size:
-        raise DomainError("t must be non-empty")
-    _require_finite("t", t)
+    t = np.atleast_1d(t)
     lam = np.asarray(lam, dtype=complex)
     with np.errstate(under="ignore"):
         terms = weights * modified_multiplier(params, m, lam) * gamma_coefficient_table(params, lam, j_max)
@@ -350,9 +342,11 @@ def hc_global_pieces(params, m: MultiplierSpec, ell_max, t_nodes):
     whether it is at most 1e-4.  Raises OverflowLimitError naming rho t where
     Delta's e^(2 rho t) leaves the doubles (rho t > 354).
     """
-    t = np.atleast_1d(np.asarray(t_nodes, dtype=float))
-    if np.any(t < math.sqrt(_R0)):
-        raise DomainError("t_nodes must lie at or beyond sqrt(R0)")
+    if not is_count(ell_max, 0):
+        raise ParameterError(f"hc_global_pieces requires an integer ell_max >= 0, got {ell_max!r}")
+    t = np.atleast_1d(real_array("hc_global_pieces", "t_nodes", t_nodes))
+    if not t.size or np.any(t < math.sqrt(_R0)):
+        raise DomainError("t_nodes must be non-empty and lie at or beyond sqrt(R0)")
     _require_rho_t(params, t, "hc_global_pieces", power=2)
     lam, wlam = _line_rule()
     # the inverse-transform normalization, folded over lambda -> -lambda
@@ -400,8 +394,9 @@ def contour_shift_check(params, m: MultiplierSpec, k, t):
     magnitudes grow with R, and OverflowLimitError naming rho t where the
     common factor e^(rho t) leaves the doubles (rho t > 708).
     """
-    if t <= 0.0:
-        raise DomainError("contour_shift_check requires t > 0")
+    if not is_count(k, 0):
+        raise ParameterError(f"contour_shift_check requires an integer k >= 0, got {k!r}")
+    t = real_number("contour_shift_check", "t", t, positive=True)
     _require_rho_t(params, t, "contour_shift_check")
 
     lam, wlam = _line_rule()

@@ -23,12 +23,11 @@ would move a scalar off its batch element.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from ._util import real_number
+from ._util import complex_array, complex_number, real_number
 from .errors import ConvergenceError, DomainError, OverflowLimitError, ParameterError, PoleError
 
 __all__ = [
@@ -99,13 +98,11 @@ def gamma_complex(z):
 
     Where that product leaves the doubles although Gamma(z) need not (its
     power t^(x - 1/2) overflows from about z = 143 on), the element is formed
-    from its logarithm instead.  Raises DomainError for a non-finite entry,
-    PoleError for one within 1e-14 of a nonpositive integer, and
-    OverflowLimitError naming z where |Gamma(z)| leaves the normal doubles.
+    from its logarithm instead.  Raises PoleError for an entry within 1e-14
+    of a nonpositive integer, and OverflowLimitError naming z where
+    |Gamma(z)| leaves the normal doubles.
     """
-    z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise DomainError("non-finite argument to gamma_complex")
+    z = complex_array("gamma_complex", "z", z)
     if _at_pole(z).any():
         raise PoleError("gamma_complex evaluated at a nonpositive integer")
     flat = z.reshape(-1)  # a scalar takes the vector path, so it gets the same bits
@@ -166,18 +163,14 @@ def hyp2f1(a, b, c, z):
 
     For z in [0, 1) the defining series is summed directly; for z < 0 the
     Pfaff transformation maps the argument to w = z/(z-1) in [0, 1):
-    2F1(a, b; c; z) = (1-z)^(-a) * 2F1(a, c-b; c; w).  DomainError names a
-    non-finite a, b or c, and a z that is not a finite real number below 1.
+    2F1(a, b; c; z) = (1-z)^(-a) * 2F1(a, c-b; c; w).
     """
-    a, b, c = complex(a), complex(b), complex(c)
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not cmath.isfinite(v):
-            raise DomainError(f"{'NaN' if cmath.isnan(v) else 'non-finite'} argument to hyp2f1: {name} = {v}")
+    a, b, c = (complex_number("hyp2f1", name, x) for name, x in (("a", a), ("b", b), ("c", c)))
     z = real_number("hyp2f1", "z", z)
     if abs(c - round(c.real)) <= _POLE_TOL and round(c.real) <= 0 and abs(c.imag) <= _POLE_TOL:
         raise ParameterError("2F1 parameter c is a nonpositive integer")
-    if not -math.inf < z < 1.0:
-        raise DomainError(f"hyp2f1 requires a finite z < 1, got z = {z}")
+    if not z < 1.0:
+        raise DomainError(f"hyp2f1 requires z < 1, got z = {z}")
     if 0.0 <= z < 1.0:
         return complex(hyp2f1_real_arg(a, b, c, z))
     w = z / (z - 1.0)
@@ -319,8 +312,9 @@ def _script_j_series(alpha, x):
     x = np.longdouble(x)
     q = -(x * x) / 4.0
     # leading term 1 / (2^alpha Gamma(alpha+1)); past alpha of about 150 the
-    # product leaves the doubles, and there it is formed in long double
-    scale = 2.0**alpha * _gamma_alpha_plus_one(alpha)
+    # product leaves the doubles, and there it is formed in long double;
+    # Gamma goes first, to name alpha past 170 before 2.0**alpha overflows
+    scale = _gamma_alpha_plus_one(alpha) * 2.0**alpha
     if scale == math.inf:
         scale = np.longdouble(2.0) ** alpha * np.longdouble(_gamma_alpha_plus_one(alpha))
     term = np.longdouble(1.0) / np.longdouble(scale)
@@ -375,14 +369,10 @@ def bessel_script_J(alpha, x):
     else the series where a double epsilon of the sum of its |terms|, a
     generous bound on its long double rounding, is below that;
     ConvergenceError naming alpha and x where neither is.  OverflowLimitError
-    naming alpha where the value leaves the normal doubles.  DomainError
-    naming alpha or x where it is not a finite real number.
+    naming alpha where the value leaves the normal doubles.
     """
     alpha = real_number("bessel_script_J", "alpha", alpha)
     x = real_number("bessel_script_J", "x", x)
-    for name, arg in (("alpha", alpha), ("x", x)):
-        if not math.isfinite(arg):
-            raise DomainError(f"bessel_script_J requires finite {name}, got {name} = {arg}")
     if alpha < -0.5:
         raise DomainError("bessel_script_J requires alpha >= -1/2")
     if x < 0.0:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import composite_gauss_legendre, gauss_legendre, graded_breakpoints, is_count, real_number
+from ._util import complex_array, composite_gauss_legendre, exponent, gauss_legendre, graded_breakpoints, is_count, real_array, real_number
 from .core import _RHO_T_MAX, JacobiParameters, _c_and_density, _known_c, phi_matrix, weight_density
 from .errors import DecayError, DomainError, GridError, OverflowLimitError
 
@@ -69,10 +69,9 @@ class _PanelGrid:
     """
 
     def __init__(self, breakpoints, nodes_per_panel):
-        self.breakpoints = bp = np.asarray(breakpoints, dtype=float)
-        increasing = bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0)
-        if not (increasing and np.all(np.isfinite(bp)) and bp[0] >= 0.0):
-            raise GridError("breakpoints must be finite, start at 0 or above and strictly increase")
+        self.breakpoints = bp = real_array(type(self).__name__, "breakpoints", breakpoints, GridError)
+        if not (bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0) and bp[0] >= 0.0):
+            raise GridError("breakpoints must start at 0 or above and strictly increase")
         if not is_count(nodes_per_panel):
             raise GridError(f"nodes_per_panel must be an integer >= 1, not {nodes_per_panel!r}")
         self.nodes_per_panel = int(nodes_per_panel)
@@ -126,11 +125,11 @@ class _PanelGrid:
 
 
 def _check_extent(kind, upper_name, upper, n_panels):
-    """GridError naming a builder argument that admits no grid."""
-    if not (math.isfinite(upper) and upper > 0.0):
-        raise GridError(f"{kind} grid: {upper_name} must be finite and positive, not {upper}")
+    """upper as a float, or GridError naming a builder argument that admits no grid."""
+    upper = real_number(f"{kind} grid", upper_name, upper, positive=True, error=GridError)
     if not is_count(n_panels):
         raise GridError(f"{kind} grid: n_panels must be an integer >= 1, not {n_panels!r}")
+    return upper
 
 
 class RadialGrid(_PanelGrid):
@@ -146,8 +145,7 @@ class RadialGrid(_PanelGrid):
     @classmethod
     def graded(cls, params, t_max=20.0, n_panels=400):
         """Graded panels on (0, t_max], 8 nodes each."""
-        _check_extent("radial", "t_max", t_max, n_panels)
-        return cls(params, graded_breakpoints(t_max, n_panels), 8)
+        return cls(params, graded_breakpoints(_check_extent("radial", "t_max", t_max, n_panels), n_panels), 8)
 
 
 def plancherel_constant() -> float:
@@ -173,8 +171,7 @@ class SpectralGrid(_PanelGrid):
     @classmethod
     def build(cls, params, lam_max=50.0, n_panels=300):
         """Equal panels on (0, lam_max], 4 nodes each."""
-        _check_extent("spectral", "lam_max", lam_max, n_panels)
-        return cls(params, np.linspace(0.0, lam_max, n_panels + 1), 4)
+        return cls(params, np.linspace(0.0, _check_extent("spectral", "lam_max", lam_max, n_panels), n_panels + 1), 4)
 
 
 def _sample_values(grid, values):
@@ -187,15 +184,10 @@ def _sample_values(grid, values):
     values = np.asarray(values)
     if values.shape[:1] != grid.nodes.shape or values.ndim > 2:
         raise GridError("value array does not match the grid")
-    if np.iscomplexobj(values):
-        values = values.astype(complex, copy=False)
-        if not np.any(values.imag):
-            values = np.ascontiguousarray(values.real)
-    else:
-        values = values.astype(float, copy=False)
-    if not np.all(np.isfinite(values)):
-        raise DomainError("non-finite sample values")
-    return values
+    if not np.iscomplexobj(values):
+        return real_array("a sampled function", "values", values)
+    values = complex_array("a sampled function", "values", values)
+    return values if np.any(values.imag) else np.ascontiguousarray(values.real)
 
 
 @dataclass
@@ -229,10 +221,8 @@ class SampledSpectralFunction:
 
 def _lp_norm(values, weights, p):
     """L^p norm over the node axis: a float, or one norm per column."""
-    if p == math.inf:
+    if exponent("norm", "p", p) == math.inf:
         out = np.max(np.abs(values), axis=0)
-    elif not p >= 1:
-        raise DomainError(f"p must be >= 1 or inf, not {p}")
     else:
         weights = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
         out = np.sum(weights * np.abs(values) ** p, axis=0) ** (1.0 / p)
@@ -314,7 +304,7 @@ def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, deca
     peak; decay_fraction=None skips it.
     """
     if decay_fraction is not None:
-        _check_decay(f.values, _tail_count(f.grid), "radial function", decay_fraction)
+        _check_decay(f.values, _tail_count(f.grid), "radial function", real_number("jacobi_transform", "decay_fraction", decay_fraction))
     phi = phi_matrix_for(params, f.grid, sgrid)
     return SampledSpectralFunction(sgrid, _weighted_product(phi.T, f.grid.mu_weights, f.values))
 
@@ -328,7 +318,7 @@ def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, dec
     spectral content.
     """
     if decay_fraction is not None:
-        _check_decay(g.values, _tail_count(g.grid), "spectral function", decay_fraction)
+        _check_decay(g.values, _tail_count(g.grid), "spectral function", real_number("inverse_transform", "decay_fraction", decay_fraction))
     phi = phi_matrix_for(params, rgrid, g.grid)
     return SampledRadialFunction(rgrid, _weighted_product(phi, g.grid.nu_weights, g.values))
 
@@ -349,13 +339,11 @@ def plancherel_defect(params, f: SampledRadialFunction, sgrid: SpectralGrid) -> 
 def heat_kernel(params, s, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRadialFunction:
     """h_s = inverse transform of lambda -> exp(-s (lambda^2 + rho^2)).
 
-    DomainError for an s that is not a finite real number > 0, and
-    OverflowLimitError naming s where s rho^2 > 708, since every spectral
-    sample then underflows, or where no sample of h_s is a normal double.
+    DomainError for s <= 0, and OverflowLimitError naming s where
+    s rho^2 > 708, since every spectral sample then underflows, or where no
+    sample of h_s is a normal double.
     """
     s = real_number("heat_kernel", "s", s)
-    if not math.isfinite(s):
-        raise DomainError(f"heat_kernel requires finite s, got s = {s}")
     if not s > 0.0:
         raise DomainError("heat_kernel requires s > 0")
     if s * params.rho**2 > _RHO_T_MAX:

@@ -408,6 +408,15 @@ class TestReports:
         out = capsys.readouterr().out
         assert "d_ratio" in out
 
+    @pytest.mark.parametrize("lmax", ["inf", "nan", "1", "2"])
+    def test_c_asymptotics_lmax_outside_its_range_is_named(self, capsys, lmax):
+        # inf warned in np.geomspace, and every bad --lmax was blamed on lambda_list
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--preset", "generic", "report", "c-asymptotics", "--lmax", lmax]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --lmax must be a finite number above 2") and "lambda_list" not in err
+
     def test_expansion_errors_to_file(self, tmp_path, capsys):
         base = ["--preset", "generic", "--output-dir", str(tmp_path)]
         assert run(base + ["report", "expansion-errors", "--output", "e.csv"]) == 0

@@ -258,6 +258,13 @@ class TestBesselScriptJ:
         with pytest.raises(OverflowLimitError, match="alpha = 165"):
             bessel_script_J(165.0, 3.0)
 
+    @pytest.mark.parametrize("alpha", [1024.0, 2000.0, 1e300])
+    @pytest.mark.parametrize("x", [1.0, 30.0])
+    def test_alpha_past_the_float_power_is_a_typed_limit(self, alpha, x):
+        # 2.0**alpha raised Python's OverflowError from alpha = 1024 on
+        with pytest.raises(OverflowLimitError, match=re.escape(f"alpha = {alpha:g}")):
+            bessel_script_J(alpha, x)
+
     def test_large_comparable_alpha_and_x_raise(self):
         # neither branch is accurate where alpha and x are both large and close
         with pytest.raises(ConvergenceError, match="alpha = 60, x = 100"):
