@@ -142,24 +142,25 @@ def complex_array(what, name, x):
     return arr
 
 
-def _numeric(what, name, x, kinds, noun, error):
-    """x as a float64 array (complex128 where kinds has "c"), or `error` where its kind is not in kinds."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in kinds:
-        raise error(f"{what} requires {noun} {name}, got " + (f"{name} = {x!r}" if arr.ndim == 0 else f"a {arr.dtype} array"))
-    return arr.astype(complex if "c" in kinds else float, copy=False)
-
-
-def _not_finite(what, name, z):
-    kind = "NaN" if cmath.isnan(z) else "non-finite"
-    return f"{kind} argument to {what}: {name} = {z}; {name} must be finite"
-
-
 def exponent(what, name, p):
     """float(p) for an L^p exponent, a real p >= 1 or inf, else DomainError naming it."""
     if isinstance(p, numbers.Real) and p >= 1.0:
         return float(p)
     raise DomainError(f"{what} requires {name} >= 1 or {name} = inf, got {name} = {p!r}")
+
+
+def _numeric(what, name, x, kinds, noun, error):
+    """x as a float64 array (complex128 where kinds has "c"), or `error` where its kind is not in kinds."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in kinds:
+        got = f"{name} = {x!r}" if arr.ndim == 0 else f"a {arr.dtype} array"
+        raise error(f"{what} requires {noun} {name}, got {got}")
+    return arr.astype(complex if "c" in kinds else float, copy=False)
+
+
+def _not_finite(what, name, z):
+    """The message naming an argument whose value z has a NaN or infinite part."""
+    return f"{'NaN' if cmath.isnan(z) else 'non-finite'} argument to {what}: {name} = {z}; {name} must be finite"
 
 
 def loglog_slope(x, y):
