@@ -69,7 +69,7 @@ class _PanelGrid:
     """
 
     def __init__(self, breakpoints, nodes_per_panel):
-        self.breakpoints = bp = real_array(type(self).__name__, "breakpoints", breakpoints, GridError)
+        self.breakpoints = bp = real_array(type(self).__name__, "breakpoints", breakpoints, error=GridError)
         if not (bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0) and bp[0] >= 0.0):
             raise GridError("breakpoints must start at 0 or above and strictly increase")
         if not is_count(nodes_per_panel):

@@ -98,9 +98,9 @@ def test_benchmark_tracer_targets_resolve():
 # time with the others valid; each call must raise a JacobiLabError whose
 # message names the argument (by the name in the row), and for a NaN or an
 # infinite real or complex value says so, or return a finite value; and it
-# must not warn.  The other roles (parameters, grids, sampled
-# functions, multipliers and the plain fields of result records) are listed
-# but not fed.
+# must not warn.  The other roles (parameters, grids, sampled functions,
+# multipliers and the plain fields of result records) are listed but not fed:
+# checking them would take a guard in about 35 functions (ROADMAP item 14).
 REAL, REAL_ARRAY, COMPLEX, COMPLEX_ARRAY, COUNT, EXPONENT = (
     "real", "real array", "complex", "complex array", "count", "exponent")
 PARAMS, GRID, SAMPLED, MEMBER, FIELD = "params", "grid", "sampled", "member", "field"
