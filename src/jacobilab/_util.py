@@ -72,14 +72,19 @@ def dyadic_differences(g, lam_min, lam_max):
 
     The grid is every 2^(k / 16), k integer, in [lam_min, lam_max]; the step
     at lam is 1e-5 lam.  g is called once, on lam, lam + h and lam - h
-    together.  Returns (lam, g, g', g'').
+    together, and must return numbers of their shape (a DomainError names g
+    otherwise).  Returns (lam, g, g', g'').
     """
     k_lo = math.floor(math.log2(lam_min) * 16) - 1
     k_hi = math.ceil(math.log2(lam_max) * 16) + 1
     lam = 2.0 ** (np.arange(k_lo, k_hi + 1) / 16)
     lam = lam[(lam >= lam_min) & (lam <= lam_max)]
     h = 1e-5 * lam
-    g0, g_plus, g_minus = np.split(np.asarray(g(np.concatenate([lam, lam + h, lam - h]))), 3)
+    points = np.concatenate([lam, lam + h, lam - h])
+    values = np.asarray(g(points))
+    if values.dtype.kind not in "biufc" or values.shape != points.shape:
+        raise DomainError(f"g must return numbers of its input's shape {points.shape}, got a {values.dtype} array of shape {values.shape}")
+    g0, g_plus, g_minus = np.split(values, 3)
     # only g0 is cast: a real g's differences stay in real division
     g0 = g0.astype(complex)
     return (

@@ -413,11 +413,6 @@ def _cmd_probe(args, params):
     header = ["experiment", "member", "p", "lower_bound", "proxy_norm", "ratio", "flags"]
     _emit(args, params, header, rows, {"family": args.family, "p": args.p, "trials": args.trials})
     print(f"verdict: max ratio {res['verdict_max_ratio']:.6g} ({'stable' if res['stable'] else 'UNSTABLE'})")
-    for row in res["rows"]:
-        if res["p_dual"] and not row["flags"]:  # the duality spot check; reported only
-            quot = row["duality"]
-            print(f"duality: {row['member']} ratio(p={args.p:g})/ratio(p'={res['p_dual']:g}) "
-                  f"= {quot:.4g} ({'within x2' if 0.5 <= quot <= 2.0 else 'outside x2'})")
     return 0 if res["stable"] else 4
 
 

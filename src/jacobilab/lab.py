@@ -1,16 +1,18 @@
 """Empirical multiplier laboratory: operator-norm probes, the Mihlin proxy,
 the theorem ratio experiment and the theorem probe built on it.
 
-Operator norms are estimated from below by maximizing ||T_m f||_p / ||f||_p
-over a deterministic, seeded family of trial functions.  The trials are
-spectra S and (T_m f)^ = m f^, so f and T_m f of every trial come from an
-inverse transform of the block [S | m S], with no forward transform.  A
-family is probed from one block: the trial spectra its members share are in
-it once, beside every member's m S.  The
-Euclidean multiplier norm of a boundary trace is replaced by the Mihlin
-proxy sup|g| + sup|lambda g'|, an upper-bound surrogate labeled as such in
-every output.  probe_theorem repeats the experiment on a refined grid pair
-and at the conjugate exponent, and decides whether its ratios are stable.
+Operator norms are estimated from below by maximizing ||T_m f||_q / ||f||_q
+over a deterministic, seeded family of trial functions, at q = max(p, p/(p-1)):
+phi_lambda is real on the real line, so ||T_m||_p = ||T_m||_q, and for p < 2
+a trial's L^p mass lies in the far tail, where the quadrature floor sets the
+ratio.  The trials are spectra S and (T_m f)^ = m f^, so f and T_m f of every
+trial come from an inverse transform of the block [S | m S], with no forward
+transform.  A family is probed from one block: the trial spectra its members
+share are in it once, beside every member's m S.  The Euclidean multiplier
+norm of a boundary trace is replaced by the Mihlin proxy sup|g| + sup|lambda
+g'|, an upper-bound surrogate labeled as such in every output.  probe_theorem
+repeats the experiment on a refined grid pair and decides whether its ratios
+are stable.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _trial_functions(params, samples, rgrid, sgrid, trials, seed):
 def estimate_operator_norm(params, m: MultiplierSpec, p, grids, trials=12, seed=0) -> OperatorNormEstimate:
     """Lower bound on ||T_m||_{L^p -> L^p} over the seeded trial family on
     grids, a (RadialGrid, SpectralGrid) pair: the one-member call of the
-    family probe, see _estimates.
+    family probe, see _estimates.  Its p is the p asked for, not q.
     """
     _check_exponent(p)
     _check_trials(trials, seed)
@@ -169,11 +171,11 @@ def _estimates(params, members, p, grids, trials, seed):
     is built, a DomainError names the first member that is not finite there
     and its first such node.  The samples give the members' trials, spectra
     S, built in one `_trial_functions` call; f and T_m f are the inverse
-    transforms of S and m S.  The block holds each trial spectrum once,
-    however many members share it to the bit, then each member's m S
-    columns.  A member's numbers equal those of a block of its own only
-    where the GEMM rounds a column alike whatever the block's width and the
-    column's place in it, which BLAS does not promise (OpenBLAS's complex
+    transforms of S and m S, and their L^q norms give the ratios.  The block
+    holds each trial spectrum once, however many members share it to the bit,
+    then each member's m S columns.  A member's numbers equal those of a block
+    of its own only where the GEMM rounds a column alike whatever the block's
+    width and the column's place in it, which BLAS does not promise (OpenBLAS's complex
     GEMM in `multiplier._line_integrals` does not);
     `test_family_rows_equal_one_member_rows` pins the equality for the
     standard family at three presets on one grid pair.  Per member, trials
@@ -200,6 +202,7 @@ def _estimates(params, members, p, grids, trials, seed):
     block = SampledSpectralFunction(sgrid, np.column_stack(columns))
     out = inverse_transform(params, block, rgrid, decay_fraction=None).values
     first = len(distinct)  # the block column of the current member's first m S
+    q = max(p, p / (p - 1.0))
     estimates = []
     for m, (_, cols, descs) in zip(members, probes):
         f, tf = out[:, cols], out[:, first : first + trials]
@@ -208,7 +211,7 @@ def _estimates(params, members, p, grids, trials, seed):
         kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
         names = [f"radial trial {j} of {m.label} ({descs[j]})" for j in kept]
         _check_decay(f[:, kept], _tail_count(rgrid), names)
-        ratios = _lp_norm(tf[:, kept], rgrid.mu_weights, p) / _lp_norm(f[:, kept], rgrid.mu_weights, p)
+        ratios = _lp_norm(tf[:, kept], rgrid.mu_weights, q) / _lp_norm(f[:, kept], rgrid.mu_weights, q)
         best = 0.0
         witness = "none"
         for j, ratio in zip(kept, ratios):
@@ -270,8 +273,8 @@ def _leg(params, family, rows, p, grids, trials, seed):
 
 
 def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials=9):
-    """Per member: ||T_m|| lower bound on grids, Mihlin proxy of the boundary
-    trace of omega*m, and their ratio.
+    """Per member: ||T_m||_p lower bound on grids (from L^q norms, see
+    _estimates), Mihlin proxy of the boundary trace of omega*m, and their ratio.
 
     A member that is not even, is unbounded on the strip (not finite on a
     strip lattice or on the real samples of its evenness defect), or has no
@@ -322,16 +325,15 @@ def theorem_ratio_experiment(params, multiplier_family, p, grids, seed=0, trials
 
 
 def probe_theorem(params, family, p, grids, seed=0, trials=9):
-    """theorem_ratio_experiment on grids, checked on a refined pair and, for
-    p != 2, at p' = p/(p-1) on grids.
+    """theorem_ratio_experiment on grids, checked on a refined pair.
 
     The refined pair is default_grids on the t_max and lam_max of grids, with
     int(1.25 n_r) radial and int(1.5 n_s) spectral panels for their n_r and
-    n_s.  Each row gains ratio_fine (its ratio there), drift = |ratio -
-    ratio_fine| / |ratio| and duality = ratio / (its ratio at p'), inf where
-    that is 0: NaN for a flagged row, and duality NaN at p = 2.  The result
-    gains p_dual (None at p = 2) and stable: every unflagged member has a
-    finite ratio and ratio_fine, and a drift of at most 10 %.
+    n_s.  Each row gains ratio_fine (its ratio there) and drift = |ratio -
+    ratio_fine| / |ratio|, both NaN for a flagged row.  Both legs measure at
+    q = max(p, p/(p-1)), so p and p/(p-1) give the same rows but for p.  The
+    result gains stable: every unflagged member has a finite ratio and
+    ratio_fine, and a drift of at most 10 %.
     """
     res = theorem_ratio_experiment(params, family, p, grids, seed, trials)
     rows, (rgrid, sgrid) = res["rows"], grids
@@ -344,9 +346,4 @@ def probe_theorem(params, family, p, grids, seed=0, trials=9):
         row["drift"] = math.nan if row["flags"] else abs(row["ratio"] - ratio_fine) / max(abs(row["ratio"]), 1e-300)
     # a ratio that is not finite, on either pair, makes the drift inf or NaN
     res["stable"] = all(row["drift"] <= _DRIFT_MAX for row in rows if not row["flags"])
-    res["p_dual"] = p / (p - 1.0) if abs(p - 2.0) > 1e-12 else None
-    dual = _leg(params, family, rows, res["p_dual"], grids, trials, seed) if res["p_dual"] else [(math.nan, math.nan)] * len(rows)
-    for row, (_, ratio_dual) in zip(rows, dual):
-        # a NaN on either side (a flagged row, or no leg at p = 2) gives NaN
-        row["duality"] = row["ratio"] / ratio_dual if ratio_dual else math.inf
     return res

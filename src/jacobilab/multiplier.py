@@ -74,6 +74,10 @@ class MultiplierSpec:
     label: str
 
     def __post_init__(self):
+        if not callable(self.evaluate):
+            raise ParameterError(f"MultiplierSpec requires a callable evaluate, got evaluate = {self.evaluate!r}")
+        if not isinstance(self.label, str):
+            raise ParameterError(f"MultiplierSpec requires a string label, got label = {self.label!r}")
         if self.decay_class not in ("rapidly-decreasing", "bounded"):
             raise ParameterError(f"unknown decay class '{self.decay_class}'")
 

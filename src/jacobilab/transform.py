@@ -174,6 +174,12 @@ class SpectralGrid(_PanelGrid):
         return cls(params, np.linspace(0.0, _check_extent("spectral", "lam_max", lam_max, n_panels), n_panels + 1), 4)
 
 
+def _require_grid(what, name, grid, kind):
+    """GridError naming the argument unless grid is a kind (RadialGrid or SpectralGrid)."""
+    if not isinstance(grid, kind):
+        raise GridError(f"{what} requires a {kind.__name__} {name}, got {type(grid).__name__}")
+
+
 def _sample_values(grid, values):
     """Samples as float64 when every value is real, else as complex128.
 
@@ -196,6 +202,7 @@ class SampledRadialFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        _require_grid("SampledRadialFunction", "grid", self.grid, RadialGrid)
         self.values = _sample_values(self.grid, self.values)
 
     def norm(self, p):
@@ -213,6 +220,7 @@ class SampledSpectralFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        _require_grid("SampledSpectralFunction", "grid", self.grid, SpectralGrid)
         self.values = _sample_values(self.grid, self.values)
 
     def norm(self, p):
@@ -220,12 +228,17 @@ class SampledSpectralFunction:
 
 
 def _lp_norm(values, weights, p):
-    """L^p norm over the node axis: a float, or one norm per column."""
+    """L^p norm over the node axis: a float, or one norm per column.  Columns
+    are scaled by exact powers of two, so no p overflows and p = 2 keeps its bits."""
+    size = np.abs(values)
     if exponent("norm", "p", p) == math.inf:
-        out = np.max(np.abs(values), axis=0)
+        out = np.max(size, axis=0)
     else:
-        weights = weights.reshape(weights.shape + (1,) * (values.ndim - 1))
-        out = np.sum(weights * np.abs(values) ** p, axis=0) ** (1.0 / p)
+        _, scale = np.frexp(np.max(size, axis=0))
+        np.ldexp(size, -scale, out=size)
+        size **= p
+        size *= weights.reshape(weights.shape + (1,) * (values.ndim - 1))
+        out = np.ldexp(np.sum(size, axis=0) ** (1.0 / p), scale)
     return float(out) if out.ndim == 0 else out
 
 
@@ -244,6 +257,8 @@ def _check_params(params, *grids):
 
 
 def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
+    _require_grid("a transform", "rgrid", rgrid, RadialGrid)
+    _require_grid("a transform", "sgrid", sgrid, SpectralGrid)
     _check_params(params, rgrid, sgrid)
     key = (sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
     if key not in rgrid._phi_cache:

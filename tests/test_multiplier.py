@@ -25,6 +25,7 @@ from jacobilab import (
     heat_regularize,
     hormander_check,
     kernel_from_multiplier,
+    mihlin_proxy_norm,
     modified_multiplier,
     omega,
     p_s_function,
@@ -32,7 +33,7 @@ from jacobilab import (
     w_function,
     weight_density,
 )
-from jacobilab._util import loglog_slope
+from jacobilab._util import dyadic_differences, loglog_slope
 from jacobilab.multiplier import _cutoff_phi, _cutoff_psi
 
 
@@ -49,6 +50,15 @@ class TestMultiplierSpec:
     def test_validation(self):
         with pytest.raises(ParameterError):
             MultiplierSpec(lambda lam: lam, "weird", "bad-class")
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((lambda lam: lam, "bounded", 3), "label"), ((3, "bounded", "x"), "evaluate")],
+        ids=["label-not-a-string", "evaluate-not-callable"],
+    )
+    def test_bad_field_is_named(self, args, name):
+        with pytest.raises(ParameterError, match=rf"\b{name}\b"):
+            MultiplierSpec(*args)
 
     def test_evenness_defect(self):
         m = gauss_multiplier()
@@ -232,6 +242,22 @@ class TestWFunction:
         )
         slope, _ = loglog_slope(lam, wp)
         assert slope <= -0.5 + 0.1
+
+
+class TestDyadicDifferences:
+    """g must map a lambda array to numbers of its shape; unchecked, these
+    raised IndexError."""
+
+    @pytest.mark.parametrize("g", [lambda x: "a", lambda x: 1.0, lambda x: np.ones(3)], ids=["string", "scalar", "short"])
+    @pytest.mark.parametrize("check", [hormander_check, mihlin_proxy_norm])
+    def test_bad_values_name_g(self, check, g):
+        with pytest.raises(DomainError, match=r"\bg must return numbers"):
+            check(g)
+
+    def test_real_g_keeps_real_differences(self):
+        lam, _, gp, _ = dyadic_differences(lambda x: x**2, 1.0, 4.0)
+        assert gp.dtype == np.float64
+        assert np.allclose(gp, 2.0 * lam, rtol=1e-9)
 
 
 class TestHormanderCheck:

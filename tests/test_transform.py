@@ -24,6 +24,7 @@ from jacobilab import (
     heat_kernel,
     inverse_transform,
     jacobi_transform,
+    kernel_from_multiplier,
     phi_matrix,
     plancherel_constant,
     plancherel_defect,
@@ -200,6 +201,35 @@ class TestGrids:
         vals[0] = math.inf
         with pytest.raises(DomainError):
             SampledRadialFunction(rgrid, vals)
+
+
+class TestGridKind:
+    """A grid of the wrong kind, or a value that is no grid, is a GridError
+    naming the argument.  Unchecked, these calls raised AttributeError, or a
+    DecayError about the samples, or were accepted."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda p, r, s, m: jacobi_transform(p, SampledRadialFunction(r, np.exp(-(r.nodes**2))), r), "sgrid"),
+            (lambda p, r, s, m: inverse_transform(p, SampledSpectralFunction(s, np.exp(-(s.nodes**2))), s), "rgrid"),
+            (lambda p, r, s, m: estimate_operator_norm(p, m, 2, (s, r)), "rgrid"),
+            (lambda p, r, s, m: kernel_from_multiplier(p, m, s, r), "grid"),
+            (lambda p, r, s, m: heat_kernel(p, 0.1, s, r), "grid"),
+            (lambda p, r, s, m: SampledSpectralFunction(r, np.ones(r.nodes.size)), "grid"),
+            (lambda p, r, s, m: SampledRadialFunction(s, np.ones(s.nodes.size)), "grid"),
+            (lambda p, r, s, m: SampledRadialFunction(r.nodes, np.ones(r.nodes.size)), "grid"),
+        ],
+        ids=[
+            "jacobi_transform", "inverse_transform", "estimate_operator_norm", "kernel_from_multiplier",
+            "heat_kernel", "spectral-samples-on-radial-grid", "radial-samples-on-spectral-grid", "samples-on-no-grid",
+        ],
+    )
+    def test_raises_naming_the_argument(self, generic_params, small_grids, call, name):
+        rgrid, sgrid = small_grids
+        m = standard_multiplier_family(generic_params)[0]
+        with pytest.raises(GridError, match=rf"\b{name}\b"):
+            call(generic_params, rgrid, sgrid, m)
 
 
 class TestNorms:
