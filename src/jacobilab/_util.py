@@ -3,6 +3,7 @@ and the argument roles.  A public function converts and checks each scalar
 or array argument in one role call at entry (`real_number`, `real_array`,
 `complex_number`, `complex_array`, `exponent`, or the predicate `is_count`),
 which refuses a value that is not a finite number of its kind, naming it.
+An int or a Fraction too large for a double is not finite (`to_double`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "real_array",
     "real_number",
     "smoothstep_quintic",
+    "to_double",
 ]
 
 
@@ -101,7 +103,7 @@ def real_number(what, name, x, positive=False, error=DomainError):
     even "2" or 2 + 0j."""
     if not isinstance(x, (str, bytes, complex, np.complexfloating)):
         try:
-            x = float(x)
+            x = to_double(what, name, x, error)
         except (TypeError, ValueError):
             pass
         else:
@@ -121,6 +123,8 @@ def complex_number(what, name, x):
             z = complex(x)
         except (TypeError, ValueError):
             pass
+        except OverflowError:
+            raise DomainError(_past_doubles(what, name)) from None
         else:
             if cmath.isfinite(z):
                 return z
@@ -150,8 +154,23 @@ def complex_array(what, name, x):
 def exponent(what, name, p):
     """float(p) for an L^p exponent, a real p >= 1 or inf, else DomainError naming it."""
     if isinstance(p, numbers.Real) and p >= 1.0:
-        return float(p)
+        return to_double(what, name, p)
     raise DomainError(f"{what} requires {name} >= 1 or {name} = inf, got {name} = {p!r}")
+
+
+def to_double(what, name, x, error=DomainError):
+    """float(x), or `error` naming the argument where x is a number past the
+    doubles (an int or a Fraction beyond 1.8e308 in size), which float()
+    would refuse with OverflowError; TypeError and ValueError pass through."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(_past_doubles(what, name)) from None
+
+
+def _past_doubles(what, name):
+    """The message naming an argument too large in size for a double."""
+    return f"{what} requires finite {name}, got {name} past the double range"
 
 
 def _numeric(what, name, x, kinds, noun, error):

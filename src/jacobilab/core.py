@@ -50,14 +50,6 @@ last bits (up to 2.7e-15 relative in a scan of five (alpha, beta), lambda
 `jacobi_phi` still equals a 1 x 1 `phi_matrix`, as both are width one, and
 every wider path keeps its bits.
 
-The Harish-Chandra table is c(lambda) Gamma_k(lambda).  A spectral grid
-keeps the c(lambda) its Plancherel density is formed from, and
-`transform.phi_matrix_for` hands it to `phi_matrix` (`_known_c`), so a grid
-pair's phi build does not evaluate c again: it takes the grid's array where
-its columns are exactly the grid's nodes, and calls `c_function` for any
-other lambda (a scalar, complex lambda, an unsorted array or one moved off
-the pole at 0).
-
 For real lambda both routes need e^(i lambda theta), at theta = t and at
 theta = log cosh t.  A spectral grid repeats one gap pattern, every node a
 panel-group start plus a shared offset, so `_PhaseTable` takes these phases
@@ -69,8 +61,6 @@ scalar, a short or an irregular array) takes the direct cos and sin.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 import numbers
@@ -80,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import complex_array, complex_number, is_count, loglog_slope, real_array, real_number
+from ._util import complex_array, complex_number, is_count, loglog_slope, real_array, real_number, to_double
 from .errors import DomainError, OverflowLimitError, ParameterError, PoleError
 from .specfun import _TINY, _gamma_alpha_plus_one, _series_terms, _term_ratio, bessel_script_J, gamma_ratio, hyp2f1_real_arg
 
@@ -127,8 +117,6 @@ _RESIDUAL_STEP = 1e-3  # the step h of laplacian_residual's five-point stencil
 # and Gamma(z + 1/2)/Gamma(z + (alpha - beta + 1)/2)
 _C_NUMERATOR_SHIFTS = np.array([[0.0], [0.5]])
 _EXCEPTIONAL = "lambda lies in the exceptional set of the Harish-Chandra recurrence"
-# (lambda, c(lambda)) for one real lambda array while a phi build runs under `_known_c`
-_KNOWN_C = contextvars.ContextVar("_KNOWN_C", default=None)
 
 
 def _hypergeometric_route(params, lam, t):
@@ -156,11 +144,12 @@ class JacobiParameters:
             x = getattr(self, name)
             if not isinstance(x, numbers.Real):
                 raise ParameterError(f"JacobiParameters requires a real {name}, got {name} = {x!r}")
+            x = to_double("JacobiParameters", name, x, ParameterError)
             if math.isnan(x):
                 raise ParameterError(f"NaN Jacobi parameter {name}")
             if math.isinf(x):
                 raise ParameterError(f"JacobiParameters requires a finite {name}, got {name} = {x}")
-            object.__setattr__(self, name, float(x))
+            object.__setattr__(self, name, x)
         a, b = self.alpha, self.beta
         if self.relaxed:
             if a < 0.5:
@@ -337,9 +326,10 @@ def gangolli_fit(params, k_max, lambda_set):
 
     d is the least-squares log-log slope of max_lambda |Gamma_k| against 1+k,
     C the smallest constant making the bound hold on every computed sample.
+    k_max is at most 800, the most terms any phi row sums.
     """
-    if not is_count(k_max, 16):
-        raise ParameterError(f"gangolli_fit requires an integer k_max >= 16, not {k_max!r}")
+    if not (is_count(k_max, 16) and k_max <= _HC_MAX_TERMS):
+        raise ParameterError(f"gangolli_fit requires an integer k_max >= 16 and k_max <= {_HC_MAX_TERMS}, not {k_max!r}")
     lams = complex_array("gangolli_fit", "lambda_set", lambda_set)
     if not lams.size:
         raise DomainError("gangolli_fit requires a non-empty lambda_set")
@@ -476,11 +466,7 @@ def _harish_chandra(params, t, lam, split, out):
     first = split // q * q
     k_col = np.concatenate([k_row, [0]])[(-first).searchsorted(-np.arange(n))]  # the K of the first row to sum column j
     table = gamma_coefficient_table(params, lam_pm, k_col if m == 1 else np.repeat(k_col, m))
-    known = _KNOWN_C.get()
-    if real and known is not None and np.array_equal(known[0], lam):
-        table *= known[1]
-    else:
-        table *= c_function(params, lam_pm)
+    table *= c_function(params, lam_pm)
     table = table.view(float)
     with np.errstate(under="ignore"):
         for r0, r1 in _row_blocks(k_row, n - first):
@@ -680,17 +666,6 @@ def laplacian_residual(params, lam, t):
     return abs(d2 + drift * d1 + (lam * lam + params.rho**2) * f0)
 
 
-@contextlib.contextmanager
-def _known_c(lam, c):
-    """Within the block, a Harish-Chandra table over exactly the real lambda
-    takes its c(lambda) from c instead of calling `c_function`."""
-    token = _KNOWN_C.set((lam, c))
-    try:
-        yield
-    finally:
-        _KNOWN_C.reset(token)
-
-
 def c_function(params, lam):
     """Harish-Chandra c-function, vectorized over complex lambda.
 
@@ -725,16 +700,10 @@ def c_function(params, lam):
 def plancherel_density(params, lam):
     """d(lambda) = |c(lambda)|^(-2) for real lambda != 0."""
     lam_arr = real_array("plancherel_density", "lambda", lam)
-    _, out = _c_and_density(params, lam_arr)
-    return float(out) if lam_arr.ndim == 0 else out
-
-
-def _c_and_density(params, lam):
-    """(c(lambda), |c(lambda)|^(-2)) on a real lambda array; PoleError at lambda = 0."""
-    if np.any(lam == 0.0):
+    if np.any(lam_arr == 0.0):
         raise PoleError("plancherel density undefined at lambda = 0")
-    c = c_function(params, lam.astype(complex))
-    return c, 1.0 / np.abs(c) ** 2
+    out = 1.0 / np.abs(c_function(params, lam_arr.astype(complex))) ** 2
+    return float(out) if lam_arr.ndim == 0 else out
 
 
 def c_asymptotics_report(params, lambda_list):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import dyadic_differences, is_count
+from ._util import dyadic_differences, is_count, to_double
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
@@ -66,7 +66,7 @@ class OperatorNormEstimate:
 
 
 def _check_exponent(p):
-    if not (isinstance(p, numbers.Real) and 1.0 < p < math.inf):
+    if not (isinstance(p, numbers.Real) and 1.0 < to_double("an operator norm", "p", p, ParameterError) < math.inf):
         raise ParameterError(f"p must lie in (1, inf), not {p}")
 
 

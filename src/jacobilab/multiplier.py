@@ -32,6 +32,7 @@ from .transform import (
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
+    _require_grid,
     inverse_transform,
     plancherel_constant,
 )
@@ -236,6 +237,7 @@ def _require_rapid_decay(m: MultiplierSpec):
 
 def kernel_from_multiplier(params, m: MultiplierSpec, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRadialFunction:
     """k = inverse Jacobi transform of m, sampled on rgrid."""
+    _require_grid("kernel_from_multiplier", "sgrid", sgrid, SpectralGrid)
     _require_rapid_decay(m)
     spectral = SampledSpectralFunction(sgrid, m(sgrid.nodes))
     return inverse_transform(params, spectral, rgrid)

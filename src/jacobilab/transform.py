@@ -10,10 +10,7 @@ never as closures.  A grid carries the parameters it was built for, and
 every transform raises GridError when they differ from the ones it is given.
 The dense phi_lambda(t) matrix for a (radial, spectral) grid pair is built
 once and cached on the radial grid, so it is freed with the grid; the key is
-the spectral grid's content, so equal spectral grids share it.  A spectral
-grid keeps the c(lambda) on its nodes that its dnu weights are formed from,
-and a cold phi build multiplies its Harish-Chandra table by that array
-instead of evaluating c again; the build still goes through `phi_matrix`.
+the spectral grid's content, so equal spectral grids share it.
 
 phi_lambda(t) is real for real lambda, so samples stay float64 when their
 values are real, and a transform is one real GEMV, or one real GEMM on a
@@ -36,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import complex_array, composite_gauss_legendre, exponent, gauss_legendre, graded_breakpoints, is_count, real_array, real_number
-from .core import _RHO_T_MAX, JacobiParameters, _c_and_density, _known_c, phi_matrix, weight_density
+from .core import _RHO_T_MAX, JacobiParameters, phi_matrix, plancherel_density, weight_density
 from .errors import DecayError, DomainError, GridError, OverflowLimitError
 
 __all__ = [
@@ -165,7 +162,7 @@ class SpectralGrid(_PanelGrid):
         super().__init__(breakpoints, nodes_per_panel)
         self.params = params
         self.lam_max = float(self.breakpoints[-1])
-        self._c, self.density = _c_and_density(params, self.nodes)
+        self.density = plancherel_density(params, self.nodes)
         self.nu_weights = self.base_weights * self.density * plancherel_constant()
 
     @classmethod
@@ -262,8 +259,7 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
     _check_params(params, rgrid, sgrid)
     key = (sgrid.breakpoints.tobytes(), sgrid.nodes_per_panel)
     if key not in rgrid._phi_cache:
-        with _known_c(sgrid.nodes, sgrid._c):
-            rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
+        rgrid._phi_cache[key] = phi_matrix(params, rgrid.nodes, sgrid.nodes)
     return rgrid._phi_cache[key]
 
 
@@ -358,6 +354,7 @@ def heat_kernel(params, s, rgrid: RadialGrid, sgrid: SpectralGrid) -> SampledRad
     s rho^2 > 708, since every spectral sample then underflows, or where no
     sample of h_s is a normal double.
     """
+    _require_grid("heat_kernel", "sgrid", sgrid, SpectralGrid)
     s = real_number("heat_kernel", "s", s)
     if not s > 0.0:
         raise DomainError("heat_kernel requires s > 0")

@@ -107,13 +107,15 @@ PARAMS, GRID, SAMPLED, MEMBER, FIELD = "params", "grid", "sampled", "member", "f
 OBJECTS = {PARAMS, GRID, SAMPLED, MEMBER}
 
 _NOT_NUMBERS = ["2", "a", np.array([])]
+_PAST_DOUBLES = 10**400  # an int that float() refuses with OverflowError
 BAD_VALUES = {
-    REAL: [math.nan, math.inf, -math.inf, 1 + 1j, *_NOT_NUMBERS],
-    REAL_ARRAY: [math.nan, math.inf, -math.inf, 1 + 1j, *_NOT_NUMBERS],
-    COMPLEX: [math.nan, math.inf, -math.inf, complex(1.0, math.nan), *_NOT_NUMBERS],
-    COMPLEX_ARRAY: [math.nan, math.inf, -math.inf, complex(1.0, math.nan), *_NOT_NUMBERS],
+    REAL: [math.nan, math.inf, -math.inf, 1 + 1j, *_NOT_NUMBERS, _PAST_DOUBLES],
+    REAL_ARRAY: [math.nan, math.inf, -math.inf, 1 + 1j, *_NOT_NUMBERS, _PAST_DOUBLES],
+    COMPLEX: [math.nan, math.inf, -math.inf, complex(1.0, math.nan), *_NOT_NUMBERS, _PAST_DOUBLES],
+    COMPLEX_ARRAY: [math.nan, math.inf, -math.inf, complex(1.0, math.nan), *_NOT_NUMBERS, _PAST_DOUBLES],
+    # a huge count would be honoured, and allocate
     COUNT: [math.nan, math.inf, -math.inf, 1 + 1j, *_NOT_NUMBERS],
-    EXPONENT: [math.nan, -math.inf, 1 + 1j, *_NOT_NUMBERS],  # an L^p exponent may be inf
+    EXPONENT: [math.nan, -math.inf, 1 + 1j, *_NOT_NUMBERS, _PAST_DOUBLES],  # an L^p exponent may be inf
 }
 
 # name -> ((argument, role, valid value[, name in messages]), ...); the valid

@@ -444,6 +444,11 @@ class TestReports:
         assert run(["--preset", "generic", "report", "gangolli", "--kmax", "4"]) == 2
         assert "k_max >= 16" in capsys.readouterr().err
 
+    def test_gangolli_kmax_past_800_exit_2(self, capsys):
+        # a huge k_max ended in numpy's "Maximum allowed size exceeded" traceback
+        assert run(["--preset", "generic", "report", "gangolli", "--kmax", str(10**21)]) == 2
+        assert "k_max <= 800" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, inputs",
         [(["report", "gangolli", "--kmax", "24"], {"kind": "gangolli", "kmax": 24}),

@@ -808,8 +808,9 @@ class TestHarishChandra:
         with pytest.raises(DomainError, match="lambda_set"):
             gangolli_fit(generic_params, 32, [])
 
-    @pytest.mark.parametrize("k_max", [4, 16.5])
+    @pytest.mark.parametrize("k_max", [4, 16.5, 801, 10**21])
     def test_gangolli_fit_k_max_guard(self, generic_params, k_max):
+        # past 800, the most terms a phi row sums, k_max is refused before its table is built
         with pytest.raises(ParameterError, match="k_max"):
             gangolli_fit(generic_params, k_max, [1.0, 2.0])
 

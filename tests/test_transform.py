@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from jacobilab import (
-    c_function,
     DecayError,
     DomainError,
     GridError,
@@ -125,27 +124,12 @@ class TestGrids:
         phi_matrix_for(generic_params, rgrid, SpectralGrid.build(generic_params, 25.0, 20))
         assert len(rgrid._phi_cache) == 2
 
-    def test_cold_phi_build_reuses_the_grids_c(self, monkeypatch):
-        # c(lambda) on the spectral nodes is evaluated once, for the dnu
-        # weights; the phi build of the pair takes that array, to the bit
-        import jacobilab
-
-        sizes = []
-
-        def counted(params, lam):
-            sizes.append(np.size(lam))
-            return c_function(params, lam)
-
-        for module in (jacobilab, *(m for m in vars(jacobilab).values() if type(m) is type(jacobilab))):
-            for name, value in list(vars(module).items()):
-                if value is c_function:
-                    monkeypatch.setattr(module, name, counted)
+    def test_cold_phi_build_matches_phi_matrix_and_density(self):
+        # a grid pair's cold phi build is phi_matrix on its nodes, and the
+        # dnu density is plancherel_density on them, both to the bit
         params = JacobiParameters(1.35, 0.45)  # a pair no other test builds grids for
         rgrid, sgrid = RadialGrid.graded(params, 12.0, 30), SpectralGrid.build(params, 30.0, 40)
-        matrix = phi_matrix_for(params, rgrid, sgrid)
-        assert sizes == [sgrid.nodes.size]
-        assert np.array_equal(matrix, phi_matrix(params, rgrid.nodes, sgrid.nodes))
-        assert sizes == [sgrid.nodes.size] * 2  # outside phi_matrix_for, phi_matrix evaluates c
+        assert np.array_equal(phi_matrix_for(params, rgrid, sgrid), phi_matrix(params, rgrid.nodes, sgrid.nodes))
         assert np.array_equal(sgrid.density, plancherel_density(params, sgrid.nodes))
 
     def test_spectral_grid_past_double_range(self, generic_params, mpmath_c):
@@ -214,8 +198,8 @@ class TestGridKind:
             (lambda p, r, s, m: jacobi_transform(p, SampledRadialFunction(r, np.exp(-(r.nodes**2))), r), "sgrid"),
             (lambda p, r, s, m: inverse_transform(p, SampledSpectralFunction(s, np.exp(-(s.nodes**2))), s), "rgrid"),
             (lambda p, r, s, m: estimate_operator_norm(p, m, 2, (s, r)), "rgrid"),
-            (lambda p, r, s, m: kernel_from_multiplier(p, m, s, r), "grid"),
-            (lambda p, r, s, m: heat_kernel(p, 0.1, s, r), "grid"),
+            (lambda p, r, s, m: kernel_from_multiplier(p, m, s, r), "sgrid"),
+            (lambda p, r, s, m: heat_kernel(p, 0.1, s, r), "sgrid"),
             (lambda p, r, s, m: SampledSpectralFunction(r, np.ones(r.nodes.size)), "grid"),
             (lambda p, r, s, m: SampledRadialFunction(s, np.ones(s.nodes.size)), "grid"),
             (lambda p, r, s, m: SampledRadialFunction(r.nodes, np.ones(r.nodes.size)), "grid"),
