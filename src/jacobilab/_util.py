@@ -63,10 +63,14 @@ def graded_breakpoints(upper, n_panels):
     return upper * i**2.0
 
 
-def is_count(n, least=1):
-    """True for an int or numpy integer n >= least; a float, even 3.0, is not a
-    count, nor is a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+_MAX_COUNT = int(np.iinfo(np.intp).max)  # the most elements numpy can index
+
+
+def is_count(n, least=1, most=_MAX_COUNT):
+    """True for an int or numpy integer least <= n <= most; a float, even 3.0,
+    is not a count, nor is a bool.  most defaults to the largest count numpy
+    can index; a seed, which numpy takes at any size, passes math.inf."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and least <= n <= most
 
 
 def dyadic_differences(g, lam_min, lam_max):

@@ -2,13 +2,15 @@
 reports, and the theorem probe, which formats what lab.probe_theorem decides.
 
 Exit codes: 0 success, 2 schema/domain errors and failed writes, 3 decay-check
-failures, 4 a probe that probe_theorem finds unstable.  Each subcommand declares its handler and the flags its
-configuration hash reads, once, in `build_parser`; `main` parses with one
-parser per process (`_parser`), and `convolve` samples its inputs on the
-process's cached convolution grid pair, so an in-process call after the first
-builds neither.  Every CSV goes through `_emit`, under a header line with that
-hash: to stdout, or atomically to --output with `<name>.manifest.json` beside
-it, so identical (config, seed) runs are byte-identical.
+failures, 4 a probe that probe_theorem finds unstable.  Each subcommand
+declares its handler and the flags its configuration hash reads, once, in
+`build_parser`; `main` parses with one parser per process (`_parser`), and
+`convolve` samples its inputs on the process's cached convolution grid pair,
+so an in-process call after the first builds neither.  Every CSV goes through
+`_emit`: a header line with that hash, ending in LF, then rows ending in CRLF
+with each number as %.15g (a function's rows in one %-format, the others by
+csv.writer), to stdout, or atomically to --output with `<name>.manifest.json`
+beside it, so identical (config, seed) runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -188,23 +190,26 @@ def _format(x):
     return f"{x:.15g}"
 
 
-def _emit(args, params, header, rows, inputs):
-    """The CSV of rows under a config-hash line: atomically to --output, with
-    <name>.manifest.json beside it (the hash, the version, the command and the
-    command's own inputs), or to stdout without --output.  A failed write
-    exits 2 and leaves neither file and no temporary file."""
-    conf = _config_hash(args, params)
+def _csv(header, rows):
+    """header and rows as csv.writer writes them, each float as %.15g."""
     buf = io.StringIO()
-    buf.write(f"# jacobilab {__version__} config-hash {conf}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows([_format(v) if isinstance(v, float) else v for v in row] for row in rows)
+    csv.writer(buf).writerows([header, *([_format(v) if isinstance(v, float) else v for v in row] for row in rows)])
+    return buf.getvalue()
+
+
+def _emit(args, params, table, inputs):
+    """The CSV text table under a config-hash line: atomically to --output,
+    with <name>.manifest.json beside it (the hash, the version, the command
+    and the command's own inputs), or to stdout without --output.  A failed
+    write exits 2 and leaves neither file and no temporary file."""
+    conf = _config_hash(args, params)
+    text = f"# jacobilab {__version__} config-hash {conf}\n{table}"
     if not args.output:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
         return
     base = args.output_dir or os.environ.get("JACOBI_OUTPUT_DIR") or "."
     manifest = {"config_hash": conf, "version": __version__, "command": args.command, **inputs}
-    _write_pair(base, args.output, buf.getvalue(), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_pair(base, args.output, text, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _read_samples(path, key, nodes):
@@ -242,8 +247,9 @@ def _grids(args, params):
 
 
 def _write_function_csv(args, params, key, nodes, values, inputs):
-    rows = [(float(x), float(v.real), float(v.imag)) for x, v in zip(nodes, values)]
-    _emit(args, params, [key, "re", "im"], rows, inputs)
+    # one %-format over every number, which writes the bytes that _csv would
+    flat = np.column_stack((nodes, values.real, values.imag)).ravel().tolist()
+    _emit(args, params, f"{key},re,im\r\n" + ("%.15g,%.15g,%.15g\r\n" * len(nodes)) % tuple(flat), inputs)
 
 
 def _cmd_eval(args, params):
@@ -253,23 +259,16 @@ def _cmd_eval(args, params):
             raise _CliError("eval phi needs --lambda and --t")
         v = jacobi_phi(params, args.lam, args.t)
         out.writerow(["phi", _format(args.lam), _format(args.t), _format(float(np.real(v)))])
-    elif args.what == "c":
+    elif args.what in ("c", "omega"):
         if args.lam is None:
-            raise _CliError("eval c needs --lambda")
-        v = c_function(params, complex(args.lam))
-        out.writerow(["c", _format(args.lam), _format(v.real), _format(v.imag)])
-    elif args.what == "omega":
-        if args.lam is None:
-            raise _CliError("eval omega needs --lambda")
-        v = omega(params, complex(args.lam))
-        out.writerow(["omega", _format(args.lam), _format(v.real), _format(v.imag)])
+            raise _CliError(f"eval {args.what} needs --lambda")
+        v = (c_function if args.what == "c" else omega)(params, complex(args.lam))
+        out.writerow([args.what, _format(args.lam), _format(v.real), _format(v.imag)])
     else:
         if args.s is None or args.t is None or args.u is None:
             raise _CliError("eval kernel-K needs --s, --t and --u")
         k = kernel_K(params, args.s, args.t, args.u)
-        out.writerow(
-            ["kernel-K", _format(args.s), _format(args.t), _format(args.u), _format(k.value)]
-        )
+        out.writerow(["kernel-K", _format(args.s), _format(args.t), _format(args.u), _format(k.value)])
     return 0
 
 
@@ -293,11 +292,9 @@ def _cmd_inverse(args, params):
 
 def _cmd_convolve(args, params):
     grid = _convolution_grids(params)[0]
-    f = SampledRadialFunction(grid, _read_samples(args.input_f, "t", grid.nodes))
-    g = SampledRadialFunction(grid, _read_samples(args.input_g, "t", grid.nodes))
-    result = convolve(params, f, g)
+    f, g = (SampledRadialFunction(grid, _read_samples(path, "t", grid.nodes)) for path in (args.input_f, args.input_g))
     inputs = {"input_f": args.input_f, "input_g": args.input_g}
-    _write_function_csv(args, params, "t", grid.nodes, result.values, inputs)
+    _write_function_csv(args, params, "t", grid.nodes, convolve(params, f, g).values, inputs)
     return 0
 
 
@@ -340,7 +337,7 @@ def _cmd_report(args, params):
         slope_wp, _ = loglog_slope(lams, wp)
         header = ["slope_w", "slope_wprime", "expected_w", "bound_wprime"]
         rows = [(float(slope_w), float(slope_wp), float(-params.alpha), -0.5)]
-    _emit(args, params, header, rows, {"kind": args.kind, **{name: getattr(args, name) for name in args.reads}})
+    _emit(args, params, _csv(header, rows), {"kind": args.kind, **{name: getattr(args, name) for name in args.reads}})
     return 0
 
 
@@ -411,7 +408,7 @@ def _cmd_probe(args, params):
         for row in res["rows"]
     ]
     header = ["experiment", "member", "p", "lower_bound", "proxy_norm", "ratio", "flags"]
-    _emit(args, params, header, rows, {"family": args.family, "p": args.p, "trials": args.trials})
+    _emit(args, params, _csv(header, rows), {"family": args.family, "p": args.p, "trials": args.trials})
     print(f"verdict: max ratio {res['verdict_max_ratio']:.6g} ({'stable' if res['stable'] else 'UNSTABLE'})")
     return 0 if res["stable"] else 4
 

@@ -157,15 +157,17 @@ def _translate(params, f, x, y):
 def convolve(params, f: SampledRadialFunction, g: SampledRadialFunction) -> SampledRadialFunction:
     """Hypergroup convolution f*g as the inverse transform of f-hat * g-hat.
 
-    f-hat = integral f phi dmu is taken on `SpectralGrid.build(params)`, built
-    once per parameter pair (`_convolution_grids`).  A radial input that has not
-    decayed by the end of its grid, or a product f-hat * g-hat that has not
-    decayed by lambda_max, raises DecayError.
+    f-hat = integral f phi dmu and g-hat come from one transform of the block
+    [f | g] on `SpectralGrid.build(params)`, built once per parameter pair
+    (`_convolution_grids`).  An input that has not decayed by the end of its
+    grid, or a product that has not decayed by lambda_max, raises DecayError.
     """
-    if f.grid is not g.grid:
-        raise GridError("convolve requires f and g on the same grid")
+    if f.grid is not g.grid or f.values.shape != g.values.shape:
+        raise GridError("convolve requires f and g of one shape on the same grid")
     sgrid = _convolution_grids(params)[1]
-    product = jacobi_transform(params, f, sgrid).values * jacobi_transform(params, g, sgrid).values
+    block = SampledRadialFunction(f.grid, np.column_stack((f.values, g.values)))
+    f_hat, g_hat = np.hsplit(jacobi_transform(params, block, sgrid).values, 2)
+    product = (f_hat * g_hat).reshape(sgrid.nodes.shape + f.values.shape[1:])
     return inverse_transform(params, SampledSpectralFunction(sgrid, product), f.grid)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import dyadic_differences, is_count, to_double
+from ._util import _MAX_COUNT, dyadic_differences, is_count, to_double
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
@@ -71,9 +71,11 @@ def _check_exponent(p):
 
 
 def _check_trials(trials, seed):
-    if not is_count(trials):
+    if not is_count(trials, 1, math.inf):
         raise ParameterError(f"trials must be an integer >= 1, not {trials!r}")
-    if not is_count(seed, 0):
+    if not is_count(trials):
+        raise ParameterError(f"trials must be at most {_MAX_COUNT}, the most numpy can index, not {trials!r}")
+    if not is_count(seed, 0, math.inf):
         raise ParameterError(f"seed must be an integer >= 0, not {seed!r}")
 
 

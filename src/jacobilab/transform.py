@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import complex_array, composite_gauss_legendre, exponent, gauss_legendre, graded_breakpoints, is_count, real_array, real_number
+from ._util import _MAX_COUNT, complex_array, composite_gauss_legendre, exponent, gauss_legendre, graded_breakpoints, is_count, real_array, real_number
 from .core import _RHO_T_MAX, JacobiParameters, phi_matrix, plancherel_density, weight_density
 from .errors import DecayError, DomainError, GridError, OverflowLimitError
 
@@ -70,7 +70,7 @@ class _PanelGrid:
         if not (bp.ndim == 1 and bp.size >= 2 and np.all(np.diff(bp) > 0.0) and bp[0] >= 0.0):
             raise GridError("breakpoints must start at 0 or above and strictly increase")
         if not is_count(nodes_per_panel):
-            raise GridError(f"nodes_per_panel must be an integer >= 1, not {nodes_per_panel!r}")
+            raise GridError(f"nodes_per_panel must be an integer from 1 to {_MAX_COUNT}, not {nodes_per_panel!r}")
         self.nodes_per_panel = int(nodes_per_panel)
         self.nodes, self.base_weights = composite_gauss_legendre(self.breakpoints, nodes_per_panel)
         x, _ = gauss_legendre(self.nodes_per_panel)
@@ -125,7 +125,7 @@ def _check_extent(kind, upper_name, upper, n_panels):
     """upper as a float, or GridError naming a builder argument that admits no grid."""
     upper = real_number(f"{kind} grid", upper_name, upper, positive=True, error=GridError)
     if not is_count(n_panels):
-        raise GridError(f"{kind} grid: n_panels must be an integer >= 1, not {n_panels!r}")
+        raise GridError(f"{kind} grid: n_panels must be an integer from 1 to {_MAX_COUNT}, not {n_panels!r}")
     return upper
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -145,6 +146,26 @@ class TestTransformPipeline:
         run(base + ["transform", "--input", tmp_path / "f.csv", "--output", "a.csv"])
         run(base + ["transform", "--input", tmp_path / "f.csv", "--output", "b.csv"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "complex-zero-imag"])
+    def test_function_csv_bytes_are_csv_writer_bytes(self, capsys, kind):
+        # a function's rows are one %-format; they must be the bytes that
+        # csv.writer writes over _format, edge values included
+        edge = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, 1.0, 0.1, 1e16, -1e16, math.inf, math.nan])
+        nodes, values = edge[::-1], edge.astype(complex)
+        if kind == "complex":
+            values.imag = edge[::-1]
+        elif kind == "real":
+            values = edge
+        args = cli._parser().parse_args(["--preset", "generic", "heat", "--s", "0.1", "--output", "x.csv"])
+        args.output = None
+        cli._write_function_csv(args, cli._make_params(args), "t", nodes, values, {})
+        out = capsys.readouterr().out
+        header, body = out.split("\n", 1)
+        rows = [[cli._format(float(x)), cli._format(float(v.real)), cli._format(float(v.imag))] for x, v in zip(nodes, values)]
+        expected = io.StringIO()
+        csv.writer(expected).writerows([["t", "re", "im"], *rows])
+        assert header.startswith("# jacobilab ") and body == expected.getvalue()
 
     def test_undecayed_input_exit_3(self, tmp_path, capsys):
         t = np.linspace(0.05, 12.0, 100)
@@ -602,6 +623,13 @@ class TestProbeTheorem:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("probe,")]
         assert [ln.split(",")[6] for ln in lines] == [f"drift={row['drift']:.3g}" for row in res["rows"]]
 
+    def test_unindexable_trials_exit_2_without_output(self, tmp_path, capsys):
+        code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "probe-theorem",
+                    "--trials", 10**21, "--output", "probe.csv"])
+        assert code == 2
+        assert "trials must be at most" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_p_infinity_exit_2_without_output(self, tmp_path, capsys):
         code = run(["--preset", "generic", *FAST, "--output-dir", tmp_path, "probe-theorem", "--p", "inf",
                     "--trials", "2", "--output", "probe.csv"])
@@ -657,7 +685,9 @@ class TestGridFlags:
         "flag, value, name",
         [("--radial-panels", "0", "n_panels"), ("--spectral-panels", "0", "n_panels"),
          ("--radial-panels", "-3", "n_panels"), ("--lam-max", "0", "lam_max"),
-         ("--lam-max", "-5", "lam_max"), ("--t-max", "inf", "t_max")],
+         ("--lam-max", "-5", "lam_max"), ("--t-max", "inf", "t_max"),
+         # past the largest count numpy can index, which used to end in numpy's traceback
+         ("--radial-panels", str(10**21), "n_panels"), ("--spectral-panels", str(10**21), "n_panels")],
     )
     @pytest.mark.parametrize("command", [["probe-theorem", "--trials", "2"], ["heat", "--s", "0.1"]])
     def test_bad_grid_shape_exit_2_without_output(self, tmp_path, capsys, flag, value, name, command):

@@ -18,11 +18,13 @@ from jacobilab import (
     OverflowLimitError,
     RadialGrid,
     SampledRadialFunction,
+    SampledSpectralFunction,
     SpectralGrid,
     convolution_grid,
     convolve,
     convolve_direct,
     heat_kernel,
+    inverse_transform,
     jacobi_transform,
     kernel_K,
     kernel_values,
@@ -354,6 +356,28 @@ class TestConvolve:
             convolve(generic_params, narrow, narrow)
         wide = bump(conv_grid, 1.0, 0.1)
         assert np.all(np.isfinite(convolve(generic_params, wide, wide).values))
+
+    @pytest.mark.parametrize("ab", [(1.2, 0.3), (1.5, 0.5)], ids=["generic", "damek-ricci-like"])
+    def test_block_product_matches_two_transforms(self, ab):
+        # convolve transforms the block [f | g] in one product; each input
+        # transformed on its own gives the same values to rounding, and so
+        # does g * f
+        params = JacobiParameters(*ab)
+        grid, sgrid = convolution._convolution_grids(params)
+        f = bump(grid, 0.8, 0.5)
+        g = SampledRadialFunction(grid, bump(grid, 1.1, 0.6).values * np.exp(0.3j * grid.nodes))
+        product = jacobi_transform(params, f, sgrid).values * jacobi_transform(params, g, sgrid).values
+        two = inverse_transform(params, SampledSpectralFunction(sgrid, product), grid).values
+        fg, gf = convolve(params, f, g).values, convolve(params, g, f).values
+        peak = np.max(np.abs(two))
+        assert np.max(np.abs(fg - two)) <= 4e-15 * peak
+        assert np.max(np.abs(fg - gf)) <= 4e-15 * peak
+
+    def test_block_needs_one_shape(self, generic_params, conv_grid):
+        f = bump(conv_grid, 0.8, 0.5)
+        g = SampledRadialFunction(conv_grid, np.column_stack((f.values, f.values)))
+        with pytest.raises(GridError, match="one shape"):
+            convolve(generic_params, f, g)
 
     def test_matches_direct(self, generic_params, direct_fg):
         f, g, direct = direct_fg

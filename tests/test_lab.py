@@ -229,6 +229,21 @@ class TestEstimateOperatorNorm:
         with pytest.raises(ParameterError, match="trials must be an integer >= 1, not True"):
             estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=True, grids=small_grids)
 
+    def test_unindexable_trials_refused_and_any_seed_taken(self, generic_params, small_grids):
+        # 10**21 trials is past the largest count numpy can index, which the
+        # old check let through to numpy's "Maximum allowed dimension exceeded"
+        family = standard_multiplier_family(generic_params)
+        for call in (
+            lambda: estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=10**21, grids=small_grids),
+            lambda: theorem_ratio_experiment(generic_params, family, 2, grids=small_grids, trials=10**21),
+            lambda: probe_theorem(generic_params, family, 2, small_grids, trials=10**21),
+        ):
+            with pytest.raises(ParameterError, match=r"trials must be at most \d+, the most numpy can index"):
+                call()
+        # numpy seeds a generator from an integer of any size
+        est = estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=1, seed=10**21, grids=small_grids)
+        assert math.isfinite(est.lower_bound)
+
     def test_p_guard(self, generic_params, grids):
         with pytest.raises(ParameterError):
             estimate_operator_norm(

@@ -167,12 +167,19 @@ class TestGrids:
             (lambda p: SpectralGrid.build(p, 50.0, 2.5), "n_panels"),
             (lambda p: SpectralGrid(p, np.linspace(0.0, 50.0, 41), 2.5), "nodes_per_panel"),
             (lambda p: SpectralGrid.build(p, 25.0, True), "n_panels"),
+            (lambda p: RadialGrid.graded(p, 20.0, 10**21), "n_panels"),
+            (lambda p: SpectralGrid.build(p, 50.0, 10**21), "n_panels"),
+            (lambda p: RadialGrid(p, graded_breakpoints(5.0, 10), 10**21), "nodes_per_panel"),
+            (lambda p: SpectralGrid(p, np.linspace(0.0, 50.0, 41), 10**21), "nodes_per_panel"),
         ],
         ids=[
             "radial-0-panels", "radial-negative-panels", "t_max-0", "t_max-inf", "t_max-nan",
             "0-nodes", "spectral-0-panels", "lam_max-0", "lam_max-negative", "repeated-breakpoint",
             "no-panel", "negative-start", "infinite-breakpoint", "radial-fractional-panels",
             "spectral-fractional-panels", "fractional-nodes", "spectral-bool-panels",
+            # past the largest count numpy can index: the old builders reached numpy's ValueError
+            "radial-unindexable-panels", "spectral-unindexable-panels", "radial-unindexable-nodes",
+            "spectral-unindexable-nodes",
         ],
     )
     def test_grid_shape_errors_name_the_argument(self, generic_params, build, name):
