@@ -686,7 +686,7 @@ class TestGridFlags:
         [("--radial-panels", "0", "n_panels"), ("--spectral-panels", "0", "n_panels"),
          ("--radial-panels", "-3", "n_panels"), ("--lam-max", "0", "lam_max"),
          ("--lam-max", "-5", "lam_max"), ("--t-max", "inf", "t_max"),
-         # past the largest count numpy can index, which used to end in numpy's traceback
+         # past the largest count numpy can index: refused before numpy is asked to allocate
          ("--radial-panels", str(10**21), "n_panels"), ("--spectral-panels", str(10**21), "n_panels")],
     )
     @pytest.mark.parametrize("command", [["probe-theorem", "--trials", "2"], ["heat", "--s", "0.1"]])

@@ -230,8 +230,8 @@ class TestEstimateOperatorNorm:
             estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=True, grids=small_grids)
 
     def test_unindexable_trials_refused_and_any_seed_taken(self, generic_params, small_grids):
-        # 10**21 trials is past the largest count numpy can index, which the
-        # old check let through to numpy's "Maximum allowed dimension exceeded"
+        # 10**21 trials is past the largest count numpy can index: refused,
+        # naming trials, before numpy is asked for that many
         family = standard_multiplier_family(generic_params)
         for call in (
             lambda: estimate_operator_norm(generic_params, constant_multiplier(), 2, trials=10**21, grids=small_grids),

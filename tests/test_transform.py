@@ -177,7 +177,7 @@ class TestGrids:
             "0-nodes", "spectral-0-panels", "lam_max-0", "lam_max-negative", "repeated-breakpoint",
             "no-panel", "negative-start", "infinite-breakpoint", "radial-fractional-panels",
             "spectral-fractional-panels", "fractional-nodes", "spectral-bool-panels",
-            # past the largest count numpy can index: the old builders reached numpy's ValueError
+            # past the largest count numpy can index: refused before numpy is asked to allocate
             "radial-unindexable-panels", "spectral-unindexable-panels", "radial-unindexable-nodes",
             "spectral-unindexable-nodes",
         ],
