@@ -130,8 +130,9 @@ class JacobiParameters:
 
     Requires alpha > 1/2 and alpha > beta > -1/2.  The boundary value
     alpha = 1/2 (used by the closed-form test preset) is accepted only with
-    relaxed=True and emits a warning.  alpha and beta are stored as floats;
-    one that is not a finite real number raises ParameterError naming it.
+    relaxed=True and emits a warning.  alpha and beta are stored as floats
+    and relaxed as a bool; an alpha or beta that is not a finite real number,
+    or a relaxed that is not a bool, raises ParameterError naming it.
     """
 
     alpha: float
@@ -150,6 +151,9 @@ class JacobiParameters:
             if math.isinf(x):
                 raise ParameterError(f"JacobiParameters requires a finite {name}, got {name} = {x}")
             object.__setattr__(self, name, x)
+        if not isinstance(self.relaxed, (bool, np.bool_)):
+            raise ParameterError(f"JacobiParameters requires a bool relaxed, got relaxed = {self.relaxed!r}")
+        object.__setattr__(self, "relaxed", bool(self.relaxed))
         a, b = self.alpha, self.beta
         if self.relaxed:
             if a < 0.5:
@@ -209,9 +213,9 @@ def gamma_coefficient_table(params, lam, k_max):
         Gamma_k = -(1 / (4k(k - i lambda))) sum_{m=1}^{k} b_m s_{k-m} Gamma_{k-m}
     with s_j = i lambda - rho - 2j and b_m the coefficients of the drift term,
     (2a+1) coth t + (2b+1) tanh t = 2 rho + sum_{m>=1} b_m e^{-2mt},
-    b_m = 2[(2a+1) + (-1)^m (2b+1)].  k_max may also be a non-decreasing
-    array, one depth per lambda: column j is formed to k = k_max[j], with the
-    bits a full column would have, and is zero past it.
+    b_m = 2[(2a+1) + (-1)^m (2b+1)].  Row k is formed from the rows above
+    it alone, so a table to k_max is, bit for bit, the first k_max + 1 rows
+    of any deeper one.
     """
     table = _gamma_recurrence(params, np.atleast_1d(np.asarray(lam, dtype=complex)), k_max)
     if not (np.abs(table) <= _GAMMA_CAP).all():
@@ -235,32 +239,25 @@ def _gamma_recurrence(params, lam, k_max):
         slope = il - params.rho
         value, p_sum, q_sum = 1.0 + 0.0j, 0.0j, 0.0j
         column = [value]
-        for k in range(1, int(np.max(k_max)) + 1):
+        for k in range(1, k_max + 1):
             gap = k - il
             if abs(gap) < 1e-10:
                 raise DomainError(_EXCEPTIONAL)
             value, p_sum, q_sum = _gamma_step(ca, cb, slope, k, value, p_sum, q_sum, gap * (-4.0 * k))
             column.append(value)
         return np.array(column)[:, None]
-    depth = np.broadcast_to(k_max, lam.shape)
-    top = int(depth.max(initial=0))
     il = 1j * lam
-    gaps = np.arange(1, top + 1)[:, None] - il
+    gaps = np.arange(1, k_max + 1)[:, None] - il
     if np.any(np.abs(gaps) < 1e-10):
         raise DomainError(_EXCEPTIONAL)
-    table = np.zeros((top + 1, lam.size), dtype=complex)
+    table = np.empty((k_max + 1, lam.size), dtype=complex)
     table[0] = 1.0
-    gaps *= -4.0 * np.arange(1, top + 1)[:, None]  # now the denominators -4k(k - i lambda)
+    gaps *= -4.0 * np.arange(1, k_max + 1)[:, None]  # now the denominators -4k(k - i lambda)
     slope = il - params.rho  # s_0; w_k = s_k Gamma_k
     p_sum = q_sum = np.zeros(lam.size, dtype=complex)
-    start = np.searchsorted(depth, np.arange(top + 1)).tolist()  # the columns formed to k are those from start[k] on
-    rows = table
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, top + 1):
-            if start[k] > start[k - 1]:
-                cut = start[k] - start[k - 1]
-                slope, p_sum, q_sum, gaps, rows = (x[..., cut:] for x in (slope, p_sum, q_sum, gaps, rows))
-            rows[k], p_sum, q_sum = _gamma_step(ca, cb, slope, k, rows[k - 1], p_sum, q_sum, gaps[k - 1])
+        for k in range(1, k_max + 1):
+            table[k], p_sum, q_sum = _gamma_step(ca, cb, slope, k, table[k - 1], p_sum, q_sum, gaps[k - 1])
     return table
 
 
@@ -448,14 +445,14 @@ def _harish_chandra(params, t, lam, split, out):
 
     The table c(lambda) Gamma_k(lambda) holds real columns (Re and Im of
     lambda, and of -lambda for complex lambda, side by side).  Row i sums
-    the columns from first[i], its split aligned down to the phase period, on;
-    first and K fall with t, so column j is summed by the last rows, and only
-    to the K of the first of them, which grows with j: the table is formed
-    that far, a staircase.  A block writes out[r0:r1, c0:],
-    c0 its least first, as S = [x^0 ... x^K] @ table, then
-    2 e^(-rho t) Re(e^(i lambda t) S) for real lambda and the sum of
-    e^((+-i lambda - rho) t) S for complex lambda; the 2F1 route overwrites
-    the cells left of the split.
+    the columns from first[i], its split aligned down to the phase period,
+    on, to its K; K falls with t, so the table is formed to the K of the
+    first row.  The 1e100 cap of `gamma_coefficient_table` holds on the cells
+    a row reads, column j to the K of the first row to sum it (at large alpha
+    the cells below may pass it).  A block writes out[r0:r1, c0:], c0 its
+    least first, as S = [x^0 ... x^K] @ table, then 2 e^(-rho t) Re(e^(i
+    lambda t) S) for real lambda and the sum of e^((+-i lambda - rho) t) S
+    for complex lambda; the 2F1 route overwrites the cells left of the split.
     """
     real = not np.iscomplexobj(lam)
     lam_pm = lam if real else np.stack([lam, -lam], axis=-1).ravel()
@@ -465,7 +462,9 @@ def _harish_chandra(params, t, lam, split, out):
     q = (phase.q or 1) if real else 1  # the blocks start at multiples of the period
     first = split // q * q
     k_col = np.concatenate([k_row, [0]])[(-first).searchsorted(-np.arange(n))]  # the K of the first row to sum column j
-    table = gamma_coefficient_table(params, lam_pm, k_col if m == 1 else np.repeat(k_col, m))
+    table = _gamma_recurrence(params, lam_pm, int(k_row[0]))
+    if not ((np.abs(table) <= _GAMMA_CAP) | (np.arange(len(table))[:, None] > np.repeat(k_col, m))).all():
+        raise OverflowLimitError("|Gamma_k| exceeded 1e100")
     table *= c_function(params, lam_pm)
     table = table.view(float)
     with np.errstate(under="ignore"):
@@ -503,12 +502,12 @@ def _hypergeometric(params, t, lam, split, out):
     split[i] - 1, where |C_k(lambda)| is largest on the real line.  Column j
     is summed by the first rows, and its C_k(lambda) are formed only to the
     largest K of them (a reverse running maximum, which does not grow with
-    j): one staircase table, as on the Harish-Chandra side.  A block is one
-    product over the columns left of its largest split, written where each
-    row routes.  A column whose C_k leave the doubles (|lambda| past about
-    1e6, at t below about 1e-5) takes `specfun.hyp2f1_real_arg`; there |C_k|
-    rises through every K, and a non-finite C_k stays non-finite down its
-    column, so the column's deepest formed entry tells.
+    j): one staircase table.  A block is one product over the columns left
+    of its largest split, written where each row routes.  A column whose C_k
+    leave the doubles (|lambda| past about 1e6, at t below about 1e-5) takes
+    `specfun.hyp2f1_real_arg`; there |C_k| rises through every K, and a
+    non-finite C_k stays non-finite down its column, so the column's deepest
+    formed entry tells.
     """
     a, b, c = _phi_params(params, lam)
     n = lam.size

@@ -27,15 +27,15 @@ from ._util import _MAX_COUNT, dyadic_differences, is_count, to_double
 from .errors import DomainError, JacobiLabError, ParameterError
 from .multiplier import MultiplierSpec, boundary_trace, omega
 from .transform import (
-    RadialGrid,
     SampledRadialFunction,
     SampledSpectralFunction,
     SpectralGrid,
+    default_grids,
     inverse_transform,
     jacobi_transform,
     phi_matrix_for,
 )
-from .transform import _check_decay, _lp_norm, _tail_count
+from .transform import _check_decay, _lp_norm
 
 __all__ = [
     "OperatorNormEstimate",
@@ -101,58 +101,49 @@ def _trial_functions(params, samples, rgrid, sgrid, trials, seed):
     of |m|, bump superpositions, heat kernels translated to a radial node,
     and bumps modulated by cos(0.1 lambda + theta).  samples holds each
     member's m on the spectral nodes, and the result one (spectra, descs)
-    pair per member.  Only the targeted bumps depend on the member; the
-    other trials, and every draw of the seeded rng, are formed once."""
-    rng = np.random.default_rng(seed)
+    pair per member.  Each member's trials come from its own rng seeded with
+    seed, so every member draws alike and only the targeted bumps differ."""
     lam = sgrid.nodes
     phi = phi_matrix_for(params, rgrid, sgrid)
-    spectra = np.empty((len(lam), trials))
-    descs = []
-    widths = {}  # trial -> width of the targeted bump, whose column each member fills
-    for i in range(trials):
-        kind = i % 4
-        if kind == 0:
-            # concentrate where |m| peaks; at p=2 this almost saturates sup|m|
-            widths[i] = 0.4 if i < 4 else float(rng.uniform(0.3, 1.0))
-            descs.append(None)
-            continue
-        if kind == 1:
-            n_bumps = int(rng.integers(1, 4))
-            prof = np.zeros(len(lam))
-            centers = []
-            for _ in range(n_bumps):
-                c = float(rng.uniform(0.0, 0.7 * sgrid.lam_max))
-                w = float(rng.uniform(0.3, 2.5))
-                prof = prof + float(rng.uniform(0.2, 1.0)) * np.exp(
-                    -((lam - c) ** 2) / w**2
-                )
-                centers.append(round(c, 2))
-            desc = f"spectral bumps at {centers}"
-        elif kind == 2:
-            s = float(rng.uniform(0.005, 0.1))
-            node = int(np.argmin(np.abs(rgrid.nodes - float(rng.uniform(0.1, 2.0)))))
-            with np.errstate(under="ignore"):
-                # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula,
-                # with phi_lambda(x) a row of the cached phi matrix
-                prof = np.exp(-s * (lam**2 + params.rho**2)) * phi[node]
-            desc = f"heat kernel s={s:.3g} translated to x={rgrid.nodes[node]:.6g}"
-        else:
-            c = float(rng.uniform(0.2, 0.55) * sgrid.lam_max)
-            w = float(rng.uniform(1.0, 3.5))
-            prof = np.exp(-((lam - c) ** 2) / w**2) * np.cos(
-                0.1 * lam + float(rng.uniform(0.0, math.pi))
-            )
-            desc = f"modulated bump at {c:.1f}"
-        spectra[:, i] = prof
-        descs.append(desc)
     out = []
     for mvals in samples:
+        rng = np.random.default_rng(seed)
         peak = float(lam[np.argmax(np.abs(mvals))])
-        own, own_descs = spectra.copy(), list(descs)
-        for i, width in widths.items():
-            own[:, i] = np.exp(-((lam - peak) ** 2) / width**2)
-            own_descs[i] = f"targeted bump at {peak:.2f} (width {width:.2f})"
-        out.append((own, own_descs))
+        spectra = np.empty((len(lam), trials))
+        descs = []
+        for i in range(trials):
+            kind = i % 4
+            if kind == 0:
+                # concentrate where |m| peaks; at p=2 this almost saturates sup|m|
+                width = 0.4 if i < 4 else float(rng.uniform(0.3, 1.0))
+                prof = np.exp(-((lam - peak) ** 2) / width**2)
+                desc = f"targeted bump at {peak:.2f} (width {width:.2f})"
+            elif kind == 1:
+                n_bumps = int(rng.integers(1, 4))
+                prof = np.zeros(len(lam))
+                centers = []
+                for _ in range(n_bumps):
+                    c = float(rng.uniform(0.0, 0.7 * sgrid.lam_max))
+                    w = float(rng.uniform(0.3, 2.5))
+                    prof = prof + float(rng.uniform(0.2, 1.0)) * np.exp(-((lam - c) ** 2) / w**2)
+                    centers.append(round(c, 2))
+                desc = f"spectral bumps at {centers}"
+            elif kind == 2:
+                s = float(rng.uniform(0.005, 0.1))
+                node = int(np.argmin(np.abs(rgrid.nodes - float(rng.uniform(0.1, 2.0)))))
+                with np.errstate(under="ignore"):
+                    # (tau_x h_s)-hat = phi_lambda(x) h_s-hat by the product formula,
+                    # with phi_lambda(x) a row of the cached phi matrix
+                    prof = np.exp(-s * (lam**2 + params.rho**2)) * phi[node]
+                desc = f"heat kernel s={s:.3g} translated to x={rgrid.nodes[node]:.6g}"
+            else:
+                c = float(rng.uniform(0.2, 0.55) * sgrid.lam_max)
+                w = float(rng.uniform(1.0, 3.5))
+                prof = np.exp(-((lam - c) ** 2) / w**2) * np.cos(0.1 * lam + float(rng.uniform(0.0, math.pi)))
+                desc = f"modulated bump at {c:.1f}"
+            spectra[:, i] = prof
+            descs.append(desc)
+        out.append((spectra, descs))
     return out
 
 
@@ -174,10 +165,11 @@ def _estimates(params, members, p, grids, trials, seed):
     and its first such node.  The samples give the members' trials, spectra
     S, built in one `_trial_functions` call; f and T_m f are the inverse
     transforms of S and m S, and their L^q norms give the ratios.  The block
-    holds each trial spectrum once, however many members share it to the bit,
-    then each member's m S columns.  A member's numbers equal those of a block
-    of its own only where the GEMM rounds a column alike whatever the block's
-    width and the column's place in it, which BLAS does not promise (OpenBLAS's complex
+    holds each trial spectrum once, found by its bytes (members draw alike,
+    so they share all but their targeted bumps), then each member's m S
+    columns.  A member's numbers equal those of a block of its own only where
+    the GEMM rounds a column alike whatever the block's width and the
+    column's place in it, which BLAS does not promise (OpenBLAS's complex
     GEMM in `multiplier._line_integrals` does not);
     `test_family_rows_equal_one_member_rows` pins the equality for the
     standard family at three presets on one grid pair.  Per member, trials
@@ -212,7 +204,7 @@ def _estimates(params, members, p, grids, trials, seed):
         norms = _lp_norm(f, rgrid.mu_weights, 2)
         kept = np.flatnonzero((norms != 0.0) & np.isfinite(norms))
         names = [f"radial trial {j} of {m.label} ({descs[j]})" for j in kept]
-        _check_decay(f[:, kept], _tail_count(rgrid), names)
+        _check_decay(f[:, kept], rgrid, names)
         ratios = _lp_norm(tf[:, kept], rgrid.mu_weights, q) / _lp_norm(f[:, kept], rgrid.mu_weights, q)
         best = 0.0
         witness = "none"
@@ -339,10 +331,8 @@ def probe_theorem(params, family, p, grids, seed=0, trials=9):
     """
     res = theorem_ratio_experiment(params, family, p, grids, seed, trials)
     rows, (rgrid, sgrid) = res["rows"], grids
-    fine = (
-        RadialGrid.graded(params, rgrid.t_max, int((len(rgrid.breakpoints) - 1) * _REFINE[0])),
-        SpectralGrid.build(params, sgrid.lam_max, int((len(sgrid.breakpoints) - 1) * _REFINE[1])),
-    )
+    fine = default_grids(params, rgrid.t_max, int((len(rgrid.breakpoints) - 1) * _REFINE[0]),
+                         sgrid.lam_max, int((len(sgrid.breakpoints) - 1) * _REFINE[1]))
     for row, (_, ratio_fine) in zip(rows, _leg(params, family, rows, p, fine, trials, seed)):
         row["ratio_fine"] = ratio_fine
         row["drift"] = math.nan if row["flags"] else abs(row["ratio"] - ratio_fine) / max(abs(row["ratio"]), 1e-300)

@@ -67,7 +67,9 @@ class MultiplierSpec:
     """A multiplier defined (at least) on the open strip |Im lambda| < rho.
 
     The theorem is about even multipliers; `evenness_defect` measures how far
-    one is from even, and the probe flags a member where it is not.
+    one is from even, and the probe flags a member where it is not.  Calling
+    it returns evaluate's values as an array; values that are not numbers
+    (strings, objects) raise DomainError naming the label.
     """
 
     evaluate: object  # callable complex -> complex, vectorized over arrays
@@ -83,7 +85,10 @@ class MultiplierSpec:
             raise ParameterError(f"unknown decay class '{self.decay_class}'")
 
     def __call__(self, lam):
-        return np.asarray(self.evaluate(np.asarray(lam)))
+        values = np.asarray(self.evaluate(np.asarray(lam)))
+        if values.dtype.kind not in "biufc":
+            raise DomainError(f"multiplier '{self.label}' returns {values.dtype} values, not numbers")
+        return values
 
     def evenness_defect(self) -> float:
         lam = np.linspace(0.25, 40.0, 160)
@@ -247,12 +252,11 @@ def heat_regularize(m: MultiplierSpec, s, params) -> MultiplierSpec:
     """m_s(lambda) = m(lambda) exp(-s (lambda^2 + rho^2)), s > 0; rapidly decreasing."""
     s = real_number("heat_regularize", "s", s, positive=True)
     rho2 = params.rho**2
-    base = m.evaluate
 
     def regularized(lam):
         lam = np.asarray(lam)
         with np.errstate(under="ignore"):
-            return np.asarray(base(lam)) * np.exp(-s * (lam**2 + rho2))
+            return m(lam) * np.exp(-s * (lam**2 + rho2))
 
     return MultiplierSpec(
         evaluate=regularized,

@@ -263,13 +263,13 @@ def phi_matrix_for(params, rgrid: RadialGrid, sgrid: SpectralGrid):
     return rgrid._phi_cache[key]
 
 
-def _check_decay(values, tail_count, what, fraction=_DECAY_FRACTION):
-    """Raise DecayError naming the first column whose last tail_count samples
-    are not below fraction times its peak; a zero column passes.  what names
-    the values, or is a list with one name per column.  The test is on
-    tail / peak, which does not underflow for a subnormal peak."""
+def _check_decay(values, grid, what, fraction=_DECAY_FRACTION):
+    """Raise DecayError naming the first column whose last max(nodes per
+    panel of grid, 4) samples are not below fraction times its peak; a zero
+    column passes.  what names the values, or lists one name per column.  The
+    test is on tail / peak, which does not underflow for a subnormal peak."""
     peak = np.atleast_1d(np.max(np.abs(values), axis=0))
-    tail = np.atleast_1d(np.max(np.abs(values[-tail_count:]), axis=0))
+    tail = np.atleast_1d(np.max(np.abs(values[-max(grid.nodes_per_panel, 4):]), axis=0))
     with np.errstate(invalid="ignore"):
         bad = np.flatnonzero((peak > 0.0) & (tail / peak >= fraction))
     if bad.size:
@@ -315,7 +315,7 @@ def jacobi_transform(params, f: SampledRadialFunction, sgrid: SpectralGrid, deca
     peak; decay_fraction=None skips it.
     """
     if decay_fraction is not None:
-        _check_decay(f.values, _tail_count(f.grid), "radial function", real_number("jacobi_transform", "decay_fraction", decay_fraction))
+        _check_decay(f.values, f.grid, "radial function", real_number("jacobi_transform", "decay_fraction", decay_fraction))
     phi = phi_matrix_for(params, f.grid, sgrid)
     return SampledSpectralFunction(sgrid, _weighted_product(phi.T, f.grid.mu_weights, f.values))
 
@@ -329,13 +329,9 @@ def inverse_transform(params, g: SampledSpectralFunction, rgrid: RadialGrid, dec
     spectral content.
     """
     if decay_fraction is not None:
-        _check_decay(g.values, _tail_count(g.grid), "spectral function", real_number("inverse_transform", "decay_fraction", decay_fraction))
+        _check_decay(g.values, g.grid, "spectral function", real_number("inverse_transform", "decay_fraction", decay_fraction))
     phi = phi_matrix_for(params, rgrid, g.grid)
     return SampledRadialFunction(rgrid, _weighted_product(phi, g.grid.nu_weights, g.values))
-
-
-def _tail_count(grid):
-    return max(grid.nodes_per_panel, 4)
 
 
 def plancherel_defect(params, f: SampledRadialFunction, sgrid: SpectralGrid) -> float:

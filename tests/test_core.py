@@ -82,6 +82,17 @@ class TestJacobiParameters:
             p = JacobiParameters(0.5, -0.5, relaxed=True)
         assert p.rho == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("relaxed", ["yes", 1, None, 0.0])
+    def test_relaxed_that_is_not_a_bool_is_named(self, relaxed):
+        # these were stored as given, so relaxed=None made a pair unequal to relaxed=False
+        with pytest.raises(ParameterError, match=rf"^JacobiParameters requires a bool relaxed, got relaxed = {relaxed!r}$"):
+            JacobiParameters(1.2, 0.3, relaxed=relaxed)
+
+    def test_relaxed_is_stored_as_a_bool(self):
+        p = JacobiParameters(1.2, 0.3, relaxed=np.bool_(False))
+        assert type(p.relaxed) is bool
+        assert p == JacobiParameters(1.2, 0.3) and hash(p) == hash(JacobiParameters(1.2, 0.3))
+
 
 class TestWeightDensity:
     def test_matches_definition(self, generic_params):
@@ -780,6 +791,27 @@ class TestHarishChandra:
             wide = gamma_coefficient_table(generic_params, lams, k_max)[:, 0]
             one = gamma_coefficient_table(generic_params, [lam], k_max)[:, 0]
             assert np.max(np.abs(one - wide)) <= 1e-14 * np.max(np.abs(wide)), (lam, k_max)
+
+    @pytest.mark.parametrize("spec", ["generic_params", (6.0, 2.0)])
+    @pytest.mark.parametrize(
+        "lam",
+        [np.linspace(0.0, 60.0, 241), np.array([3.7]), np.array([0.5 + 0.3j, 4.0 - 1.0j, 20.0 + 2.0j, 45.0 + 0.1j])],
+        ids=["wide-real", "one-real", "complex"],
+    )
+    def test_table_is_the_top_of_a_deeper_one(self, request, spec, lam):
+        # the phi build forms one table, to the K of its first row, and each
+        # row sums its own first K + 1 rows of it; that keeps every phi bit
+        # only if a shallower table is the top of a deeper one, bit for bit
+        p = request.getfixturevalue(spec) if isinstance(spec, str) else JacobiParameters(*spec)
+        deep = gamma_coefficient_table(p, lam, 96)
+        for k_max in (0, 1, 8, 48, 95):
+            assert gamma_coefficient_table(p, lam, k_max).tobytes() == deep[: k_max + 1].tobytes(), k_max
+
+    def test_phi_raises_where_a_row_reads_past_the_cap(self):
+        # at (40, 10), rows near the least t that 800 terms admit read Gamma_k
+        # past 1e100 at these lambda: the phi build raises the table's error
+        with pytest.raises(OverflowLimitError, match=r"\|Gamma_k\| exceeded 1e100"):
+            phi_matrix(JacobiParameters(40.0, 10.0), np.linspace(0.221, 3.0, 25), np.linspace(27.2, 218.0, 40))
 
     def test_exceptional_lambda_raises(self, generic_params):
         with pytest.raises(DomainError):

@@ -18,8 +18,11 @@ from jacobilab import (
     boundary_trace,
     c_function,
     c_inverse_reflected,
+    apply_multiplier_operator,
     contour_shift_check,
+    default_grids,
     delta_expansion,
+    estimate_operator_norm,
     hc_global_pieces,
     heat_kernel,
     heat_regularize,
@@ -29,7 +32,9 @@ from jacobilab import (
     modified_multiplier,
     omega,
     p_s_function,
+    probe_theorem,
     split_kernel,
+    theorem_ratio_experiment,
     w_function,
     weight_density,
 )
@@ -63,6 +68,35 @@ class TestMultiplierSpec:
     def test_evenness_defect(self):
         m = gauss_multiplier()
         assert m.evenness_defect() < 1e-14
+
+    @pytest.mark.parametrize(
+        "values",
+        [lambda lam: np.full(np.shape(lam), "a"), lambda lam: np.full(np.shape(lam), None, dtype=object)],
+        ids=["strings", "objects"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P, m, grids: theorem_ratio_experiment(P, [m], 2.0, grids, trials=2),
+            lambda P, m, grids: probe_theorem(P, [m], 2.0, grids, trials=2),
+            lambda P, m, grids: apply_multiplier_operator(P, m, heat_kernel(P, 0.1, *grids), 2.0, grids[1]),
+            lambda P, m, grids: heat_regularize(m, 0.1, P)(np.array([1.0, 2.0])),
+            lambda P, m, grids: estimate_operator_norm(P, m, 2.0, grids, trials=2),
+            lambda P, m, grids: modified_multiplier(P, m, np.array([1.0, 2.0])),
+            lambda P, m, grids: hc_global_pieces(P, m, 2, np.array([1.5])),
+            lambda P, m, grids: kernel_from_multiplier(P, m, *grids),
+        ],
+        ids=["theorem_ratio_experiment", "probe_theorem", "apply_multiplier_operator", "heat_regularize",
+             "estimate_operator_norm", "modified_multiplier", "hc_global_pieces", "kernel_from_multiplier"],
+    )
+    def test_values_that_are_not_numbers_name_the_member(self, generic_params, values, call):
+        # strings ended in numpy's UFuncTypeError, a TypeError or a ValueError that
+        # named no member; objects made modified_multiplier NaN, and hc_global_pieces
+        # returned its dict
+        m = MultiplierSpec(values, "rapidly-decreasing", "bad")
+        grids = default_grids(generic_params, 12.0, 40, 25.0, 40)
+        with pytest.raises(DomainError, match=r"^multiplier 'bad' returns (<U1|object) values, not numbers$"):
+            call(generic_params, m, grids)
 
 
 class TestOmega:
